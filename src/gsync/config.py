@@ -365,6 +365,8 @@ def _build(raw: dict, base_dir: str) -> RunConfig:
     grid_resolution = keys.get_int("run.grid_resolution", 20)
     input_samples = keys.get_int("run.input_samples", 200)
     fk = keys.get_vec("run.forgetting_k", np.array([1.0, 5.0, 20.0, 100.0, 200.0]))
+    if not np.all(np.isfinite(fk) & (fk >= 0)):
+        raise ConfigError("run.forgetting_k entries must be finite and >= 0")
     forgetting_k = [int(k) for k in fk]
     forgetting_trials = keys.get_int("run.forgetting_trials", 100)
     pair_budget = keys.get_int("run.pair_budget", 4000)
@@ -374,6 +376,8 @@ def _build(raw: dict, base_dir: str) -> RunConfig:
         raise ConfigError("run.washout must be >= 0 and run.record >= 1")
     if n_steps < 1:
         raise ConfigError("system.n_steps must be >= 1")
+    if grid_resolution < 2:
+        raise ConfigError("run.grid_resolution must be >= 2")
 
     unused = set(raw) - keys.used
     if unused:

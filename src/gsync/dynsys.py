@@ -8,6 +8,7 @@ tangent-map norms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,15 +95,27 @@ class DiscreteSystem:
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         m = _as_point(m0, self.phase_dim)
+        advance, state = self._stepper(m)
         pts = np.empty((n_steps + 1, self.phase_dim))
         pts[0] = m
         for k in range(n_steps):
             try:
-                m = self.step(m)
+                state = advance(state)
             except NonFiniteError as exc:
                 raise NonFiniteError(f"trajectory failed at step {k + 1}: {exc}") from exc
-            pts[k + 1] = m
+            pts[k + 1] = state
         return Trajectory(points=pts, t0=t0)
+
+    def _stepper(self, m: np.ndarray):
+        """(advance, state) for ``trajectory``: one forward step on a state
+        that starts at m and that a row of the points array accepts.
+        Subclasses override it with a cheaper state than a checked point."""
+        return self.step, m
+
+    def _batch_tangent_maps(self, samples: np.ndarray):
+        """Stacked T_m(phi) and T_m(phi^-1) over samples (n, phase_dim), or
+        None when ``tangent_norm_bounds`` must evaluate sample by sample."""
+        return None
 
 
 class TorusRotation(DiscreteSystem):
@@ -157,6 +170,28 @@ class CatMap(DiscreteSystem):
         return self.inverse_matrix.copy()
 
 
+def _all_finite(a) -> bool:
+    return bool(np.isfinite(a).all())
+
+
+def _rk4_substep(f, u, v, w, hs):
+    """One classical Runge-Kutta substep of a three-component field.
+
+    ``f(u, v, w) -> (du, dv, dw)``; the components are Python floats on the
+    trajectory path and equal-shape arrays on the batched path, and both
+    evaluate the same operations in the same order as ``OdeFlow._integrate``.
+    """
+    half = 0.5 * hs
+    a1, b1, c1 = f(u, v, w)
+    a2, b2, c2 = f(u + half * a1, v + half * b1, w + half * c1)
+    a3, b3, c3 = f(u + half * a2, v + half * b2, w + half * c2)
+    a4, b4, c4 = f(u + hs * a3, v + hs * b3, w + hs * c3)
+    sixth = hs / 6.0
+    return (u + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+            v + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+            w + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4))
+
+
 class OdeFlow(DiscreteSystem):
     """Flow map of an autonomous vector field over a fixed time step.
 
@@ -164,6 +199,13 @@ class OdeFlow(DiscreteSystem):
     scheme using ``substeps`` equal substeps; the inverse step integrates
     backward with the same scheme and verifies the forward round trip
     against ``roundtrip_tol``.
+
+    A three-dimensional field that also declares a component form,
+    ``field.components(u, v, w) -> (du, dv, dw)`` working on Python floats
+    and on equal-shape arrays (as ``lorenz_field`` does), is integrated on
+    plain floats by ``step``, ``inverse_step`` and ``trajectory`` and in one
+    batch by ``tangent_norm_bounds``, with bit-identical results.  Other
+    fields are integrated on numpy points.
     """
 
     kind = "ode_flow"
@@ -180,6 +222,10 @@ class OdeFlow(DiscreteSystem):
         self.substeps = int(substeps)
         self.roundtrip_tol = float(roundtrip_tol)
         self.name = name
+        self._components = getattr(field, "components", None) if self.phase_dim == 3 else None
+
+    def _diverged(self, i: int) -> NonFiniteError:
+        return NonFiniteError(f"integration diverged at substep {i + 1} of {self.substeps}")
 
     def _integrate(self, m: np.ndarray, h: float) -> np.ndarray:
         hs = h / self.substeps
@@ -193,19 +239,46 @@ class OdeFlow(DiscreteSystem):
                 k4 = f(y + hs * k3)
                 y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 if not np.all(np.isfinite(y)):
-                    raise NonFiniteError(
-                        f"integration diverged at substep {i + 1} of {self.substeps}")
+                    raise self._diverged(i)
         return y
+
+    def _integrate_components(self, point, h: float, isfinite=math.isfinite) -> tuple:
+        """RK4 on the component form.  ``point`` is (u, v, w) as floats, or
+        as equal-shape arrays with an ``isfinite`` that reduces over them."""
+        u, v, w = point
+        hs = h / self.substeps
+        f = self._components
+        for i in range(self.substeps):
+            u, v, w = _rk4_substep(f, u, v, w, hs)
+            if not (isfinite(u) and isfinite(v) and isfinite(w)):
+                raise self._diverged(i)
+        return u, v, w
+
+    def _integrate_batch(self, points: np.ndarray, h: float) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            images = self._integrate_components(points.T, h, _all_finite)
+        return np.stack(images, axis=-1)
+
+    def _flow(self, m: np.ndarray, h: float) -> np.ndarray:
+        if self._components is None:
+            return self._integrate(m, h)
+        return np.array(self._integrate_components(m.tolist(), h))
+
+    def _stepper(self, m: np.ndarray):
+        if self._components is None:
+            return super()._stepper(m)
+        h = self.h
+        return (lambda point: self._integrate_components(point, h)), m.tolist()
 
     def step(self, m) -> np.ndarray:
         m = _as_point(m, self.phase_dim)
-        return self._integrate(m, self.h)
+        return self._flow(m, self.h)
 
     def inverse_step(self, m, check: bool = True) -> np.ndarray:
         m = _as_point(m, self.phase_dim)
-        prev = self._integrate(m, -self.h)
+        prev = self._flow(m, -self.h)
         if check:
-            back = self._integrate(prev, self.h)
+            back = self._flow(prev, self.h)
             err = np.linalg.norm(back - m)
             scale = max(1.0, float(np.linalg.norm(m)))
             if err > self.roundtrip_tol * scale:
@@ -214,23 +287,70 @@ class OdeFlow(DiscreteSystem):
                     f"{self.roundtrip_tol:.1e} (relative to scale {scale:.3g})")
         return prev
 
+    def _batch_tangent_maps(self, samples: np.ndarray):
+        """The per-sample ``jacobian`` and ``inverse_jacobian`` (checked
+        inverse step, central differences at the sample and at its
+        predecessor), evaluated as two batched integrations.
+
+        Returns None on anything the per-sample path would reject (invalid
+        or non-finite points, a round trip within a factor two of its
+        tolerance), so that path decides and raises its own error.
+        """
+        if (self._components is None or samples.ndim != 2 or samples.shape[1] != 3
+                or not np.isfinite(samples).all()):
+            return None
+        d = samples.shape[1]
+        h = self.fd_step
+        e = h * np.eye(d)
+        try:
+            prev = self._integrate_batch(samples, -self.h)
+            m, p = samples[:, None, :], prev[:, None, :]
+            starts = np.concatenate([p, m + e, m - e, p + e, p - e], axis=1)
+            images = self._integrate_batch(starts.reshape(-1, d), self.h).reshape(starts.shape)
+        except NonFiniteError:
+            return None
+        err = np.linalg.norm(images[:, 0] - samples, axis=-1)
+        scale = np.maximum(1.0, np.linalg.norm(samples, axis=-1))
+        # these row norms may round differently from the per-sample check,
+        # so a round trip near the tolerance is left to that check
+        if np.any(err > 0.5 * self.roundtrip_tol * scale):
+            return None
+        fwd_p, fwd_m, prev_p, prev_m = np.split(images[:, 1:], 4, axis=1)
+        # column j of a tangent map holds the difference quotient along e_j
+        jac = np.swapaxes((fwd_p - fwd_m) / (2.0 * h), 1, 2)
+        jac_prev = np.swapaxes((prev_p - prev_m) / (2.0 * h), 1, 2)
+        if not (np.isfinite(jac).all() and np.isfinite(jac_prev).all()):
+            return None
+        jac_inv = np.linalg.inv(jac_prev)
+        if not np.isfinite(jac_inv).all():
+            return None
+        return jac, jac_inv
+
 
 def lorenz_field(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0,
                  literal_sign: bool = False):
-    """Lorenz vector field.
+    """Lorenz vector field on points (3,) or batches (..., 3).
 
     The first equation is du/dt = sigma*(v - u), which produces the familiar
     butterfly attractor.  ``literal_sign=True`` flips it to sigma*(u - v);
     that variant collapses trajectories instead of generating the attractor
     and is kept only as a documented comparison switch.
+
+    The returned field carries its component form as ``field.components``,
+    ``(u, v, w) -> (du, dv, dw)`` on Python floats or equal-shape arrays,
+    which ``OdeFlow`` integrates without building a numpy point per stage.
     """
 
-    sign = -1.0 if literal_sign else 1.0
+    s = sigma * (-1.0 if literal_sign else 1.0)
+
+    def components(u, v, w):
+        return s * (v - u), u * (rho - w) - v, u * v - beta * w
 
     def field(m):
-        u, v, w = m
-        return np.array([sigma * sign * (v - u), u * (rho - w) - v, u * v - beta * w])
+        # transposing puts the coordinate axis first for any batch shape
+        return np.array(components(*np.asarray(m, dtype=float).T)).T
 
+    field.components = components
     return field
 
 
@@ -448,13 +568,24 @@ def tangent_norm_bounds(sys: DiscreteSystem, samples) -> tuple[float, float]:
     """Sampled suprema of ||T phi|| and ||T phi^-1|| (largest singular values).
 
     Analytic Jacobians are used where the system provides them; flow maps
-    fall back to central finite differences.  The returned values are
+    fall back to central finite differences.  Flow maps of fields with a
+    component form evaluate all samples in one batch, with suprema
+    identical to the per-sample evaluation.  The returned values are
     suprema over the given samples and grow monotonically with the sample
     set.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("samples must be non-empty")
+    maps = sys._batch_tangent_maps(samples)
+    if maps is None:
+        return _tangent_norm_bounds_loop(sys, samples)
+    sup_fwd, sup_inv = (max(0.0, float(np.max(np.linalg.svd(J, compute_uv=False)[:, 0])))
+                        for J in maps)
+    return sup_fwd, sup_inv
+
+
+def _tangent_norm_bounds_loop(sys: DiscreteSystem, samples: np.ndarray) -> tuple[float, float]:
     sup_fwd = 0.0
     sup_inv = 0.0
     for m in samples:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynsys import DiscreteSystem, ObservationMap, Trajectory, observe_trajectory
-from .errors import DisjointRanges, RegionEscape
+from .errors import DisjointRanges, GsyncError, RegionEscape
 from .regions import InvariantRegion
 from .statemaps import StateMap
 
@@ -217,8 +217,9 @@ def multistability_sweep(F: StateMap, regions, sys: DiscreteSystem,
                          trajectory: Trajectory | None = None) -> SweepResult:
     """One drive-constructed synchronization per region, plus separations.
 
-    Regions where the drive fails (for instance a region escape) are
-    reported in ``failures`` and the sweep continues.  The echo index is a
+    Regions where the drive fails with a package error (for instance a
+    region escape) are reported in ``failures`` and the sweep continues;
+    any other exception propagates.  The echo index is a
     lower bound: the number of clusters of recorded synchronizations whose
     pairwise minimum separation exceeds ``distinct_tol``.
     """
@@ -231,7 +232,7 @@ def multistability_sweep(F: StateMap, regions, sys: DiscreteSystem,
             gs = drive_gs(F, sys, obs, m0, region.center(),
                           washout_steps=washout_steps, record_steps=record_steps,
                           region=region, trajectory=trajectory)
-        except Exception as exc:  # keep sweeping the remaining regions
+        except GsyncError as exc:  # keep sweeping the remaining regions
             failures[region.label] = f"{type(exc).__name__}: {exc}"
             continue
         gss.append(gs)

@@ -147,6 +147,15 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, bad)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_grid_resolution_below_two_exit_2(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_IV + "run.grid_resolution = 1\n")
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("k", ["-3", "nan"])
+    def test_bad_forgetting_k_exit_2(self, tmp_path, k):
+        cfg = write_cfg(tmp_path, SMALL_IV + f"run.forgetting_k = 1 {k}\n")
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
     def test_synchronize_without_regions_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_LORENZ + "statemap.kind = linear_delay\nstatemap.q = 1\n")
         assert main(["synchronize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gsync import (CatMap, CoordinateProjection, CustomSystem, LinearObservation,
+from gsync import (CatMap, CoordinateProjection, CustomSystem, LinearObservation, OdeFlow,
                    TorusRotation, check_equivariance, delay_window,
                    lorenz_field, lorenz_system, tangent_norm_bounds)
+from gsync.dynsys import _tangent_norm_bounds_loop
 from gsync.errors import NonFiniteError, RoundTripFailure
 
 from conftest import LORENZ_M0
@@ -123,6 +124,56 @@ class TestLorenzFlow:
         lit = lorenz_system(literal_sign=True)
         with pytest.raises(NonFiniteError):
             lit.trajectory(LORENZ_M0, 2000)
+
+
+class TestFastPaths:
+    """The float and batched Lorenz paths against the numpy reference."""
+
+    def test_field_batch_matches_rows(self, lorenz_traj):
+        sigma, rho, beta = 10.0, 28.0, 8.0 / 3.0
+        field = lorenz_field(sigma, rho, beta)
+        pts = lorenz_traj.points[::37]
+        rows = np.array([field(m) for m in pts])
+        assert np.array_equal(field(pts), rows)
+        assert np.array_equal(field(pts.reshape(-1, 1, 3)), rows.reshape(-1, 1, 3))
+        u, v, w = pts.T
+        hand = np.stack([sigma * (v - u), u * (rho - w) - v, u * v - beta * w], axis=-1)
+        assert np.array_equal(rows, hand)
+        assert field.components(*pts[5].tolist()) == tuple(rows[5].tolist())
+
+    def test_float_trajectory_and_step_match_numpy_integration(self, lorenz, lorenz_traj):
+        ref = np.empty_like(lorenz_traj.points)
+        ref[0] = m = LORENZ_M0
+        for k in range(len(ref) - 1):
+            m = lorenz._integrate(m, lorenz.h)
+            ref[k + 1] = m
+        assert np.array_equal(lorenz_traj.points, ref)
+        for m in ref[[0, 1234, 4000]]:
+            assert np.array_equal(lorenz.step(m), lorenz._integrate(m, lorenz.h))
+            assert np.array_equal(lorenz.inverse_step(m), lorenz._integrate(m, -lorenz.h))
+
+    def test_user_field_keeps_numpy_path(self, lorenz_traj):
+        field = lorenz_field()
+        plain = OdeFlow(lambda m: field(m), phase_dim=3, h=0.01, substeps=8)
+        assert np.array_equal(plain.trajectory(LORENZ_M0, 200).points,
+                              lorenz_traj.points[:201])
+
+    @pytest.mark.parametrize("n", [101, 1001])
+    def test_batched_tangent_bounds_match_per_sample(self, lorenz, lorenz_traj, n):
+        idx = np.linspace(0, len(lorenz_traj) - 1, n).astype(int)
+        samples = lorenz_traj.points[idx]
+        assert lorenz._batch_tangent_maps(samples) is not None
+        assert tangent_norm_bounds(lorenz, samples) == _tangent_norm_bounds_loop(lorenz, samples)
+
+    def test_batched_tangent_bounds_roundtrip_failure(self, lorenz_traj):
+        sloppy = lorenz_system(h=0.05, substeps=1)
+        with pytest.raises(RoundTripFailure):
+            tangent_norm_bounds(sloppy, lorenz_traj.points[2000:2010])
+
+    def test_batched_tangent_bounds_divergent_sample(self, lorenz, lorenz_traj):
+        samples = np.vstack([lorenz_traj.points[2000:2003], [1e150, 1e150, 1e150]])
+        with pytest.raises(NonFiniteError, match="substep"):
+            tangent_norm_bounds(lorenz, samples)
 
 
 class TestDelayAndEquivariance:

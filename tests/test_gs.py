@@ -246,8 +246,19 @@ class TestMultistability:
         result = multistability_sweep(power_sine, [bad, eight_boxes[0]], lorenz,
                                       lorenz_obs, LORENZ_M0, washout_steps=500,
                                       record_steps=200, trajectory=lorenz_traj)
-        assert "nowhere" in result.failures
+        assert result.failures["nowhere"].startswith("RegionEscape")
         assert len(result.synchronizations) == 1
+
+    def test_programming_errors_propagate(self, torus, torus_traj):
+        def broken(x, z):
+            raise TypeError("broken state map")
+
+        F = CustomStateMap(broken, state_dim=2, input_dim=1)
+        box = AxisBox([-1.0, -1.0], [1.0, 1.0], label="B")
+        with pytest.raises(TypeError, match="broken state map"):
+            multistability_sweep(F, [box], torus, CoordinateProjection([0], 2),
+                                 [0.13, 0.41], washout_steps=10, record_steps=10,
+                                 trajectory=torus_traj)
 
 
 class TestSerialization:
