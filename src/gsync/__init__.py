@@ -16,12 +16,11 @@ from .diagnostics import (DerivativeProfile, HolderFit, WeightingSequence,
 from .dynsys import (CatMap, CoordinateProjection, CustomObservation,
                      CustomSystem, DiscreteSystem, LinearObservation,
                      ObservationMap, OdeFlow, TorusRotation, Trajectory,
-                     attractor_box, check_equivariance, delay_window,
-                     lorenz_field, lorenz_system, observe_trajectory,
-                     tangent_norm_bounds)
+                     check_equivariance, delay_window, lorenz_field,
+                     lorenz_system, observe_trajectory, tangent_norm_bounds)
 from .gs import (SampledGS, SweepResult, compare_gs, drive_gs,
                  multistability_sweep, psi_iterate_gs, recursion_residual,
-                 write_gs_csv)
+                 run_recursion, write_gs_csv)
 from .regions import AxisBox, Ball, InputRange, InvariantRegion, RegionIntersection
 from .statemaps import (CustomStateMap, Esn, LinearDelay, LipschitzBounds,
                         PowerSine, StateMap, cos_range, lipschitz_bounds,

@@ -21,8 +21,8 @@ from .contraction import certify
 from .diagnostics import (derivative_profile, esp_convergence, holder_exponent,
                           input_forgetting)
 from .dynsys import observe_trajectory
-from .errors import ConfigError, GsyncError, InsufficientPairs
-from .gs import compare_gs, drive_gs, psi_iterate_gs, write_gs_csv
+from .errors import ConfigError, GsyncError, InsufficientPairs, NotConverged
+from .gs import _write_csv, compare_gs, drive_gs, psi_iterate_gs, write_gs_csv
 from .regions import InputRange
 
 EXIT_OK = 0
@@ -56,21 +56,11 @@ run.method = drive
 """
 
 
-def _meta_lines(cfg: RunConfig, command: str, extra: dict | None = None) -> list[str]:
-    meta = {"tool": f"gsync {__version__}", "command": command,
-            "seed": str(cfg.seed)}
+def _meta(cfg: RunConfig, command: str, extra: dict | None = None) -> dict:
+    meta = {"tool": f"gsync {__version__}", "command": command, "seed": cfg.seed}
     if extra:
-        meta.update({k: str(v) for k, v in extra.items()})
-    return [f"# {k}: {v}" for k, v in meta.items()]
-
-
-def _write_csv(path: str, meta: list[str], header: list[str], rows) -> None:
-    with open(path, "w") as fh:
-        for line in meta:
-            fh.write(line + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        meta.update(extra)
+    return meta
 
 
 def _fmt(x) -> str:
@@ -104,7 +94,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     rows = ([_fmt(times[i])] + [_fmt(c) for c in traj.points[i]] + [_fmt(c) for c in z[i]]
             for i in range(len(traj)))
     path = os.path.join(out_dir, "trajectory.csv")
-    _write_csv(path, _meta_lines(cfg, "simulate", {"rows": len(traj)}),
+    _write_csv(path, _meta(cfg, "simulate", {"rows": len(traj)}),
                ["t"] + names + obs_names, rows)
     print(f"simulate: wrote {len(traj)} rows to {path}")
     return EXIT_OK
@@ -132,13 +122,10 @@ def cmd_certify(cfg: RunConfig, out_dir: str, require: str | None) -> int:
     with open(report_path, "w") as fh:
         for cert in certs:
             fh.write(cert.report_text() + "\n\n")
-    csv_path = os.path.join(out_dir, "certificates.csv")
-    with open(csv_path, "w") as fh:
-        for line in _meta_lines(cfg, "certify", {"require": require or "none"}):
-            fh.write(line + "\n")
-        fh.write(certs[0].csv_header() + "\n")
-        for cert in certs:
-            fh.write(cert.csv_row() + "\n")
+    _write_csv(os.path.join(out_dir, "certificates.csv"),
+               _meta(cfg, "certify", {"require": require or "none"}),
+               certs[0].csv_header().split(","),
+               (cert.csv_row().split(",") for cert in certs))
 
     for cert in certs:
         print(f"certify[{cert.region_label}]: esp_ok={cert.esp_ok} "
@@ -174,6 +161,11 @@ def cmd_synchronize(cfg: RunConfig, out_dir: str, method: str | None) -> int:
             gs = psi_iterate_gs(cfg.statemap, cfg.system, cfg.observation, traj,
                                 region.center(), tol=cfg.tol, max_iters=cfg.max_iters,
                                 record_from=record_from, region=region, l_fx=l_fx)
+            if not gs.method["converged"]:
+                raise NotConverged(
+                    f"psi iteration on region {region.label!r} stopped after "
+                    f"{cfg.max_iters} sweeps at change {gs.method['final_change']:.3e} "
+                    f"> tol {cfg.tol:.3e}")
             produced["psi"] = gs
         for name, gs in produced.items():
             path = os.path.join(out_dir, f"gs_{region.label}_{name}.csv")
@@ -188,7 +180,7 @@ def cmd_synchronize(cfg: RunConfig, out_dir: str, method: str | None) -> int:
 
     if agreements:
         path = os.path.join(out_dir, "agreement.csv")
-        _write_csv(path, _meta_lines(cfg, "synchronize", {"method": "both"}),
+        _write_csv(path, _meta(cfg, "synchronize", {"method": "both"}),
                    ["region", "sup_distance"],
                    ([label, _fmt(sup)] for label, sup in agreements))
     return EXIT_OK
@@ -211,7 +203,7 @@ def cmd_diagnose(cfg: RunConfig, out_dir: str) -> int:
     n_esp = min(500, len(z) - 1)
     dists = esp_convergence(cfg.statemap, z[1:n_esp + 1], x0a, x0b)
     _write_csv(os.path.join(out_dir, "esp.csv"),
-               _meta_lines(cfg, "diagnose", {"l_fx": _fmt(l_fx)}),
+               _meta(cfg, "diagnose", {"l_fx": _fmt(l_fx)}),
                ["t", "distance"],
                ([str(t), _fmt(d)] for t, d in enumerate(dists)))
 
@@ -223,7 +215,7 @@ def cmd_diagnose(cfg: RunConfig, out_dir: str) -> int:
         rows.append([str(k), _fmt(worst), _fmt(bound)])
         print(f"diagnose: forgetting k={k} max={worst:.3e} bound={bound:.3e}")
     _write_csv(os.path.join(out_dir, "forgetting.csv"),
-               _meta_lines(cfg, "diagnose", {"trials": cfg.forgetting_trials}),
+               _meta(cfg, "diagnose", {"trials": cfg.forgetting_trials}),
                ["k", "max_distance", "bound"], rows)
 
     gs = drive_gs(cfg.statemap, cfg.system, cfg.observation, cfg.initial,
@@ -237,13 +229,13 @@ def cmd_diagnose(cfg: RunConfig, out_dir: str) -> int:
             "bin_max_slope": " ".join(_fmt(s) for s in prof.bin_max_slope),
         }
         _write_csv(os.path.join(out_dir, "slopes.csv"),
-                   _meta_lines(cfg, "diagnose", bins_meta),
+                   _meta(cfg, "diagnose", bins_meta),
                    ["i", "j", "dm", "df", "slope"],
                    ([str(p[0]), str(p[1]), _fmt(a), _fmt(b), _fmt(s)]
                     for p, a, b, s in zip(prof.pairs, prof.dm, prof.df, prof.slopes)))
         fit = holder_exponent(gs, pair_budget=cfg.pair_budget, rng=cfg.seed)
         _write_csv(os.path.join(out_dir, "holder.csv"),
-                   _meta_lines(cfg, "diagnose"),
+                   _meta(cfg, "diagnose"),
                    ["gamma", "r_squared", "n_pairs", "window_lo", "window_hi",
                     "dropped_zero_pairs"],
                    [[_fmt(fit.gamma), _fmt(fit.r_squared), str(fit.n_pairs),
@@ -276,12 +268,12 @@ def cmd_reproduce(figure: str, out_dir: str, seed: int | None) -> int:
 
     if figure == "fig1":
         rows = ([_fmt(i * h)] + [_fmt(c) for c in traj.points[i]] for i in sel)
-        _write_csv(path, _meta_lines(cfg, "reproduce", {"figure": "fig1", "rows": len(sel)}),
+        _write_csv(path, _meta(cfg, "reproduce", {"figure": "fig1", "rows": len(sel)}),
                    ["t", "u", "v", "w"], rows)
     elif figure == "fig2":
         z = observe_trajectory(cfg.observation, traj)
         rows = ([_fmt(i * h), _fmt(z[i, 0])] for i in sel)
-        _write_csv(path, _meta_lines(cfg, "reproduce", {"figure": "fig2", "rows": len(sel)}),
+        _write_csv(path, _meta(cfg, "reproduce", {"figure": "fig2", "rows": len(sel)}),
                    ["t", "obs"], rows)
     elif figure == "fig3":
         # autonomous one-step displacement at the x3 = 1 cross-section
@@ -294,10 +286,10 @@ def cmd_reproduce(figure: str, out_dir: str, seed: int | None) -> int:
                 d1 = np.sign(x1) * abs(x1) ** alpha - x1
                 d2 = np.sign(x2) * abs(x2) ** alpha - x2
                 rows.append([_fmt(x1), _fmt(x2), _fmt(d1), _fmt(d2)])
-        _write_csv(path, _meta_lines(cfg, "reproduce",
-                                     {"figure": "fig3", "cross_section": "x3 = 1",
-                                      "lambda": "0",
-                                      "stable_fixed_points": "; ".join(fixed)}),
+        _write_csv(path, _meta(cfg, "reproduce",
+                               {"figure": "fig3", "cross_section": "x3 = 1",
+                                "lambda": "0",
+                                "stable_fixed_points": "; ".join(fixed)}),
                    ["x1", "x2", "dx1", "dx2"], rows)
     elif figure == "fig4":
         rows = []
@@ -308,9 +300,9 @@ def cmd_reproduce(figure: str, out_dir: str, seed: int | None) -> int:
             for i in range(1, len(gs)):  # drop t = washout to keep t in (20, 40]
                 rows.append([_fmt(gs.times[i] * h), str(branch)]
                             + [_fmt(c) for c in gs.values[i]])
-        _write_csv(path, _meta_lines(cfg, "reproduce",
-                                     {"figure": "fig4",
-                                      "branches": " ".join(r.label for r in cfg.regions)}),
+        _write_csv(path, _meta(cfg, "reproduce",
+                               {"figure": "fig4",
+                                "branches": " ".join(r.label for r in cfg.regions)}),
                    ["t", "branch", "f1", "f2", "f3"], rows)
     else:
         raise ConfigError(f"unknown figure {figure!r}; choose fig1..fig4")

@@ -378,6 +378,16 @@ def _build(raw: dict, base_dir: str) -> RunConfig:
         raise ConfigError("system.n_steps must be >= 1")
     if grid_resolution < 2:
         raise ConfigError("run.grid_resolution must be >= 2")
+    for key, value in (("run.max_iters", max_iters), ("run.input_samples", input_samples),
+                       ("run.forgetting_trials", forgetting_trials),
+                       ("run.pair_budget", pair_budget)):
+        if value < 1:
+            raise ConfigError(f"{key} must be >= 1")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ConfigError("run.tol must be finite and > 0")
+    span = max(n_steps, washout + record)
+    if psi_record_from is not None and not 0 <= psi_record_from < span:
+        raise ConfigError(f"run.psi_record_from must lie in [0, {span})")
 
     unused = set(raw) - keys.used
     if unused:

@@ -16,7 +16,7 @@ import numpy as np
 from .dynsys import DiscreteSystem, ObservationMap, tangent_norm_bounds
 from .errors import NotAContraction
 from .regions import AxisBox, Ball, InputRange, InvariantRegion, RegionIntersection
-from .statemaps import LipschitzBounds, StateMap, lipschitz_bounds
+from .statemaps import LipschitzBounds, StateMap, _cyclic_pair, lipschitz_bounds
 
 _PRODUCT_CAP = 400_000
 
@@ -57,9 +57,7 @@ def check_invariance(F: StateMap, region: InvariantRegion, input_range: InputRan
         XX = np.repeat(X, len(Z), axis=0)
         ZZ = np.tile(Z, (len(X), 1))
     else:
-        n = max(len(X), len(Z))
-        idx = np.arange(n)
-        XX, ZZ = X[idx % len(X)], Z[idx % len(Z)]
+        XX, ZZ = _cyclic_pair(X, Z)
     images = F.eval(XX, ZZ)
     margin = float(np.min(region.boundary_margin(images)))
     return InvarianceCheck(ok=margin >= 0.0, margin=margin, method="sampled")
@@ -205,7 +203,6 @@ def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
         tangent_samples = samples[idx]
     else:
         tangent_samples = samples
-    analytic_tangent = sys.kind in ("torus_rotation", "cat_map")
     tnorm, tinv = tangent_norm_bounds(sys, tangent_samples)
 
     domega = obs.norm_bound(tangent_samples)
@@ -228,7 +225,7 @@ def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
         c0 = max(l_fx * tinv, l_fx + delta0 * denom)
 
     sampled = not (bounds.analytic is not None and inv.method == "interval"
-                   and analytic_tangent)
+                   and sys.exact_tangent)
     return ContractionCertificate(
         region_label=region.label,
         bounds=bounds,

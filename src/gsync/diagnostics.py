@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InsufficientPairs, LengthMismatch
-from .gs import SampledGS
+from .gs import SampledGS, run_recursion
 from .regions import InputRange, InvariantRegion, _rng
 from .statemaps import StateMap
 
@@ -73,15 +73,11 @@ def esp_convergence(F: StateMap, inputs, x0a, x0b) -> np.ndarray:
     distances hit the floating-point floor.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    xa = np.asarray(x0a, dtype=float).copy()
-    xb = np.asarray(x0b, dtype=float).copy()
-    out = np.empty(len(inputs) + 1)
-    out[0] = np.linalg.norm(xa - xb)
-    for t, z in enumerate(inputs):
-        xa = F.eval(xa, z)
-        xb = F.eval(xb, z)
-        out[t + 1] = np.linalg.norm(xa - xb)
-    return out
+    # two lone recursions and per-vector norms: stacking the states or the
+    # norms would round differently
+    xa = run_recursion(F, inputs, x0a)
+    xb = run_recursion(F, inputs, x0b)
+    return np.array([np.linalg.norm(a - b) for a, b in zip(xa, xb)])
 
 
 def input_forgetting(F: StateMap, region: InvariantRegion, input_range: InputRange,
@@ -101,13 +97,12 @@ def input_forgetting(F: StateMap, region: InvariantRegion, input_range: InputRan
     xa = region.sample(trials, g)
     xb = region.sample(trials, g)
     d = input_range.dim
-    for _ in range(prefix_len):
-        xa = F.eval(xa, g.uniform(input_range.lo, input_range.hi, size=(trials, d)))
-        xb = F.eval(xb, g.uniform(input_range.lo, input_range.hi, size=(trials, d)))
-    for _ in range(suffix_len):
-        z = g.uniform(input_range.lo, input_range.hi, size=(trials, d))
-        xa = F.eval(xa, z)
-        xb = F.eval(xb, z)
+    # drawn in the order of a step-by-step loop: per prefix step the inputs
+    # of xa, then of xb; then one shared input per suffix step
+    prefix = g.uniform(input_range.lo, input_range.hi, size=(prefix_len, 2, trials, d))
+    suffix = g.uniform(input_range.lo, input_range.hi, size=(suffix_len, trials, d))
+    xa = run_recursion(F, suffix, run_recursion(F, prefix[:, 0], xa)[-1])[-1]
+    xb = run_recursion(F, suffix, run_recursion(F, prefix[:, 1], xb)[-1])[-1]
     return float(np.max(np.linalg.norm(xa - xb, axis=-1)))
 
 
@@ -142,6 +137,15 @@ def _near_pairs(points: np.ndarray, radius: float, min_time_sep: int,
     return pairs, dm
 
 
+def _median_nn_spacing(points: np.ndarray) -> float:
+    """Median distance from each sample point to its nearest other point."""
+    nn, _ = cKDTree(points).query(points, k=2)
+    med = float(np.median(nn[:, 1]))
+    if med == 0.0:
+        raise InsufficientPairs("degenerate sample: repeated phase points")
+    return med
+
+
 @dataclass(frozen=True)
 class DerivativeProfile:
     """Secant slopes of a sampled synchronization, binned by pair distance."""
@@ -168,11 +172,7 @@ def derivative_profile(gs: SampledGS, pair_budget: int = 4000,
     plausibly differentiable) behavior at the sampled scales.
     """
     g = _rng(rng)
-    tree = cKDTree(gs.points)
-    nn, _ = tree.query(gs.points, k=2)
-    med = float(np.median(nn[:, 1]))
-    if med == 0.0:
-        raise InsufficientPairs("degenerate sample: repeated phase points")
+    med = _median_nn_spacing(gs.points)
     pairs, dm = _near_pairs(gs.points, med * radius_factor, min_time_sep, pair_budget, g)
     df = np.linalg.norm(gs.values[pairs[:, 0]] - gs.values[pairs[:, 1]], axis=-1)
     slopes = df / dm
@@ -220,11 +220,7 @@ def holder_exponent(gs: SampledGS, pair_budget: int = 4000,
     identically zero value differences yield the +inf sentinel.
     """
     g = _rng(rng)
-    tree = cKDTree(gs.points)
-    nn, _ = tree.query(gs.points, k=2)
-    med = float(np.median(nn[:, 1]))
-    if med == 0.0:
-        raise InsufficientPairs("degenerate sample: repeated phase points")
+    med = _median_nn_spacing(gs.points)
     upper = med * window_upper_factor
     lower = upper / 10.0 ** window_decades
     pairs, dm = _near_pairs(gs.points, upper, min_time_sep, pair_budget, g)

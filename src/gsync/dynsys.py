@@ -28,6 +28,18 @@ def _as_point(m, dim) -> np.ndarray:
     return m
 
 
+def _central_difference(f, x: np.ndarray, h: float) -> np.ndarray:
+    """Central differences (f(x + h e_j) - f(x - h e_j)) / (2h) along each unit
+    vector e_j of x's last axis, stacked along a new last axis."""
+    n = x.shape[-1]
+    cols = []
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = h
+        cols.append((f(x + e) - f(x - e)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Consecutive iterates of a system, points[k] = phi^(t0+k)(points[0])."""
@@ -50,9 +62,11 @@ class DiscreteSystem:
     ``inverse_step`` and the tangent maps.  The default ``jacobian`` uses
     central finite differences with step ``fd_step`` and the default
     ``inverse_jacobian`` uses the identity T_m(phi^-1) = (T_{phi^-1(m)} phi)^-1.
+    ``exact_tangent`` marks systems whose tangent maps are closed forms.
     """
 
     kind = "custom"
+    exact_tangent = False
 
     def __init__(self, phase_dim: int, fd_step: float = 1e-6):
         self.phase_dim = int(phase_dim)
@@ -66,14 +80,7 @@ class DiscreteSystem:
 
     def jacobian(self, m) -> np.ndarray:
         """Tangent map T_m(phi), by central finite differences."""
-        m = _as_point(m, self.phase_dim)
-        h = self.fd_step
-        cols = []
-        for j in range(self.phase_dim):
-            e = np.zeros(self.phase_dim)
-            e[j] = h
-            cols.append((self.step(m + e) - self.step(m - e)) / (2.0 * h))
-        J = np.stack(cols, axis=1)
+        J = _central_difference(self.step, _as_point(m, self.phase_dim), self.fd_step)
         if not np.all(np.isfinite(J)):
             raise NonFiniteError("finite-difference Jacobian is non-finite")
         return J
@@ -122,6 +129,7 @@ class TorusRotation(DiscreteSystem):
     """Rotation m -> (m + angles) mod 1 on the unit torus."""
 
     kind = "torus_rotation"
+    exact_tangent = True
 
     def __init__(self, angles):
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
@@ -148,6 +156,7 @@ class CatMap(DiscreteSystem):
     """Arnold cat map m -> [[2,1],[1,1]] m mod 1 on the 2-torus."""
 
     kind = "cat_map"
+    exact_tangent = True
 
     def __init__(self):
         super().__init__(phase_dim=2)
@@ -419,14 +428,7 @@ class ObservationMap:
 
     def jacobian(self, m) -> np.ndarray:
         """D omega(m), shape (obs_dim, phase_dim); finite differences by default."""
-        m = np.asarray(m, dtype=float)
-        h = 1e-6
-        cols = []
-        for j in range(self.phase_dim):
-            e = np.zeros(self.phase_dim)
-            e[j] = h
-            cols.append((self(m + e) - self(m - e)) / (2.0 * h))
-        return np.stack(cols, axis=1)
+        return _central_difference(self, np.asarray(m, dtype=float), 1e-6)
 
     def norm_bound(self, samples) -> float:
         """Sampled sup of the operator norm of D omega."""
@@ -596,12 +598,3 @@ def _tangent_norm_bounds_loop(sys: DiscreteSystem, samples: np.ndarray) -> tuple
         sup_fwd = max(sup_fwd, float(np.linalg.svd(Jf, compute_uv=False)[0]))
         sup_inv = max(sup_inv, float(np.linalg.svd(Ji, compute_uv=False)[0]))
     return sup_fwd, sup_inv
-
-
-def attractor_box(traj: Trajectory, pad: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
-    """Padded coordinate hull of a trajectory, a compact working stand-in
-    for the invariant set the system settles on."""
-    lo = traj.points.min(axis=0)
-    hi = traj.points.max(axis=0)
-    span = hi - lo
-    return lo - pad * span, hi + pad * span

@@ -25,6 +25,10 @@ class NotAContraction(GsyncError):
     """A construction required a state-contraction constant below one."""
 
 
+class NotConverged(GsyncError):
+    """An iteration stopped at its sweep limit before reaching its tolerance."""
+
+
 class RegionEscape(GsyncError):
     """A recorded driven state left its declared invariant region."""
 

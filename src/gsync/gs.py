@@ -7,7 +7,8 @@ to the states of the driven system.  Two constructions are provided:
                         discard a washout transient (uses observations only);
 * ``psi_iterate_gs`` -- fixed-point iteration of the synchronization
                         operator f -> F(f o phi^-1, omega) restricted to the
-                        trajectory's sample points (uses the system's inverse).
+                        trajectory's sample points (phi^-1 is the stored
+                        predecessor).
 
 Both return a ``SampledGS`` holding the recorded points, values, residual
 statistics, and provenance.
@@ -39,6 +40,33 @@ class SampledGS:
 
     def __len__(self) -> int:
         return len(self.times)
+
+
+def run_recursion(F: StateMap, z, x0) -> np.ndarray:
+    """States of the driven recursion x_t = F(x_{t-1}, z[t-1]), t = 1..len(z).
+
+    Returns shape (len(z) + 1,) + x0.shape with row 0 = x0.  ``F.eval`` is
+    called once per step on an array of exactly x0's shape, so a state
+    (N,) and a batch of states (B, N) each evaluate as they would alone.
+    """
+    x = np.asarray(x0, dtype=float)
+    states = np.empty((len(z) + 1,) + x.shape)
+    states[0] = x
+    for t in range(len(z)):
+        x = F.eval(x, z[t])
+        states[t + 1] = x
+    return states
+
+
+def _write_csv(path, meta: dict, header: list[str], rows) -> None:
+    """CSV with one '# key: value' line per metadata entry, then the header
+    and the rows (sequences of already formatted fields)."""
+    with open(path, "w") as fh:
+        for k, v in meta.items():
+            fh.write(f"# {k}: {v}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
 def _residuals(values: np.ndarray, z: np.ndarray, F: StateMap) -> np.ndarray:
@@ -92,17 +120,10 @@ def drive_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0, x0,
         raise ValueError("supplied trajectory is shorter than washout + record")
     z = observe_trajectory(obs, trajectory)
 
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     if region is not None and not region.contains(x, tol=1e-12):
         raise RegionEscape(f"initial state lies outside region {region.label!r}", index=None)
-    n_rec = record_steps + 1
-    values = np.empty((n_rec, F.state_dim))
-    if washout_steps == 0:
-        values[0] = x
-    for t in range(1, total + 1):
-        x = F.eval(x, z[t])
-        if t >= washout_steps:
-            values[t - washout_steps] = x
+    values = run_recursion(F, z[1:total + 1], x)[washout_steps:]
 
     times = trajectory.t0 + np.arange(washout_steps, total + 1)
     points = trajectory.points[washout_steps:total + 1]
@@ -111,7 +132,7 @@ def drive_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0, x0,
     return SampledGS(
         times=times, points=points.copy(), values=values,
         method={"name": "drive", "washout_steps": washout_steps,
-                "x0": np.asarray(x0, dtype=float).tolist()},
+                "x0": x.tolist()},
         region_label=region.label if region is not None else "",
         residual_max=float(np.max(res)), residual_mean=float(np.mean(res)))
 
@@ -124,9 +145,9 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
     """Fixed-point iteration of f -> F(f o phi^-1, omega) on trajectory points.
 
     The function is stored only at the trajectory's points, where the
-    inverse map is the stored predecessor.  The left endpoint's missing
-    predecessor is computed once with one inverse step and its value is
-    held at the constant f0 throughout, which injects a boundary error
+    inverse map is the stored predecessor.  No inverse step is taken (``sys``
+    is not consulted): the value at the left endpoint's missing predecessor
+    is held at the constant f0 throughout, which injects a boundary error
     that decays geometrically with the point index; ``record_from`` drops
     that contaminated left margin from the returned sample set.
 
@@ -143,8 +164,6 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
     f0 = np.asarray(f0_const, dtype=float)
     if region is not None and not region.contains(f0, tol=1e-12):
         raise RegionEscape(f"f0 lies outside region {region.label!r}", index=None)
-
-    predecessor = sys.inverse_step(trajectory.points[0])
 
     n = len(trajectory)
     f = np.broadcast_to(f0, (n, F.state_dim)).copy()
@@ -181,8 +200,7 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
                 "tol": tol, "converged": converged,
                 "final_change": change, "first_change": first_change,
                 "change_history": change_history,
-                "apriori_bound": apriori, "record_from": record_from,
-                "predecessor": predecessor.tolist()},
+                "apriori_bound": apriori, "record_from": record_from},
         region_label=region.label if region is not None else "",
         residual_max=float(np.max(res)), residual_mean=float(np.mean(res)))
 
@@ -281,12 +299,8 @@ def write_gs_csv(gs: SampledGS, path, F: StateMap | None = None,
         if z.ndim == 1:
             z = z[:, None]
         res[1:] = _residuals(gs.values, z, F)
-    with open(path, "w") as fh:
-        for k, v in meta.items():
-            fh.write(f"# {k}: {v}\n")
-        fh.write(",".join(header) + "\n")
-        for i in range(len(gs)):
-            t = gs.times[i] * time_scale if time_scale is not None else gs.times[i]
-            row = [f"{t:.17g}"] + [f"{c:.17g}" for c in gs.points[i]] \
-                + [f"{c:.17g}" for c in gs.values[i]] + [f"{res[i]:.17g}"]
-            fh.write(",".join(row) + "\n")
+    times = gs.times * time_scale if time_scale is not None else gs.times
+    rows = ([f"{times[i]:.17g}"] + [f"{c:.17g}" for c in gs.points[i]]
+            + [f"{c:.17g}" for c in gs.values[i]] + [f"{res[i]:.17g}"]
+            for i in range(len(gs)))
+    _write_csv(path, meta, header, rows)

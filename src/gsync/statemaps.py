@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynsys import _central_difference
 from .errors import DimensionMismatch, DomainViolation, NonFiniteError
 from .regions import AxisBox, InputRange, InvariantRegion
 
@@ -426,43 +427,24 @@ class CustomStateMap(StateMap):
         x, z = self._check(x, z)
         if self._jac_state is not None:
             return np.asarray(self._jac_state(x, z), dtype=float)
-        h = self.fd_step
-        cols = []
-        for j in range(self.state_dim):
-            e = np.zeros(self.state_dim)
-            e[j] = h
-            cols.append((self.eval(x + e, z) - self.eval(x - e, z)) / (2.0 * h))
-        return np.stack(cols, axis=-1)
+        return _central_difference(lambda y: self.eval(y, z), x, self.fd_step)
 
     def jac_input(self, x, z) -> np.ndarray:
         x, z = self._check(x, z)
         if self._jac_input is not None:
             return np.asarray(self._jac_input(x, z), dtype=float)
-        h = self.fd_step
-        cols = []
-        for j in range(self.input_dim):
-            e = np.zeros(self.input_dim)
-            e[j] = h
-            cols.append((self.eval(x, z + e) - self.eval(x, z - e)) / (2.0 * h))
-        return np.stack(cols, axis=-1)
+        return _central_difference(lambda y: self.eval(x, y), z, self.fd_step)
 
     def second_partials(self, x, z) -> tuple[float, float]:
         """Directional finite-difference estimates of the bilinear norms."""
         x, z = self._check(x, z)
         h = math.sqrt(self.fd_step)
-        nxx = 0.0
-        for j in range(self.state_dim):
-            e = np.zeros(self.state_dim)
-            e[j] = h
-            D = (self.jac_state(x + e, z) - self.jac_state(x - e, z)) / (2.0 * h)
-            nxx = max(nxx, float(np.linalg.svd(D, compute_uv=False)[0]))
-        nxz = 0.0
-        for j in range(self.input_dim):
-            e = np.zeros(self.input_dim)
-            e[j] = h
-            D = (self.jac_state(x, z + e) - self.jac_state(x, z - e)) / (2.0 * h)
-            nxz = max(nxz, float(np.linalg.svd(D, compute_uv=False)[0]))
-        return nxx, nxz
+
+        def sup_norm(D):  # D[..., j] differentiates jac_state along e_j
+            return max([0.0] + [float(np.linalg.svd(Dj, compute_uv=False)[0])
+                                for Dj in np.moveaxis(D, -1, 0)])
+        return (sup_norm(_central_difference(lambda y: self.jac_state(y, z), x, h)),
+                sup_norm(_central_difference(lambda y: self.jac_state(x, y), z, h)))
 
 
 @dataclass(frozen=True)
@@ -484,10 +466,6 @@ class LipschitzBounds:
     region_label: str = ""
     input_lo: np.ndarray | None = None
     input_hi: np.ndarray | None = None
-
-    def as_dict(self) -> dict:
-        return {"l_fx": self.l_fx, "l_fz": self.l_fz,
-                "l_fxx": self.l_fxx, "l_fxz": self.l_fxz}
 
 
 def _cyclic_pair(X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

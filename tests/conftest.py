@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gsync import (CoordinateProjection, PowerSine, TorusRotation, AxisBox,
+from gsync import (CoordinateProjection, Esn, PowerSine, TorusRotation, AxisBox,
                    lorenz_system, observe_trajectory)
 
 LORENZ_M0 = np.array([0.0, 1.0, 1.05])
@@ -11,6 +11,14 @@ IV_ALPHA, IV_LAMBDA, IV_K = 0.9, 0.009, 0.1
 FIXED_POINTS = [np.array(p) for p in
                 [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1),
                  (-1, -1, 1), (-1, 1, -1), (1, -1, -1), (-1, -1, -1)]]
+
+
+def esn_reservoir(units=16, seed=7):
+    """A tanh reservoir with spectral norm 0.35, as in the cat-map benchmark."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(units, units))
+    A *= 0.35 / np.linalg.norm(A, 2)
+    return Esn(A, 0.1 * rng.normal(size=(units, 1)), zeta=0.05 * rng.normal(size=units))
 
 
 @pytest.fixture(scope="session")

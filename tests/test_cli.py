@@ -156,6 +156,27 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, SMALL_IV + f"run.forgetting_k = 1 {k}\n")
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command, line", [
+        ("synchronize", "run.max_iters = 0"),
+        ("synchronize", "run.tol = nan"),
+        ("synchronize", "run.tol = inf"),
+        ("synchronize", "run.tol = -1"),
+        ("synchronize", "run.tol = 0"),
+        ("diagnose", "run.pair_budget = 0"),
+        ("diagnose", "run.forgetting_trials = 0"),
+        ("certify", "run.input_samples = 0"),
+        ("synchronize", "run.psi_record_from = -5"),
+        ("synchronize", "run.psi_record_from = 600"),
+        ("synchronize", "run.psi_record_from = 100000"),
+    ])
+    def test_bad_run_value_exit_2(self, tmp_path, capsys, command, line):
+        cfg = write_cfg(tmp_path, SMALL_IV + line + "\n")
+        out = tmp_path / "o"
+        argv = [command, "--config", cfg, "--out", str(out)]
+        assert main(argv + (["--method", "both"] if command == "synchronize" else [])) == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synchronize_without_regions_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_LORENZ + "statemap.kind = linear_delay\nstatemap.q = 1\n")
         assert main(["synchronize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -212,6 +233,15 @@ class TestSynchronize:
         assert np.all(vals >= 0.9 - 1e-12) and np.all(vals <= 1.1 + 1e-12)
         _, agree_rows = read_data_rows(os.path.join(out, "agreement.csv"))
         assert float(agree_rows[0][1]) <= 1e-8
+
+    def test_unconverged_psi_exit_3(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_IV + "run.max_iters = 3\n")
+        out = tmp_path / "out"
+        assert main(["synchronize", "--config", cfg, "--out", str(out),
+                     "--method", "both"]) == 3
+        err = capsys.readouterr().err
+        assert "NotConverged" in err and "V1" in err
+        assert not (out / "gs_V1_psi.csv").exists()
 
 
 class TestDiagnose:

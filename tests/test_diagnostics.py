@@ -8,7 +8,7 @@ from gsync import (AxisBox, CoordinateProjection, CustomObservation,
                    psi_iterate_gs, weighted_distance)
 from gsync.errors import InsufficientPairs, LengthMismatch
 
-from conftest import LORENZ_M0
+from conftest import LORENZ_M0, esn_reservoir
 
 IV_LFX = 0.9 * 0.9 ** (-0.1)
 
@@ -19,6 +19,35 @@ def smooth_torus_obs():
     return CustomObservation(
         lambda m: np.sin(2.0 * np.pi * m[..., :1]), obs_dim=1, phase_dim=2,
         jacobian=lambda m: np.array([[2.0 * np.pi * np.cos(2.0 * np.pi * m[0]), 0.0]]))
+
+
+def loop_esp_convergence(F, inputs, x0a, x0b):
+    # step-by-step reference: two lone states, one norm per step
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    xa = np.asarray(x0a, dtype=float).copy()
+    xb = np.asarray(x0b, dtype=float).copy()
+    out = np.empty(len(inputs) + 1)
+    out[0] = np.linalg.norm(xa - xb)
+    for t, z in enumerate(inputs):
+        xa = F.eval(xa, z)
+        xb = F.eval(xb, z)
+        out[t + 1] = np.linalg.norm(xa - xb)
+    return out
+
+
+def loop_input_forgetting(F, region, input_range, suffix_len, trials, prefix_len, g):
+    # step-by-step reference, drawing each step's inputs as it goes
+    xa = region.sample(trials, g)
+    xb = region.sample(trials, g)
+    d = input_range.dim
+    for _ in range(prefix_len):
+        xa = F.eval(xa, g.uniform(input_range.lo, input_range.hi, size=(trials, d)))
+        xb = F.eval(xb, g.uniform(input_range.lo, input_range.hi, size=(trials, d)))
+    for _ in range(suffix_len):
+        z = g.uniform(input_range.lo, input_range.hi, size=(trials, d))
+        xa = F.eval(xa, z)
+        xb = F.eval(xb, z)
+    return float(np.max(np.linalg.norm(xa - xb, axis=-1)))
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +248,31 @@ class TestHolderExponent:
         # so only the exponent itself is asserted here
         fit = holder_exponent(iv_gs, pair_budget=4000, rng=0)
         assert fit.gamma >= 0.9
+
+
+class TestStepLoopEquivalence:
+    """esp_convergence and input_forgetting give the bits of their step loops."""
+
+    @pytest.mark.parametrize("which", ["power_sine", "esn16"])
+    def test_esp_convergence(self, which, power_sine, lorenz_z):
+        F = power_sine if which == "power_sine" else esn_reservoir()
+        rng = np.random.default_rng(11)
+        x0a, x0b = rng.uniform(0.9, 1.1, size=(2, F.state_dim))
+        z = lorenz_z[1:401]
+        assert np.array_equal(esp_convergence(F, z, x0a, x0b),
+                              loop_esp_convergence(F, z, x0a, x0b))
+
+    @pytest.mark.parametrize("which", ["power_sine", "esn16"])
+    def test_input_forgetting_values_and_generator_state(self, which, power_sine):
+        F = power_sine if which == "power_sine" else esn_reservoir()
+        region = AxisBox(np.full(F.state_dim, 0.9), np.full(F.state_dim, 1.1))
+        input_range = InputRange.of([-15.0], [15.0])
+        g_new = np.random.default_rng(5)
+        g_ref = np.random.default_rng(5)
+        # one Generator shared across suffix lengths, as the CLI does
+        for k in (0, 1, 5, 40):
+            got = input_forgetting(F, region, input_range, k, trials=30,
+                                   prefix_len=7, rng=g_new)
+            want = loop_input_forgetting(F, region, input_range, k, 30, 7, g_ref)
+            assert got == want
+            assert g_new.bit_generator.state == g_ref.bit_generator.state

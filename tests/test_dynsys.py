@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gsync import (CatMap, CoordinateProjection, CustomSystem, LinearObservation, OdeFlow,
-                   TorusRotation, check_equivariance, delay_window,
-                   lorenz_field, lorenz_system, tangent_norm_bounds)
+from gsync import (CatMap, CoordinateProjection, CustomObservation, CustomSystem,
+                   LinearObservation, OdeFlow, TorusRotation, check_equivariance,
+                   delay_window, lorenz_field, lorenz_system, tangent_norm_bounds)
 from gsync.dynsys import _tangent_norm_bounds_loop
 from gsync.errors import NonFiniteError, RoundTripFailure
 
@@ -258,6 +258,27 @@ class TestTangentNorms:
         larger = tangent_norm_bounds(lorenz, lorenz_traj.points[2000:2400])
         assert np.isfinite(small).all() and np.isfinite(larger).all()
         assert larger[0] >= small[0] and larger[1] >= small[1]
+
+    def test_fd_jacobians_bit_identical_to_formula(self):
+        def forward(m):
+            return np.array([m[0] + 0.3 * np.sin(m[1]), m[1] + m[0] ** 2])
+
+        sys_ = CustomSystem(forward, None, phase_dim=2, fd_step=1e-5)
+        obs = CustomObservation(lambda m: np.array([m[0] * m[1], np.cos(m[0])]),
+                                obs_dim=2, phase_dim=2)
+        m = np.array([0.37, -1.2])
+        for f, h, got in ((forward, 1e-5, sys_.jacobian(m)), (obs, 1e-6, obs.jacobian(m))):
+            want = np.empty((2, 2))
+            for j in range(2):
+                e = np.zeros(2)
+                e[j] = h
+                want[:, j] = (f(m + e) - f(m - e)) / (2.0 * h)
+            assert np.array_equal(got, want)
+
+    def test_exact_tangent_capability(self, torus, lorenz):
+        assert torus.exact_tangent and CatMap().exact_tangent
+        assert not lorenz.exact_tangent
+        assert not CustomSystem(CatMap().step, CatMap().inverse_step, phase_dim=2).exact_tangent
 
     def test_fd_matches_analytic_jacobian(self):
         cat = CatMap()

@@ -3,10 +3,10 @@ import pytest
 
 from gsync import (AxisBox, CoordinateProjection, CustomStateMap, LinearDelay,
                    compare_gs, delay_window, drive_gs, multistability_sweep,
-                   psi_iterate_gs, recursion_residual, write_gs_csv)
+                   psi_iterate_gs, recursion_residual, run_recursion, write_gs_csv)
 from gsync.errors import DisjointRanges, RegionEscape
 
-from conftest import LORENZ_M0
+from conftest import LORENZ_M0, esn_reservoir
 
 IV_LFX = 0.9 * 0.9 ** (-0.1)
 
@@ -29,6 +29,45 @@ def iv_drive(power_sine, lorenz, lorenz_obs, lorenz_traj, eight_boxes):
     return drive_gs(power_sine, lorenz, lorenz_obs, LORENZ_M0, [1.0, 1.0, 1.0],
                     washout_steps=2000, record_steps=2000, region=eight_boxes[0],
                     trajectory=lorenz_traj)
+
+
+def reference_states(F, z, x0):
+    # the step-by-step loop that run_recursion replaces
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    for zt in z:
+        x = F.eval(x, zt)
+        states.append(x)
+    return np.stack(states)
+
+
+class TestRunRecursion:
+    @pytest.mark.parametrize("batch", [None, 5])
+    @pytest.mark.parametrize("which", ["power_sine", "esn16"])
+    def test_bit_identical_to_step_loop(self, which, batch, power_sine, monkeypatch):
+        F = power_sine if which == "power_sine" else esn_reservoir()
+        rng = np.random.default_rng(3)
+        shape = (F.state_dim,) if batch is None else (batch, F.state_dim)
+        x0 = rng.uniform(0.9, 1.1, size=shape)
+        z = rng.uniform(-15.0, 15.0, size=(300, 1) if batch is None else (300, batch, 1))
+        expected = reference_states(F, z, x0)
+
+        seen = []
+        original = F.eval
+
+        def recording_eval(x, zt):
+            seen.append(np.shape(x))
+            return original(x, zt)
+
+        monkeypatch.setattr(F, "eval", recording_eval)
+        states = run_recursion(F, z, x0)
+        assert states.shape == (len(z) + 1,) + shape
+        assert np.array_equal(states, expected)
+        assert seen == [shape] * len(z)
+
+    def test_empty_input_returns_start(self, power_sine):
+        states = run_recursion(power_sine, np.empty((0, 1)), [1.0, 1.0, 1.0])
+        assert np.array_equal(states, [[1.0, 1.0, 1.0]])
 
 
 class TestDriveGS:

@@ -261,7 +261,54 @@ class TestLipschitzBounds:
         assert np.all(lhs <= rhs)
 
 
+def central_columns(f, x, h):
+    # (f(x + h e_j) - f(x - h e_j)) / (2h), written out column by column
+    cols = []
+    for j in range(np.shape(x)[-1]):
+        e = np.zeros(np.shape(x)[-1])
+        e[j] = h
+        cols.append((f(x + e) - f(x - e)) / (2.0 * h))
+    return cols
+
+
 class TestCustomStateMap:
+    @staticmethod
+    def coupled_map():
+        def f(x, z):
+            return 0.5 * np.tanh(x) + 0.2 * np.sin(x[..., ::-1] * z[..., :1]) + 0.1 * z[..., 1:] ** 2
+
+        return CustomStateMap(f, state_dim=3, input_dim=2, fd_step=1e-6)
+
+    def test_fd_derivatives_bit_identical_to_formulas(self):
+        F = self.coupled_map()
+        x, z = np.array([0.3, -0.7, 1.1]), np.array([0.4, -0.9])
+        h = F.fd_step
+        jx = np.stack(central_columns(lambda y: F.eval(y, z), x, h), axis=-1)
+        jz = np.stack(central_columns(lambda y: F.eval(x, y), z, h), axis=-1)
+        assert np.array_equal(F.jac_state(x, z), jx)
+        assert np.array_equal(F.jac_input(x, z), jz)
+
+        def jac_x(y, w):
+            return np.stack(central_columns(lambda u: F.eval(u, w), y, h), axis=-1)
+
+        hh = np.sqrt(h)
+        nxx = 0.0
+        for D in central_columns(lambda y: jac_x(y, z), x, hh):
+            nxx = max(nxx, float(np.linalg.svd(D, compute_uv=False)[0]))
+        nxz = 0.0
+        for D in central_columns(lambda w: jac_x(x, w), z, hh):
+            nxz = max(nxz, float(np.linalg.svd(D, compute_uv=False)[0]))
+        assert np.array_equal(F.second_partials(x, z), (nxx, nxz))
+
+    def test_fd_jac_state_on_a_batch(self):
+        F = self.coupled_map()
+        X = np.random.default_rng(2).uniform(-1, 1, size=(4, 3))
+        z = np.array([0.4, -0.9])
+        batch = F.jac_state(X, z)
+        assert batch.shape == (4, 3, 3)
+        for x, J in zip(X, batch):
+            assert np.array_equal(J, F.jac_state(x, z))
+
     def test_fd_jacobians(self):
         def f(x, z):
             return 0.5 * np.tanh(x) + np.sin(z)
