@@ -90,12 +90,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     z = observe_trajectory(cfg.observation, traj)
     names = _phase_names(cfg)
     obs_names = ["obs"] if z.shape[1] == 1 else [f"obs{i+1}" for i in range(z.shape[1])]
-    times = _times(cfg, traj.times)
-    rows = ([_fmt(times[i])] + [_fmt(c) for c in traj.points[i]] + [_fmt(c) for c in z[i]]
-            for i in range(len(traj)))
     path = os.path.join(out_dir, "trajectory.csv")
     _write_csv(path, _meta(cfg, "simulate", {"rows": len(traj)}),
-               ["t"] + names + obs_names, rows)
+               ["t"] + names + obs_names,
+               np.column_stack([_times(cfg, traj.times), traj.points, z]))
     print(f"simulate: wrote {len(traj)} rows to {path}")
     return EXIT_OK
 
@@ -267,14 +265,12 @@ def cmd_reproduce(figure: str, out_dir: str, seed: int | None) -> int:
         traj = cfg.system.trajectory(cfg.initial, cfg.n_steps)
 
     if figure == "fig1":
-        rows = ([_fmt(i * h)] + [_fmt(c) for c in traj.points[i]] for i in sel)
         _write_csv(path, _meta(cfg, "reproduce", {"figure": "fig1", "rows": len(sel)}),
-                   ["t", "u", "v", "w"], rows)
+                   ["t", "u", "v", "w"], np.column_stack([sel * h, traj.points[sel]]))
     elif figure == "fig2":
         z = observe_trajectory(cfg.observation, traj)
-        rows = ([_fmt(i * h), _fmt(z[i, 0])] for i in sel)
         _write_csv(path, _meta(cfg, "reproduce", {"figure": "fig2", "rows": len(sel)}),
-                   ["t", "obs"], rows)
+                   ["t", "obs"], np.column_stack([sel * h, z[sel, 0]]))
     elif figure == "fig3":
         # autonomous one-step displacement at the x3 = 1 cross-section
         alpha = cfg.statemap.alpha
@@ -292,18 +288,19 @@ def cmd_reproduce(figure: str, out_dir: str, seed: int | None) -> int:
                                 "stable_fixed_points": "; ".join(fixed)}),
                    ["x1", "x2", "dx1", "dx2"], rows)
     elif figure == "fig4":
-        rows = []
+        blocks = []
         for branch, region in enumerate(cfg.regions, start=1):
             gs = drive_gs(cfg.statemap, cfg.system, cfg.observation, cfg.initial,
                           region.center(), washout_steps=cfg.washout,
                           record_steps=cfg.record, region=region, trajectory=traj)
-            for i in range(1, len(gs)):  # drop t = washout to keep t in (20, 40]
-                rows.append([_fmt(gs.times[i] * h), str(branch)]
-                            + [_fmt(c) for c in gs.values[i]])
+            # drop t = washout to keep t in (20, 40]; %.17g prints the
+            # branch number as the integer it is
+            blocks.append(np.column_stack([gs.times[1:] * h, np.full(len(gs) - 1, branch),
+                                           gs.values[1:]]))
         _write_csv(path, _meta(cfg, "reproduce",
                                {"figure": "fig4",
                                 "branches": " ".join(r.label for r in cfg.regions)}),
-                   ["t", "branch", "f1", "f2", "f3"], rows)
+                   ["t", "branch", "f1", "f2", "f3"], np.concatenate(blocks))
     else:
         raise ConfigError(f"unknown figure {figure!r}; choose fig1..fig4")
     print(f"reproduce: wrote {path}")

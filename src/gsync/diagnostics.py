@@ -68,11 +68,11 @@ def weighted_distance(window_a, window_b, w: WeightingSequence) -> float:
 def esp_convergence(F: StateMap, inputs, x0a, x0b) -> np.ndarray:
     """Distances between two driven states fed the same input sequence.
 
-    Returns d_t for t = 0..len(inputs); under a certified contraction the
-    ratio d_{t+1}/d_t stays below the contraction constant until the
-    distances hit the floating-point floor.
+    Returns d_t for t = 0..len(inputs), where a 1-D ``inputs`` is a
+    sequence of scalar inputs; under a certified contraction the ratio
+    d_{t+1}/d_t stays below the contraction constant until the distances
+    hit the floating-point floor.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     # two lone recursions and per-vector norms: stacking the states or the
     # norms would round differently
     xa = run_recursion(F, inputs, x0a)

@@ -121,7 +121,8 @@ class DiscreteSystem:
 
     def _batch_tangent_maps(self, samples: np.ndarray):
         """Stacked T_m(phi) and T_m(phi^-1) over samples (n, phase_dim), or
-        None when ``tangent_norm_bounds`` must evaluate sample by sample."""
+        None when ``tangent_norm_bounds`` must evaluate sample by sample (as
+        it also does when a stacked map is non-finite)."""
         return None
 
 
@@ -151,6 +152,10 @@ class TorusRotation(DiscreteSystem):
     def inverse_jacobian(self, m) -> np.ndarray:
         return np.eye(self.phase_dim)
 
+    def _batch_tangent_maps(self, samples: np.ndarray):
+        eye = np.broadcast_to(np.eye(self.phase_dim), (len(samples),) + (self.phase_dim,) * 2)
+        return eye, eye
+
 
 class CatMap(DiscreteSystem):
     """Arnold cat map m -> [[2,1],[1,1]] m mod 1 on the 2-torus."""
@@ -177,6 +182,11 @@ class CatMap(DiscreteSystem):
 
     def inverse_jacobian(self, m) -> np.ndarray:
         return self.inverse_matrix.copy()
+
+    def _batch_tangent_maps(self, samples: np.ndarray):
+        shape = (len(samples), 2, 2)
+        return (np.broadcast_to(self.matrix, shape),
+                np.broadcast_to(self.inverse_matrix, shape))
 
 
 def _all_finite(a) -> bool:
@@ -328,12 +338,9 @@ class OdeFlow(DiscreteSystem):
         # column j of a tangent map holds the difference quotient along e_j
         jac = np.swapaxes((fwd_p - fwd_m) / (2.0 * h), 1, 2)
         jac_prev = np.swapaxes((prev_p - prev_m) / (2.0 * h), 1, 2)
-        if not (np.isfinite(jac).all() and np.isfinite(jac_prev).all()):
+        if not np.isfinite(jac_prev).all():
             return None
-        jac_inv = np.linalg.inv(jac_prev)
-        if not np.isfinite(jac_inv).all():
-            return None
-        return jac, jac_inv
+        return jac, np.linalg.inv(jac_prev)  # the caller checks both for finiteness
 
 
 def lorenz_field(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0,
@@ -570,17 +577,18 @@ def tangent_norm_bounds(sys: DiscreteSystem, samples) -> tuple[float, float]:
     """Sampled suprema of ||T phi|| and ||T phi^-1|| (largest singular values).
 
     Analytic Jacobians are used where the system provides them; flow maps
-    fall back to central finite differences.  Flow maps of fields with a
-    component form evaluate all samples in one batch, with suprema
-    identical to the per-sample evaluation.  The returned values are
-    suprema over the given samples and grow monotonically with the sample
-    set.
+    fall back to central finite differences.  The torus rotation, the cat
+    map and flow maps of fields with a component form evaluate all samples
+    in one batch, with suprema identical to the per-sample evaluation; a
+    non-finite batch is left to the per-sample evaluation and its errors.
+    The returned values are suprema over the given samples and grow
+    monotonically with the sample set.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("samples must be non-empty")
     maps = sys._batch_tangent_maps(samples)
-    if maps is None:
+    if maps is None or not all(_all_finite(J) for J in maps):
         return _tangent_norm_bounds_loop(sys, samples)
     sup_fwd, sup_inv = (max(0.0, float(np.max(np.linalg.svd(J, compute_uv=False)[:, 0])))
                         for J in maps)

@@ -45,28 +45,59 @@ class SampledGS:
 def run_recursion(F: StateMap, z, x0) -> np.ndarray:
     """States of the driven recursion x_t = F(x_{t-1}, z[t-1]), t = 1..len(z).
 
-    Returns shape (len(z) + 1,) + x0.shape with row 0 = x0.  ``F.eval`` is
-    called once per step on an array of exactly x0's shape, so a state
-    (N,) and a batch of states (B, N) each evaluate as they would alone.
+    Returns shape (len(z) + 1,) + x0.shape with row 0 = x0; a 1-D z is a
+    sequence of scalar inputs and a 0-d z one scalar input.  x0 is checked
+    once, ``F.input_terms`` (which checks z) is called once on all of z, and
+    then ``F.apply`` once per step on an
+    array of exactly x0's shape, so a state (N,) and a batch of states
+    (B, N) each evaluate as they would alone.
     """
-    x = np.asarray(x0, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if z.ndim < 2:
+        z = z.reshape(-1, 1)
+    x = F._check_state(x0)
+    u = F.input_terms(z)
     states = np.empty((len(z) + 1,) + x.shape)
     states[0] = x
     for t in range(len(z)):
-        x = F.eval(x, z[t])
+        x = F.apply(x, u[t])
         states[t + 1] = x
+    _report_nonfinite(F, states[1:], states[:-1], z)
     return states
+
+
+def _report_nonfinite(F: StateMap, new: np.ndarray, old: np.ndarray, z: np.ndarray) -> None:
+    """Hand the first non-finite row of new = F(old, z) to ``F.eval``.
+
+    ``F.apply`` may skip the checks of ``F.eval``; re-evaluating the first
+    failing step lets the map raise its own error, exactly as a step-by-step
+    ``eval`` loop would, or accept the value if non-finite states are allowed.
+    """
+    if np.isfinite(new).all():
+        return
+    i = int(np.argmin(np.isfinite(new.reshape(len(new), -1)).all(axis=1)))
+    F.eval(old[i], z[i])
+
+
+_CSV_BLOCK = 1024  # matrix rows converted to Python floats at a time
 
 
 def _write_csv(path, meta: dict, header: list[str], rows) -> None:
     """CSV with one '# key: value' line per metadata entry, then the header
-    and the rows (sequences of already formatted fields)."""
+    and the rows: sequences of already formatted fields, or a float matrix
+    whose every field is written as %.17g (the text of f"{x:.17g}")."""
     with open(path, "w") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            for i in range(0, len(rows), _CSV_BLOCK):
+                block = rows[i:i + _CSV_BLOCK]
+                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        else:
+            for row in rows:
+                fh.write(",".join(row) + "\n")
 
 
 def _residuals(values: np.ndarray, z: np.ndarray, F: StateMap) -> np.ndarray:
@@ -168,6 +199,7 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
     n = len(trajectory)
     f = np.broadcast_to(f0, (n, F.state_dim)).copy()
     boundary = F.eval(f0, z[0])  # constant: frozen predecessor value
+    u = F.input_terms(z[1:])
     n_iters = 0
     converged = False
     change = float("nan")
@@ -175,7 +207,8 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
     for sweep in range(1, max_iters + 1):
         f_new = np.empty_like(f)
         f_new[0] = boundary
-        f_new[1:] = F.eval(f[:-1], z[1:])
+        f_new[1:] = F.apply(f[:-1], u)
+        _report_nonfinite(F, f_new[1:], f[:-1], z[1:])
         change = float(np.max(np.linalg.norm(f_new - f, axis=-1)))
         change_history.append(change)
         f = f_new
@@ -300,7 +333,4 @@ def write_gs_csv(gs: SampledGS, path, F: StateMap | None = None,
             z = z[:, None]
         res[1:] = _residuals(gs.values, z, F)
     times = gs.times * time_scale if time_scale is not None else gs.times
-    rows = ([f"{times[i]:.17g}"] + [f"{c:.17g}" for c in gs.points[i]]
-            + [f"{c:.17g}" for c in gs.values[i]] + [f"{res[i]:.17g}"]
-            for i in range(len(gs)))
-    _write_csv(path, meta, header, rows)
+    _write_csv(path, meta, header, np.column_stack([times, gs.points, gs.values, res]))

@@ -92,18 +92,38 @@ class StateMap:
         self.input_dim = int(input_dim)
 
     def _check(self, x, z) -> tuple[np.ndarray, np.ndarray]:
+        return self._check_state(x), self._check_input(z)
+
+    def _check_state(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if x.shape[-1] != self.state_dim:
+            raise DimensionMismatch(f"state has trailing dimension {x.shape[-1]}, expected {self.state_dim}")
+        return x
+
+    def _check_input(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         if z.ndim == 0:
             z = z[None]
-        if x.shape[-1] != self.state_dim:
-            raise DimensionMismatch(f"state has trailing dimension {x.shape[-1]}, expected {self.state_dim}")
         if z.shape[-1] != self.input_dim:
             raise DimensionMismatch(f"input has trailing dimension {z.shape[-1]}, expected {self.input_dim}")
-        return x, z
+        return z
 
     def eval(self, x, z) -> np.ndarray:
         raise NotImplementedError
+
+    def input_terms(self, z) -> np.ndarray:
+        """The input-only part of F for inputs z (..., input_dim), computed
+        once for a whole input sequence.  Row t of the result feeds
+        ``apply`` at step t.  By default this is the validated z itself, so
+        ``apply`` does all the work."""
+        return self._check_input(z)
+
+    def apply(self, x, u) -> np.ndarray:
+        """F(x, z) from u, the entry of ``input_terms`` for z.  By default
+        ``eval(x, u)``.  An override may skip the checks ``eval`` makes per
+        call; the recursions check their finished states instead and hand
+        the first non-finite step to ``eval``."""
+        return self.eval(x, u)
 
     def __call__(self, x, z) -> np.ndarray:
         return self.eval(x, z)
@@ -318,14 +338,19 @@ class PowerSine(StateMap):
     def _signed_power(self, x: np.ndarray) -> np.ndarray:
         return np.sign(x) * np.abs(x) ** self.alpha
 
-    def _input_term(self, z: np.ndarray) -> np.ndarray:
-        kz = self.k * z[..., 0]
+    def input_terms(self, z) -> np.ndarray:
+        """lam * (sin kz, cos kz, sin^2 kz) for every row of z, in one batch."""
+        kz = self.k * self._check_input(z)[..., 0]
         s = np.sin(kz)
-        return self.lam * np.stack([s, np.cos(kz), s ** 2], axis=-1)
+        # s * s, not s ** 2: numpy squares a batch but calls pow on a lone value
+        return self.lam * np.stack([s, np.cos(kz), s * s], axis=-1)
+
+    def apply(self, x, u) -> np.ndarray:
+        """s(x) + u for u from ``input_terms``; no checks."""
+        return self._signed_power(x) + u
 
     def eval(self, x, z) -> np.ndarray:
-        x, z = self._check(x, z)
-        out = self._signed_power(x) + self._input_term(z)
+        out = self.apply(self._check_state(x), self.input_terms(z))
         if not np.all(np.isfinite(out)):
             raise NonFiniteError("power-sine evaluation is non-finite")
         return out

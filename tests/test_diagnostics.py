@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsync import (AxisBox, CoordinateProjection, CustomObservation,
-                   CustomStateMap, Esn, InputRange, LinearDelay,
+                   CustomStateMap, Esn, InputRange, LinearDelay, PowerSine,
                    WeightingSequence, derivative_profile, drive_gs,
                    esp_convergence, holder_exponent, input_forgetting,
                    psi_iterate_gs, weighted_distance)
@@ -135,6 +135,23 @@ class TestEspConvergence:
         mask = d[:-1] > 1e-12
         ratios = d[1:][mask] / d[:-1][mask]
         assert np.max(ratios) <= IV_LFX + 1e-6
+
+    def test_scalar_input_sequence(self):
+        # a 1-D sequence of length T is T scalar inputs, not one T-vector input
+        F = PowerSine(0.9, 0.009, 0.1)
+        x, y = np.array([1.0, 1.0, 1.0]), np.array([1.1, 0.9, 1.05])
+        d = esp_convergence(F, np.zeros(5), x, y)
+        assert d.shape == (6,)
+        assert np.array_equal(d, esp_convergence(F, np.zeros((5, 1)), x, y))
+
+    def test_single_scalar_input(self):
+        # a 0-d input is one step of one scalar input
+        F = PowerSine(0.9, 0.009, 0.1)
+        x, y = np.array([1.0, 1.0, 1.0]), np.array([1.1, 0.9, 1.05])
+        d = esp_convergence(F, 0.5, x, y)
+        assert d.shape == (2,)
+        assert np.array_equal(d, esp_convergence(F, [[0.5]], x, y))
+        assert d[1] == np.linalg.norm(F.eval(x, [0.5]) - F.eval(y, [0.5]))
 
     def test_esn_contraction_rate(self):
         rng = np.random.default_rng(23)

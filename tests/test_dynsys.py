@@ -165,6 +165,22 @@ class TestFastPaths:
         assert lorenz._batch_tangent_maps(samples) is not None
         assert tangent_norm_bounds(lorenz, samples) == _tangent_norm_bounds_loop(lorenz, samples)
 
+    @pytest.mark.parametrize("which", ["torus", "cat"])
+    def test_exact_tangent_batches_match_per_sample(self, torus, which):
+        system = torus if which == "torus" else CatMap()
+        samples = np.random.default_rng(2).uniform(0.0, 1.0, size=(1000, 2))
+        fwd, inv = system._batch_tangent_maps(samples)
+        assert fwd.shape == inv.shape == (1000, 2, 2)
+        assert np.array_equal(fwd[17], system.jacobian(samples[17]))
+        assert np.array_equal(inv[17], system.inverse_jacobian(samples[17]))
+        assert tangent_norm_bounds(system, samples) == _tangent_norm_bounds_loop(system, samples)
+
+    def test_non_finite_batch_left_to_per_sample_check(self):
+        broken = CatMap()
+        broken.matrix = np.array([[np.nan, 1.0], [1.0, 1.0]])
+        with pytest.raises(NonFiniteError, match="tangent map evaluation is non-finite"):
+            tangent_norm_bounds(broken, [[0.1, 0.2], [0.3, 0.4]])
+
     def test_batched_tangent_bounds_roundtrip_failure(self, lorenz_traj):
         sloppy = lorenz_system(h=0.05, substeps=1)
         with pytest.raises(RoundTripFailure):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from gsync import (AxisBox, CoordinateProjection, CustomStateMap, LinearDelay,
-                   compare_gs, delay_window, drive_gs, multistability_sweep,
-                   psi_iterate_gs, recursion_residual, run_recursion, write_gs_csv)
-from gsync.errors import DisjointRanges, RegionEscape
+from gsync import (AxisBox, CoordinateProjection, CustomObservation, CustomStateMap,
+                   LinearDelay, PowerSine, compare_gs, delay_window, drive_gs,
+                   multistability_sweep, observe_trajectory, psi_iterate_gs,
+                   recursion_residual, run_recursion, write_gs_csv)
+from gsync.errors import DisjointRanges, NonFiniteError, RegionEscape
 
 from conftest import LORENZ_M0, esn_reservoir
 
@@ -42,7 +43,8 @@ def reference_states(F, z, x0):
 
 
 class TestRunRecursion:
-    @pytest.mark.parametrize("batch", [None, 5])
+    # a batch takes (T, B, 1) inputs and (B, N) states, as input_forgetting does
+    @pytest.mark.parametrize("batch", [None, 5, 100])
     @pytest.mark.parametrize("which", ["power_sine", "esn16"])
     def test_bit_identical_to_step_loop(self, which, batch, power_sine, monkeypatch):
         F = power_sine if which == "power_sine" else esn_reservoir()
@@ -53,13 +55,13 @@ class TestRunRecursion:
         expected = reference_states(F, z, x0)
 
         seen = []
-        original = F.eval
+        original = F.apply
 
-        def recording_eval(x, zt):
+        def recording_apply(x, u):
             seen.append(np.shape(x))
-            return original(x, zt)
+            return original(x, u)
 
-        monkeypatch.setattr(F, "eval", recording_eval)
+        monkeypatch.setattr(F, "apply", recording_apply)
         states = run_recursion(F, z, x0)
         assert states.shape == (len(z) + 1,) + shape
         assert np.array_equal(states, expected)
@@ -68,6 +70,42 @@ class TestRunRecursion:
     def test_empty_input_returns_start(self, power_sine):
         states = run_recursion(power_sine, np.empty((0, 1)), [1.0, 1.0, 1.0])
         assert np.array_equal(states, [[1.0, 1.0, 1.0]])
+
+    def test_power_sine_close_to_pow_formula(self, power_sine):
+        # sin^2 is now s * s; the old lone-state step squared with pow
+        F = power_sine
+
+        def old_step(x, zt):
+            s = np.sin(F.k * np.float64(zt[0]))
+            term = F.lam * np.array([s, np.cos(F.k * np.float64(zt[0])), np.float64(s) ** 2])
+            return np.sign(x) * np.abs(x) ** F.alpha + term
+
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-15.0, 15.0, size=(5000, 1))
+        x = np.array([1.0, -1.0, 1.0])
+        old = [x]
+        for zt in z:
+            x = old_step(x, zt)
+            old.append(x)
+        new = run_recursion(F, z, old[0])
+        assert np.max(np.abs(new - np.stack(old))) <= 1e-15
+
+    def test_power_sine_input_terms_independent_of_batch_shape(self, power_sine):
+        z = np.random.default_rng(13).uniform(-15.0, 15.0, size=(5000, 1))
+        lone = np.stack([power_sine.input_terms(zt) for zt in z])
+        assert np.array_equal(power_sine.input_terms(z), lone)
+
+    def test_scalar_input_sequence(self, power_sine):
+        z = np.linspace(-3.0, 3.0, 25)
+        x0 = np.array([1.0, 1.0, -1.0])
+        assert np.array_equal(run_recursion(power_sine, z, x0),
+                              run_recursion(power_sine, z[:, None], x0))
+
+    def test_single_scalar_input(self, power_sine):
+        x0 = np.array([1.0, 1.0, -1.0])
+        states = run_recursion(power_sine, 0.5, x0)
+        assert np.array_equal(states, run_recursion(power_sine, [[0.5]], x0))
+        assert np.array_equal(states[1], power_sine.eval(x0, [0.5]))
 
 
 class TestDriveGS:
@@ -200,6 +238,97 @@ class TestPsiIterate:
         ratios = (h[2:] / h[1:-1])[mask]
         assert np.all(ratios <= IV_LFX + 1e-6)
 
+    def test_power_sine_matches_eval_sweeps(self, power_sine, lorenz, lorenz_obs,
+                                            lorenz_traj):
+        # reference: the Jacobi sweep loop written with F.eval on every sweep
+        F = power_sine
+        traj = lorenz_traj
+        z = observe_trajectory(lorenz_obs, traj)
+        f = np.ones((len(traj), 3))
+        boundary = F.eval(np.ones(3), z[0])
+        history = []
+        for _ in range(500):
+            f_new = np.empty_like(f)
+            f_new[0] = boundary
+            f_new[1:] = F.eval(f[:-1], z[1:])
+            history.append(float(np.max(np.linalg.norm(f_new - f, axis=-1))))
+            f = f_new
+            if history[-1] <= 1e-12:
+                break
+        gs = psi_iterate_gs(F, lorenz, lorenz_obs, traj, f0_const=np.ones(3),
+                            tol=1e-12, max_iters=500)
+        assert np.array_equal(gs.values, f)
+        assert gs.method["change_history"] == history
+
+
+def spiked_observation(value):
+    """The first torus coordinate, with point 50 observed as ``value``."""
+    def obs_func(m):
+        z = np.atleast_2d(m)[..., :1].copy()
+        z[50] = value
+        return z
+    return CustomObservation(obs_func, obs_dim=1, phase_dim=2)
+
+
+class TestNonFinite:
+    @pytest.fixture
+    def run(self, torus, torus_traj):
+        def run(method, F, obs, start=(1.0, 1.0, 1.0)):
+            if method == "drive":
+                return drive_gs(F, torus, obs, [0.13, 0.41], start, washout_steps=10,
+                                record_steps=100, trajectory=torus_traj)
+            return psi_iterate_gs(F, torus, obs, torus_traj, f0_const=start,
+                                  tol=1e-12, max_iters=50)
+        return run
+
+    @pytest.mark.parametrize("method", ["drive", "psi"])
+    def test_nan_observation(self, run, power_sine, method):
+        with pytest.raises(NonFiniteError, match="observation produced non-finite values"):
+            run(method, power_sine, spiked_observation(np.nan))
+
+    @pytest.mark.parametrize("method", ["drive", "psi"])
+    def test_input_term_overflow(self, run, method):
+        # a finite observation whose k * z overflows to inf, so sin(kz) is nan
+        F = PowerSine(0.9, 0.009, 10.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError, match="^power-sine evaluation is non-finite$"):
+            run(method, F, spiked_observation(1e308))
+
+    def test_recursion_checks_its_states(self):
+        F = PowerSine(0.9, 0.009, 10.0)
+        z = np.zeros((20, 1))
+        z[7] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError, match="^power-sine evaluation is non-finite$"):
+            run_recursion(F, z, np.ones(3))
+        with pytest.raises(NonFiniteError, match="^power-sine evaluation is non-finite$"):
+            run_recursion(F, np.zeros((3, 1)), [1.0, np.inf, 1.0])
+
+    def test_psi_stops_at_the_first_non_finite_sweep(self, run, monkeypatch):
+        F = PowerSine(0.9, 0.009, 10.0)
+        sweeps = []
+        original = F.apply
+        # a sweep applies F to all points at once; eval applies it to one
+        monkeypatch.setattr(F, "apply",
+                            lambda x, u: sweeps.append(np.ndim(x) == 2) or original(x, u))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+            run("psi", F, spiked_observation(1e308))
+        assert sum(sweeps) == 1
+
+    @pytest.mark.parametrize("method", ["drive", "psi"])
+    def test_nan_start(self, run, power_sine, method):
+        obs = CoordinateProjection([0], 2)
+        with pytest.raises(NonFiniteError, match="^power-sine evaluation is non-finite$"):
+            run(method, power_sine, obs, start=(np.nan, 1.0, 1.0))
+
+    def test_esn_keeps_non_finite_states(self):
+        # Esn never checked finiteness; its recursion still returns the nans
+        F = esn_reservoir(units=4)
+        z = np.zeros((6, 1))
+        z[2] = np.nan
+        states = run_recursion(F, z, np.zeros(4))
+        assert np.isfinite(states[:3]).all() and np.isnan(states[3:]).all()
+
 
 class TestResiduals:
     def test_drive_residual_is_construction_exact(self, iv_drive):
@@ -315,3 +444,16 @@ class TestSerialization:
         assert first_data[-1] == "nan"
         second = lines[lines.index(header) + 2].split(",")
         assert np.isfinite(float(second[-1]))
+
+    def test_matrix_rows_match_field_formatting(self, tmp_path):
+        from gsync.gs import _CSV_BLOCK, _write_csv
+        rng = np.random.default_rng(9)
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, 3.0, -7.0, 0.1]
+        n = 2 * _CSV_BLOCK + 5  # two full blocks and a partial one
+        scaled = rng.normal(size=3 * n) * 10.0 ** rng.integers(-20, 20, size=3 * n)
+        matrix = np.concatenate([scaled, np.tile(special, 3)]).reshape(-1, 3)
+        meta, header = {"note": "x"}, ["a", "b", "c"]
+        _write_csv(tmp_path / "fields.csv", meta, header,
+                   ([f"{c:.17g}" for c in row] for row in matrix))
+        _write_csv(tmp_path / "matrix.csv", meta, header, matrix)
+        assert (tmp_path / "fields.csv").read_bytes() == (tmp_path / "matrix.csv").read_bytes()
