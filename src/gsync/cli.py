@@ -98,6 +98,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
+def _drive(cfg: RunConfig, region, traj):
+    return drive_gs(cfg.statemap, cfg.system, cfg.observation, cfg.initial,
+                    region.center(), washout_steps=cfg.washout,
+                    record_steps=cfg.record, region=region, trajectory=traj)
+
+
 def _require_statemap(cfg: RunConfig):
     if cfg.statemap is None:
         raise ConfigError("this command requires a statemap.* section")
@@ -120,10 +126,10 @@ def cmd_certify(cfg: RunConfig, out_dir: str, require: str | None) -> int:
     with open(report_path, "w") as fh:
         for cert in certs:
             fh.write(cert.report_text() + "\n\n")
+    # the header and each row are one already joined CSV line
     _write_csv(os.path.join(out_dir, "certificates.csv"),
                _meta(cfg, "certify", {"require": require or "none"}),
-               certs[0].csv_header().split(","),
-               (cert.csv_row().split(",") for cert in certs))
+               [certs[0].csv_header()], ([cert.csv_row()] for cert in certs))
 
     for cert in certs:
         print(f"certify[{cert.region_label}]: esp_ok={cert.esp_ok} "
@@ -149,10 +155,7 @@ def cmd_synchronize(cfg: RunConfig, out_dir: str, method: str | None) -> int:
     for region in cfg.regions:
         produced = {}
         if method in ("drive", "both"):
-            gs = drive_gs(cfg.statemap, cfg.system, cfg.observation, cfg.initial,
-                          region.center(), washout_steps=cfg.washout,
-                          record_steps=cfg.record, region=region, trajectory=traj)
-            produced["drive"] = gs
+            produced["drive"] = _drive(cfg, region, traj)
         if method in ("psi", "both"):
             analytic = cfg.statemap.analytic_lipschitz(region, input_range)
             l_fx = analytic["l_fx"] if analytic and analytic["l_fx"] < 1.0 else None
@@ -216,9 +219,7 @@ def cmd_diagnose(cfg: RunConfig, out_dir: str) -> int:
                _meta(cfg, "diagnose", {"trials": cfg.forgetting_trials}),
                ["k", "max_distance", "bound"], rows)
 
-    gs = drive_gs(cfg.statemap, cfg.system, cfg.observation, cfg.initial,
-                  region.center(), washout_steps=cfg.washout,
-                  record_steps=cfg.record, region=region, trajectory=traj)
+    gs = _drive(cfg, region, traj)
     try:
         prof = derivative_profile(gs, pair_budget=cfg.pair_budget, rng=cfg.seed)
         bins_meta = {
@@ -250,11 +251,7 @@ def section_iv_config() -> RunConfig:
     return parse_config_text(_SECTION_IV)
 
 
-def cmd_reproduce(figure: str, out_dir: str, seed: int | None) -> int:
-    cfg = section_iv_config()
-    if seed is not None:
-        cfg.seed = seed
-        cfg.resolved["run.seed"] = str(seed)
+def cmd_reproduce(cfg: RunConfig, figure: str, out_dir: str) -> int:
     _prepare_out(cfg, out_dir)
     h = cfg.time_scale
     # rows with time in (20, 40]: step indices 2001..4000
@@ -290,9 +287,7 @@ def cmd_reproduce(figure: str, out_dir: str, seed: int | None) -> int:
     elif figure == "fig4":
         blocks = []
         for branch, region in enumerate(cfg.regions, start=1):
-            gs = drive_gs(cfg.statemap, cfg.system, cfg.observation, cfg.initial,
-                          region.center(), washout_steps=cfg.washout,
-                          record_steps=cfg.record, region=region, trajectory=traj)
+            gs = _drive(cfg, region, traj)
             # drop t = washout to keep t in (20, 40]; %.17g prints the
             # branch number as the integer it is
             blocks.append(np.column_stack([gs.times[1:] * h, np.full(len(gs) - 1, branch),
@@ -339,12 +334,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "reproduce":
-            return cmd_reproduce(args.figure, args.out, args.seed)
-        cfg = parse_config(args.config)
+        reproduce = args.command == "reproduce"
+        cfg = section_iv_config() if reproduce else parse_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
             cfg.resolved["run.seed"] = str(args.seed)
+        if reproduce:
+            return cmd_reproduce(cfg, args.figure, args.out)
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out)
         if args.command == "certify":

@@ -133,6 +133,12 @@ class _Keys:
         v = self.get(key, required=required)
         return default if v is None else _parse_vec(v, key)
 
+    def get_int_vec(self, key, default):
+        v = self.get_vec(key, default)
+        if not np.all(np.isfinite(v) & (v == np.floor(v))):
+            raise ConfigError(f"{key}: expected integers, got {self.raw[key]!r}")
+        return [int(x) for x in v]
+
     def get_matrix(self, key, required=False):
         v = self.get(key, required=required)
         return None if v is None else _parse_matrix(v, key, self.base_dir)
@@ -241,9 +247,9 @@ def _build_system(keys: _Keys, resolved: dict) -> tuple[DiscreteSystem, np.ndarr
 def _build_observation(keys: _Keys, sys_: DiscreteSystem, resolved: dict) -> ObservationMap:
     kind = keys.get("observation.kind", "projection")
     if kind == "projection":
-        indices = keys.get_vec("observation.indices", np.array([0.0]))
+        indices = keys.get_int_vec("observation.indices", np.array([0.0]))
         try:
-            obs = CoordinateProjection([int(i) for i in indices], phase_dim=sys_.phase_dim)
+            obs = CoordinateProjection(indices, phase_dim=sys_.phase_dim)
         except ValueError as exc:
             raise ConfigError(f"observation.indices: {exc}") from exc
         resolved.update({"observation.kind": "projection",
@@ -364,10 +370,9 @@ def _build(raw: dict, base_dir: str) -> RunConfig:
     psi_record_from = keys.get_int("run.psi_record_from", None)
     grid_resolution = keys.get_int("run.grid_resolution", 20)
     input_samples = keys.get_int("run.input_samples", 200)
-    fk = keys.get_vec("run.forgetting_k", np.array([1.0, 5.0, 20.0, 100.0, 200.0]))
-    if not np.all(np.isfinite(fk) & (fk >= 0)):
-        raise ConfigError("run.forgetting_k entries must be finite and >= 0")
-    forgetting_k = [int(k) for k in fk]
+    forgetting_k = keys.get_int_vec("run.forgetting_k", np.array([1.0, 5.0, 20.0, 100.0, 200.0]))
+    if any(k < 0 for k in forgetting_k):
+        raise ConfigError("run.forgetting_k entries must be >= 0")
     forgetting_trials = keys.get_int("run.forgetting_trials", 100)
     pair_budget = keys.get_int("run.pair_budget", 4000)
     seed = keys.get_int("run.seed", 0)

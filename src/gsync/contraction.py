@@ -13,12 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynsys import DiscreteSystem, ObservationMap, tangent_norm_bounds
+from .dynsys import DiscreteSystem, ObservationMap, _observe, tangent_norm_bounds
 from .errors import NotAContraction
 from .regions import AxisBox, Ball, InputRange, InvariantRegion, RegionIntersection
 from .statemaps import LipschitzBounds, StateMap, _cyclic_pair, lipschitz_bounds
 
 _PRODUCT_CAP = 400_000
+# the certificate CSV columns, a fixed subset of the report's fields
+_CSV_FIELDS = ("region", "l_fx", "l_fz", "l_fxx", "l_fxz", "tangent_inv_norm", "domega_norm",
+               "invariance_ok", "invariance_margin", "esp_ok", "diff_ok", "r_const",
+               "delta0", "c0", "sampled")
 
 
 @dataclass(frozen=True)
@@ -135,46 +139,33 @@ class ContractionCertificate:
             return self.diff_ok
         raise ValueError("requirement must be 'esp' or 'diff'")
 
-    def report_text(self) -> str:
+    def _fields(self) -> dict:
+        """The report's fields in order, name -> value."""
         b = self.bounds
-        lines = [
-            f"region: {self.region_label}",
-            f"method: {b.method}",
-            f"l_fx: {b.l_fx:.12g}",
-            f"l_fz: {b.l_fz:.12g}",
-            f"l_fxx: {b.l_fxx:.12g}",
-            f"l_fxz: {b.l_fxz:.12g}",
-            f"tangent_norm: {self.tangent_norm:.12g}",
-            f"tangent_inv_norm: {self.tangent_inv_norm:.12g}",
-            f"domega_norm: {self.domega_norm:.12g}",
-            f"invariance_ok: {self.invariance_ok}",
-            f"invariance_margin: {self.invariance_margin:.12g}",
-            f"invariance_method: {self.invariance_method}",
-            f"esp_ok: {self.esp_ok}",
-            f"diff_ok: {self.diff_ok}",
-            f"r_const: {self.r_const:.12g}",
-            f"delta0: {self.delta0:.12g}",
-            f"c0: {self.c0:.12g}",
-            f"sampled: {self.sampled}",
-            f"n_tangent_samples: {self.n_tangent_samples}",
-        ]
-        return "\n".join(lines)
+        return {"region": self.region_label, "method": b.method, "l_fx": b.l_fx,
+                "l_fz": b.l_fz, "l_fxx": b.l_fxx, "l_fxz": b.l_fxz,
+                "tangent_norm": self.tangent_norm, "tangent_inv_norm": self.tangent_inv_norm,
+                "domega_norm": self.domega_norm, "invariance_ok": self.invariance_ok,
+                "invariance_margin": self.invariance_margin,
+                "invariance_method": self.invariance_method, "esp_ok": self.esp_ok,
+                "diff_ok": self.diff_ok, "r_const": self.r_const, "delta0": self.delta0,
+                "c0": self.c0, "sampled": self.sampled,
+                "n_tangent_samples": self.n_tangent_samples}
+
+    def report_text(self) -> str:
+        return "\n".join(f"{k}: {_text(v, '.12g')}" for k, v in self._fields().items())
 
     @staticmethod
     def csv_header() -> str:
-        return ("region,l_fx,l_fz,l_fxx,l_fxz,tangent_inv_norm,domega_norm,"
-                "invariance_ok,invariance_margin,esp_ok,diff_ok,r_const,delta0,c0,sampled")
+        return ",".join(_CSV_FIELDS)
 
     def csv_row(self) -> str:
-        b = self.bounds
-        vals = [self.region_label,
-                f"{b.l_fx:.17g}", f"{b.l_fz:.17g}", f"{b.l_fxx:.17g}", f"{b.l_fxz:.17g}",
-                f"{self.tangent_inv_norm:.17g}", f"{self.domega_norm:.17g}",
-                str(self.invariance_ok), f"{self.invariance_margin:.17g}",
-                str(self.esp_ok), str(self.diff_ok),
-                f"{self.r_const:.17g}", f"{self.delta0:.17g}", f"{self.c0:.17g}",
-                str(self.sampled)]
-        return ",".join(vals)
+        fields = self._fields()
+        return ",".join(_text(fields[k], ".17g") for k in _CSV_FIELDS)
+
+
+def _text(value, float_format: str) -> str:
+    return format(value, float_format) if isinstance(value, float) else str(value)
 
 
 def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
@@ -190,10 +181,7 @@ def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
     constant came from a closed form.
     """
     samples = np.atleast_2d(np.asarray(attractor_samples, dtype=float))
-    z = obs(samples)
-    if z.ndim == 1:
-        z = z[:, None]
-    input_range = InputRange.from_observations(z)
+    input_range = InputRange.from_observations(_observe(obs, samples))
 
     bounds = lipschitz_bounds(F, region, input_range, resolution=resolution,
                               n_inputs=n_inputs, rng=rng)

@@ -65,7 +65,6 @@ class DiscreteSystem:
     ``exact_tangent`` marks systems whose tangent maps are closed forms.
     """
 
-    kind = "custom"
     exact_tangent = False
 
     def __init__(self, phase_dim: int, fd_step: float = 1e-6):
@@ -88,14 +87,6 @@ class DiscreteSystem:
     def inverse_jacobian(self, m) -> np.ndarray:
         """Tangent map T_m(phi^-1) = (T_{phi^-1(m)} phi)^-1."""
         return np.linalg.inv(self.jacobian(self.inverse_step(m)))
-
-    def iterate(self, m, t: int) -> np.ndarray:
-        """phi^t(m) for any integer t (inverse steps when t < 0)."""
-        m = _as_point(m, self.phase_dim)
-        advance = self.step if t >= 0 else self.inverse_step
-        for _ in range(abs(int(t))):
-            m = advance(m)
-        return m
 
     def trajectory(self, m0, n_steps: int, t0: int = 0) -> Trajectory:
         """n_steps forward iterates of m0 (n_steps + 1 points in total)."""
@@ -129,14 +120,12 @@ class DiscreteSystem:
 class TorusRotation(DiscreteSystem):
     """Rotation m -> (m + angles) mod 1 on the unit torus."""
 
-    kind = "torus_rotation"
     exact_tangent = True
 
     def __init__(self, angles):
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
         super().__init__(phase_dim=angles.size)
         self.angles = angles
-        self.periods = np.ones(self.phase_dim)
 
     def step(self, m) -> np.ndarray:
         m = _as_point(m, self.phase_dim)
@@ -160,14 +149,12 @@ class TorusRotation(DiscreteSystem):
 class CatMap(DiscreteSystem):
     """Arnold cat map m -> [[2,1],[1,1]] m mod 1 on the 2-torus."""
 
-    kind = "cat_map"
     exact_tangent = True
 
     def __init__(self):
         super().__init__(phase_dim=2)
         self.matrix = _CAT_FORWARD.copy()
         self.inverse_matrix = _CAT_INVERSE.copy()
-        self.periods = np.ones(2)
 
     def step(self, m) -> np.ndarray:
         m = _as_point(m, 2)
@@ -226,8 +213,6 @@ class OdeFlow(DiscreteSystem):
     batch by ``tangent_norm_bounds``, with bit-identical results.  Other
     fields are integrated on numpy points.
     """
-
-    kind = "ode_flow"
 
     def __init__(self, field, phase_dim: int, h: float, substeps: int = 1,
                  roundtrip_tol: float = 1e-9, name: str = "ode_flow"):
@@ -293,17 +278,15 @@ class OdeFlow(DiscreteSystem):
         m = _as_point(m, self.phase_dim)
         return self._flow(m, self.h)
 
-    def inverse_step(self, m, check: bool = True) -> np.ndarray:
+    def inverse_step(self, m) -> np.ndarray:
         m = _as_point(m, self.phase_dim)
         prev = self._flow(m, -self.h)
-        if check:
-            back = self._flow(prev, self.h)
-            err = np.linalg.norm(back - m)
-            scale = max(1.0, float(np.linalg.norm(m)))
-            if err > self.roundtrip_tol * scale:
-                raise RoundTripFailure(
-                    f"round-trip error {err:.3e} exceeds tolerance "
-                    f"{self.roundtrip_tol:.1e} (relative to scale {scale:.3g})")
+        err = np.linalg.norm(self._flow(prev, self.h) - m)
+        scale = max(1.0, float(np.linalg.norm(m)))
+        if err > self.roundtrip_tol * scale:
+            raise RoundTripFailure(
+                f"round-trip error {err:.3e} exceeds tolerance "
+                f"{self.roundtrip_tol:.1e} (relative to scale {scale:.3g})")
         return prev
 
     def _batch_tangent_maps(self, samples: np.ndarray):
@@ -311,12 +294,11 @@ class OdeFlow(DiscreteSystem):
         inverse step, central differences at the sample and at its
         predecessor), evaluated as two batched integrations.
 
-        Returns None on anything the per-sample path would reject (invalid
-        or non-finite points, a round trip within a factor two of its
+        Returns None on anything the per-sample path would reject (a
+        divergent integration, a round trip within a factor two of its
         tolerance), so that path decides and raises its own error.
         """
-        if (self._components is None or samples.ndim != 2 or samples.shape[1] != 3
-                or not np.isfinite(samples).all()):
+        if self._components is None:
             return None
         d = samples.shape[1]
         h = self.fd_step
@@ -385,8 +367,6 @@ def lorenz_system(h: float = 0.01, substeps: int = 8, sigma: float = 10.0,
 class CustomSystem(DiscreteSystem):
     """Wrap user-supplied forward/inverse maps (and optional tangent maps)."""
 
-    kind = "custom"
-
     def __init__(self, forward, inverse, phase_dim: int, jacobian=None,
                  inverse_jacobian=None, fd_step: float = 1e-6):
         super().__init__(phase_dim=phase_dim, fd_step=fd_step)
@@ -423,8 +403,6 @@ class CustomSystem(DiscreteSystem):
 class ObservationMap:
     """Map omega from phase points to R^obs_dim, with a differential."""
 
-    kind = "custom"
-
     def __init__(self, obs_dim: int, phase_dim: int):
         self.obs_dim = int(obs_dim)
         self.phase_dim = int(phase_dim)
@@ -446,8 +424,6 @@ class ObservationMap:
 
 class CoordinateProjection(ObservationMap):
     """omega(m) = (m[i] for i in indices)."""
-
-    kind = "projection"
 
     def __init__(self, indices, phase_dim: int):
         indices = [int(i) for i in np.atleast_1d(indices)]
@@ -475,8 +451,6 @@ class CoordinateProjection(ObservationMap):
 class LinearObservation(ObservationMap):
     """omega(m) = W m for a fixed matrix W."""
 
-    kind = "linear"
-
     def __init__(self, matrix):
         W = np.atleast_2d(np.asarray(matrix, dtype=float))
         super().__init__(obs_dim=W.shape[0], phase_dim=W.shape[1])
@@ -496,8 +470,6 @@ class LinearObservation(ObservationMap):
 class CustomObservation(ObservationMap):
     """Wrap a user-supplied observation function (optionally its Jacobian)."""
 
-    kind = "custom"
-
     def __init__(self, func, obs_dim: int, phase_dim: int, jacobian=None):
         super().__init__(obs_dim=obs_dim, phase_dim=phase_dim)
         self._func = func
@@ -513,43 +485,37 @@ class CustomObservation(ObservationMap):
         return super().jacobian(m)
 
 
+def _observe(obs: ObservationMap, points: np.ndarray) -> np.ndarray:
+    """Observations of the points (n, phase_dim) as rows, shape (n, obs_dim)."""
+    z = np.asarray(obs(points), dtype=float)
+    return z[:, None] if z.ndim == 1 else z
+
+
 def observe_trajectory(obs: ObservationMap, traj: Trajectory) -> np.ndarray:
     """Observation values along a trajectory, shape (len(traj), obs_dim)."""
-    z = obs(traj.points)
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        z = z[:, None]
+    z = _observe(obs, traj.points)
     if not np.all(np.isfinite(z)):
         raise NonFiniteError("observation produced non-finite values")
     return z
+
+
+def _orbit(sys: DiscreteSystem, m, back: int, ahead: int) -> np.ndarray:
+    """Rows phi^k(m) for k = -back..ahead: inverse steps from m, then
+    ``sys.trajectory`` forward from m."""
+    past = [_as_point(m, sys.phase_dim)]
+    for _ in range(back):
+        past.append(sys.inverse_step(past[-1]))
+    rows = np.array(past[::-1])
+    if ahead < 1:
+        return rows
+    return np.concatenate([rows, sys.trajectory(past[0], ahead).points[1:]])
 
 
 def delay_window(sys: DiscreteSystem, obs: ObservationMap, m, length: int) -> np.ndarray:
     """Matrix of past observations, row k = omega(phi^-k(m)), k = 0..length-1."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    m = _as_point(m, sys.phase_dim)
-    rows = np.empty((length, obs.obs_dim))
-    cur = m
-    for k in range(length):
-        rows[k] = np.atleast_1d(obs(cur))
-        if k + 1 < length:
-            cur = sys.inverse_step(cur)
-    return rows
-
-
-def _orbit_segment(sys: DiscreteSystem, m: np.ndarray, lo: int, hi: int) -> dict:
-    """Points phi^k(m) for k in [lo, hi], stepping incrementally from m."""
-    seg = {0: m}
-    cur = m
-    for k in range(1, hi + 1):
-        cur = sys.step(cur)
-        seg[k] = cur
-    cur = m
-    for k in range(-1, lo - 1, -1):
-        cur = sys.inverse_step(cur)
-        seg[k] = cur
-    return seg
+    return _observe(obs, _orbit(sys, m, length - 1, 0)[::-1])
 
 
 def check_equivariance(sys: DiscreteSystem, obs: ObservationMap, m, t: int,
@@ -562,15 +528,11 @@ def check_equivariance(sys: DiscreteSystem, obs: ObservationMap, m, t: int,
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    m = _as_point(m, sys.phase_dim)
-    orbit_m = _orbit_segment(sys, m, min(-window + t, 0), max(window + t, 0))
-    orbit_mt = _orbit_segment(sys, orbit_m[t], -window, window)
-    worst = 0.0
-    for tau in range(-window, window + 1):
-        left = np.atleast_1d(obs(orbit_m[tau + t]))
-        right = np.atleast_1d(obs(orbit_mt[tau]))
-        worst = max(worst, float(np.max(np.abs(left - right))))
-    return worst
+    back = max(window - t, 0)  # row back + k of orbit_m is phi^k(m)
+    orbit_m = _orbit(sys, m, back, max(window + t, 0))
+    shifted = orbit_m[back + t - window:back + t + window + 1]
+    orbit_mt = _orbit(sys, orbit_m[back + t], window, window)
+    return float(np.max(np.abs(_observe(obs, shifted) - _observe(obs, orbit_mt))))
 
 
 def tangent_norm_bounds(sys: DiscreteSystem, samples) -> tuple[float, float]:
@@ -581,12 +543,17 @@ def tangent_norm_bounds(sys: DiscreteSystem, samples) -> tuple[float, float]:
     map and flow maps of fields with a component form evaluate all samples
     in one batch, with suprema identical to the per-sample evaluation; a
     non-finite batch is left to the per-sample evaluation and its errors.
+    Every sample is first checked as ``step`` checks a point (dimension,
+    finiteness), also where the closed-form tangent maps ignore it.
     The returned values are suprema over the given samples and grow
     monotonically with the sample set.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("samples must be non-empty")
+    finite = np.isfinite(samples.reshape(len(samples), -1)).all(axis=1)
+    if samples.shape[1:] != (sys.phase_dim,) or not finite.all():
+        _as_point(samples[np.argmin(finite)], sys.phase_dim)  # raises for this row
     maps = sys._batch_tangent_maps(samples)
     if maps is None or not all(_all_finite(J) for J in maps):
         return _tangent_norm_bounds_loop(sys, samples)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynsys import DiscreteSystem, ObservationMap, Trajectory, observe_trajectory
+from .dynsys import DiscreteSystem, ObservationMap, Trajectory, _observe, observe_trajectory
 from .errors import DisjointRanges, GsyncError, RegionEscape
 from .regions import InvariantRegion
 from .statemaps import StateMap
@@ -110,10 +110,7 @@ def recursion_residual(gs: SampledGS, F: StateMap, obs: ObservationMap) -> tuple
     """Max and mean violation of the one-step identity on the stored data."""
     if len(gs) < 2:
         raise ValueError("need at least two recorded points")
-    z = obs(gs.points)
-    if z.ndim == 1:
-        z = z[:, None]
-    r = _residuals(gs.values, z, F)
+    r = _residuals(gs.values, _observe(obs, gs.points), F)
     return float(np.max(r)), float(np.mean(r))
 
 
@@ -328,9 +325,6 @@ def write_gs_csv(gs: SampledGS, path, F: StateMap | None = None,
     header = ["t"] + [f"m{i+1}" for i in range(pd)] + [f"f{i+1}" for i in range(nd)] + ["residual"]
     res = np.full(len(gs), np.nan)
     if F is not None and obs is not None and len(gs) >= 2:
-        z = obs(gs.points)
-        if z.ndim == 1:
-            z = z[:, None]
-        res[1:] = _residuals(gs.values, z, F)
+        res[1:] = _residuals(gs.values, _observe(obs, gs.points), F)
     times = gs.times * time_scale if time_scale is not None else gs.times
     _write_csv(path, meta, header, np.column_stack([times, gs.points, gs.values, res]))

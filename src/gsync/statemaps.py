@@ -84,7 +84,6 @@ SQUASHINGS = {
 class StateMap:
     """Base class for driven state maps."""
 
-    kind = "custom"
     derivative_order = 0
 
     def __init__(self, state_dim: int, input_dim: int):
@@ -165,7 +164,6 @@ class StateMap:
 class Esn(StateMap):
     """Recurrent state map sigma(A x + C z + zeta)."""
 
-    kind = "esn"
     derivative_order = 2
 
     def __init__(self, A, C, zeta=None, squashing: str = "tanh"):
@@ -209,25 +207,21 @@ class Esn(StateMap):
         m2 = float(np.max(np.abs(self.squashing.deriv2(self._pre(x, z)))))
         return m2 * self.sigma_max_A ** 2, m2 * self.sigma_max_A * self.sigma_max_C
 
-    def jac_state_norms(self, X, Z) -> np.ndarray:
+    def _jac_norms(self, X, Z, M: np.ndarray) -> np.ndarray:
+        """Largest singular values of diag(sigma'(pre)) M at the rows of X, Z."""
         X = np.atleast_2d(X)
         Z = np.atleast_2d(Z)
         out = np.empty(len(X))
         for i in range(0, len(X), _CHUNK):
             d = self.squashing.deriv(self._pre(X[i:i + _CHUNK], Z[i:i + _CHUNK]))
-            J = d[:, :, None] * self.A
-            out[i:i + _CHUNK] = np.linalg.svd(J, compute_uv=False)[:, 0]
+            out[i:i + _CHUNK] = np.linalg.svd(d[:, :, None] * M, compute_uv=False)[:, 0]
         return out
 
+    def jac_state_norms(self, X, Z) -> np.ndarray:
+        return self._jac_norms(X, Z, self.A)
+
     def jac_input_norms(self, X, Z) -> np.ndarray:
-        X = np.atleast_2d(X)
-        Z = np.atleast_2d(Z)
-        out = np.empty(len(X))
-        for i in range(0, len(X), _CHUNK):
-            d = self.squashing.deriv(self._pre(X[i:i + _CHUNK], Z[i:i + _CHUNK]))
-            J = d[:, :, None] * self.C
-            out[i:i + _CHUNK] = np.linalg.svd(J, compute_uv=False)[:, 0]
-        return out
+        return self._jac_norms(X, Z, self.C)
 
     def second_partial_norms(self, X, Z) -> tuple[np.ndarray, np.ndarray]:
         m2 = np.max(np.abs(self.squashing.deriv2(self._pre(np.atleast_2d(X), np.atleast_2d(Z)))), axis=-1)
@@ -266,7 +260,6 @@ def shift_matrix(n: int) -> np.ndarray:
 class LinearDelay(StateMap):
     """Delay line of depth 2q+1: F(x, z) = (z, x_1, ..., x_{2q})."""
 
-    kind = "linear_delay"
     derivative_order = 2
 
     def __init__(self, q: int):
@@ -322,7 +315,6 @@ class PowerSine(StateMap):
     equal to zero, which the derivative evaluations reject.
     """
 
-    kind = "power_sine"
     derivative_order = 2
 
     def __init__(self, alpha: float, lam: float, k: float):
@@ -428,8 +420,6 @@ class PowerSine(StateMap):
 
 class CustomStateMap(StateMap):
     """Wrap an arbitrary state function; derivatives by central differences."""
-
-    kind = "custom"
 
     def __init__(self, func, state_dim: int, input_dim: int,
                  jac_state=None, jac_input=None, fd_step: float = 1e-6,

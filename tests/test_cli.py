@@ -151,10 +151,17 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, SMALL_IV + "run.grid_resolution = 1\n")
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("k", ["-3", "nan"])
+    @pytest.mark.parametrize("k", ["-3", "nan", "2.5"])
     def test_bad_forgetting_k_exit_2(self, tmp_path, k):
         cfg = write_cfg(tmp_path, SMALL_IV + f"run.forgetting_k = 1 {k}\n")
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("indices", ["0.7", "inf"])
+    def test_non_integer_observation_index_exit_2(self, tmp_path, capsys, indices):
+        text = SMALL_LORENZ.replace("observation.indices = 0", f"observation.indices = {indices}")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "observation.indices" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, line", [
         ("synchronize", "run.max_iters = 0"),

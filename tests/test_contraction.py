@@ -4,7 +4,9 @@ import pytest
 from gsync import (AxisBox, Ball, CatMap, CoordinateProjection, CustomStateMap,
                    Esn, InputRange, LinearDelay, RegionIntersection,
                    absorbing_set, certify, check_invariance)
+from gsync.contraction import ContractionCertificate
 from gsync.errors import NotAContraction
+from gsync.statemaps import LipschitzBounds
 
 from conftest import IV_LAMBDA
 
@@ -187,6 +189,32 @@ class TestCertify:
         # the measured inverse tangent norm exceeds 1/l_fx on the attractor,
         # so the differentiability inequality is not established numerically
         assert cert.tangent_inv_norm > 1.0
+
+    def test_report_and_csv_text_pinned(self):
+        # .12g in the report, .17g in the CSV, str for everything else
+        bounds = LipschitzBounds(l_fx=0.1 + 0.2, l_fz=1.0 / 3.0, l_fxx=2.5e-7, l_fxz=0.0,
+                                 method="analytic+grid", analytic=None, grid=None)
+        nan = float("nan")
+        cert = ContractionCertificate(
+            region_label="V1", bounds=bounds, tangent_norm=2.618033988749895,
+            tangent_inv_norm=1e20 / 3.0, domega_norm=1.0, invariance_ok=False,
+            invariance_margin=-1e-3 / 7.0, invariance_method="sampled", esp_ok=True,
+            diff_ok=False, r_const=nan, delta0=nan, c0=nan, sampled=True,
+            n_tangent_samples=7, resolution=20, n_inputs=200)
+        assert cert.report_text() == (
+            "region: V1\nmethod: analytic+grid\nl_fx: 0.3\nl_fz: 0.333333333333\n"
+            "l_fxx: 2.5e-07\nl_fxz: 0\ntangent_norm: 2.61803398875\n"
+            "tangent_inv_norm: 3.33333333333e+19\ndomega_norm: 1\ninvariance_ok: False\n"
+            "invariance_margin: -0.000142857142857\ninvariance_method: sampled\n"
+            "esp_ok: True\ndiff_ok: False\nr_const: nan\ndelta0: nan\nc0: nan\n"
+            "sampled: True\nn_tangent_samples: 7")
+        assert cert.csv_header() == (
+            "region,l_fx,l_fz,l_fxx,l_fxz,tangent_inv_norm,domega_norm,invariance_ok,"
+            "invariance_margin,esp_ok,diff_ok,r_const,delta0,c0,sampled")
+        assert cert.csv_row() == (
+            "V1,0.30000000000000004,0.33333333333333331,2.4999999999999999e-07,0,"
+            "3.3333333333333332e+19,1,False,-0.00014285714285714287,True,False,"
+            "nan,nan,nan,True")
 
     def test_report_and_csv_row(self, cat_samples):
         cert = certify(esn_on_cat(0.3), AxisBox([-1.0] * 2, [1.0] * 2, label="B"),

@@ -5,7 +5,7 @@ from gsync import (CatMap, CoordinateProjection, CustomObservation, CustomSystem
                    LinearObservation, OdeFlow, TorusRotation, check_equivariance,
                    delay_window, lorenz_field, lorenz_system, tangent_norm_bounds)
 from gsync.dynsys import _tangent_norm_bounds_loop
-from gsync.errors import NonFiniteError, RoundTripFailure
+from gsync.errors import DimensionMismatch, NonFiniteError, RoundTripFailure
 
 from conftest import LORENZ_M0
 
@@ -24,6 +24,44 @@ def lorenz_jacobian_field(m, sigma=10.0, rho=28.0, beta=8.0 / 3.0):
     return np.array([[-sigma, sigma, 0.0],
                      [rho - w, -1.0, -u],
                      [v, u, -beta]])
+
+
+def reference_delay_window(sys, obs, m, length):
+    # the step-by-step loop delay_window replaced, one observation per point
+    rows, cur = [], np.asarray(m, dtype=float)
+    for k in range(length):
+        rows.append(np.atleast_1d(obs(cur)))
+        if k + 1 < length:
+            cur = sys.inverse_step(cur)
+    return np.array(rows)
+
+
+def reference_orbit(sys, m, lo, hi):
+    # phi^k(m) for k in [lo, hi], stepping outward from m one step at a time
+    seg, cur = {0: m}, m
+    for k in range(1, hi + 1):
+        cur = seg[k] = sys.step(cur)
+    cur = m
+    for k in range(-1, lo - 1, -1):
+        cur = seg[k] = sys.inverse_step(cur)
+    return seg
+
+
+def reference_equivariance(sys, obs, m, t, window):
+    m = np.asarray(m, dtype=float)
+    orbit_m = reference_orbit(sys, m, min(-window + t, 0), max(window + t, 0))
+    orbit_mt = reference_orbit(sys, orbit_m[t], -window, window)
+    return max([0.0] + [float(np.max(np.abs(np.atleast_1d(obs(orbit_m[tau + t]))
+                                            - np.atleast_1d(obs(orbit_mt[tau])))))
+                        for tau in range(-window, window + 1)])
+
+
+def orbit_case(which, lorenz, lorenz_traj, torus):
+    if which == "torus":
+        return torus, CoordinateProjection([1], phase_dim=2), np.array([0.11, 0.77])
+    if which == "cat":
+        return CatMap(), CoordinateProjection([0, 1], phase_dim=2), np.array([0.11, 0.77])
+    return lorenz, CoordinateProjection([0, 2], phase_dim=3), lorenz_traj.points[1500]
 
 
 class TestAnalyticMaps:
@@ -234,8 +272,41 @@ class TestDelayAndEquivariance:
         m = lorenz_traj.points[1500]
         assert check_equivariance(lorenz, lorenz_obs, m, t=t, window=10) <= 1e-7
 
+    @pytest.mark.parametrize("which", ["torus", "cat", "lorenz"])
+    @pytest.mark.parametrize("t", [-12, -3, 0, 3, 12])
+    def test_orbits_equal_step_loops(self, lorenz, lorenz_traj, torus, which, t):
+        sys, obs, m = orbit_case(which, lorenz, lorenz_traj, torus)
+        assert check_equivariance(sys, obs, m, t=t, window=10) == \
+            reference_equivariance(sys, obs, m, t, 10)
+        assert np.array_equal(delay_window(sys, obs, m, 10),
+                              reference_delay_window(sys, obs, m, 10))
+
+    @pytest.mark.parametrize("t", [-12, 3])
+    def test_orbits_linear_observation(self, lorenz, lorenz_traj, t):
+        # one batched m @ W.T may round differently from one point at a time
+        obs = LinearObservation([[0.3, -1.7, 0.05], [1.0 / 3.0, 2.0 / 7.0, -0.9]])
+        m = lorenz_traj.points[1500]
+        win = delay_window(lorenz, obs, m, 10)
+        ref = reference_delay_window(lorenz, obs, m, 10)
+        assert np.allclose(win, ref, rtol=1e-15, atol=0.0)
+        scale = float(np.max(np.abs(ref)))
+        err = check_equivariance(lorenz, obs, m, t=t, window=10)
+        assert abs(err - reference_equivariance(lorenz, obs, m, t, 10)) <= 1e-15 * scale
+
 
 class TestTangentNorms:
+    @pytest.mark.parametrize("system, samples", [
+        (CatMap(), [[np.nan, np.nan, np.nan]]),
+        (TorusRotation([0.1, 0.2]), [[1.0]]),
+    ])
+    def test_closed_forms_reject_wrong_dimension(self, system, samples):
+        with pytest.raises(DimensionMismatch, match="expected a point of dimension 2"):
+            tangent_norm_bounds(system, samples)
+
+    def test_closed_forms_reject_non_finite_sample(self):
+        with pytest.raises(NonFiniteError, match="non-finite point"):
+            tangent_norm_bounds(CatMap(), [[0.1, 0.2], [np.nan, 0.3]])
+
     def test_torus_isometry(self, torus):
         rng = np.random.default_rng(3)
         sup_f, sup_i = tangent_norm_bounds(torus, rng.uniform(0, 1, size=(50, 2)))
