@@ -133,6 +133,12 @@ class _Keys:
         v = self.get(key, required=required)
         return default if v is None else _parse_vec(v, key)
 
+    def get_finite_vec(self, key, default=None, required=False):
+        v = self.get_vec(key, default, required)
+        if v is not None and not np.all(np.isfinite(v)):
+            raise ConfigError(f"{key}: expected finite numbers, got {self.raw[key]!r}")
+        return v
+
     def get_int_vec(self, key, default):
         v = self.get_vec(key, default)
         if not np.all(np.isfinite(v) & (v == np.floor(v))):
@@ -220,20 +226,20 @@ def _build_system(keys: _Keys, resolved: dict) -> tuple[DiscreteSystem, np.ndarr
                                  beta=beta, literal_sign=literal)
         except ValueError as exc:
             raise ConfigError(f"system: {exc}") from exc
-        initial = keys.get_vec("system.initial", np.array([0.0, 1.0, 1.05]))
+        initial = keys.get_finite_vec("system.initial", np.array([0.0, 1.0, 1.05]))
         resolved.update({"system.kind": "lorenz", "system.h": _fmt(h),
                          "system.substeps": str(substeps), "system.sigma": _fmt(sigma),
                          "system.rho": _fmt(rho), "system.beta": _fmt(beta),
                          "system.literal_sign": str(literal).lower()})
     elif kind == "torus_rotation":
-        angles = keys.get_vec("system.angles", required=True)
+        angles = keys.get_finite_vec("system.angles", required=True)
         sys_ = TorusRotation(angles)
-        initial = keys.get_vec("system.initial", np.zeros(sys_.phase_dim))
+        initial = keys.get_finite_vec("system.initial", np.zeros(sys_.phase_dim))
         resolved.update({"system.kind": "torus_rotation",
                          "system.angles": _fmt_vec(angles)})
     elif kind == "cat_map":
         sys_ = CatMap()
-        initial = keys.get_vec("system.initial", np.array([0.1, 0.2]))
+        initial = keys.get_finite_vec("system.initial", np.array([0.1, 0.2]))
         resolved.update({"system.kind": "cat_map"})
     else:
         raise ConfigError(f"system.kind: unknown system {kind!r}")

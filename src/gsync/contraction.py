@@ -106,12 +106,13 @@ class ContractionCertificate:
     """Constants and verdicts for a state map driven through a region.
 
     ``esp_ok`` records l_fx < 1 (unique driven response, input forgetting);
-    ``diff_ok`` records l_fx < min(1, 1/tangent_inv_norm), the condition
-    under which the synchronization is certified continuously
-    differentiable.  When ``diff_ok`` holds, r_const, delta0 and c0 witness
-    the contraction of the synchronization operator on the bounded-slope
-    function class: r_const exceeds its lower bound by 5%, delta0 is half
-    its admissible bound, and c0 is the resulting contraction factor.
+    ``diff_ok`` records l_fx < min(1, 1/tangent_inv_norm) for a map with
+    second derivatives (``derivative_order >= 2``), the condition under
+    which the synchronization is certified continuously differentiable.
+    When ``diff_ok`` holds, r_const, delta0 and c0 witness the contraction
+    of the synchronization operator on the bounded-slope function class:
+    r_const exceeds its lower bound by 5%, delta0 is half its admissible
+    bound, and c0 is the resulting contraction factor.
     """
 
     region_label: str
@@ -179,12 +180,26 @@ def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
     samples; tangent norms are sampled suprema over (a subsample of) the
     same points, so all verdicts carry a sampled caveat unless every
     constant came from a closed form.
+
+    When F has closed-form derivative bounds on region x input range, they
+    are the constants (method "analytic") and no grid is evaluated: a grid
+    supremum is a sampled lower bound and cannot raise an upper bound.
+    Otherwise the constants are ``lipschitz_bounds``' grid suprema (method
+    "grid").  ``diff_ok`` also needs ``F.derivative_order >= 2``, since the
+    constants l_fxx and l_fxz presume second derivatives.
     """
     samples = np.atleast_2d(np.asarray(attractor_samples, dtype=float))
     input_range = InputRange.from_observations(_observe(obs, samples))
 
-    bounds = lipschitz_bounds(F, region, input_range, resolution=resolution,
-                              n_inputs=n_inputs, rng=rng)
+    analytic = F.analytic_lipschitz(region, input_range)
+    if analytic is None:
+        bounds = lipschitz_bounds(F, region, input_range, resolution=resolution,
+                                  n_inputs=n_inputs, rng=rng)
+    else:
+        bounds = LipschitzBounds(method="analytic", analytic=analytic, grid=None,
+                                 region_label=region.label,
+                                 input_lo=input_range.lo.copy(),
+                                 input_hi=input_range.hi.copy(), **analytic)
 
     if len(samples) > max_tangent_samples:
         idx = np.linspace(0, len(samples) - 1, max_tangent_samples).astype(int)
@@ -200,7 +215,7 @@ def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
 
     l_fx = bounds.l_fx
     esp_ok = l_fx < 1.0
-    diff_ok = l_fx < min(1.0, 1.0 / tinv) if tinv > 0 else esp_ok
+    diff_ok = F.derivative_order >= 2 and (l_fx < min(1.0, 1.0 / tinv) if tinv > 0 else esp_ok)
 
     r_const = float("nan")
     delta0 = float("nan")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InsufficientPairs, LengthMismatch
 from .gs import SampledGS, run_recursion
@@ -113,6 +112,7 @@ def _near_pairs(points: np.ndarray, radius: float, min_time_sep: int,
     Subsampling is stratified over logarithmic distance shells so that the
     fine scales keep representation when the budget truncates.
     """
+    from scipy.spatial import cKDTree  # only the regularity probes need scipy
     tree = cKDTree(points)
     pairs = tree.query_pairs(r=radius, output_type="ndarray")
     if len(pairs) == 0:
@@ -139,6 +139,7 @@ def _near_pairs(points: np.ndarray, radius: float, min_time_sep: int,
 
 def _median_nn_spacing(points: np.ndarray) -> float:
     """Median distance from each sample point to its nearest other point."""
+    from scipy.spatial import cKDTree
     nn, _ = cKDTree(points).query(points, k=2)
     med = float(np.median(nn[:, 1]))
     if med == 0.0:

@@ -426,7 +426,10 @@ class CoordinateProjection(ObservationMap):
     """omega(m) = (m[i] for i in indices)."""
 
     def __init__(self, indices, phase_dim: int):
-        indices = [int(i) for i in np.atleast_1d(indices)]
+        raw = np.atleast_1d(np.asarray(indices, dtype=float))
+        if not np.all(np.isfinite(raw) & (raw == np.floor(raw))):
+            raise ValueError(f"projection indices must be integers, got {raw.tolist()}")
+        indices = [int(i) for i in raw]
         if len(set(indices)) != len(indices):
             raise ValueError("projection indices must be distinct")
         if any(i < 0 or i >= phase_dim for i in indices):

@@ -468,7 +468,11 @@ class LipschitzBounds:
 
     ``analytic`` holds closed-form bounds (true upper bounds) when the map
     provides them; ``grid`` holds sampled suprema (lower bounds of the true
-    values).  The headline fields take the larger of the two.
+    values).  ``method`` says where the headline fields come from:
+    "analytic+grid" takes the larger of the two (``lipschitz_bounds`` with a
+    closed form), "grid" the grid alone (no closed form), and "analytic" the
+    closed forms alone with ``grid`` None (``certify``, which evaluates no
+    grid when a closed form exists).
     """
 
     l_fx: float

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+
 import gsync
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_public_names():
@@ -17,3 +23,12 @@ def test_public_names():
         "recursion_residual", "regions", "run_recursion", "shift_matrix", "sin_range",
         "statemaps", "tangent_norm_bounds", "weighted_distance", "write_gs_csv",
     ]
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # only the regularity probes use the KD-tree; every CLI process imports gsync
+    code = "import sys, gsync, gsync.cli; print('scipy.spatial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

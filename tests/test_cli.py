@@ -30,6 +30,14 @@ run.record = 200
 system.n_steps = 600
 """
 
+TORUS = """
+system.kind = torus_rotation
+system.angles = 0.41421356 0.31662479
+system.initial = 0.1 0.2
+system.n_steps = 50
+observation.indices = 0
+"""
+
 CAT_ESN = """
 system.kind = cat_map
 system.initial = 0.1234 0.5678
@@ -182,6 +190,23 @@ class TestConfigErrors:
         argv = [command, "--config", cfg, "--out", str(out)]
         assert main(argv + (["--method", "both"] if command == "synchronize" else [])) == 2
         assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("system, line", [
+        ("lorenz", "system.initial = 0 nan 1.05"),
+        ("lorenz", "system.initial = 0 1 inf"),
+        ("torus", "system.angles = 0.1 nan"),
+        ("torus", "system.angles = inf 0.3"),
+        ("torus", "system.initial = 0.1 nan"),
+    ])
+    def test_non_finite_system_vector_exit_2(self, tmp_path, capsys, system, line):
+        key = line.split(" = ")[0]
+        base = {"lorenz": SMALL_LORENZ, "torus": TORUS}[system]
+        text = "\n".join(line if l.startswith(key + " ") else l for l in base.splitlines())
+        assert line in text.splitlines()
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert f"{key}: expected finite numbers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_synchronize_without_regions_exit_2(self, tmp_path):

@@ -3,21 +3,21 @@ import pytest
 
 from gsync import (AxisBox, Ball, CatMap, CoordinateProjection, CustomStateMap,
                    Esn, InputRange, LinearDelay, RegionIntersection,
-                   absorbing_set, certify, check_invariance)
+                   absorbing_set, certify, check_invariance, lipschitz_bounds)
 from gsync.contraction import ContractionCertificate
 from gsync.errors import NotAContraction
 from gsync.statemaps import LipschitzBounds
 
-from conftest import IV_LAMBDA
+from conftest import IV_LAMBDA, esn_reservoir
 
 GOLDEN_CAT_NORM = (3.0 + np.sqrt(5.0)) / 2.0
 
 
-def affine_half(dim=1):
+def affine_half(dim=1, derivative_order=2):
     return CustomStateMap(lambda x, z: 0.5 * x + z, state_dim=dim, input_dim=dim,
                           jac_state=lambda x, z: 0.5 * np.eye(dim),
                           jac_input=lambda x, z: np.eye(dim),
-                          derivative_order=2)
+                          derivative_order=derivative_order)
 
 
 def esn_on_cat(scale):
@@ -224,3 +224,92 @@ class TestCertify:
         row = cert.csv_row()
         assert row.startswith("B,")
         assert len(row.split(",")) == len(cert.csv_header().split(","))
+
+
+HEADLINE = ("l_fx", "l_fz", "l_fxx", "l_fxz")
+GRID_NORMS = ("jac_state_norms", "jac_input_norms", "second_partial_norms")
+
+
+@pytest.fixture(scope="module")
+def closed_form_cases(power_sine, eight_boxes, lorenz, lorenz_obs, lorenz_traj, torus,
+                      cat_samples):
+    """(name, F, region, sys, obs, samples, resolution) for maps with closed forms:
+    the Section IV box, the eight torus boxes, and a 16-unit reservoir on a box
+    and a ball (resolution 2, so the box grid is its 2^16 vertices)."""
+    torus_samples = torus.trajectory([0.3, 0.4], 500).points
+    torus_obs = CoordinateProjection([0], 2)
+    reservoir = esn_reservoir()
+    cases = [("section_iv", power_sine, eight_boxes[0], lorenz, lorenz_obs,
+              lorenz_traj.points[2000:2200], 20)]
+    cases += [(f"torus_{box.label}", power_sine, box, torus, torus_obs, torus_samples, 20)
+              for box in eight_boxes]
+    cases += [("reservoir_box", reservoir, AxisBox([-1.0] * 16, [1.0] * 16, label="box"),
+               CatMap(), CoordinateProjection([0], 2), cat_samples, 2),
+              ("reservoir_ball", reservoir, Ball(np.zeros(16), 1.0, label="ball"),
+               CatMap(), CoordinateProjection([0], 2), cat_samples, 2)]
+    return cases
+
+
+def _input_range(obs, samples):
+    return InputRange.from_observations(obs(np.asarray(samples)))
+
+
+class TestCertifyClosedForms:
+    def test_no_grid_evaluated(self, monkeypatch, closed_form_cases, torus):
+        def grid_norms(*args, **kwargs):
+            raise AssertionError("certify evaluated a grid norm")
+
+        cases = [c[1:] for c in closed_form_cases]
+        cases.append((LinearDelay(q=2), AxisBox([-1.0] * 5, [1.0] * 5), torus,
+                      CoordinateProjection([0], 2), torus.trajectory([0.1, 0.9], 200).points, 20))
+        for F, region, sys, obs, samples, resolution in cases:
+            for name in GRID_NORMS:
+                monkeypatch.setattr(type(F), name, grid_norms)
+            cert = certify(F, region, sys, obs, samples, resolution=resolution)
+            analytic = F.analytic_lipschitz(region, _input_range(obs, samples))
+            assert cert.bounds.method == "analytic"
+            assert cert.bounds.grid is None
+            assert cert.bounds.analytic == analytic
+            assert [getattr(cert.bounds, k) for k in HEADLINE] == [analytic[k] for k in HEADLINE]
+
+    def test_constants_equal_lipschitz_bounds(self, closed_form_cases):
+        # the grid is a sampled lower bound: skipping it keeps every headline bit
+        for name, F, region, sys, obs, samples, resolution in closed_form_cases:
+            cert = certify(F, region, sys, obs, samples, resolution=resolution)
+            full = lipschitz_bounds(F, region, _input_range(obs, samples), resolution=resolution)
+            assert full.method == "analytic+grid", name
+            for k in HEADLINE:
+                assert getattr(cert.bounds, k) == getattr(full, k), (name, k)
+
+    def test_custom_map_keeps_grid(self, torus):
+        F = affine_half()
+        region = AxisBox([-10.0], [10.0])
+        obs = CoordinateProjection([0], 2)
+        samples = torus.trajectory([0.3, 0.4], 200).points
+        cert = certify(F, region, torus, obs, samples)
+        full = lipschitz_bounds(F, region, _input_range(obs, samples))
+        assert cert.bounds.method == full.method == "grid"
+        assert cert.bounds.analytic is None
+        assert cert.bounds.grid == full.grid
+        for k in HEADLINE:
+            assert getattr(cert.bounds, k) == getattr(full, k)
+
+
+class TestDiffNeedsSecondDerivatives:
+    # l_fxx and l_fxz presume second derivatives, so a C^1 map gets esp only
+    @staticmethod
+    def _cert(F, torus):
+        return certify(F, AxisBox([-10.0], [10.0]), torus, CoordinateProjection([0], 2),
+                       torus.trajectory([0.3, 0.4], 200).points)
+
+    def test_c1_map_gets_esp_not_diff(self, torus):
+        cert = self._cert(affine_half(derivative_order=1), torus)
+        assert cert.bounds.l_fx == pytest.approx(0.5)
+        assert cert.esp_ok
+        assert not cert.diff_ok
+        assert np.isnan(cert.r_const) and np.isnan(cert.c0)
+
+    def test_affine_half_keeps_diff(self, torus):
+        cert = self._cert(affine_half(), torus)
+        assert cert.esp_ok and cert.diff_ok
+        assert 0.0 < cert.c0 < 1.0

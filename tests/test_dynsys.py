@@ -387,3 +387,13 @@ class TestObservations:
         obs = CoordinateProjection([0], phase_dim=3)
         out = obs(np.ones((7, 3)))
         assert out.shape == (7, 1)
+
+    @pytest.mark.parametrize("index", [0.7, float("nan"), float("inf")])
+    def test_projection_rejects_non_integer_index(self, index):
+        with pytest.raises(ValueError, match="integers"):
+            CoordinateProjection([index], phase_dim=2)
+
+    def test_projection_accepts_integral_floats(self):
+        obs = CoordinateProjection([1.0, 0.0], phase_dim=2)
+        assert obs.indices == [1, 0]
+        assert obs(np.array([0.25, 0.75])) == pytest.approx([0.75, 0.25])
