@@ -22,7 +22,8 @@ from .diagnostics import (derivative_profile, esp_convergence, holder_exponent,
                           input_forgetting)
 from .dynsys import observe_trajectory
 from .errors import ConfigError, GsyncError, InsufficientPairs, NotConverged
-from .gs import _write_csv, compare_gs, drive_gs, psi_iterate_gs, write_gs_csv
+from .gs import (_drive_regions, _unwrap, _write_csv, compare_gs, drive_gs,
+                 psi_iterate_gs, write_gs_csv)
 from .regions import InputRange
 
 EXIT_OK = 0
@@ -104,6 +105,15 @@ def _drive(cfg: RunConfig, region, traj):
                     record_steps=cfg.record, region=region, trajectory=traj)
 
 
+def _drives(cfg: RunConfig, traj) -> list:
+    """``_drive`` of every region in one stacked recursion: per region, in
+    order, its synchronization or the error to raise at its turn."""
+    return _drive_regions(cfg.statemap, cfg.system, cfg.observation, cfg.initial,
+                          [region.center() for region in cfg.regions], cfg.regions,
+                          washout_steps=cfg.washout, record_steps=cfg.record,
+                          trajectory=traj)
+
+
 def _require_statemap(cfg: RunConfig):
     if cfg.statemap is None:
         raise ConfigError("this command requires a statemap.* section")
@@ -151,11 +161,12 @@ def cmd_synchronize(cfg: RunConfig, out_dir: str, method: str | None) -> int:
     input_range = InputRange.from_observations(z)
     record_from = cfg.psi_record_from if cfg.psi_record_from is not None else cfg.washout
 
+    drives = _drives(cfg, traj) if method in ("drive", "both") else None
     agreements = []
-    for region in cfg.regions:
+    for i, region in enumerate(cfg.regions):
         produced = {}
-        if method in ("drive", "both"):
-            produced["drive"] = _drive(cfg, region, traj)
+        if drives is not None:
+            produced["drive"] = _unwrap(drives[i])
         if method in ("psi", "both"):
             analytic = cfg.statemap.analytic_lipschitz(region, input_range)
             l_fx = analytic["l_fx"] if analytic and analytic["l_fx"] < 1.0 else None
@@ -286,8 +297,8 @@ def cmd_reproduce(cfg: RunConfig, figure: str, out_dir: str) -> int:
                    ["x1", "x2", "dx1", "dx2"], rows)
     elif figure == "fig4":
         blocks = []
-        for branch, region in enumerate(cfg.regions, start=1):
-            gs = _drive(cfg, region, traj)
+        for branch, drive in enumerate(_drives(cfg, traj), start=1):
+            gs = _unwrap(drive)
             # drop t = washout to keep t in (20, 40]; %.17g prints the
             # branch number as the integer it is
             blocks.append(np.column_stack([gs.times[1:] * h, np.full(len(gs) - 1, branch),

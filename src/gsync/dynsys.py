@@ -124,6 +124,8 @@ class TorusRotation(DiscreteSystem):
 
     def __init__(self, angles):
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
+        if not np.all(np.isfinite(angles)):
+            raise ValueError(f"rotation angles must be finite, got {angles.tolist()}")
         super().__init__(phase_dim=angles.size)
         self.angles = angles
 

@@ -10,8 +10,10 @@ to the states of the driven system.  Two constructions are provided:
                         trajectory's sample points (phi^-1 is the stored
                         predecessor).
 
-Both return a ``SampledGS`` holding the recorded points, values, residual
-statistics, and provenance.
+Both return a ``SampledGS`` holding the recorded points, values, per-row
+residuals with their statistics, and provenance.  ``multistability_sweep``
+and the CLI drive all their regions at once through the kernel behind
+``drive_gs``: one stacked recursion for every start state.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ class SampledGS:
     region_label: str = ""
     residual_max: float = float("nan")
     residual_mean: float = float("nan")
+    residuals: np.ndarray | None = None  # (n,) one-step residual per row, nan on row 0
 
     def __len__(self) -> int:
         return len(self.times)
@@ -106,6 +109,19 @@ def _residuals(values: np.ndarray, z: np.ndarray, F: StateMap) -> np.ndarray:
     return np.linalg.norm(values[1:] - pred, axis=-1)
 
 
+def _sampled(F: StateMap, z: np.ndarray, times: np.ndarray, points: np.ndarray,
+             values: np.ndarray, method: dict, region: InvariantRegion | None) -> SampledGS:
+    """A SampledGS of recorded values after their region check, with the
+    residuals against the recorded inputs z (one row per value)."""
+    _check_region(values, times, region)
+    res = _residuals(values, z, F)
+    return SampledGS(
+        times=times, points=points.copy(), values=values, method=method,
+        region_label=region.label if region is not None else "",
+        residual_max=float(np.max(res)), residual_mean=float(np.mean(res)),
+        residuals=np.concatenate([[np.nan], res]))
+
+
 def recursion_residual(gs: SampledGS, F: StateMap, obs: ObservationMap) -> tuple[float, float]:
     """Max and mean violation of the one-step identity on the stored data."""
     if len(gs) < 2:
@@ -137,6 +153,31 @@ def drive_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0, x0,
     (from the same m0, at least washout+record steps) may be supplied to
     avoid re-integration.
     """
+    result, = _drive_regions(F, sys, obs, m0, [x0], [region], washout_steps,
+                             record_steps, trajectory)
+    return _unwrap(result)
+
+
+def _unwrap(result):
+    """A SampledGS from ``_drive_regions``, or raise the error in its place."""
+    if isinstance(result, GsyncError):
+        raise result
+    return result
+
+
+def _drive_regions(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0,
+                   starts, regions, washout_steps: int, record_steps: int,
+                   trajectory: Trajectory | None) -> list:
+    """``drive_gs`` from each start state x0 in ``starts`` within the region
+    paired with it (None: unchecked), on one shared input sequence.
+
+    Returns one entry per start, in order: its SampledGS, or the package
+    error that ``drive_gs`` from that start alone would raise.  The starts
+    that lie in their regions are driven together as one (B, N) batch by a
+    single ``run_recursion`` (a lone one as its own (N,) state).  If that
+    recursion raises a package error, each of them is driven again alone,
+    so the error is its own start's.
+    """
     if washout_steps < 0:
         raise ValueError("washout_steps must be >= 0")
     if record_steps < 1:
@@ -146,23 +187,48 @@ def drive_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0, x0,
         trajectory = sys.trajectory(m0, total)
     elif len(trajectory) < total + 1:
         raise ValueError("supplied trajectory is shorter than washout + record")
-    z = observe_trajectory(obs, trajectory)
+    try:
+        z = observe_trajectory(obs, trajectory)[:total + 1]
+    except GsyncError as exc:
+        return [exc] * len(starts)
 
-    x = np.asarray(x0, dtype=float)
-    if region is not None and not region.contains(x, tol=1e-12):
-        raise RegionEscape(f"initial state lies outside region {region.label!r}", index=None)
-    values = run_recursion(F, z[1:total + 1], x)[washout_steps:]
+    xs = [np.asarray(x0, dtype=float) for x0 in starts]
+    out, live = [None] * len(xs), []
+    for i, (x, region) in enumerate(zip(xs, regions)):
+        try:
+            if region is not None and not region.contains(x, tol=1e-12):
+                raise RegionEscape(f"initial state lies outside region {region.label!r}",
+                                   index=None)
+            F._check_state(x)
+        except GsyncError as exc:
+            out[i] = exc
+            continue
+        live.append(i)
+    if not live:
+        return out
+    # a lone start keeps its own shape: (N,) steps are cheaper than (1, N) steps
+    x0 = xs[live[0]] if len(live) == 1 else np.stack([xs[i] for i in live])
+    try:
+        states = run_recursion(F, z[1:], x0).reshape(total + 1, len(live), -1)
+    except GsyncError as exc:
+        if len(live) == 1:
+            out[live[0]] = exc
+        else:
+            for i in live:
+                out[i], = _drive_regions(F, sys, obs, m0, [xs[i]], [regions[i]],
+                                         washout_steps, record_steps, trajectory)
+        return out
 
     times = trajectory.t0 + np.arange(washout_steps, total + 1)
     points = trajectory.points[washout_steps:total + 1]
-    _check_region(values, times, region)
-    res = _residuals(values, z[washout_steps:total + 1], F)
-    return SampledGS(
-        times=times, points=points.copy(), values=values,
-        method={"name": "drive", "washout_steps": washout_steps,
-                "x0": x.tolist()},
-        region_label=region.label if region is not None else "",
-        residual_max=float(np.max(res)), residual_mean=float(np.mean(res)))
+    for row, i in enumerate(live):
+        method = {"name": "drive", "washout_steps": washout_steps, "x0": xs[i].tolist()}
+        try:
+            out[i] = _sampled(F, z[washout_steps:], times, points,
+                              states[washout_steps:, row].copy(), method, regions[i])
+        except GsyncError as exc:
+            out[i] = exc
+    return out
 
 
 def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
@@ -220,19 +286,14 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
         apriori = l_fx ** n_iters / (1.0 - l_fx) * first_change
 
     times = trajectory.t0 + np.arange(record_from, n)
-    points = trajectory.points[record_from:]
-    values = f[record_from:]
-    _check_region(values, times, region)
-    res = _residuals(values, z[record_from:], F)
-    return SampledGS(
-        times=times, points=points.copy(), values=values.copy(),
-        method={"name": "psi", "n_iters": n_iters, "f0": f0.tolist(),
-                "tol": tol, "converged": converged,
-                "final_change": change, "first_change": first_change,
-                "change_history": change_history,
-                "apriori_bound": apriori, "record_from": record_from},
-        region_label=region.label if region is not None else "",
-        residual_max=float(np.max(res)), residual_mean=float(np.mean(res)))
+    return _sampled(F, z[record_from:], times, trajectory.points[record_from:],
+                    f[record_from:].copy(),
+                    {"name": "psi", "n_iters": n_iters, "f0": f0.tolist(),
+                     "tol": tol, "converged": converged,
+                     "final_change": change, "first_change": first_change,
+                     "change_history": change_history,
+                     "apriori_bound": apriori, "record_from": record_from},
+                    region)
 
 
 def compare_gs(a: SampledGS, b: SampledGS) -> float:
@@ -265,25 +326,25 @@ def multistability_sweep(F: StateMap, regions, sys: DiscreteSystem,
                          trajectory: Trajectory | None = None) -> SweepResult:
     """One drive-constructed synchronization per region, plus separations.
 
+    All regions are driven from their centers in one stacked recursion.
     Regions where the drive fails with a package error (for instance a
-    region escape) are reported in ``failures`` and the sweep continues;
+    region escape) are reported in ``failures`` and the others are kept;
     any other exception propagates.  The echo index is a
     lower bound: the number of clusters of recorded synchronizations whose
     pairwise minimum separation exceeds ``distinct_tol``.
     """
     if trajectory is None:
         trajectory = sys.trajectory(m0, washout_steps + record_steps)
+    regions = list(regions)
+    results = _drive_regions(F, sys, obs, m0, [region.center() for region in regions],
+                             regions, washout_steps, record_steps, trajectory)
     gss, labels = [], []
     failures = {}
-    for region in regions:
-        try:
-            gs = drive_gs(F, sys, obs, m0, region.center(),
-                          washout_steps=washout_steps, record_steps=record_steps,
-                          region=region, trajectory=trajectory)
-        except GsyncError as exc:  # keep sweeping the remaining regions
-            failures[region.label] = f"{type(exc).__name__}: {exc}"
+    for region, result in zip(regions, results):
+        if isinstance(result, GsyncError):  # the other regions are still reported
+            failures[region.label] = f"{type(result).__name__}: {result}"
             continue
-        gss.append(gs)
+        gss.append(result)
         labels.append(region.label)
 
     separations = {}
@@ -311,9 +372,11 @@ def write_gs_csv(gs: SampledGS, path, F: StateMap | None = None,
     """Serialize a sampled synchronization to CSV with '#'-prefixed metadata.
 
     Columns: t, the phase coordinates m1..mk, the value coordinates f1..fN,
-    and the one-step recursion residual (nan on the first recorded row, and
-    throughout when F and obs are not supplied).  ``time_scale`` converts
-    step indices to continuous time in the t column.
+    and the one-step recursion residual (nan on the first recorded row).  The
+    residuals are those stored in ``gs``; only a SampledGS without them has
+    them recomputed from F and obs (nan throughout when those are not
+    supplied).  ``time_scale`` converts step indices to continuous time in
+    the t column.
     """
     meta = {"method": gs.method.get("name", "?"), "region": gs.region_label,
             "residual_max": f"{gs.residual_max:.17g}",
@@ -323,8 +386,10 @@ def write_gs_csv(gs: SampledGS, path, F: StateMap | None = None,
     pd = gs.points.shape[1]
     nd = gs.values.shape[1]
     header = ["t"] + [f"m{i+1}" for i in range(pd)] + [f"f{i+1}" for i in range(nd)] + ["residual"]
-    res = np.full(len(gs), np.nan)
-    if F is not None and obs is not None and len(gs) >= 2:
-        res[1:] = _residuals(gs.values, _observe(obs, gs.points), F)
+    res = gs.residuals
+    if res is None:
+        res = np.full(len(gs), np.nan)
+        if F is not None and obs is not None and len(gs) >= 2:
+            res[1:] = _residuals(gs.values, _observe(obs, gs.points), F)
     times = gs.times * time_scale if time_scale is not None else gs.times
     _write_csv(path, meta, header, np.column_stack([times, gs.points, gs.values, res]))

@@ -52,6 +52,8 @@ class AxisBox(InvariantRegion):
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if lo.shape != hi.shape:
             raise DimensionMismatch("lo and hi must have the same shape")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("box bounds must be finite")
         if not np.all(lo < hi):
             raise ValueError("box requires lo < hi componentwise")
         super().__init__(dim=lo.size, label=label)
@@ -91,8 +93,10 @@ class Ball(InvariantRegion):
 
     def __init__(self, center, radius: float, label: str = ""):
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not np.all(np.isfinite(center)):
+            raise ValueError("ball center must be finite")
+        if not 0.0 < radius < np.inf:
+            raise ValueError("radius must be positive and finite")
         super().__init__(dim=center.size, label=label)
         self._center = center
         self.radius = float(radius)

@@ -187,9 +187,16 @@ class Esn(StateMap):
         self.sigma_max_A = float(np.linalg.svd(A, compute_uv=False)[0])
         self.sigma_max_C = float(np.linalg.svd(C, compute_uv=False)[0])
 
+    def input_terms(self, z) -> np.ndarray:
+        """z C^T + zeta for every row of z, in one batch."""
+        return self._check_input(z) @ self.C.T + self.zeta
+
+    def apply(self, x, u) -> np.ndarray:
+        """sigma(x A^T + u) for u from ``input_terms``; no checks."""
+        return self.squashing.func(x @ self.A.T + u)
+
     def _pre(self, x, z) -> np.ndarray:
-        x, z = self._check(x, z)
-        return x @ self.A.T + z @ self.C.T + self.zeta
+        return self._check_state(x) @ self.A.T + self.input_terms(z)
 
     def eval(self, x, z) -> np.ndarray:
         return self.squashing.func(self._pre(x, z))
@@ -320,8 +327,8 @@ class PowerSine(StateMap):
     def __init__(self, alpha: float, lam: float, k: float):
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if lam < 0 or k < 0:
-            raise ValueError("lam and k must be non-negative")
+        if not (0.0 <= lam < math.inf and 0.0 <= k < math.inf):
+            raise ValueError("lam and k must be finite and non-negative")
         super().__init__(state_dim=3, input_dim=1)
         self.alpha = float(alpha)
         self.lam = float(lam)

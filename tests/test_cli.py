@@ -209,6 +209,31 @@ class TestConfigErrors:
         assert f"{key}: expected finite numbers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, prefix", [
+        ("statemap.lambda = nan", "statemap"),
+        ("statemap.k = inf", "statemap"),
+        ("statemap.alpha = nan", "statemap"),
+        ("region.1.hi = 1.1 1.1 inf", "region.1"),
+        ("region.1.lo = nan 0.9 0.9", "region.1"),
+    ])
+    def test_non_finite_statemap_or_region_exit_2(self, tmp_path, capsys, line, prefix):
+        key = line.split(" = ")[0]
+        text = "\n".join(line if l.startswith(key + " ") else l for l in SMALL_IV.splitlines())
+        assert line in text.splitlines()
+        out = tmp_path / "o"
+        argv = ["certify", "--config", write_cfg(tmp_path, text), "--out", str(out)]
+        assert main(argv + ["--require", "esp"]) == 2
+        assert f"configuration error: {prefix}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_ball_radius_exit_2(self, tmp_path, capsys):
+        text = SMALL_IV + ("region.2.kind = ball\nregion.2.center = 1 -1 1\n"
+                           "region.2.radius = inf\n")
+        out = tmp_path / "o"
+        assert main(["certify", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert "configuration error: region.2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synchronize_without_regions_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_LORENZ + "statemap.kind = linear_delay\nstatemap.q = 1\n")
         assert main(["synchronize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -265,6 +290,29 @@ class TestSynchronize:
         assert np.all(vals >= 0.9 - 1e-12) and np.all(vals <= 1.1 + 1e-12)
         _, agree_rows = read_data_rows(os.path.join(out, "agreement.csv"))
         assert float(agree_rows[0][1]) <= 1e-8
+
+    @pytest.mark.parametrize("method", ["drive", "both"])
+    def test_second_region_escape_keeps_first_region_files(self, tmp_path, capsys, method):
+        # the drive from (0.6, 0.6, 0.6) runs to the fixed point (1, 1, 1), out of its box
+        text = SMALL_IV + ("region.2.kind = box\nregion.2.lo = 0.5 0.5 0.5\n"
+                           "region.2.hi = 0.7 0.7 0.7\nregion.2.label = V2\n")
+        out = tmp_path / "out"
+        assert main(["synchronize", "--config", write_cfg(tmp_path, text), "--out", str(out),
+                     "--method", method]) == 3
+        captured = capsys.readouterr()
+        written = {"drive": ["gs_V1_drive.csv"],
+                   "both": ["gs_V1_drive.csv", "gs_V1_psi.csv"]}[method]
+        assert sorted(os.listdir(out)) == sorted(written + ["resolved_config.cfg"])
+        assert [l.split(":")[0] for l in captured.out.splitlines()] == \
+            [f"synchronize[V1/{name[6:-4]}]" for name in written] + \
+            (["synchronize[V1]"] if method == "both" else [])
+        assert "numerical failure: RegionEscape" in captured.err and "'V2'" in captured.err
+
+        # the first region's file is the one a run on that region alone writes
+        alone = tmp_path / "alone"
+        assert main(["synchronize", "--config", write_cfg(tmp_path, SMALL_IV, "alone.cfg"),
+                     "--out", str(alone), "--method", method]) == 0
+        assert (out / "gs_V1_drive.csv").read_bytes() == (alone / "gs_V1_drive.csv").read_bytes()
 
     def test_unconverged_psi_exit_3(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_IV + "run.max_iters = 3\n")

@@ -26,6 +26,25 @@ def esn_on_cat(scale):
     return Esn(A, C, squashing="tanh")
 
 
+class TestRegionValidation:
+    @pytest.mark.parametrize("lo, hi", [
+        ([0.9, 0.9, 0.9], [1.1, 1.1, np.inf]),
+        ([-np.inf, 0.9], [1.1, 1.1]),
+        ([np.nan, 0.9], [1.1, 1.1]),
+    ])
+    def test_box_rejects_non_finite_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="box bounds must be finite"):
+            AxisBox(lo, hi)
+
+    @pytest.mark.parametrize("center, radius", [
+        ([0.0, np.nan], 1.0), ([np.inf, 0.0], 1.0),
+        ([0.0, 0.0], np.inf), ([0.0, 0.0], np.nan),
+    ])
+    def test_ball_rejects_non_finite_center_or_radius(self, center, radius):
+        with pytest.raises(ValueError):
+            Ball(center, radius)
+
+
 class TestCheckInvariance:
     def test_eight_boxes_exact_interval(self, power_sine, eight_boxes):
         # oracle: the conservative componentwise image [0.9^0.9 - lam, 1.1^0.9 + lam]

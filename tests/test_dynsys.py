@@ -65,6 +65,11 @@ def orbit_case(which, lorenz, lorenz_traj, torus):
 
 
 class TestAnalyticMaps:
+    @pytest.mark.parametrize("angles", [[0.1, np.nan], [np.inf, 0.3], [-np.inf]])
+    def test_rotation_rejects_non_finite_angles(self, angles):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            TorusRotation(angles)
+
     def test_identity_rotation(self):
         sys = TorusRotation([0.0, 0.0])
         m = np.array([0.3, 0.7])

@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gsync import (AxisBox, CoordinateProjection, CustomObservation, CustomStateMap,
+from gsync import (AxisBox, Ball, CatMap, CoordinateProjection, CustomObservation, CustomStateMap,
                    LinearDelay, PowerSine, compare_gs, delay_window, drive_gs,
                    multistability_sweep, observe_trajectory, psi_iterate_gs,
                    recursion_residual, run_recursion, write_gs_csv)
-from gsync.errors import DisjointRanges, NonFiniteError, RegionEscape
+from gsync.errors import DisjointRanges, GsyncError, NonFiniteError, RegionEscape
+from gsync.gs import _drive_regions
 
 from conftest import LORENZ_M0, esn_reservoir
 
 IV_LFX = 0.9 * 0.9 ** (-0.1)
+EPS = np.finfo(float).eps
 
 
 def constant_map(w):
@@ -100,6 +104,20 @@ class TestRunRecursion:
         x0 = np.array([1.0, 1.0, -1.0])
         assert np.array_equal(run_recursion(power_sine, z, x0),
                               run_recursion(power_sine, z[:, None], x0))
+
+    def test_esn_close_to_one_step_formula(self):
+        # input_terms adds z C^T + zeta first; the old step added x A^T + z C^T first
+        F = esn_reservoir()
+        z = np.random.default_rng(8).uniform(0.0, 1.0, size=(7000, 1))
+        x = np.zeros(16)
+        old = [x]
+        for zt in z:
+            x = np.tanh(x @ F.A.T + zt @ F.C.T + F.zeta)
+            old.append(x)
+        old = np.stack(old)
+        new = run_recursion(F, z, old[0])
+        # relative to the largest state component: a few roundings, not compounded
+        assert np.max(np.abs(new - old)) <= 4 * EPS * np.max(np.abs(old))
 
     def test_single_scalar_input(self, power_sine):
         x0 = np.array([1.0, 1.0, -1.0])
@@ -330,7 +348,146 @@ class TestNonFinite:
         assert np.isfinite(states[:3]).all() and np.isnan(states[3:]).all()
 
 
+def lone_drives(F, sys, obs, traj, starts, regions, washout, record):
+    """drive_gs per start, each raised error in place of its synchronization."""
+    out = []
+    for x0, region in zip(starts, regions):
+        try:
+            out.append(drive_gs(F, sys, obs, None, x0, washout_steps=washout,
+                                record_steps=record, region=region, trajectory=traj))
+        except GsyncError as exc:
+            out.append(exc)
+    return out
+
+
+def assert_same_drive(a, b):
+    if isinstance(b, GsyncError):
+        assert type(a) is type(b) and str(a) == str(b)
+        return
+    for name in ("times", "points", "values", "residuals"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+    assert (a.residual_max, a.residual_mean) == (b.residual_max, b.residual_mean)
+    assert (a.method, a.region_label) == (b.method, b.region_label)
+
+
+class TestStackedDrive:
+    @pytest.fixture(scope="class")
+    def torus_case(self, power_sine, torus, eight_boxes):
+        return (power_sine, torus, CoordinateProjection([0], 2),
+                torus.trajectory([0.3, 0.6], 5000), eight_boxes, 1000, 4000)
+
+    @pytest.fixture(scope="class")
+    def lorenz_case(self, power_sine, lorenz, lorenz_obs, lorenz_traj, eight_boxes):
+        return power_sine, lorenz, lorenz_obs, lorenz_traj, eight_boxes[:2], 2000, 2000
+
+    @pytest.mark.parametrize("case", ["torus_case", "lorenz_case"])
+    def test_power_sine_bit_identical_to_lone_drives(self, case, request, monkeypatch):
+        F, sys, obs, traj, regions, washout, record = request.getfixturevalue(case)
+        starts = [r.center() for r in regions]
+        lone = lone_drives(F, sys, obs, traj, starts, regions, washout, record)
+        shapes = []
+        original = F.apply
+        monkeypatch.setattr(F, "apply", lambda x, u: shapes.append(np.shape(x)) or original(x, u))
+        stacked = _drive_regions(F, sys, obs, None, starts, regions, washout, record, traj)
+        # one recursion over all regions, one step at a time, then a residual per region
+        steps = washout + record
+        assert shapes == [(len(regions), 3)] * steps + [(record, 3)] * len(regions)
+        z = observe_trajectory(obs, traj)
+        for a, b, x0 in zip(stacked, lone, starts):
+            assert_same_drive(a, b)
+            # a lone drive is still the (N,)-state recursion
+            old = run_recursion(F, z[1:washout + record + 1], x0)[washout:]
+            assert np.array_equal(b.values, old)
+
+    def test_sweep_matches_lone_drives(self, torus_case):
+        F, sys, obs, traj, regions, washout, record = torus_case
+        result = multistability_sweep(F, regions, sys, obs, None, washout_steps=washout,
+                                      record_steps=record, trajectory=traj)
+        lone = lone_drives(F, sys, obs, traj, [r.center() for r in regions], regions,
+                           washout, record)
+        assert result.labels == [r.label for r in regions] and not result.failures
+        for a, b in zip(result.synchronizations, lone):
+            assert_same_drive(a, b)
+
+    def test_esn_within_bound_of_lone_drives(self):
+        # a (B, 16) @ A.T row may round differently from a lone (1, 16) @ A.T
+        F = esn_reservoir()
+        cat, obs = CatMap(), CoordinateProjection([0], 2)
+        traj = cat.trajectory([0.3, 0.7], 2000)
+        regions = [AxisBox([-1.0] * 16, [1.0] * 16, label="box"),
+                   Ball(np.zeros(16), 1.0, label="ball")]
+        starts = [r.center() + 0.1 * i for i, r in enumerate(regions)]
+        stacked = _drive_regions(F, cat, obs, None, starts, regions, 500, 1500, traj)
+        for a, b in zip(stacked, lone_drives(F, cat, obs, traj, starts, regions, 500, 1500)):
+            assert np.array_equal(a.times, b.times) and np.array_equal(a.points, b.points)
+            assert np.max(np.abs(a.values - b.values)) <= 4 * EPS * np.max(np.abs(b.values))
+            assert a.residual_max <= 4 * EPS and b.residual_max <= 4 * EPS
+
+    def test_failures_are_the_lone_drives_errors(self, torus_case):
+        F, sys, obs, traj, boxes, _, _ = torus_case
+        escape = AxisBox([5.0] * 3, [5.2] * 3, label="escape")
+        starts = [boxes[0].center(), boxes[1].center(), escape.center(), [1.0, -1.0, 1.0],
+                  [1.0, 1.0, 1.0, 1.0]]
+        regions = [boxes[0], boxes[1], escape, boxes[3], None]
+        stacked = _drive_regions(F, sys, obs, None, starts, regions, 100, 400, traj)
+        lone = lone_drives(F, sys, obs, traj, starts, regions, 100, 400)
+        assert [type(r).__name__ for r in stacked] == \
+            ["SampledGS", "SampledGS", "RegionEscape", "RegionEscape", "DimensionMismatch"]
+        assert "first at step index" in str(stacked[2])
+        assert "initial state lies outside" in str(stacked[3])
+        for a, b in zip(stacked, lone):
+            assert_same_drive(a, b)
+
+    def test_non_finite_row_is_driven_alone(self, torus, monkeypatch):
+        # finite from every start except those with a first coordinate above 10
+        F = CustomStateMap(lambda x, z: np.where(x[..., :1] > 10.0, np.nan, 0.5 * x + z),
+                           state_dim=2, input_dim=1)
+        obs = CoordinateProjection([0], 2)
+        traj = torus.trajectory([0.13, 0.41], 300)
+        regions = [AxisBox([-3.0, -3.0], [3.0, 3.0], label="A"),
+                   AxisBox([19.0, -1.0], [21.0, 1.0], label="bad"),
+                   AxisBox([-2.5, -2.5], [2.5, 2.5], label="C")]
+        starts = [r.center() for r in regions]
+        lone = lone_drives(F, torus, obs, traj, starts, regions, 50, 200)
+        calls = []
+        original = F.apply
+        monkeypatch.setattr(F, "apply", lambda x, u: calls.append(np.shape(x)) or original(x, u))
+        result = multistability_sweep(F, regions, torus, obs, None, washout_steps=50,
+                                      record_steps=200, trajectory=traj)
+        # the stacked run stops at its first step; then each region runs alone
+        assert calls[0] == (3, 2) and set(calls[1:]) == {(2,)}
+        assert isinstance(lone[1], NonFiniteError)
+        assert result.failures == {"bad": f"NonFiniteError: {lone[1]}"}
+        assert result.labels == ["A", "C"]
+        for a, b in zip(result.synchronizations, [lone[0], lone[2]]):
+            assert_same_drive(a, b)
+
+    def test_observation_error_fails_every_region(self, torus, power_sine, eight_boxes):
+        obs = CustomObservation(lambda m: np.full(m.shape[:-1] + (1,), np.nan), obs_dim=1,
+                                phase_dim=2)
+        traj = torus.trajectory([0.13, 0.41], 300)
+        result = multistability_sweep(power_sine, eight_boxes[:2], torus, obs, None,
+                                      washout_steps=50, record_steps=200, trajectory=traj)
+        lone = lone_drives(power_sine, torus, obs, traj, [b.center() for b in eight_boxes[:2]],
+                           eight_boxes[:2], 50, 200)
+        assert result.failures == {b.label: f"NonFiniteError: {err}"
+                                   for b, err in zip(eight_boxes[:2], lone)}
+
+
 class TestResiduals:
+    def test_stored_per_row(self, power_sine, lorenz_obs, iv_drive):
+        res = iv_drive.residuals
+        assert res.shape == (len(iv_drive),) and np.isnan(res[0])
+        assert (iv_drive.residual_max, iv_drive.residual_mean) == \
+            (float(np.max(res[1:])), float(np.mean(res[1:])))
+        assert np.max(res[1:]) == recursion_residual(iv_drive, power_sine, lorenz_obs)[0]
+
+    def test_psi_stores_per_row(self, power_sine, lorenz, lorenz_traj):
+        gs = psi_iterate_gs(power_sine, lorenz, CoordinateProjection([0], 3), lorenz_traj,
+                            f0_const=np.ones(3), tol=1e-12, max_iters=500, record_from=100)
+        assert gs.residuals.shape == (len(gs),) and np.isnan(gs.residuals[0])
+        assert gs.residual_max == float(np.max(gs.residuals[1:]))
+
     def test_drive_residual_is_construction_exact(self, iv_drive):
         assert iv_drive.residual_max <= 1e-13
 
@@ -430,6 +587,21 @@ class TestMultistability:
 
 
 class TestSerialization:
+    def test_csv_writes_stored_residuals(self, tmp_path, power_sine, lorenz_obs, iv_drive,
+                                         monkeypatch):
+        recomputed = tmp_path / "recomputed.csv"
+        write_gs_csv(replace(iv_drive, residuals=None), recomputed, F=power_sine, obs=lorenz_obs)
+
+        def no_eval(x, z):
+            raise AssertionError("stored residuals are not recomputed")
+
+        monkeypatch.setattr(power_sine, "eval", no_eval)
+        stored = tmp_path / "stored.csv"
+        write_gs_csv(iv_drive, stored, F=power_sine, obs=lorenz_obs)
+        assert stored.read_bytes() == recomputed.read_bytes()
+        write_gs_csv(iv_drive, tmp_path / "no_map.csv")
+        assert (tmp_path / "no_map.csv").read_bytes() == stored.read_bytes()
+
     def test_gs_csv_roundtrip(self, tmp_path, power_sine, lorenz_obs, iv_drive):
         path = tmp_path / "gs.csv"
         write_gs_csv(iv_drive, path, F=power_sine, obs=lorenz_obs,

@@ -82,6 +82,14 @@ class TestPowerSine:
         with pytest.raises(ValueError):
             PowerSine(0.5, -1.0, 0.1)
 
+    @pytest.mark.parametrize("alpha, lam, k", [
+        (np.nan, 0.009, 0.1), (0.9, np.nan, 0.1), (0.9, 0.009, np.nan),
+        (0.9, np.inf, 0.1), (0.9, 0.009, np.inf), (0.9, 0.009, -np.inf),
+    ])
+    def test_non_finite_parameters_rejected(self, alpha, lam, k):
+        with pytest.raises(ValueError):
+            PowerSine(alpha, lam, k)
+
     def test_interval_image_encloses_samples(self, power_sine):
         lo = np.array([0.9, 0.9, 0.9])
         hi = np.array([1.1, 1.1, 1.1])
@@ -129,6 +137,15 @@ class TestEsn:
     def test_zero_network_is_zero(self):
         F = Esn(np.zeros((4, 4)), np.zeros((4, 1)), squashing="tanh")
         assert np.allclose(F.eval(np.ones(4), [2.0]), 0.0, atol=0.0)
+
+    @pytest.mark.parametrize("batch", [None, 7])
+    def test_eval_is_apply_of_input_terms(self, batch):
+        F = small_esn(n=16)
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1.0, 1.0, size=(16,) if batch is None else (batch, 16))
+        z = rng.uniform(-2.0, 2.0, size=(1,) if batch is None else (batch, 1))
+        assert np.array_equal(F.input_terms(z), z @ F.C.T + F.zeta)
+        assert np.array_equal(F.eval(x, z), F.apply(x, F.input_terms(z)))
 
     def test_jacobians_match_fd_100_points(self):
         rng = np.random.default_rng(2)

@@ -6,10 +6,13 @@ Runs ``simulate``, ``certify``, ``synchronize --method both`` and
 ``diagnose`` on the built-in Section IV config and on the seed-1 config of
 each benchmark workload (``perfbench/workloads.py``), plus ``reproduce``
 fig1..fig4, each into its own directory under OUT_DIR.  Prints one
-``sha256  relative/path`` line per output file, sorted by path.  Run it on
-two checkouts and ``diff`` the listings to check that a change keeps the
-CLI output byte-identical.  The package is imported from this checkout's
-``src``.
+``sha256  relative/path`` line per output file, and one ``sha256
+<config>/sweep`` line per config for ``multistability_sweep`` run as the
+benchmark runs it (its labels, failures, separations, echo index and the
+bytes of every synchronization's values), sorted by path.  Run it on two
+checkouts and ``diff`` the listings to check that a change keeps the CLI
+output and the sweep byte-identical.  The package is imported from this
+checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -24,14 +27,31 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
+from gsync import multistability_sweep  # noqa: E402
 from gsync.cli import main as gsync_main, section_iv_config  # noqa: E402
+from gsync.config import parse_config  # noqa: E402
 
 COMMANDS = (["simulate"], ["certify"], ["synchronize", "--method", "both"], ["diagnose"])
 FIGURES = ("fig1", "fig2", "fig3", "fig4")
 
 
-def run_all(out_dir: str, inputs_dir: str) -> list[str]:
-    """Run every command; return a message for each non-zero exit code."""
+def sweep_digest(config_path: str) -> str:
+    """SHA-256 of ``multistability_sweep`` on a config's regions."""
+    cfg = parse_config(config_path)
+    result = multistability_sweep(cfg.statemap, cfg.regions, cfg.system, cfg.observation,
+                                  cfg.initial, washout_steps=cfg.washout,
+                                  record_steps=cfg.record)
+    h = hashlib.sha256(repr((result.labels, sorted(result.failures.items()),
+                             sorted(result.separations.items()),
+                             result.echo_index)).encode())
+    for gs in result.synchronizations:
+        h.update(gs.values.tobytes())
+    return h.hexdigest()
+
+
+def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[str]]:
+    """Run every command and sweep; return the sweep digests as (label/sweep,
+    digest) pairs and a message for each non-zero exit code."""
     configs = {"section_iv": os.path.join(inputs_dir, "section_iv.cfg")}
     with open(configs["section_iv"], "w") as fh:
         fh.write(section_iv_config().resolved_text())
@@ -48,11 +68,12 @@ def run_all(out_dir: str, inputs_dir: str) -> list[str]:
             code = gsync_main(argv)
         if code != 0:
             failures.append(f"exit {code}: gsync {' '.join(argv)}")
-    return failures
+    sweeps = [(f"{label}/sweep", sweep_digest(path)) for label, path in configs.items()]
+    return sweeps, failures
 
 
-def digests(out_dir: str) -> list[str]:
-    lines = []
+def digests(out_dir: str, extra=()) -> list[str]:
+    lines = list(extra)
     for base, _, files in os.walk(out_dir):
         for fname in files:
             path = os.path.join(base, fname)
@@ -72,8 +93,8 @@ def main(argv=None) -> int:
         print(f"{out_dir} is not empty", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as inputs_dir:
-        failures = run_all(out_dir, inputs_dir)
-    print("\n".join(digests(out_dir)))
+        sweeps, failures = run_all(out_dir, inputs_dir)
+    print("\n".join(digests(out_dir, sweeps)))
     for msg in failures:
         print(msg, file=sys.stderr)
     return 1 if failures else 0
