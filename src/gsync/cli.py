@@ -25,6 +25,7 @@ from .errors import ConfigError, GsyncError, InsufficientPairs, NotConverged
 from .gs import (_drive_regions, _unwrap, _write_csv, compare_gs, drive_gs,
                  psi_iterate_gs, write_gs_csv)
 from .regions import InputRange
+from .statemaps import _pow
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -223,7 +224,7 @@ def cmd_diagnose(cfg: RunConfig, out_dir: str) -> int:
     for k in cfg.forgetting_k:
         worst = input_forgetting(cfg.statemap, region, input_range, k,
                                  trials=cfg.forgetting_trials, rng=rng)
-        bound = (l_fx ** k) * region.diameter() + 1e-12 if np.isfinite(l_fx) else float("nan")
+        bound = _pow(l_fx, k) * region.diameter() + 1e-12 if np.isfinite(l_fx) else float("nan")
         rows.append([str(k), _fmt(worst), _fmt(bound)])
         print(f"diagnose: forgetting k={k} max={worst:.3e} bound={bound:.3e}")
     _write_csv(os.path.join(out_dir, "forgetting.csv"),
@@ -348,6 +349,8 @@ def main(argv=None) -> int:
         reproduce = args.command == "reproduce"
         cfg = section_iv_config() if reproduce else parse_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must be >= 0")
             cfg.seed = args.seed
             cfg.resolved["run.seed"] = str(args.seed)
         if reproduce:

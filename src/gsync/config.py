@@ -23,6 +23,10 @@ row separators or ``csv:relative/path``):
     run.washout, run.record, run.method, run.tol, run.max_iters,
     run.psi_record_from, run.grid_resolution, run.input_samples,
     run.forgetting_k, run.forgetting_trials, run.pair_budget, run.seed
+
+Every number, in a scalar, a vector or a matrix (inline or CSV), must be
+finite: nan or inf is a ``ConfigError`` that names its key.  Integer keys
+and lists take integer literals.
 """
 
 from __future__ import annotations
@@ -53,11 +57,39 @@ def _fmt_mat(m) -> str:
     return "; ".join(" ".join(_fmt(c) for c in row) for row in m)
 
 
+def _finite(value, key: str, s: str):
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{key}: expected finite numbers, got {s!r}")
+    return value
+
+
+def _parse_float(s: str, key: str) -> float:
+    try:
+        return _finite(float(s), key, s)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: expected a number, got {s!r}") from exc
+
+
+def _parse_int(s: str, key: str) -> int:
+    try:
+        return int(s)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: expected an integer, got {s!r}") from exc
+
+
 def _parse_vec(s: str, key: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in s.replace(",", " ").split()])
+        v = np.array([float(tok) for tok in s.replace(",", " ").split()])
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse vector {s!r}") from exc
+    return _finite(v, key, s)
+
+
+def _parse_int_vec(s: str, key: str) -> list[int]:
+    try:
+        return [int(tok) for tok in s.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ConfigError(f"{key}: expected integers, got {s!r}") from exc
 
 
 def _parse_matrix(s: str, key: str, base_dir: str) -> np.ndarray:
@@ -69,14 +101,16 @@ def _parse_matrix(s: str, key: str, base_dir: str) -> np.ndarray:
         if not os.path.exists(path):
             raise ConfigError(f"{key}: matrix file not found: {path}")
         try:
-            return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+            m = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
         except Exception as exc:
             raise ConfigError(f"{key}: failed to read matrix CSV {path}: {exc}") from exc
-    try:
-        rows = [r for r in s.split(";") if r.strip()]
-        return np.atleast_2d(np.array([[float(tok) for tok in r.split()] for r in rows]))
-    except ValueError as exc:
-        raise ConfigError(f"{key}: cannot parse inline matrix {s!r}") from exc
+    else:
+        try:
+            rows = [r for r in s.split(";") if r.strip()]
+            m = np.atleast_2d(np.array([[float(tok) for tok in r.split()] for r in rows]))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: cannot parse inline matrix {s!r}") from exc
+    return _finite(m, key, s)
 
 
 def _parse_bool(s: str, key: str) -> bool:
@@ -89,65 +123,53 @@ def _parse_bool(s: str, key: str) -> bool:
 
 
 class _Keys:
-    """Typed accessors over the flat key-value dictionary."""
+    """Typed accessors over the flat key-value dictionary.
+
+    Each accessor parses and checks one key, and records the text of the
+    value it returns (its default included) in ``resolved``, in the order
+    the keys are read: that order is the resolved configuration's.
+    """
 
     def __init__(self, raw: dict, base_dir: str):
         self.raw = raw
         self.base_dir = base_dir
         self.used = set()
+        self.resolved: dict[str, str | None] = {}
 
-    def has(self, key: str) -> bool:
-        return key in self.raw
-
-    def get(self, key: str, default=None, required: bool = False) -> str | None:
+    def _read(self, key, default, required, parse, fmt):
         if key in self.raw:
             self.used.add(key)
-            return self.raw[key]
-        if required:
+            value = parse(self.raw[key], key)
+        elif required:
             raise ConfigError(f"missing required key {key!r}")
-        return default
+        else:
+            value = default
+        if value is not None:
+            self.resolved[key] = fmt(value)
+        return value
+
+    def get(self, key, default=None, required=False) -> str | None:
+        return self._read(key, default, required, lambda s, key: s, str)
 
     def get_float(self, key, default=None, required=False):
-        v = self.get(key, required=required)
-        if v is None:
-            return default
-        try:
-            return float(v)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected a number, got {v!r}") from exc
+        return self._read(key, default, required, _parse_float, _fmt)
 
     def get_int(self, key, default=None, required=False):
-        v = self.get(key, required=required)
-        if v is None:
-            return default
-        try:
-            return int(v)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected an integer, got {v!r}") from exc
+        return self._read(key, default, required, _parse_int, str)
 
     def get_bool(self, key, default=False):
-        v = self.get(key)
-        return default if v is None else _parse_bool(v, key)
+        return self._read(key, default, False, _parse_bool, lambda b: str(b).lower())
 
     def get_vec(self, key, default=None, required=False):
-        v = self.get(key, required=required)
-        return default if v is None else _parse_vec(v, key)
-
-    def get_finite_vec(self, key, default=None, required=False):
-        v = self.get_vec(key, default, required)
-        if v is not None and not np.all(np.isfinite(v)):
-            raise ConfigError(f"{key}: expected finite numbers, got {self.raw[key]!r}")
-        return v
+        return self._read(key, default, required, _parse_vec, _fmt_vec)
 
     def get_int_vec(self, key, default):
-        v = self.get_vec(key, default)
-        if not np.all(np.isfinite(v) & (v == np.floor(v))):
-            raise ConfigError(f"{key}: expected integers, got {self.raw[key]!r}")
-        return [int(x) for x in v]
+        return self._read(key, default, False, _parse_int_vec,
+                          lambda v: " ".join(str(i) for i in v))
 
     def get_matrix(self, key, required=False):
-        v = self.get(key, required=required)
-        return None if v is None else _parse_matrix(v, key, self.base_dir)
+        return self._read(key, None, required,
+                          lambda s, key: _parse_matrix(s, key, self.base_dir), _fmt_mat)
 
 
 @dataclass
@@ -212,7 +234,7 @@ def parse_config(path: str) -> RunConfig:
     return parse_config_text(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _build_system(keys: _Keys, resolved: dict) -> tuple[DiscreteSystem, np.ndarray]:
+def _build_system(keys: _Keys) -> tuple[DiscreteSystem, np.ndarray]:
     kind = keys.get("system.kind", required=True)
     if kind == "lorenz":
         h = keys.get_float("system.h", 0.01)
@@ -226,96 +248,65 @@ def _build_system(keys: _Keys, resolved: dict) -> tuple[DiscreteSystem, np.ndarr
                                  beta=beta, literal_sign=literal)
         except ValueError as exc:
             raise ConfigError(f"system: {exc}") from exc
-        initial = keys.get_finite_vec("system.initial", np.array([0.0, 1.0, 1.05]))
-        resolved.update({"system.kind": "lorenz", "system.h": _fmt(h),
-                         "system.substeps": str(substeps), "system.sigma": _fmt(sigma),
-                         "system.rho": _fmt(rho), "system.beta": _fmt(beta),
-                         "system.literal_sign": str(literal).lower()})
+        initial = keys.get_vec("system.initial", np.array([0.0, 1.0, 1.05]))
     elif kind == "torus_rotation":
-        angles = keys.get_finite_vec("system.angles", required=True)
-        sys_ = TorusRotation(angles)
-        initial = keys.get_finite_vec("system.initial", np.zeros(sys_.phase_dim))
-        resolved.update({"system.kind": "torus_rotation",
-                         "system.angles": _fmt_vec(angles)})
+        sys_ = TorusRotation(keys.get_vec("system.angles", required=True))
+        initial = keys.get_vec("system.initial", np.zeros(sys_.phase_dim))
     elif kind == "cat_map":
         sys_ = CatMap()
-        initial = keys.get_finite_vec("system.initial", np.array([0.1, 0.2]))
-        resolved.update({"system.kind": "cat_map"})
+        initial = keys.get_vec("system.initial", np.array([0.1, 0.2]))
     else:
         raise ConfigError(f"system.kind: unknown system {kind!r}")
     if initial.shape != (sys_.phase_dim,):
         raise ConfigError(f"system.initial: expected {sys_.phase_dim} coordinates, "
                           f"got {initial.size}")
-    resolved["system.initial"] = _fmt_vec(initial)
     return sys_, initial
 
 
-def _build_observation(keys: _Keys, sys_: DiscreteSystem, resolved: dict) -> ObservationMap:
+def _build_observation(keys: _Keys, sys_: DiscreteSystem) -> ObservationMap:
     kind = keys.get("observation.kind", "projection")
     if kind == "projection":
-        indices = keys.get_int_vec("observation.indices", np.array([0.0]))
+        indices = keys.get_int_vec("observation.indices", [0])
         try:
-            obs = CoordinateProjection(indices, phase_dim=sys_.phase_dim)
+            return CoordinateProjection(indices, phase_dim=sys_.phase_dim)
         except ValueError as exc:
             raise ConfigError(f"observation.indices: {exc}") from exc
-        resolved.update({"observation.kind": "projection",
-                         "observation.indices": " ".join(str(i) for i in obs.indices)})
-        return obs
     if kind == "linear":
         W = keys.get_matrix("observation.matrix", required=True)
         if W.shape[1] != sys_.phase_dim:
             raise ConfigError(f"observation.matrix: {W.shape[1]} columns do not match "
                               f"phase dimension {sys_.phase_dim}")
-        resolved.update({"observation.kind": "linear",
-                         "observation.matrix": _fmt_mat(W)})
         return LinearObservation(W)
     raise ConfigError(f"observation.kind: unknown observation {kind!r}")
 
 
-def _build_statemap(keys: _Keys, obs: ObservationMap, resolved: dict) -> StateMap | None:
+def _build_statemap(keys: _Keys, obs: ObservationMap) -> StateMap | None:
     kind = keys.get("statemap.kind")
     if kind is None:
         return None
-    if kind == "power_sine":
-        alpha = keys.get_float("statemap.alpha", required=True)
-        lam = keys.get_float("statemap.lambda", required=True)
-        kk = keys.get_float("statemap.k", required=True)
-        try:
-            F = PowerSine(alpha, lam, kk)
-        except ValueError as exc:
-            raise ConfigError(f"statemap: {exc}") from exc
-        resolved.update({"statemap.kind": "power_sine", "statemap.alpha": _fmt(alpha),
-                         "statemap.lambda": _fmt(lam), "statemap.k": _fmt(kk)})
-    elif kind == "esn":
-        A = keys.get_matrix("statemap.A", required=True)
-        C = keys.get_matrix("statemap.C", required=True)
-        zeta_raw = keys.get("statemap.zeta")
-        zeta = _parse_vec(zeta_raw, "statemap.zeta") if zeta_raw is not None else None
-        squash = keys.get("statemap.squashing", "tanh")
-        try:
-            F = Esn(A, C, zeta=zeta, squashing=squash)
-        except Exception as exc:
-            raise ConfigError(f"statemap: {exc}") from exc
-        resolved.update({"statemap.kind": "esn", "statemap.A": _fmt_mat(A),
-                         "statemap.C": _fmt_mat(C), "statemap.squashing": squash})
-        if zeta is not None:
-            resolved["statemap.zeta"] = _fmt_vec(zeta)
-    elif kind == "linear_delay":
-        q = keys.get_int("statemap.q", required=True)
-        try:
-            F = LinearDelay(q)
-        except ValueError as exc:
-            raise ConfigError(f"statemap: {exc}") from exc
-        resolved.update({"statemap.kind": "linear_delay", "statemap.q": str(q)})
-    else:
-        raise ConfigError(f"statemap.kind: unknown state map {kind!r}")
+    try:
+        if kind == "power_sine":
+            F = PowerSine(keys.get_float("statemap.alpha", required=True),
+                          keys.get_float("statemap.lambda", required=True),
+                          keys.get_float("statemap.k", required=True))
+        elif kind == "esn":
+            A = keys.get_matrix("statemap.A", required=True)
+            C = keys.get_matrix("statemap.C", required=True)
+            squashing = keys.get("statemap.squashing", "tanh")
+            F = Esn(A, C, zeta=keys.get_vec("statemap.zeta"), squashing=squashing)
+        elif kind == "linear_delay":
+            F = LinearDelay(keys.get_int("statemap.q", required=True))
+        else:
+            raise ConfigError(f"statemap.kind: unknown state map {kind!r}")
+    except ValueError as exc:
+        raise ConfigError(f"statemap: {exc}") from exc
     if F.input_dim != obs.obs_dim:
         raise ConfigError(f"statemap input dimension {F.input_dim} does not match "
                           f"observation dimension {obs.obs_dim}")
     return F
 
 
-def _build_regions(keys: _Keys, F: StateMap | None, resolved: dict) -> list[InvariantRegion]:
+def _build_regions(keys: _Keys, F: StateMap | None) -> list[InvariantRegion]:
     indices = set()
     for k in keys.raw:
         if k.startswith("region.") and k.count(".") == 2:
@@ -323,32 +314,23 @@ def _build_regions(keys: _Keys, F: StateMap | None, resolved: dict) -> list[Inva
                 indices.add(int(k.split(".")[1]))
             except ValueError as exc:
                 raise ConfigError(f"{k}: region index must be an integer") from exc
-    indices = sorted(indices)
     regions = []
-    for n in indices:
+    for n in sorted(indices):
         pre = f"region.{n}"
         kind = keys.get(f"{pre}.kind", "box")
-        label = keys.get(f"{pre}.label", f"V{n}")
-        if kind == "box":
-            lo = keys.get_vec(f"{pre}.lo", required=True)
-            hi = keys.get_vec(f"{pre}.hi", required=True)
-            try:
-                region = AxisBox(lo, hi, label=label)
-            except ValueError as exc:
-                raise ConfigError(f"{pre}: {exc}") from exc
-            resolved.update({f"{pre}.kind": "box", f"{pre}.lo": _fmt_vec(lo),
-                             f"{pre}.hi": _fmt_vec(hi), f"{pre}.label": label})
-        elif kind == "ball":
-            center = keys.get_vec(f"{pre}.center", required=True)
-            radius = keys.get_float(f"{pre}.radius", required=True)
-            try:
-                region = Ball(center, radius, label=label)
-            except ValueError as exc:
-                raise ConfigError(f"{pre}: {exc}") from exc
-            resolved.update({f"{pre}.kind": "ball", f"{pre}.center": _fmt_vec(center),
-                             f"{pre}.radius": _fmt(radius), f"{pre}.label": label})
-        else:
-            raise ConfigError(f"{pre}.kind: unknown region kind {kind!r}")
+        try:
+            if kind == "box":
+                lo = keys.get_vec(f"{pre}.lo", required=True)
+                hi = keys.get_vec(f"{pre}.hi", required=True)
+                region = AxisBox(lo, hi, label=keys.get(f"{pre}.label", f"V{n}"))
+            elif kind == "ball":
+                center = keys.get_vec(f"{pre}.center", required=True)
+                radius = keys.get_float(f"{pre}.radius", required=True)
+                region = Ball(center, radius, label=keys.get(f"{pre}.label", f"V{n}"))
+            else:
+                raise ConfigError(f"{pre}.kind: unknown region kind {kind!r}")
+        except ValueError as exc:
+            raise ConfigError(f"{pre}: {exc}") from exc
         if F is not None and region.dim != F.state_dim:
             raise ConfigError(f"{pre}: dimension {region.dim} does not match "
                               f"state dimension {F.state_dim}")
@@ -358,13 +340,13 @@ def _build_regions(keys: _Keys, F: StateMap | None, resolved: dict) -> list[Inva
 
 def _build(raw: dict, base_dir: str) -> RunConfig:
     keys = _Keys(raw, base_dir)
-    resolved: dict[str, str] = {}
+    system, initial = _build_system(keys)
+    observation = _build_observation(keys, system)
+    statemap = _build_statemap(keys, observation)
+    regions = _build_regions(keys, statemap)
 
-    system, initial = _build_system(keys, resolved)
-    observation = _build_observation(keys, system, resolved)
-    statemap = _build_statemap(keys, observation, resolved)
-    regions = _build_regions(keys, statemap, resolved)
-
+    # system.n_steps keeps its place before the run.* keys its default needs
+    keys.resolved["system.n_steps"] = None
     washout = keys.get_int("run.washout", 2000)
     record = keys.get_int("run.record", 2000)
     n_steps = keys.get_int("system.n_steps", washout + record)
@@ -373,15 +355,15 @@ def _build(raw: dict, base_dir: str) -> RunConfig:
         raise ConfigError(f"run.method: expected drive|psi|both, got {method!r}")
     tol = keys.get_float("run.tol", 1e-12)
     max_iters = keys.get_int("run.max_iters", 500)
-    psi_record_from = keys.get_int("run.psi_record_from", None)
     grid_resolution = keys.get_int("run.grid_resolution", 20)
     input_samples = keys.get_int("run.input_samples", 200)
-    forgetting_k = keys.get_int_vec("run.forgetting_k", np.array([1.0, 5.0, 20.0, 100.0, 200.0]))
+    forgetting_k = keys.get_int_vec("run.forgetting_k", [1, 5, 20, 100, 200])
     if any(k < 0 for k in forgetting_k):
         raise ConfigError("run.forgetting_k entries must be >= 0")
     forgetting_trials = keys.get_int("run.forgetting_trials", 100)
     pair_budget = keys.get_int("run.pair_budget", 4000)
     seed = keys.get_int("run.seed", 0)
+    psi_record_from = keys.get_int("run.psi_record_from", None)
 
     if washout < 0 or record < 1:
         raise ConfigError("run.washout must be >= 0 and run.record >= 1")
@@ -389,13 +371,15 @@ def _build(raw: dict, base_dir: str) -> RunConfig:
         raise ConfigError("system.n_steps must be >= 1")
     if grid_resolution < 2:
         raise ConfigError("run.grid_resolution must be >= 2")
+    if seed < 0:
+        raise ConfigError("run.seed must be >= 0")
     for key, value in (("run.max_iters", max_iters), ("run.input_samples", input_samples),
                        ("run.forgetting_trials", forgetting_trials),
                        ("run.pair_budget", pair_budget)):
         if value < 1:
             raise ConfigError(f"{key} must be >= 1")
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ConfigError("run.tol must be finite and > 0")
+    if tol <= 0.0:
+        raise ConfigError("run.tol must be > 0")
     span = max(n_steps, washout + record)
     if psi_record_from is not None and not 0 <= psi_record_from < span:
         raise ConfigError(f"run.psi_record_from must lie in [0, {span})")
@@ -404,27 +388,10 @@ def _build(raw: dict, base_dir: str) -> RunConfig:
     if unused:
         raise ConfigError(f"unknown configuration keys: {sorted(unused)}")
 
-    resolved.update({
-        "system.n_steps": str(n_steps),
-        "run.washout": str(washout),
-        "run.record": str(record),
-        "run.method": method,
-        "run.tol": _fmt(tol),
-        "run.max_iters": str(max_iters),
-        "run.grid_resolution": str(grid_resolution),
-        "run.input_samples": str(input_samples),
-        "run.forgetting_k": " ".join(str(k) for k in forgetting_k),
-        "run.forgetting_trials": str(forgetting_trials),
-        "run.pair_budget": str(pair_budget),
-        "run.seed": str(seed),
-    })
-    if psi_record_from is not None:
-        resolved["run.psi_record_from"] = str(psi_record_from)
-
     return RunConfig(system=system, observation=observation, statemap=statemap,
                      regions=regions, initial=initial, n_steps=n_steps,
                      washout=washout, record=record, method=method, tol=tol,
                      max_iters=max_iters, psi_record_from=psi_record_from,
                      grid_resolution=grid_resolution, input_samples=input_samples,
                      forgetting_k=forgetting_k, forgetting_trials=forgetting_trials,
-                     pair_budget=pair_budget, seed=seed, resolved=resolved)
+                     pair_budget=pair_budget, seed=seed, resolved=keys.resolved)

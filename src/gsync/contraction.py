@@ -189,7 +189,7 @@ def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
     constants l_fxx and l_fxz presume second derivatives.
     """
     samples = np.atleast_2d(np.asarray(attractor_samples, dtype=float))
-    input_range = InputRange.from_observations(_observe(obs, samples))
+    input_range = InputRange.from_observations(_observe(obs, samples, finite=True))
 
     analytic = F.analytic_lipschitz(region, input_range)
     if analytic is None:

@@ -219,8 +219,8 @@ class OdeFlow(DiscreteSystem):
     def __init__(self, field, phase_dim: int, h: float, substeps: int = 1,
                  roundtrip_tol: float = 1e-9, name: str = "ode_flow"):
         super().__init__(phase_dim=phase_dim)
-        if h <= 0:
-            raise ValueError("h must be positive")
+        if not 0.0 < h < math.inf:
+            raise ValueError("h must be positive and finite")
         if substeps < 1:
             raise ValueError("substeps must be >= 1")
         self.field = field
@@ -341,6 +341,8 @@ def lorenz_field(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0
     which ``OdeFlow`` integrates without building a numpy point per stage.
     """
 
+    if not all(map(math.isfinite, (sigma, rho, beta))):
+        raise ValueError(f"Lorenz parameters must be finite, got {sigma}, {rho}, {beta}")
     s = sigma * (-1.0 if literal_sign else 1.0)
 
     def components(u, v, w):
@@ -458,6 +460,8 @@ class LinearObservation(ObservationMap):
 
     def __init__(self, matrix):
         W = np.atleast_2d(np.asarray(matrix, dtype=float))
+        if not np.all(np.isfinite(W)):
+            raise ValueError("observation matrix must be finite")
         super().__init__(obs_dim=W.shape[0], phase_dim=W.shape[1])
         self.matrix = W
 
@@ -490,18 +494,18 @@ class CustomObservation(ObservationMap):
         return super().jacobian(m)
 
 
-def _observe(obs: ObservationMap, points: np.ndarray) -> np.ndarray:
-    """Observations of the points (n, phase_dim) as rows, shape (n, obs_dim)."""
+def _observe(obs: ObservationMap, points: np.ndarray, finite: bool = False) -> np.ndarray:
+    """Observations of the points (n, phase_dim) as rows, shape (n, obs_dim);
+    with ``finite``, a non-finite observation raises NonFiniteError."""
     z = np.asarray(obs(points), dtype=float)
+    if finite and not np.all(np.isfinite(z)):
+        raise NonFiniteError("observation produced non-finite values")
     return z[:, None] if z.ndim == 1 else z
 
 
 def observe_trajectory(obs: ObservationMap, traj: Trajectory) -> np.ndarray:
     """Observation values along a trajectory, shape (len(traj), obs_dim)."""
-    z = _observe(obs, traj.points)
-    if not np.all(np.isfinite(z)):
-        raise NonFiniteError("observation produced non-finite values")
-    return z
+    return _observe(obs, traj.points, finite=True)
 
 
 def _orbit(sys: DiscreteSystem, m, back: int, ahead: int) -> np.ndarray:

@@ -112,11 +112,12 @@ def _residuals(values: np.ndarray, z: np.ndarray, F: StateMap) -> np.ndarray:
 def _sampled(F: StateMap, z: np.ndarray, times: np.ndarray, points: np.ndarray,
              values: np.ndarray, method: dict, region: InvariantRegion | None) -> SampledGS:
     """A SampledGS of recorded values after their region check, with the
-    residuals against the recorded inputs z (one row per value)."""
+    residuals against the recorded inputs z (one row per value).  ``points``
+    is stored as given, not copied."""
     _check_region(values, times, region)
     res = _residuals(values, z, F)
     return SampledGS(
-        times=times, points=points.copy(), values=values, method=method,
+        times=times, points=points, values=values, method=method,
         region_label=region.label if region is not None else "",
         residual_max=float(np.max(res)), residual_mean=float(np.mean(res)),
         residuals=np.concatenate([[np.nan], res]))
@@ -220,7 +221,7 @@ def _drive_regions(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0,
         return out
 
     times = trajectory.t0 + np.arange(washout_steps, total + 1)
-    points = trajectory.points[washout_steps:total + 1]
+    points = trajectory.points[washout_steps:total + 1].copy()  # shared by every region
     for row, i in enumerate(live):
         method = {"name": "drive", "washout_steps": washout_steps, "x0": xs[i].tolist()}
         try:
@@ -286,7 +287,7 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
         apriori = l_fx ** n_iters / (1.0 - l_fx) * first_change
 
     times = trajectory.t0 + np.arange(record_from, n)
-    return _sampled(F, z[record_from:], times, trajectory.points[record_from:],
+    return _sampled(F, z[record_from:], times, trajectory.points[record_from:].copy(),
                     f[record_from:].copy(),
                     {"name": "psi", "n_iters": n_iters, "f0": f0.tolist(),
                      "tol": tol, "converged": converged,

@@ -93,10 +93,11 @@ class Ball(InvariantRegion):
 
     def __init__(self, center, radius: float, label: str = ""):
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        if not np.all(np.isfinite(center)):
-            raise ValueError("ball center must be finite")
         if not 0.0 < radius < np.inf:
             raise ValueError("radius must be positive and finite")
+        lo, hi = center - radius, center + radius
+        if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
+            raise ValueError("ball center - radius and center + radius must be finite and distinct")
         super().__init__(dim=center.size, label=label)
         self._center = center
         self.radius = float(radius)

@@ -27,6 +27,8 @@ _CHUNK = 8192
 
 def sin_range(a: float, b: float) -> tuple[float, float]:
     """Exact range of sin over the interval [a, b] (radians)."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"interval ends must be finite, got [{a}, {b}]")
     if b < a:
         raise ValueError("need a <= b")
     if b - a >= 2.0 * math.pi:
@@ -42,6 +44,14 @@ def sin_range(a: float, b: float) -> tuple[float, float]:
 def cos_range(a: float, b: float) -> tuple[float, float]:
     """Exact range of cos over the interval [a, b] (radians)."""
     return sin_range(a + math.pi / 2.0, b + math.pi / 2.0)
+
+
+def _pow(x: float, y: float) -> float:
+    """x ** y on Python floats, inf where that overflows (not OverflowError)."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
 
 
 def _abs_sin_sup(a: float, b: float) -> float:
@@ -175,6 +185,8 @@ class Esn(StateMap):
             raise DimensionMismatch("A must be square")
         if C.shape[0] != A.shape[0]:
             raise DimensionMismatch("C must have as many rows as A")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(C))):
+            raise ValueError("A and C must be finite")
         super().__init__(state_dim=A.shape[0], input_dim=C.shape[1])
         if squashing not in SQUASHINGS:
             raise ValueError(f"unknown squashing {squashing!r}; choose from {sorted(SQUASHINGS)}")
@@ -183,6 +195,8 @@ class Esn(StateMap):
         self.zeta = np.zeros(self.state_dim) if zeta is None else np.asarray(zeta, dtype=float)
         if self.zeta.shape != (self.state_dim,):
             raise DimensionMismatch("zeta must be an N-vector")
+        if not np.all(np.isfinite(self.zeta)):
+            raise ValueError("zeta must be finite")
         self.squashing = SQUASHINGS[squashing]
         self.sigma_max_A = float(np.linalg.svd(A, compute_uv=False)[0])
         self.sigma_max_C = float(np.linalg.svd(C, compute_uv=False)[0])
@@ -212,7 +226,7 @@ class Esn(StateMap):
     def second_partials(self, x, z) -> tuple[float, float]:
         """Upper bounds max|sigma''| * smax(A)^2 and max|sigma''| * smax(A) smax(C)."""
         m2 = float(np.max(np.abs(self.squashing.deriv2(self._pre(x, z)))))
-        return m2 * self.sigma_max_A ** 2, m2 * self.sigma_max_A * self.sigma_max_C
+        return m2 * _pow(self.sigma_max_A, 2), m2 * self.sigma_max_A * self.sigma_max_C
 
     def _jac_norms(self, X, Z, M: np.ndarray) -> np.ndarray:
         """Largest singular values of diag(sigma'(pre)) M at the rows of X, Z."""
@@ -232,7 +246,7 @@ class Esn(StateMap):
 
     def second_partial_norms(self, X, Z) -> tuple[np.ndarray, np.ndarray]:
         m2 = np.max(np.abs(self.squashing.deriv2(self._pre(np.atleast_2d(X), np.atleast_2d(Z)))), axis=-1)
-        return m2 * self.sigma_max_A ** 2, m2 * self.sigma_max_A * self.sigma_max_C
+        return m2 * _pow(self.sigma_max_A, 2), m2 * self.sigma_max_A * self.sigma_max_C
 
     def analytic_lipschitz(self, region, input_range):
         ls = self.squashing.max_deriv
@@ -240,7 +254,7 @@ class Esn(StateMap):
         return {
             "l_fx": ls * self.sigma_max_A,
             "l_fz": ls * self.sigma_max_C,
-            "l_fxx": m2 * self.sigma_max_A ** 2,
+            "l_fxx": m2 * _pow(self.sigma_max_A, 2),
             "l_fxz": m2 * self.sigma_max_A * self.sigma_max_C,
         }
 
@@ -394,27 +408,33 @@ class PowerSine(StateMap):
         nxx = self.alpha * (1.0 - self.alpha) * np.min(np.abs(X), axis=-1) ** (self.alpha - 2.0)
         return nxx, np.zeros(len(X))
 
+    def _angles(self, z_lo, z_hi, scale: float = 1.0) -> tuple[float, float]:
+        """The interval scale * k * [z_lo, z_hi] of the first input, or one
+        full period (where sin and cos take all their values) if it overflows."""
+        a = scale * self.k * float(np.atleast_1d(z_lo)[0])
+        b = scale * self.k * float(np.atleast_1d(z_hi)[0])
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return 0.0, 2.0 * math.pi
+        return min(a, b), max(a, b)
+
     def analytic_lipschitz(self, region, input_range):
         if not isinstance(region, AxisBox):
             return None
         if np.any((region.lo <= 0.0) & (region.hi >= 0.0)):
             return None  # derivative unbounded across a zero coordinate
         m = float(np.min(np.minimum(np.abs(region.lo), np.abs(region.hi))))
-        a, b = 2.0 * self.k * float(input_range.lo[0]), 2.0 * self.k * float(input_range.hi[0])
-        s2 = _abs_sin_sup(min(a, b), max(a, b)) ** 2
+        s2 = _abs_sin_sup(*self._angles(input_range.lo, input_range.hi, 2.0)) ** 2
         return {
-            "l_fx": self.alpha * m ** (self.alpha - 1.0),
+            "l_fx": self.alpha * _pow(m, self.alpha - 1.0),
             "l_fz": self.lam * self.k * math.sqrt(1.0 + s2),
-            "l_fxx": self.alpha * (1.0 - self.alpha) * m ** (self.alpha - 2.0),
+            "l_fxx": self.alpha * (1.0 - self.alpha) * _pow(m, self.alpha - 2.0),
             "l_fxz": 0.0,
         }
 
     def interval_image(self, lo, hi, z_lo, z_hi):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        a = self.k * float(np.atleast_1d(z_lo)[0])
-        b = self.k * float(np.atleast_1d(z_hi)[0])
-        a, b = min(a, b), max(a, b)
+        a, b = self._angles(z_lo, z_hi)
         s_lo, s_hi = sin_range(a, b)
         c_lo, c_hi = cos_range(a, b)
         sq_lo = 0.0 if s_lo <= 0.0 <= s_hi else min(s_lo ** 2, s_hi ** 2)

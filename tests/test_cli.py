@@ -1,9 +1,12 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from gsync.cli import main
+from gsync.cli import main, section_iv_config
+from gsync.config import parse_config_text
 
 SMALL_LORENZ = """
 system.kind = lorenz
@@ -63,6 +66,126 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 def read_data_rows(path):
     lines = [l for l in open(path).read().splitlines() if l and not l.startswith("#")]
     return lines[0].split(","), [l.split(",") for l in lines[1:]]
+
+
+# every accessor once, keys in an order unlike the resolved one, no system.n_steps
+EVERY_ACCESSOR = """
+run.psi_record_from = 20
+system.kind = lorenz
+system.literal_sign = yes
+system.initial = 0.1 1 1.05
+system.beta = 2.5
+system.h = 0.005
+system.substeps = 4
+region.2.label = inner
+region.2.radius = 0.5
+region.2.center = 0 0 0
+region.2.kind = ball
+region.1.hi = 1 1 1
+region.1.lo = -1 -1 -1
+statemap.squashing = logistic
+statemap.zeta = 0.01 0 -0.01
+statemap.C = 0.1; 0.2; 0.3
+statemap.A = csv:A.csv
+statemap.kind = esn
+observation.matrix = 1 0.5 0
+observation.kind = linear
+run.forgetting_k = 3 1
+run.tol = 1e-9
+run.seed = 7
+run.record = 50
+run.washout = 100
+"""
+
+RESOLVED_SECTION_IV = """# resolved run configuration (reproduces this run)
+system.kind = lorenz
+system.h = 0.01
+system.substeps = 8
+system.sigma = 10
+system.rho = 28
+system.beta = 2.6666666666666665
+system.literal_sign = false
+system.initial = 0 1 1.05
+observation.kind = projection
+observation.indices = 0
+statemap.kind = power_sine
+statemap.alpha = 0.90000000000000002
+statemap.lambda = 0.0089999999999999993
+statemap.k = 0.10000000000000001
+region.1.kind = box
+region.1.lo = 0.90000000000000002 0.90000000000000002 0.90000000000000002
+region.1.hi = 1.1000000000000001 1.1000000000000001 1.1000000000000001
+region.1.label = V1
+region.2.kind = box
+region.2.lo = -1.1000000000000001 0.90000000000000002 0.90000000000000002
+region.2.hi = -0.90000000000000002 1.1000000000000001 1.1000000000000001
+region.2.label = V2
+system.n_steps = 4000
+run.washout = 2000
+run.record = 2000
+run.method = drive
+run.tol = 9.9999999999999998e-13
+run.max_iters = 500
+run.grid_resolution = 20
+run.input_samples = 200
+run.forgetting_k = 1 5 20 100 200
+run.forgetting_trials = 100
+run.pair_budget = 4000
+run.seed = 0
+"""
+
+RESOLVED_EVERY_ACCESSOR = """# resolved run configuration (reproduces this run)
+system.kind = lorenz
+system.h = 0.0050000000000000001
+system.substeps = 4
+system.sigma = 10
+system.rho = 28
+system.beta = 2.5
+system.literal_sign = true
+system.initial = 0.10000000000000001 1 1.05
+observation.kind = linear
+observation.matrix = 1 0.5 0
+statemap.kind = esn
+statemap.A = 0.20000000000000001 0.10000000000000001 0; 0 0.29999999999999999 0.10000000000000001; 0.10000000000000001 0 0.25
+statemap.C = 0.10000000000000001; 0.20000000000000001; 0.29999999999999999
+statemap.squashing = logistic
+statemap.zeta = 0.01 0 -0.01
+region.1.kind = box
+region.1.lo = -1 -1 -1
+region.1.hi = 1 1 1
+region.1.label = V1
+region.2.kind = ball
+region.2.center = 0 0 0
+region.2.radius = 0.5
+region.2.label = inner
+system.n_steps = 150
+run.washout = 100
+run.record = 50
+run.method = drive
+run.tol = 1.0000000000000001e-09
+run.max_iters = 500
+run.grid_resolution = 20
+run.input_samples = 200
+run.forgetting_k = 3 1
+run.forgetting_trials = 100
+run.pair_budget = 4000
+run.seed = 7
+run.psi_record_from = 20
+"""
+
+
+class TestResolvedText:
+    def test_section_iv_pinned(self):
+        text = section_iv_config().resolved_text()
+        assert text == RESOLVED_SECTION_IV
+        assert parse_config_text(text).resolved_text() == text
+
+    def test_every_accessor_pinned(self, tmp_path):
+        A = np.array([[0.2, 0.1, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, 0.25]])
+        np.savetxt(tmp_path / "A.csv", A, delimiter=",")
+        text = parse_config_text(EVERY_ACCESSOR, base_dir=str(tmp_path)).resolved_text()
+        assert text == RESOLVED_EVERY_ACCESSOR
+        assert parse_config_text(text).resolved_text() == text
 
 
 class TestSimulate:
@@ -159,7 +282,7 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, SMALL_IV + "run.grid_resolution = 1\n")
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("k", ["-3", "nan", "2.5"])
+    @pytest.mark.parametrize("k", ["-3", "nan", "2.5", "1e308", "1.0"])
     def test_bad_forgetting_k_exit_2(self, tmp_path, k):
         cfg = write_cfg(tmp_path, SMALL_IV + f"run.forgetting_k = 1 {k}\n")
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -183,6 +306,7 @@ class TestConfigErrors:
         ("synchronize", "run.psi_record_from = -5"),
         ("synchronize", "run.psi_record_from = 600"),
         ("synchronize", "run.psi_record_from = 100000"),
+        ("diagnose", "run.seed = -1"),
     ])
     def test_bad_run_value_exit_2(self, tmp_path, capsys, command, line):
         cfg = write_cfg(tmp_path, SMALL_IV + line + "\n")
@@ -229,6 +353,46 @@ class TestConfigErrors:
     def test_non_finite_ball_radius_exit_2(self, tmp_path, capsys):
         text = SMALL_IV + ("region.2.kind = ball\nregion.2.center = 1 -1 1\n"
                            "region.2.radius = inf\n")
+        out = tmp_path / "o"
+        assert main(["certify", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert "configuration error: region.2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("base, line, command", [
+        ("iv", "system.h = nan", "synchronize"),
+        ("iv", "system.h = inf", "synchronize"),
+        ("iv", "system.sigma = nan", "synchronize"),
+        ("iv", "system.rho = inf", "synchronize"),
+        ("iv", "system.beta = nan", "synchronize"),
+        ("esn", "statemap.zeta = nan 0", "certify"),
+        ("esn", "statemap.zeta = inf 0", "synchronize"),
+        ("esn", "statemap.A = nan 0; 0 0.1", "certify"),
+        ("esn_linear", "observation.matrix = nan 1", "synchronize"),
+        ("esn_linear", "observation.matrix = nan 1", "certify"),
+    ])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, base, line, command):
+        text = {"iv": SMALL_IV, "esn": CAT_ESN.format(a="0.3"),
+                "esn_linear": CAT_ESN.format(a="0.3").replace(
+                    "observation.indices = 0",
+                    "observation.kind = linear\nobservation.matrix = 1 0")}[base]
+        key = line.split(" = ")[0]
+        text = "\n".join([l for l in text.splitlines() if not l.startswith(key + " ")] + [line])
+        out = tmp_path / "o"
+        argv = [command, "--config", write_cfg(tmp_path, text + "\n"), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"{key}: expected finite numbers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_override_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["diagnose", "--config", write_cfg(tmp_path, SMALL_IV), "--out", str(out)]
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ball_lost_against_its_center_exit_2(self, tmp_path, capsys):
+        text = SMALL_IV + ("region.2.kind = ball\nregion.2.center = 1e308 1 1\n"
+                           "region.2.radius = 0.2\n")
         out = tmp_path / "o"
         assert main(["certify", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
         assert "configuration error: region.2" in capsys.readouterr().err
@@ -361,3 +525,125 @@ class TestReproduce:
         for r in rows:
             if abs(abs(float(r[0])) - 1.0) < 1e-12 and abs(abs(float(r[1])) - 1.0) < 1e-12:
                 assert abs(float(r[2])) < 1e-12 and abs(float(r[3])) < 1e-12
+
+
+# small configs for the exit-code property test; between them they set
+# nearly every key that takes a number, so each can be mutated
+_MUTABLE_RUN = """run.forgetting_k = 1 5
+run.forgetting_trials = 10
+run.pair_budget = 200
+run.grid_resolution = 4
+run.input_samples = 20
+"""
+MUTABLE_CONFIGS = {
+    "lorenz": """
+system.kind = lorenz
+system.h = 0.01
+system.substeps = 8
+system.sigma = 10
+system.rho = 28
+system.beta = 2.6666666666666665
+system.initial = 0 1 1.05
+system.n_steps = 300
+observation.kind = linear
+observation.matrix = 1 0 0
+statemap.kind = power_sine
+statemap.alpha = 0.9
+statemap.lambda = 0.009
+statemap.k = 0.1
+region.1.kind = box
+region.1.lo = 0.9 0.9 0.9
+region.1.hi = 1.1 1.1 1.1
+run.washout = 200
+run.record = 100
+run.tol = 1e-10
+run.max_iters = 400
+run.psi_record_from = 50
+""" + _MUTABLE_RUN,
+    "torus": """
+system.kind = torus_rotation
+system.angles = 0.41421356 0.31662479
+system.initial = 0.1 0.2
+system.n_steps = 300
+observation.indices = 1
+statemap.kind = power_sine
+statemap.alpha = 0.8
+statemap.lambda = 0.01
+statemap.k = 2
+region.1.kind = ball
+region.1.center = 1 1 1
+region.1.radius = 0.2
+run.washout = 200
+run.record = 100
+run.seed = 3
+""" + _MUTABLE_RUN,
+    "cat_esn": """
+system.kind = cat_map
+system.initial = 0.1234 0.5678
+system.n_steps = 300
+observation.kind = linear
+observation.matrix = 1 0.5
+statemap.kind = esn
+statemap.A = 0.3 0; 0 0.2
+statemap.C = 0.1; 0.1
+statemap.zeta = 0.01 -0.02
+region.1.kind = box
+region.1.lo = -1 -1
+region.1.hi = 1 1
+run.washout = 200
+run.record = 100
+""" + _MUTABLE_RUN,
+}
+MUTANTS = ("nan", "inf", "-inf", "0", "-1", "2.5", "1e308")
+COMMANDS = (("certify",), ("synchronize", "--method", "both"), ("diagnose",))
+
+
+def _tokens(value):
+    return value.replace(";", " ; ").split()
+
+
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+# (config, key, token index) of every numeric token of the mutable configs
+SITES = [(name, key.strip(), j) for name in sorted(MUTABLE_CONFIGS)
+         for key, _, value in (l.partition("=") for l in MUTABLE_CONFIGS[name].splitlines() if l)
+         for j, token in enumerate(_tokens(value)) if _is_number(token)]
+
+
+def mutate(name, key, j, token):
+    lines = []
+    for line in MUTABLE_CONFIGS[name].splitlines():
+        k, _, value = line.partition("=")
+        if k.strip() == key:
+            tokens = _tokens(value)
+            tokens[j] = token
+            line = f"{key} = {' '.join(tokens)}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("name", sorted(MUTABLE_CONFIGS))
+    def test_unmutated_configs_succeed(self, tmp_path, name):
+        cfg = write_cfg(tmp_path, MUTABLE_CONFIGS[name])
+        for command in COMMANDS:
+            out = str(tmp_path / command[0])
+            assert main([*command, "--config", cfg, "--out", out]) == 0
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(site=st.sampled_from(SITES), token=st.sampled_from(MUTANTS),
+           command=st.sampled_from(COMMANDS))
+    @example(site=("lorenz", "observation.matrix", 0), token="nan", command=("certify",))
+    def test_one_mutated_number_exits_0_2_3_or_4(self, site, token, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "run.cfg")
+            with open(cfg, "w") as fh:
+                fh.write(mutate(*site, token))
+            code = main([*command, "--config", cfg, "--out", os.path.join(tmp, "out")])
+        assert code in (0, 2, 3, 4)

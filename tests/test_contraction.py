@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from gsync import (AxisBox, Ball, CatMap, CoordinateProjection, CustomStateMap,
-                   Esn, InputRange, LinearDelay, RegionIntersection,
+from gsync import (AxisBox, Ball, CatMap, CoordinateProjection, CustomObservation,
+                   CustomStateMap, Esn, InputRange, LinearDelay, RegionIntersection,
                    absorbing_set, certify, check_invariance, lipschitz_bounds)
 from gsync.contraction import ContractionCertificate
-from gsync.errors import NotAContraction
+from gsync.errors import NonFiniteError, NotAContraction
 from gsync.statemaps import LipschitzBounds
 
 from conftest import IV_LAMBDA, esn_reservoir
@@ -42,6 +42,11 @@ class TestRegionValidation:
     ])
     def test_ball_rejects_non_finite_center_or_radius(self, center, radius):
         with pytest.raises(ValueError):
+            Ball(center, radius)
+
+    @pytest.mark.parametrize("center, radius", [([1e308, 0.0], 0.2), ([1e308, 0.0], 1e308)])
+    def test_ball_rejects_radius_lost_or_overflowing(self, center, radius):
+        with pytest.raises(ValueError, match="must be finite and distinct"):
             Ball(center, radius)
 
 
@@ -141,6 +146,12 @@ def cat_samples():
 
 
 class TestCertify:
+    def test_non_finite_observation_raises_non_finite_error(self, cat_samples):
+        obs = CustomObservation(lambda m: np.where(m[..., 0] > 0.5, np.nan, m[..., 0]),
+                                obs_dim=1, phase_dim=2)
+        with pytest.raises(NonFiniteError, match="observation produced non-finite values"):
+            certify(esn_on_cat(0.3), AxisBox([-1.0] * 2, [1.0] * 2), CatMap(), obs,
+                    cat_samples)
 
     def test_esn_03_on_cat(self, cat_samples):
         cert = certify(esn_on_cat(0.3), AxisBox([-1.0] * 2, [1.0] * 2, label="B"),

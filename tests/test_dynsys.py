@@ -113,6 +113,19 @@ class TestAnalyticMaps:
 
 
 class TestLorenzFlow:
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0, -0.01])
+    def test_flow_rejects_bad_step(self, h):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            OdeFlow(lorenz_field(), phase_dim=3, h=h)
+
+    @pytest.mark.parametrize("params", [{"sigma": np.nan}, {"rho": np.inf},
+                                        {"beta": -np.inf}, {"beta": np.nan}])
+    def test_lorenz_rejects_non_finite_parameters(self, params):
+        with pytest.raises(ValueError, match="Lorenz parameters must be finite"):
+            lorenz_field(**params)
+        with pytest.raises(ValueError, match="Lorenz parameters must be finite"):
+            lorenz_system(**params)
+
     def test_step_matches_independent_rk4(self):
         sys = lorenz_system(substeps=1)
         field = lorenz_field()
@@ -387,6 +400,11 @@ class TestObservations:
         obs = LinearObservation(W)
         assert obs(np.array([1.0, 1.0, 5.0])) == pytest.approx([3.0])
         assert obs.norm_bound() == pytest.approx(np.sqrt(5.0))
+
+    @pytest.mark.parametrize("W", [[[1.0, np.nan, 0.0]], [[np.inf, 0.0, 0.0]]])
+    def test_linear_observation_rejects_non_finite_matrix(self, W):
+        with pytest.raises(ValueError, match="observation matrix must be finite"):
+            LinearObservation(W)
 
     def test_projection_batch(self):
         obs = CoordinateProjection([0], phase_dim=3)

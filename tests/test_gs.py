@@ -399,6 +399,18 @@ class TestStackedDrive:
             old = run_recursion(F, z[1:washout + record + 1], x0)[washout:]
             assert np.array_equal(b.values, old)
 
+    def test_regions_share_one_copy_of_the_points(self, torus_case, torus_traj):
+        F, sys, obs, traj, regions, washout, record = torus_case
+        drives = _drive_regions(F, sys, obs, None, [r.center() for r in regions], regions,
+                                washout, record, traj)
+        assert all(d.points is drives[0].points for d in drives)
+        assert not np.shares_memory(drives[0].points, traj.points)
+        assert not any(np.shares_memory(a.values, b.values)
+                       for i, a in enumerate(drives) for b in drives[i + 1:])
+        psi = psi_iterate_gs(F, sys, obs, torus_traj, regions[0].center(),
+                             record_from=100, region=regions[0])
+        assert not np.shares_memory(psi.points, torus_traj.points)
+
     def test_sweep_matches_lone_drives(self, torus_case):
         F, sys, obs, traj, regions, washout, record = torus_case
         result = multistability_sweep(F, regions, sys, obs, None, washout_steps=washout,

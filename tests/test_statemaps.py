@@ -48,7 +48,31 @@ class TestTrigRanges:
             assert hi >= vals.max() - 1e-9 and hi <= vals.max() + 1e-7
 
 
+    @pytest.mark.parametrize("a,b", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, np.inf)])
+    def test_non_finite_ends_rejected(self, a, b):
+        for rng_fn in (sin_range, cos_range):
+            with pytest.raises(ValueError, match="interval ends must be finite"):
+                rng_fn(a, b)
+
+
 class TestPowerSine:
+    def test_overflowing_input_angles_take_a_full_period(self):
+        # k * z overflows to -inf and inf: the closed forms use |sin| <= 1
+        F = PowerSine(0.9, 0.009, 1e308)
+        box = AxisBox([0.9] * 3, [1.1] * 3)
+        bounds = F.analytic_lipschitz(box, InputRange.of([-2.0], [3.0]))
+        assert bounds["l_fz"] == 0.009 * 1e308 * np.sqrt(2.0)
+        # k = 10 spans more than a period on [-2, 3]: the same full ranges
+        wide = PowerSine(0.9, 0.009, 10.0).interval_image(box.lo, box.hi, [-2.0], [3.0])
+        for a, b in zip(F.interval_image(box.lo, box.hi, [-2.0], [3.0]), wide):
+            assert np.array_equal(a, b)
+
+    def test_second_derivative_bound_overflows_to_inf(self):
+        F = PowerSine(0.5, 0.009, 0.1)
+        bounds = F.analytic_lipschitz(AxisBox([1e-250] * 3, [1.0] * 3),
+                                      InputRange.of([-1.0], [1.0]))
+        assert bounds["l_fxx"] == np.inf and np.isfinite(bounds["l_fx"])
+
     def test_fixed_points_autonomous(self):
         F = PowerSine(0.9, 0.0, 0.1)
         for p in FIXED_POINTS:
@@ -134,6 +158,22 @@ class TestLinearDelay:
 
 
 class TestEsn:
+    @pytest.mark.parametrize("A, C, zeta", [
+        ([[np.nan, 0.0], [0.0, 0.1]], [[0.1], [0.1]], None),
+        ([[0.3, 0.0], [0.0, 0.1]], [[np.inf], [0.1]], None),
+        ([[0.3, 0.0], [0.0, 0.1]], [[0.1], [0.1]], [np.nan, 0.0]),
+        ([[0.3, 0.0], [0.0, 0.1]], [[0.1], [0.1]], [0.0, -np.inf]),
+    ])
+    def test_rejects_non_finite_parameters(self, A, C, zeta):
+        with pytest.raises(ValueError, match="must be finite"):
+            Esn(A, C, zeta=zeta)
+
+    def test_huge_weights_give_infinite_bounds(self):
+        F = Esn([[1e308, 0.0], [0.0, 0.1]], [[0.1], [0.1]])
+        bounds = F.analytic_lipschitz(AxisBox([-1.0] * 2, [1.0] * 2), InputRange.of([0.0], [1.0]))
+        assert bounds["l_fxx"] == np.inf and bounds["l_fx"] == 1e308
+        assert F.second_partials(np.zeros(2), [0.5])[0] == np.inf
+
     def test_zero_network_is_zero(self):
         F = Esn(np.zeros((4, 4)), np.zeros((4, 1)), squashing="tanh")
         assert np.allclose(F.eval(np.ones(4), [2.0]), 0.0, atol=0.0)
