@@ -367,6 +367,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        # a size key (run.record, run.forgetting_k, ...) asks for more than fits
+        print(f"configuration error: the run does not fit in memory (MemoryError: {exc})",
+              file=_sys.stderr)
+        return EXIT_CONFIG
     except GsyncError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return EXIT_NUMERICAL

@@ -130,8 +130,6 @@ class ContractionCertificate:
     c0: float
     sampled: bool
     n_tangent_samples: int
-    resolution: int
-    n_inputs: int
 
     def condition_holds(self, requirement: str) -> bool:
         if requirement == "esp":
@@ -177,9 +175,11 @@ def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
 
     Failed conditions are reported as flags rather than errors.  The input
     range is the componentwise hull of the observations of the supplied
-    samples; tangent norms are sampled suprema over (a subsample of) the
-    same points, so all verdicts carry a sampled caveat unless every
-    constant came from a closed form.
+    samples; the tangent norms and ||D omega|| are suprema over (a
+    subsample of) the same points, so all verdicts carry a sampled caveat
+    unless every constant came from a closed form: the derivative bounds of
+    F, an interval invariance image, ``sys.exact_tangent`` and
+    ``obs.exact_norm``.
 
     When F has closed-form derivative bounds on region x input range, they
     are the constants (method "analytic") and no grid is evaluated: a grid
@@ -196,10 +196,7 @@ def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
         bounds = lipschitz_bounds(F, region, input_range, resolution=resolution,
                                   n_inputs=n_inputs, rng=rng)
     else:
-        bounds = LipschitzBounds(method="analytic", analytic=analytic, grid=None,
-                                 region_label=region.label,
-                                 input_lo=input_range.lo.copy(),
-                                 input_hi=input_range.hi.copy(), **analytic)
+        bounds = LipschitzBounds(method="analytic", analytic=analytic, grid=None, **analytic)
 
     if len(samples) > max_tangent_samples:
         idx = np.linspace(0, len(samples) - 1, max_tangent_samples).astype(int)
@@ -228,7 +225,7 @@ def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
         c0 = max(l_fx * tinv, l_fx + delta0 * denom)
 
     sampled = not (bounds.analytic is not None and inv.method == "interval"
-                   and sys.exact_tangent)
+                   and sys.exact_tangent and obs.exact_norm)
     return ContractionCertificate(
         region_label=region.label,
         bounds=bounds,
@@ -245,6 +242,4 @@ def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
         c0=c0,
         sampled=sampled,
         n_tangent_samples=len(tangent_samples),
-        resolution=resolution,
-        n_inputs=n_inputs,
     )

@@ -158,7 +158,6 @@ class DerivativeProfile:
     bin_edges: np.ndarray     # geometric bin edges over dm
     bin_counts: np.ndarray
     bin_max_slope: np.ndarray
-    bin_mean_slope: np.ndarray
 
 
 def derivative_profile(gs: SampledGS, pair_budget: int = 4000,
@@ -182,19 +181,16 @@ def derivative_profile(gs: SampledGS, pair_budget: int = 4000,
     which = np.clip(np.digitize(dm, edges) - 1, 0, n_bins - 1)
     counts = np.bincount(which, minlength=n_bins)
     maxs = np.zeros(n_bins)
-    means = np.zeros(n_bins)
     for b in range(n_bins):
-        mask = which == b
         if counts[b]:
-            maxs[b] = float(np.max(slopes[mask]))
-            means[b] = float(np.mean(slopes[mask]))
+            maxs[b] = float(np.max(slopes[which == b]))
     occupied = np.flatnonzero(counts > 0)
     if counts[occupied[0]] < min_bin_count:
         raise InsufficientPairs(
             f"finest occupied bin holds {counts[occupied[0]]} pairs (< {min_bin_count})")
     return DerivativeProfile(pairs=pairs, dm=dm, df=df, slopes=slopes,
                              bin_edges=edges, bin_counts=counts,
-                             bin_max_slope=maxs, bin_mean_slope=means)
+                             bin_max_slope=maxs)
 
 
 @dataclass(frozen=True)

@@ -405,7 +405,13 @@ class CustomSystem(DiscreteSystem):
 
 
 class ObservationMap:
-    """Map omega from phase points to R^obs_dim, with a differential."""
+    """Map omega from phase points to R^obs_dim, with a differential.
+
+    ``exact_norm`` marks maps whose ``norm_bound`` is the exact supremum of
+    ||D omega|| (a closed form), not a maximum over the samples.
+    """
+
+    exact_norm = False
 
     def __init__(self, obs_dim: int, phase_dim: int):
         self.obs_dim = int(obs_dim)
@@ -428,6 +434,8 @@ class ObservationMap:
 
 class CoordinateProjection(ObservationMap):
     """omega(m) = (m[i] for i in indices)."""
+
+    exact_norm = True
 
     def __init__(self, indices, phase_dim: int):
         raw = np.atleast_1d(np.asarray(indices, dtype=float))
@@ -457,6 +465,8 @@ class CoordinateProjection(ObservationMap):
 
 class LinearObservation(ObservationMap):
     """omega(m) = W m for a fixed matrix W."""
+
+    exact_norm = True
 
     def __init__(self, matrix):
         W = np.atleast_2d(np.asarray(matrix, dtype=float))

@@ -18,8 +18,6 @@ def _rng(rng) -> np.random.Generator:
 class InvariantRegion:
     """Base class for closed convex candidate regions V in state space."""
 
-    convex = True
-
     def __init__(self, dim: int, label: str = ""):
         self.dim = int(dim)
         self.label = label

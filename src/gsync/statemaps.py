@@ -6,9 +6,9 @@ Built-in families:
 * ``LinearDelay`` -- the lower-shift delay line (A = shift, C = e1)
 * ``PowerSine``   -- componentwise signed power plus a trigonometric input term
 
-All built-ins evaluate on batches (leading axes broadcast) and expose exact
-closed-form derivative bounds where they exist; ``CustomStateMap`` falls back
-to finite differences.
+All built-ins evaluate F and its derivatives on batches (leading axes of x
+and z broadcast), with closed-form derivative bounds where they exist;
+``CustomStateMap`` uses finite differences and takes its grid norms row by row.
 """
 
 from __future__ import annotations
@@ -54,6 +54,11 @@ def _pow(x: float, y: float) -> float:
         return math.inf
 
 
+def _smax(M: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in the stack M (..., p, q)."""
+    return np.linalg.svd(M, compute_uv=False)[..., 0]
+
+
 def _abs_sin_sup(a: float, b: float) -> float:
     lo, hi = sin_range(a, b)
     return max(abs(lo), abs(hi))
@@ -92,7 +97,12 @@ SQUASHINGS = {
 
 
 class StateMap:
-    """Base class for driven state maps."""
+    """Base class for driven state maps.
+
+    ``eval``, ``jac_state``, ``jac_input`` and ``second_partials`` take x
+    (..., N) and z (..., d) with leading batch axes that broadcast.  The
+    ``*_norms`` methods, one norm per row of X, Z, are ``lipschitz_bounds``' grid.
+    """
 
     derivative_order = 0
 
@@ -137,30 +147,41 @@ class StateMap:
     def __call__(self, x, z) -> np.ndarray:
         return self.eval(x, z)
 
+    def _batched(self, x: np.ndarray, z: np.ndarray, M: np.ndarray, core: int = 2) -> np.ndarray:
+        """M, whose last ``core`` axes belong to one point, copied out to the
+        batch shape of (x, z)."""
+        batch = np.broadcast_shapes(x.shape[:-1], z.shape[:-1], M.shape[:M.ndim - core])
+        return np.broadcast_to(M, batch + M.shape[M.ndim - core:]).copy()
+
     def jac_state(self, x, z) -> np.ndarray:
+        """D_x F at (x, z), shape (..., N, N)."""
         raise NotImplementedError
 
     def jac_input(self, x, z) -> np.ndarray:
+        """D_z F at (x, z), shape (..., N, d)."""
         raise NotImplementedError
 
-    def second_partials(self, x, z) -> tuple[float, float]:
-        """Operator norms of the state-state and state-input second derivatives at (x, z)."""
+    def second_partials(self, x, z) -> tuple[np.ndarray, np.ndarray]:
+        """Operator norms of the state-state and state-input second
+        derivatives, one pair of arrays of the batch shape of (x, z)."""
         raise NotImplementedError
 
-    # Batched norm evaluations used by grid suprema; the defaults loop.
+    def _largest_singular_values(self, jac, X, Z) -> np.ndarray:
+        """Largest singular value of jac at each row of X, Z, ``_CHUNK`` rows at a time."""
+        X, Z = np.atleast_2d(X), np.atleast_2d(Z)
+        out = np.empty(len(X))
+        for i in range(0, len(X), _CHUNK):
+            out[i:i + _CHUNK] = _smax(jac(X[i:i + _CHUNK], Z[i:i + _CHUNK]))
+        return out
 
     def jac_state_norms(self, X, Z) -> np.ndarray:
-        return np.array([np.linalg.svd(self.jac_state(x, z), compute_uv=False)[0]
-                         for x, z in zip(np.atleast_2d(X), np.atleast_2d(Z))])
+        return self._largest_singular_values(self.jac_state, X, Z)
 
     def jac_input_norms(self, X, Z) -> np.ndarray:
-        return np.array([np.linalg.svd(self.jac_input(x, z), compute_uv=False)[0]
-                         for x, z in zip(np.atleast_2d(X), np.atleast_2d(Z))])
+        return self._largest_singular_values(self.jac_input, X, Z)
 
     def second_partial_norms(self, X, Z) -> tuple[np.ndarray, np.ndarray]:
-        pairs = [self.second_partials(x, z) for x, z in zip(np.atleast_2d(X), np.atleast_2d(Z))]
-        arr = np.array(pairs)
-        return arr[:, 0], arr[:, 1]
+        return self.second_partials(np.atleast_2d(X), np.atleast_2d(Z))
 
     def analytic_lipschitz(self, region: InvariantRegion, input_range: InputRange):
         """Closed-form derivative suprema over region x input_range, or None."""
@@ -223,29 +244,9 @@ class Esn(StateMap):
         d = self.squashing.deriv(self._pre(x, z))
         return d[..., :, None] * self.C
 
-    def second_partials(self, x, z) -> tuple[float, float]:
+    def second_partials(self, x, z) -> tuple[np.ndarray, np.ndarray]:
         """Upper bounds max|sigma''| * smax(A)^2 and max|sigma''| * smax(A) smax(C)."""
-        m2 = float(np.max(np.abs(self.squashing.deriv2(self._pre(x, z)))))
-        return m2 * _pow(self.sigma_max_A, 2), m2 * self.sigma_max_A * self.sigma_max_C
-
-    def _jac_norms(self, X, Z, M: np.ndarray) -> np.ndarray:
-        """Largest singular values of diag(sigma'(pre)) M at the rows of X, Z."""
-        X = np.atleast_2d(X)
-        Z = np.atleast_2d(Z)
-        out = np.empty(len(X))
-        for i in range(0, len(X), _CHUNK):
-            d = self.squashing.deriv(self._pre(X[i:i + _CHUNK], Z[i:i + _CHUNK]))
-            out[i:i + _CHUNK] = np.linalg.svd(d[:, :, None] * M, compute_uv=False)[:, 0]
-        return out
-
-    def jac_state_norms(self, X, Z) -> np.ndarray:
-        return self._jac_norms(X, Z, self.A)
-
-    def jac_input_norms(self, X, Z) -> np.ndarray:
-        return self._jac_norms(X, Z, self.C)
-
-    def second_partial_norms(self, X, Z) -> tuple[np.ndarray, np.ndarray]:
-        m2 = np.max(np.abs(self.squashing.deriv2(self._pre(np.atleast_2d(X), np.atleast_2d(Z)))), axis=-1)
+        m2 = np.max(np.abs(self.squashing.deriv2(self._pre(x, z))), axis=-1)
         return m2 * _pow(self.sigma_max_A, 2), m2 * self.sigma_max_A * self.sigma_max_C
 
     def analytic_lipschitz(self, region, input_range):
@@ -272,10 +273,8 @@ class Esn(StateMap):
 
 
 def shift_matrix(n: int) -> np.ndarray:
-    A = np.zeros((n, n))
-    for i in range(1, n):
-        A[i, i - 1] = 1.0
-    return A
+    """The n x n lower shift: ones on the first subdiagonal."""
+    return np.eye(n, k=-1)
 
 
 class LinearDelay(StateMap):
@@ -290,31 +289,21 @@ class LinearDelay(StateMap):
         super().__init__(state_dim=n, input_dim=1)
         self.q = int(q)
         self.A = shift_matrix(n)
-        self.C = np.zeros((n, 1))
-        self.C[0, 0] = 1.0
+        self.C = np.eye(n, 1)
 
     def eval(self, x, z) -> np.ndarray:
         x, z = self._check(x, z)
         return np.concatenate([np.broadcast_to(z, x.shape[:-1] + (1,)), x[..., :-1]], axis=-1)
 
     def jac_state(self, x, z) -> np.ndarray:
-        return self.A.copy()
+        return self._batched(*self._check(x, z), self.A)
 
     def jac_input(self, x, z) -> np.ndarray:
-        return self.C.copy()
+        return self._batched(*self._check(x, z), self.C)
 
-    def second_partials(self, x, z) -> tuple[float, float]:
-        return 0.0, 0.0
-
-    def jac_state_norms(self, X, Z) -> np.ndarray:
-        return np.ones(len(np.atleast_2d(X)))
-
-    def jac_input_norms(self, X, Z) -> np.ndarray:
-        return np.ones(len(np.atleast_2d(X)))
-
-    def second_partial_norms(self, X, Z) -> tuple[np.ndarray, np.ndarray]:
-        n = len(np.atleast_2d(X))
-        return np.zeros(n), np.zeros(n)
+    def second_partials(self, x, z) -> tuple[np.ndarray, np.ndarray]:
+        zero = self._batched(*self._check(x, z), np.zeros(()), core=0)
+        return zero, zero.copy()
 
     def analytic_lipschitz(self, region, input_range):
         return {"l_fx": 1.0, "l_fz": 1.0, "l_fxx": 0.0, "l_fxz": 0.0}
@@ -373,24 +362,23 @@ class PowerSine(StateMap):
             raise DomainViolation("derivative of |x|^alpha is undefined at a zero coordinate")
 
     def jac_state(self, x, z) -> np.ndarray:
-        x, _ = self._check(x, z)
-        if x.ndim != 1:
-            raise DimensionMismatch("jac_state expects a single state vector")
+        x, z = self._check(x, z)
         self._check_away_from_zero(x)
         d = self.alpha * np.abs(x) ** (self.alpha - 1.0)
-        return np.diag(d)
+        return self._batched(x, z, d[..., :, None] * np.eye(3))
 
     def jac_input(self, x, z) -> np.ndarray:
-        _, z = self._check(x, z)
+        x, z = self._check(x, z)
         kz = self.k * z[..., 0]
         col = self.lam * self.k * np.stack([np.cos(kz), -np.sin(kz), np.sin(2.0 * kz)], axis=-1)
-        return col[..., :, None]
+        return self._batched(x, z, col[..., :, None])
 
-    def second_partials(self, x, z) -> tuple[float, float]:
-        x, _ = self._check(x, z)
+    def second_partials(self, x, z) -> tuple[np.ndarray, np.ndarray]:
+        x, z = self._check(x, z)
         self._check_away_from_zero(x)
-        nxx = self.alpha * (1.0 - self.alpha) * float(np.max(np.abs(x) ** (self.alpha - 2.0)))
-        return nxx, 0.0
+        m = self._batched(x, z, np.min(np.abs(x), axis=-1), core=0)
+        nxx = self.alpha * (1.0 - self.alpha) * m ** (self.alpha - 2.0)
+        return nxx, np.zeros_like(nxx)
 
     def jac_state_norms(self, X, Z) -> np.ndarray:
         X = np.atleast_2d(X)
@@ -401,12 +389,6 @@ class PowerSine(StateMap):
         Z = np.atleast_2d(Z)
         kz = self.k * Z[:, 0]
         return self.lam * self.k * np.sqrt(1.0 + np.sin(2.0 * kz) ** 2)
-
-    def second_partial_norms(self, X, Z) -> tuple[np.ndarray, np.ndarray]:
-        X = np.atleast_2d(X)
-        self._check_away_from_zero(X)
-        nxx = self.alpha * (1.0 - self.alpha) * np.min(np.abs(X), axis=-1) ** (self.alpha - 2.0)
-        return nxx, np.zeros(len(X))
 
     def _angles(self, z_lo, z_hi, scale: float = 1.0) -> tuple[float, float]:
         """The interval scale * k * [z_lo, z_hi] of the first input, or one
@@ -446,7 +428,11 @@ class PowerSine(StateMap):
 
 
 class CustomStateMap(StateMap):
-    """Wrap an arbitrary state function; derivatives by central differences."""
+    """Wrap an arbitrary state function; derivatives by central differences.
+
+    Its derivatives may be per-point callables (one matrix whatever the
+    batch) and ``second_partials`` takes one point, so its grid norms go row
+    by row."""
 
     def __init__(self, func, state_dim: int, input_dim: int,
                  jac_state=None, jac_input=None, fd_step: float = 1e-6,
@@ -483,10 +469,17 @@ class CustomStateMap(StateMap):
         h = math.sqrt(self.fd_step)
 
         def sup_norm(D):  # D[..., j] differentiates jac_state along e_j
-            return max([0.0] + [float(np.linalg.svd(Dj, compute_uv=False)[0])
-                                for Dj in np.moveaxis(D, -1, 0)])
+            return float(max(0.0, *_smax(np.moveaxis(D, -1, 0))))
         return (sup_norm(_central_difference(lambda y: self.jac_state(y, z), x, h)),
                 sup_norm(_central_difference(lambda y: self.jac_state(x, y), z, h)))
+
+    def _largest_singular_values(self, jac, X, Z) -> np.ndarray:
+        return np.array([_smax(jac(x, z)) for x, z in zip(np.atleast_2d(X), np.atleast_2d(Z))])
+
+    def second_partial_norms(self, X, Z) -> tuple[np.ndarray, np.ndarray]:
+        rows = zip(np.atleast_2d(X), np.atleast_2d(Z))
+        pairs = np.array([self.second_partials(x, z) for x, z in rows])
+        return pairs[:, 0], pairs[:, 1]
 
 
 @dataclass(frozen=True)
@@ -509,9 +502,6 @@ class LipschitzBounds:
     method: str
     analytic: dict | None
     grid: dict | None
-    region_label: str = ""
-    input_lo: np.ndarray | None = None
-    input_hi: np.ndarray | None = None
 
 
 def _cyclic_pair(X: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -539,13 +529,7 @@ def lipschitz_bounds(F: StateMap, region: InvariantRegion, input_range: InputRan
     nxx, nxz = F.second_partial_norms(Xp, Zp)
     grid = {"l_fx": gx, "l_fz": gz, "l_fxx": float(np.max(nxx)), "l_fxz": float(np.max(nxz))}
 
-    if analytic is not None:
-        chosen = {k: max(analytic[k], grid[k]) for k in grid}
-        method = "analytic+grid"
-    else:
-        chosen = grid
-        method = "grid"
-    return LipschitzBounds(method=method, analytic=analytic, grid=grid,
-                           region_label=region.label,
-                           input_lo=input_range.lo.copy(),
-                           input_hi=input_range.hi.copy(), **chosen)
+    if analytic is None:
+        return LipschitzBounds(method="grid", analytic=None, grid=grid, **grid)
+    return LipschitzBounds(method="analytic+grid", analytic=analytic, grid=grid,
+                           **{k: max(analytic[k], grid[k]) for k in grid})

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gsync import (CoordinateProjection, Esn, PowerSine, TorusRotation, AxisBox,
-                   lorenz_system, observe_trajectory)
+from gsync import (CoordinateProjection, CustomStateMap, Esn, PowerSine, TorusRotation,
+                   AxisBox, lorenz_system, observe_trajectory)
 
 LORENZ_M0 = np.array([0.0, 1.0, 1.05])
 IV_ALPHA, IV_LAMBDA, IV_K = 0.9, 0.009, 0.1
@@ -19,6 +19,15 @@ def esn_reservoir(units=16, seed=7):
     A = rng.normal(size=(units, units))
     A *= 0.35 / np.linalg.norm(A, 2)
     return Esn(A, 0.1 * rng.normal(size=(units, 1)), zeta=0.05 * rng.normal(size=units))
+
+
+def affine_half(dim=1, derivative_order=2):
+    """F(x, z) = x / 2 + z with per-point Jacobian callables (one matrix
+    whatever the batch)."""
+    return CustomStateMap(lambda x, z: 0.5 * x + z, state_dim=dim, input_dim=dim,
+                          jac_state=lambda x, z: 0.5 * np.eye(dim),
+                          jac_input=lambda x, z: np.eye(dim),
+                          derivative_order=derivative_order)
 
 
 @pytest.fixture(scope="session")

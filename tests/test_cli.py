@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gsync import cli
 from gsync.cli import main, section_iv_config
 from gsync.config import parse_config_text
 
@@ -286,6 +287,19 @@ class TestConfigErrors:
     def test_bad_forgetting_k_exit_2(self, tmp_path, k):
         cfg = write_cfg(tmp_path, SMALL_IV + f"run.forgetting_k = 1 {k}\n")
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_run_too_large_for_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        # forgetting_k = 1e11 once asked numpy for 7.28 TiB; stand in for that
+        # allocation rather than attempt it
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "input_forgetting", too_large)
+        cfg = write_cfg(tmp_path, SMALL_IV + "run.forgetting_k = 1 100000000000\n")
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "MemoryError: Unable to allocate 7.28 TiB" in err
 
     @pytest.mark.parametrize("indices", ["0.7", "inf"])
     def test_non_integer_observation_index_exit_2(self, tmp_path, capsys, indices):

@@ -2,22 +2,15 @@ import numpy as np
 import pytest
 
 from gsync import (AxisBox, Ball, CatMap, CoordinateProjection, CustomObservation,
-                   CustomStateMap, Esn, InputRange, LinearDelay, RegionIntersection,
+                   CustomStateMap, Esn, InputRange, LinearDelay, PowerSine, RegionIntersection,
                    absorbing_set, certify, check_invariance, lipschitz_bounds)
 from gsync.contraction import ContractionCertificate
 from gsync.errors import NonFiniteError, NotAContraction
 from gsync.statemaps import LipschitzBounds
 
-from conftest import IV_LAMBDA, esn_reservoir
+from conftest import IV_LAMBDA, affine_half, esn_reservoir
 
 GOLDEN_CAT_NORM = (3.0 + np.sqrt(5.0)) / 2.0
-
-
-def affine_half(dim=1, derivative_order=2):
-    return CustomStateMap(lambda x, z: 0.5 * x + z, state_dim=dim, input_dim=dim,
-                          jac_state=lambda x, z: 0.5 * np.eye(dim),
-                          jac_input=lambda x, z: np.eye(dim),
-                          derivative_order=derivative_order)
 
 
 def esn_on_cat(scale):
@@ -230,7 +223,7 @@ class TestCertify:
             tangent_inv_norm=1e20 / 3.0, domega_norm=1.0, invariance_ok=False,
             invariance_margin=-1e-3 / 7.0, invariance_method="sampled", esp_ok=True,
             diff_ok=False, r_const=nan, delta0=nan, c0=nan, sampled=True,
-            n_tangent_samples=7, resolution=20, n_inputs=200)
+            n_tangent_samples=7)
         assert cert.report_text() == (
             "region: V1\nmethod: analytic+grid\nl_fx: 0.3\nl_fz: 0.333333333333\n"
             "l_fxx: 2.5e-07\nl_fxz: 0\ntangent_norm: 2.61803398875\n"
@@ -323,6 +316,29 @@ class TestCertifyClosedForms:
         assert cert.bounds.grid == full.grid
         for k in HEADLINE:
             assert getattr(cert.bounds, k) == getattr(full, k)
+
+
+class TestSampledFlag:
+    @staticmethod
+    def _cert(obs, torus):
+        return certify(PowerSine(0.9, 0.009, 0.1), AxisBox([0.9] * 3, [1.1] * 3), torus, obs,
+                       torus.trajectory([0.3, 0.4], 500).points)
+
+    def test_closed_forms_everywhere_are_not_sampled(self, torus):
+        cert = self._cert(CoordinateProjection([0], 2), torus)
+        assert (cert.bounds.method, cert.invariance_method) == ("analytic", "interval")
+        assert cert.domega_norm == 1.0
+        assert not cert.sampled
+
+    def test_sampled_observation_norm_is_sampled(self, torus):
+        # sup ||D omega|| = 2 pi, but the maximum over 501 samples falls short
+        # of it, and r_const rests on that maximum
+        obs = CustomObservation(lambda m: np.sin(2.0 * np.pi * m[..., :1]), 1, 2)
+        cert = self._cert(obs, torus)
+        assert (cert.bounds.method, cert.invariance_method) == ("analytic", "interval")
+        assert cert.domega_norm < 2.0 * np.pi
+        assert cert.diff_ok
+        assert cert.sampled
 
 
 class TestDiffNeedsSecondDerivatives:

@@ -416,6 +416,14 @@ class TestObservations:
         with pytest.raises(ValueError, match="integers"):
             CoordinateProjection([index], phase_dim=2)
 
+    def test_exact_norm_capability(self):
+        # only closed-form norm bounds are exact; a custom map's is a sample maximum
+        assert CoordinateProjection([0], phase_dim=2).exact_norm
+        assert LinearObservation([[1.0, 2.0]]).exact_norm
+        assert not CustomObservation(lambda m: m[..., :1], 1, 2).exact_norm
+        assert not CustomObservation(lambda m: m[..., :1], 1, 2,
+                                     jacobian=lambda m: [[1.0, 0.0]]).exact_norm
+
     def test_projection_accepts_integral_floats(self):
         obs = CoordinateProjection([1.0, 0.0], phase_dim=2)
         assert obs.indices == [1, 0]

@@ -5,8 +5,9 @@ from gsync import (AxisBox, CustomStateMap, Esn, InputRange, LinearDelay,
                    PowerSine, cos_range, lipschitz_bounds, shift_matrix,
                    sin_range)
 from gsync.errors import DimensionMismatch, DomainViolation
+from gsync.statemaps import _CHUNK
 
-from conftest import FIXED_POINTS, IV_K, IV_LAMBDA
+from conftest import FIXED_POINTS, IV_ALPHA, IV_K, IV_LAMBDA, affine_half
 
 
 def fd_jac_state(F, x, z, h=1e-7):
@@ -204,16 +205,6 @@ class TestEsn:
         F = Esn(0.5 * np.eye(2), np.array([[1.0], [0.0]]), squashing="identity")
         assert F.second_partials(np.zeros(2), [0.0]) == (0.0, 0.0)
 
-    def test_batch_norms_match_pointwise(self):
-        F = small_esn(0.4)
-        rng = np.random.default_rng(8)
-        X = rng.uniform(-1, 1, size=(50, 3))
-        Z = rng.uniform(-1, 1, size=(50, 1))
-        batch = F.jac_state_norms(X, Z)
-        for i in range(50):
-            ref = np.linalg.svd(F.jac_state(X[i], Z[i]), compute_uv=False)[0]
-            assert batch[i] == pytest.approx(ref, rel=1e-12)
-
     def test_interval_image_encloses_samples(self):
         F = small_esn(0.3)
         lo, hi = -np.ones(3), np.ones(3)
@@ -382,3 +373,109 @@ class TestCustomStateMap:
         assert np.allclose(F.eval(np.zeros(2), [5.0]), w)
         nxx, nxz = F.second_partials(np.zeros(2), [0.0])
         assert nxx <= 1e-6 and nxz <= 1e-6
+
+
+def fd_custom_map():
+    return TestCustomStateMap.coupled_map()
+
+
+# name -> (map, the derivatives that take a batch, rtol of a batch against its
+# rows).  A CustomStateMap's second_partials takes one point, and
+# affine_half's Jacobian callables return one matrix whatever the batch.  An
+# Esn's (n, N) @ A^T may round differently from a lone row's x @ A^T, so its
+# derivatives agree with the rows to a few eps, not bit for bit.
+BATCH_CASES = {
+    "esn-tanh": (lambda: small_esn(0.4, "tanh"), "all", 1e-14),
+    "esn-logistic": (lambda: small_esn(0.4, "logistic"), "all", 1e-14),
+    "esn-identity": (lambda: small_esn(0.4, "identity"), "all", 1e-14),
+    "linear-delay": (lambda: LinearDelay(q=2), "all", 0.0),
+    "power-sine": (lambda: PowerSine(IV_ALPHA, IV_LAMBDA, IV_K), "all", 0.0),
+    "affine-half": (lambda: affine_half(3), "none", 0.0),
+    "custom-fd": (fd_custom_map, "jacobians", 0.0),
+}
+
+
+def assert_rows(batch, rows, rtol):
+    if rtol == 0.0:
+        assert np.array_equal(batch, rows)
+    else:
+        np.testing.assert_allclose(batch, rows, rtol=rtol, atol=0.0)
+
+
+def grid_points(F, n, seed=8):
+    """n rows of states (off the coordinate planes) and inputs."""
+    rng = np.random.default_rng(seed)
+    X = rng.choice([-1.0, 1.0], size=(n, F.state_dim)) * rng.uniform(0.5, 1.5, size=(n, F.state_dim))
+    return X, rng.uniform(-2.0, 2.0, size=(n, F.input_dim))
+
+
+@pytest.mark.parametrize("name", list(BATCH_CASES))
+def test_batch_norms_match_pointwise(name):
+    make, batched, rtol = BATCH_CASES[name]
+    F = make()
+    X, Z = grid_points(F, 40)
+    rows = list(zip(X, Z))
+    pairs = np.array([F.second_partials(x, z) for x, z in rows], dtype=float)
+    if batched != "none":
+        for jac in (F.jac_state, F.jac_input):
+            assert_rows(jac(X, Z), np.stack([jac(x, z) for x, z in rows]), rtol)
+    if batched == "all":
+        assert_rows(np.stack(F.second_partials(X, Z), axis=-1), pairs, rtol)
+    for norms, jac in ((F.jac_state_norms, F.jac_state), (F.jac_input_norms, F.jac_input)):
+        ref = [np.linalg.svd(jac(x, z), compute_uv=False)[0] for x, z in rows]
+        np.testing.assert_allclose(norms(X, Z), ref, rtol=1e-12, atol=0.0)
+    assert_rows(np.stack(F.second_partial_norms(X, Z), axis=-1), pairs, rtol)
+
+
+def test_batched_derivatives_broadcast_like_eval():
+    # one state against a batch of inputs, and a batch of states against one input
+    for make, _, rtol in [BATCH_CASES[k] for k in ("esn-tanh", "linear-delay", "power-sine")]:
+        F = make()
+        X, Z = grid_points(F, 5)
+        for x, z in ((X[0], Z), (X, Z[0])):
+            n = F.state_dim
+            assert F.jac_state(x, z).shape == (5, n, n)
+            assert F.jac_input(x, z).shape == (5, n, F.input_dim)
+            assert all(p.shape == (5,) for p in F.second_partials(x, z))
+            rows = [(x, z[i]) if x.ndim == 1 else (x[i], z) for i in range(5)]
+            for jac in (F.jac_state, F.jac_input):
+                assert_rows(jac(x, z), np.stack([jac(*row) for row in rows]), rtol)
+
+
+@pytest.mark.parametrize("squashing", ["tanh", "logistic", "identity"])
+def test_esn_grid_norms_pinned_to_formulas(squashing):
+    # svd(sigma'(pre)[:, None] * M), _CHUNK rows at a time, across a chunk boundary
+    F = small_esn(0.4, squashing)
+    X, Z = grid_points(F, _CHUNK + 5)
+    norms = {"A": [], "C": []}
+    for i in range(0, len(X), _CHUNK):
+        d = F.squashing.deriv(X[i:i + _CHUNK] @ F.A.T + (Z[i:i + _CHUNK] @ F.C.T + F.zeta))
+        for key, M in (("A", F.A), ("C", F.C)):
+            norms[key].append(np.linalg.svd(d[:, :, None] * M, compute_uv=False)[:, 0])
+    assert np.array_equal(F.jac_state_norms(X, Z), np.concatenate(norms["A"]))
+    assert np.array_equal(F.jac_input_norms(X, Z), np.concatenate(norms["C"]))
+    m2 = np.max(np.abs(F.squashing.deriv2(X @ F.A.T + (Z @ F.C.T + F.zeta))), axis=-1)
+    nxx, nxz = F.second_partial_norms(X, Z)
+    assert np.array_equal(nxx, m2 * F.sigma_max_A ** 2)
+    assert np.array_equal(nxz, m2 * F.sigma_max_A * F.sigma_max_C)
+
+
+def test_linear_delay_grid_norms_exact():
+    F = LinearDelay(q=3)
+    X, Z = grid_points(F, 60)
+    assert np.array_equal(F.jac_state_norms(X, Z), np.ones(60))
+    assert np.array_equal(F.jac_input_norms(X, Z), np.ones(60))
+    nxx, nxz = F.second_partial_norms(X, Z)
+    assert np.array_equal(nxx, np.zeros(60)) and np.array_equal(nxz, np.zeros(60))
+
+
+def test_power_sine_grid_norms_pinned_to_formulas(power_sine):
+    a, lam, k = IV_ALPHA, IV_LAMBDA, IV_K
+    X, Z = grid_points(power_sine, 60)
+    m = np.min(np.abs(X), axis=-1)
+    assert np.array_equal(power_sine.jac_state_norms(X, Z), a * m ** (a - 1.0))
+    assert np.array_equal(power_sine.jac_input_norms(X, Z),
+                          lam * k * np.sqrt(1.0 + np.sin(2.0 * k * Z[:, 0]) ** 2))
+    nxx, nxz = power_sine.second_partial_norms(X, Z)
+    assert np.array_equal(nxx, a * (1.0 - a) * m ** (a - 2.0))
+    assert np.array_equal(nxz, np.zeros(60))

@@ -6,13 +6,17 @@ Runs ``simulate``, ``certify``, ``synchronize --method both`` and
 ``diagnose`` on the built-in Section IV config and on the seed-1 config of
 each benchmark workload (``perfbench/workloads.py``), plus ``reproduce``
 fig1..fig4, each into its own directory under OUT_DIR.  Prints one
-``sha256  relative/path`` line per output file, and one ``sha256
+``sha256  relative/path`` line per output file, one ``sha256
 <config>/sweep`` line per config for ``multistability_sweep`` run as the
 benchmark runs it (its labels, failures, separations, echo index and the
-bytes of every synchronization's values), sorted by path.  Run it on two
-checkouts and ``diff`` the listings to check that a change keeps the CLI
-output and the sweep byte-identical.  The package is imported from this
-checkout's ``src``.
+bytes of every synchronization's values), and one ``sha256
+<config>/lipschitz`` line per config for ``lipschitz_bounds`` on each of
+its regions (headline, method, closed forms and grid suprema), sorted by
+path.  ``certify`` evaluates no grid when a closed form exists, so the
+lipschitz lines are what see a change to the grid derivative norms.  Run
+it on two checkouts and ``diff`` the listings to check that a change keeps
+the CLI output, the sweep and the grid suprema byte-identical.  The
+package is imported from this checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
-from gsync import multistability_sweep  # noqa: E402
+from gsync import lipschitz_bounds, multistability_sweep  # noqa: E402
 from gsync.cli import main as gsync_main, section_iv_config  # noqa: E402
 from gsync.config import parse_config  # noqa: E402
+from gsync.dynsys import observe_trajectory  # noqa: E402
+from gsync.regions import InputRange  # noqa: E402
 
 COMMANDS = (["simulate"], ["certify"], ["synchronize", "--method", "both"], ["diagnose"])
 FIGURES = ("fig1", "fig2", "fig3", "fig4")
@@ -49,9 +55,31 @@ def sweep_digest(config_path: str) -> str:
     return h.hexdigest()
 
 
+def lipschitz_digest(config_path: str) -> str:
+    """SHA-256 of ``lipschitz_bounds`` on each of a config's regions, with the
+    config's grid resolution, input samples and seed, over the input range
+    that ``certify`` uses (the hull of the observed trajectory)."""
+    cfg = parse_config(config_path)
+    traj = cfg.system.trajectory(cfg.initial, cfg.n_steps)
+    input_range = InputRange.from_observations(observe_trajectory(cfg.observation, traj))
+
+    def exact(values):  # float.hex is exact and blind to float vs np.float64
+        return None if values is None else [(k, float(v).hex()) for k, v in sorted(values.items())]
+
+    h = hashlib.sha256()
+    for region in cfg.regions:
+        b = lipschitz_bounds(cfg.statemap, region, input_range, resolution=cfg.grid_resolution,
+                             n_inputs=cfg.input_samples, rng=cfg.seed)
+        headline = {k: getattr(b, k) for k in ("l_fx", "l_fz", "l_fxx", "l_fxz")}
+        h.update(repr((region.label, b.method, exact(headline), exact(b.analytic),
+                       exact(b.grid))).encode())
+    return h.hexdigest()
+
+
 def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[str]]:
-    """Run every command and sweep; return the sweep digests as (label/sweep,
-    digest) pairs and a message for each non-zero exit code."""
+    """Run every command, sweep and grid; return the sweep and lipschitz
+    digests as (label/sweep, digest) and (label/lipschitz, digest) pairs and
+    a message for each non-zero exit code."""
     configs = {"section_iv": os.path.join(inputs_dir, "section_iv.cfg")}
     with open(configs["section_iv"], "w") as fh:
         fh.write(section_iv_config().resolved_text())
@@ -68,8 +96,9 @@ def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[
             code = gsync_main(argv)
         if code != 0:
             failures.append(f"exit {code}: gsync {' '.join(argv)}")
-    sweeps = [(f"{label}/sweep", sweep_digest(path)) for label, path in configs.items()]
-    return sweeps, failures
+    extra = [(f"{label}/sweep", sweep_digest(path)) for label, path in configs.items()]
+    extra += [(f"{label}/lipschitz", lipschitz_digest(path)) for label, path in configs.items()]
+    return extra, failures
 
 
 def digests(out_dir: str, extra=()) -> list[str]:
@@ -93,8 +122,8 @@ def main(argv=None) -> int:
         print(f"{out_dir} is not empty", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as inputs_dir:
-        sweeps, failures = run_all(out_dir, inputs_dir)
-    print("\n".join(digests(out_dir, sweeps)))
+        extra, failures = run_all(out_dir, inputs_dir)
+    print("\n".join(digests(out_dir, extra)))
     for msg in failures:
         print(msg, file=sys.stderr)
     return 1 if failures else 0
