@@ -77,9 +77,16 @@ def _parse_int(s: str, key: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {s!r}") from exc
 
 
+def _tokens(s: str, key: str) -> list[str]:
+    tokens = s.replace(",", " ").split()
+    if not tokens:
+        raise ConfigError(f"{key}: expected at least one number, got {s!r}")
+    return tokens
+
+
 def _parse_vec(s: str, key: str) -> np.ndarray:
     try:
-        v = np.array([float(tok) for tok in s.replace(",", " ").split()])
+        v = np.array([float(tok) for tok in _tokens(s, key)])
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse vector {s!r}") from exc
     return _finite(v, key, s)
@@ -87,7 +94,7 @@ def _parse_vec(s: str, key: str) -> np.ndarray:
 
 def _parse_int_vec(s: str, key: str) -> list[int]:
     try:
-        return [int(tok) for tok in s.replace(",", " ").split()]
+        return [int(tok) for tok in _tokens(s, key)]
     except ValueError as exc:
         raise ConfigError(f"{key}: expected integers, got {s!r}") from exc
 

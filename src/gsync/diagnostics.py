@@ -27,7 +27,6 @@ class WeightingSequence:
         if ratio is not None:
             if not 0.0 < ratio < 1.0:
                 raise ValueError("ratio must lie in (0, 1)")
-            self.kind = "geometric"
             self.ratio = float(ratio)
             self._weights = None
         else:
@@ -38,7 +37,6 @@ class WeightingSequence:
                 raise ValueError("the lag-0 weight must equal 1")
             if np.any(np.diff(w) >= 0.0) or np.any(w <= 0.0):
                 raise ValueError("weights must be strictly decreasing and positive")
-            self.kind = "custom"
             self.ratio = None
             self._weights = w
 
@@ -47,7 +45,7 @@ class WeightingSequence:
         return cls(ratio=ratio)
 
     def weights(self, length: int) -> np.ndarray:
-        if self.kind == "geometric":
+        if self._weights is None:
             return self.ratio ** np.arange(length)
         if length > len(self._weights):
             raise ValueError(f"custom sequence has only {len(self._weights)} weights")
@@ -105,15 +103,22 @@ def input_forgetting(F: StateMap, region: InvariantRegion, input_range: InputRan
     return float(np.max(np.linalg.norm(xa - xb, axis=-1)))
 
 
-def _near_pairs(points: np.ndarray, radius: float, min_time_sep: int,
-                pair_budget: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs within radius, temporally separated, subsampled per scale.
+def _near_pairs(points: np.ndarray, radius_factor: float, min_time_sep: int,
+                pair_budget: int, rng) -> tuple[np.ndarray, np.ndarray, float]:
+    """Index pairs within a radius, temporally separated, subsampled per scale.
 
-    Subsampling is stratified over logarithmic distance shells so that the
-    fine scales keep representation when the budget truncates.
+    The radius is ``radius_factor`` times the median distance from each
+    point to its nearest other point; it is returned with the pairs and
+    their distances.  Subsampling is stratified over logarithmic distance
+    shells so that the fine scales keep representation when the budget
+    truncates.
     """
     from scipy.spatial import cKDTree  # only the regularity probes need scipy
     tree = cKDTree(points)
+    med = float(np.median(tree.query(points, k=2)[0][:, 1]))
+    if med == 0.0:
+        raise InsufficientPairs("degenerate sample: repeated phase points")
+    radius = med * radius_factor
     pairs = tree.query_pairs(r=radius, output_type="ndarray")
     if len(pairs) == 0:
         raise InsufficientPairs("no near pairs within the search radius")
@@ -134,17 +139,7 @@ def _near_pairs(points: np.ndarray, radius: float, min_time_sep: int,
             keep.append(idx)
         sel = np.concatenate(keep)
         pairs, dm = pairs[sel], dm[sel]
-    return pairs, dm
-
-
-def _median_nn_spacing(points: np.ndarray) -> float:
-    """Median distance from each sample point to its nearest other point."""
-    from scipy.spatial import cKDTree
-    nn, _ = cKDTree(points).query(points, k=2)
-    med = float(np.median(nn[:, 1]))
-    if med == 0.0:
-        raise InsufficientPairs("degenerate sample: repeated phase points")
-    return med
+    return pairs, dm, radius
 
 
 @dataclass(frozen=True)
@@ -172,8 +167,7 @@ def derivative_profile(gs: SampledGS, pair_budget: int = 4000,
     plausibly differentiable) behavior at the sampled scales.
     """
     g = _rng(rng)
-    med = _median_nn_spacing(gs.points)
-    pairs, dm = _near_pairs(gs.points, med * radius_factor, min_time_sep, pair_budget, g)
+    pairs, dm, _ = _near_pairs(gs.points, radius_factor, min_time_sep, pair_budget, g)
     df = np.linalg.norm(gs.values[pairs[:, 0]] - gs.values[pairs[:, 1]], axis=-1)
     slopes = df / dm
 
@@ -217,10 +211,9 @@ def holder_exponent(gs: SampledGS, pair_budget: int = 4000,
     identically zero value differences yield the +inf sentinel.
     """
     g = _rng(rng)
-    med = _median_nn_spacing(gs.points)
-    upper = med * window_upper_factor
+    pairs, dm, upper = _near_pairs(gs.points, window_upper_factor, min_time_sep,
+                                   pair_budget, g)
     lower = upper / 10.0 ** window_decades
-    pairs, dm = _near_pairs(gs.points, upper, min_time_sep, pair_budget, g)
     df = np.linalg.norm(gs.values[pairs[:, 0]] - gs.values[pairs[:, 1]], axis=-1)
 
     in_window = (dm >= lower) & (dm <= upper)

@@ -15,9 +15,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteError, RoundTripFailure
 
-_CAT_FORWARD = np.array([[2.0, 1.0], [1.0, 1.0]])
-_CAT_INVERSE = np.array([[1.0, -1.0], [-1.0, 2.0]])
-
 
 def _as_point(m, dim) -> np.ndarray:
     m = np.asarray(m, dtype=float)
@@ -26,6 +23,15 @@ def _as_point(m, dim) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NonFiniteError(f"non-finite point {m}")
     return m
+
+
+def _smax(M: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in the stack M (..., p, q)."""
+    return np.linalg.svd(M, compute_uv=False)[..., 0]
+
+
+def _all_finite(a) -> bool:
+    return bool(np.isfinite(a).all())
 
 
 def _central_difference(f, x: np.ndarray, h: float) -> np.ndarray:
@@ -62,6 +68,8 @@ class DiscreteSystem:
     ``inverse_step`` and the tangent maps.  The default ``jacobian`` uses
     central finite differences with step ``fd_step`` and the default
     ``inverse_jacobian`` uses the identity T_m(phi^-1) = (T_{phi^-1(m)} phi)^-1.
+    ``_tangent_maps`` stacks both over a batch of samples; subclasses may
+    override it with a batched evaluation of the same maps.
     ``exact_tangent`` marks systems whose tangent maps are closed forms.
     """
 
@@ -110,17 +118,39 @@ class DiscreteSystem:
         Subclasses override it with a cheaper state than a checked point."""
         return self.step, m
 
-    def _batch_tangent_maps(self, samples: np.ndarray):
-        """Stacked T_m(phi) and T_m(phi^-1) over samples (n, phase_dim), or
-        None when ``tangent_norm_bounds`` must evaluate sample by sample (as
-        it also does when a stacked map is non-finite)."""
-        return None
+    def _tangent_maps(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked T_m(phi) and T_m(phi^-1), each (n, phase_dim, phase_dim),
+        over samples (n, phase_dim): ``jacobian`` and ``inverse_jacobian``
+        sample by sample, raising at the first non-finite pair."""
+        fwd, inv = [], []
+        for m in samples:
+            fwd.append(self.jacobian(m))
+            inv.append(self.inverse_jacobian(m))
+            if not (_all_finite(fwd[-1]) and _all_finite(inv[-1])):
+                raise NonFiniteError("tangent map evaluation is non-finite")
+        return np.array(fwd), np.array(inv)
 
 
-class TorusRotation(DiscreteSystem):
-    """Rotation m -> (m + angles) mod 1 on the unit torus."""
+class _ConstantTangent(DiscreteSystem):
+    """A system whose tangent maps are the same at every point: the pair
+    (T phi, T phi^-1) that the subclass's ``_tangent_pair()`` returns."""
 
     exact_tangent = True
+
+    def jacobian(self, m) -> np.ndarray:
+        return self._tangent_pair()[0].copy()
+
+    def inverse_jacobian(self, m) -> np.ndarray:
+        return self._tangent_pair()[1].copy()
+
+    def _tangent_maps(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        shape = (len(samples), self.phase_dim, self.phase_dim)
+        fwd, inv = self._tangent_pair()
+        return np.broadcast_to(fwd, shape), np.broadcast_to(inv, shape)
+
+
+class TorusRotation(_ConstantTangent):
+    """Rotation m -> (m + angles) mod 1 on the unit torus."""
 
     def __init__(self, angles):
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
@@ -137,26 +167,18 @@ class TorusRotation(DiscreteSystem):
         m = _as_point(m, self.phase_dim)
         return (m - self.angles) % 1.0
 
-    def jacobian(self, m) -> np.ndarray:
-        return np.eye(self.phase_dim)
-
-    def inverse_jacobian(self, m) -> np.ndarray:
-        return np.eye(self.phase_dim)
-
-    def _batch_tangent_maps(self, samples: np.ndarray):
-        eye = np.broadcast_to(np.eye(self.phase_dim), (len(samples),) + (self.phase_dim,) * 2)
+    def _tangent_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        eye = np.eye(self.phase_dim)
         return eye, eye
 
 
-class CatMap(DiscreteSystem):
+class CatMap(_ConstantTangent):
     """Arnold cat map m -> [[2,1],[1,1]] m mod 1 on the 2-torus."""
-
-    exact_tangent = True
 
     def __init__(self):
         super().__init__(phase_dim=2)
-        self.matrix = _CAT_FORWARD.copy()
-        self.inverse_matrix = _CAT_INVERSE.copy()
+        self.matrix = np.array([[2.0, 1.0], [1.0, 1.0]])
+        self.inverse_matrix = np.array([[1.0, -1.0], [-1.0, 2.0]])
 
     def step(self, m) -> np.ndarray:
         m = _as_point(m, 2)
@@ -166,20 +188,8 @@ class CatMap(DiscreteSystem):
         m = _as_point(m, 2)
         return (self.inverse_matrix @ m) % 1.0
 
-    def jacobian(self, m) -> np.ndarray:
-        return self.matrix.copy()
-
-    def inverse_jacobian(self, m) -> np.ndarray:
-        return self.inverse_matrix.copy()
-
-    def _batch_tangent_maps(self, samples: np.ndarray):
-        shape = (len(samples), 2, 2)
-        return (np.broadcast_to(self.matrix, shape),
-                np.broadcast_to(self.inverse_matrix, shape))
-
-
-def _all_finite(a) -> bool:
-    return bool(np.isfinite(a).all())
+    def _tangent_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.matrix, self.inverse_matrix
 
 
 def _rk4_substep(f, u, v, w, hs):
@@ -212,8 +222,8 @@ class OdeFlow(DiscreteSystem):
     ``field.components(u, v, w) -> (du, dv, dw)`` working on Python floats
     and on equal-shape arrays (as ``lorenz_field`` does), is integrated on
     plain floats by ``step``, ``inverse_step`` and ``trajectory`` and in one
-    batch by ``tangent_norm_bounds``, with bit-identical results.  Other
-    fields are integrated on numpy points.
+    batch by the tangent kernel ``_tangent_maps``, with bit-identical
+    results.  Other fields are integrated on numpy points.
     """
 
     def __init__(self, field, phase_dim: int, h: float, substeps: int = 1,
@@ -291,17 +301,18 @@ class OdeFlow(DiscreteSystem):
                 f"{self.roundtrip_tol:.1e} (relative to scale {scale:.3g})")
         return prev
 
-    def _batch_tangent_maps(self, samples: np.ndarray):
+    def _tangent_maps(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The per-sample ``jacobian`` and ``inverse_jacobian`` (checked
         inverse step, central differences at the sample and at its
-        predecessor), evaluated as two batched integrations.
+        predecessor), as two batched integrations of a component form.
 
-        Returns None on anything the per-sample path would reject (a
-        divergent integration, a round trip within a factor two of its
-        tolerance), so that path decides and raises its own error.
+        Anything the per-sample path would reject (a divergent integration,
+        a round trip within a factor two of its tolerance, a non-finite
+        map) is left to that path, which decides and raises its own error.
         """
+        per_sample = super()._tangent_maps
         if self._components is None:
-            return None
+            return per_sample(samples)
         d = samples.shape[1]
         h = self.fd_step
         e = h * np.eye(d)
@@ -311,20 +322,21 @@ class OdeFlow(DiscreteSystem):
             starts = np.concatenate([p, m + e, m - e, p + e, p - e], axis=1)
             images = self._integrate_batch(starts.reshape(-1, d), self.h).reshape(starts.shape)
         except NonFiniteError:
-            return None
+            return per_sample(samples)
         err = np.linalg.norm(images[:, 0] - samples, axis=-1)
         scale = np.maximum(1.0, np.linalg.norm(samples, axis=-1))
-        # these row norms may round differently from the per-sample check,
-        # so a round trip near the tolerance is left to that check
-        if np.any(err > 0.5 * self.roundtrip_tol * scale):
-            return None
         fwd_p, fwd_m, prev_p, prev_m = np.split(images[:, 1:], 4, axis=1)
         # column j of a tangent map holds the difference quotient along e_j
         jac = np.swapaxes((fwd_p - fwd_m) / (2.0 * h), 1, 2)
         jac_prev = np.swapaxes((prev_p - prev_m) / (2.0 * h), 1, 2)
-        if not np.isfinite(jac_prev).all():
-            return None
-        return jac, np.linalg.inv(jac_prev)  # the caller checks both for finiteness
+        # these row norms may round differently from the per-sample check,
+        # so a round trip near the tolerance is left to that check
+        if np.any(err > 0.5 * self.roundtrip_tol * scale) or not _all_finite(jac_prev):
+            return per_sample(samples)
+        jac_inv = np.linalg.inv(jac_prev)
+        if not (_all_finite(jac) and _all_finite(jac_inv)):
+            return per_sample(samples)
+        return jac, jac_inv
 
 
 def lorenz_field(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0,
@@ -428,8 +440,7 @@ class ObservationMap:
     def norm_bound(self, samples) -> float:
         """Sampled sup of the operator norm of D omega."""
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        return max(float(np.linalg.svd(self.jacobian(m), compute_uv=False)[0])
-                   for m in samples)
+        return max(float(_smax(self.jacobian(m))) for m in samples)
 
 
 class CoordinateProjection(ObservationMap):
@@ -483,7 +494,7 @@ class LinearObservation(ObservationMap):
         return self.matrix.copy()
 
     def norm_bound(self, samples=None) -> float:
-        return float(np.linalg.svd(self.matrix, compute_uv=False)[0])
+        return float(_smax(self.matrix))
 
 
 class CustomObservation(ObservationMap):
@@ -557,15 +568,12 @@ def check_equivariance(sys: DiscreteSystem, obs: ObservationMap, m, t: int,
 def tangent_norm_bounds(sys: DiscreteSystem, samples) -> tuple[float, float]:
     """Sampled suprema of ||T phi|| and ||T phi^-1|| (largest singular values).
 
-    Analytic Jacobians are used where the system provides them; flow maps
-    fall back to central finite differences.  The torus rotation, the cat
-    map and flow maps of fields with a component form evaluate all samples
-    in one batch, with suprema identical to the per-sample evaluation; a
-    non-finite batch is left to the per-sample evaluation and its errors.
-    Every sample is first checked as ``step`` checks a point (dimension,
-    finiteness), also where the closed-form tangent maps ignore it.
-    The returned values are suprema over the given samples and grow
-    monotonically with the sample set.
+    The maps come from the system's tangent kernel ``_tangent_maps``:
+    analytic Jacobians where the system provides them, central finite
+    differences for flow maps.  Every sample is first checked as ``step``
+    checks a point (dimension, finiteness), also where the closed-form
+    tangent maps ignore it.  The returned values are suprema over the given
+    samples and grow monotonically with the sample set.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
@@ -573,22 +581,8 @@ def tangent_norm_bounds(sys: DiscreteSystem, samples) -> tuple[float, float]:
     finite = np.isfinite(samples.reshape(len(samples), -1)).all(axis=1)
     if samples.shape[1:] != (sys.phase_dim,) or not finite.all():
         _as_point(samples[np.argmin(finite)], sys.phase_dim)  # raises for this row
-    maps = sys._batch_tangent_maps(samples)
-    if maps is None or not all(_all_finite(J) for J in maps):
-        return _tangent_norm_bounds_loop(sys, samples)
-    sup_fwd, sup_inv = (max(0.0, float(np.max(np.linalg.svd(J, compute_uv=False)[:, 0])))
-                        for J in maps)
-    return sup_fwd, sup_inv
-
-
-def _tangent_norm_bounds_loop(sys: DiscreteSystem, samples: np.ndarray) -> tuple[float, float]:
-    sup_fwd = 0.0
-    sup_inv = 0.0
-    for m in samples:
-        Jf = sys.jacobian(m)
-        Ji = sys.inverse_jacobian(m)
-        if not (np.all(np.isfinite(Jf)) and np.all(np.isfinite(Ji))):
-            raise NonFiniteError("tangent map evaluation is non-finite")
-        sup_fwd = max(sup_fwd, float(np.linalg.svd(Jf, compute_uv=False)[0]))
-        sup_inv = max(sup_inv, float(np.linalg.svd(Ji, compute_uv=False)[0]))
+    maps = sys._tangent_maps(samples)
+    if not all(_all_finite(J) for J in maps):
+        raise NonFiniteError("tangent map evaluation is non-finite")
+    sup_fwd, sup_inv = (max(0.0, float(np.max(_smax(J)))) for J in maps)
     return sup_fwd, sup_inv

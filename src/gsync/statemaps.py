@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynsys import _central_difference
+from .dynsys import _central_difference, _smax
 from .errors import DimensionMismatch, DomainViolation, NonFiniteError
 from .regions import AxisBox, InputRange, InvariantRegion
 
@@ -52,11 +52,6 @@ def _pow(x: float, y: float) -> float:
         return x ** y
     except OverflowError:
         return math.inf
-
-
-def _smax(M: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in the stack M (..., p, q)."""
-    return np.linalg.svd(M, compute_uv=False)[..., 0]
 
 
 def _abs_sin_sup(a: float, b: float) -> float:
@@ -219,8 +214,8 @@ class Esn(StateMap):
         if not np.all(np.isfinite(self.zeta)):
             raise ValueError("zeta must be finite")
         self.squashing = SQUASHINGS[squashing]
-        self.sigma_max_A = float(np.linalg.svd(A, compute_uv=False)[0])
-        self.sigma_max_C = float(np.linalg.svd(C, compute_uv=False)[0])
+        self.sigma_max_A = float(_smax(A))
+        self.sigma_max_C = float(_smax(C))
 
     def input_terms(self, z) -> np.ndarray:
         """z C^T + zeta for every row of z, in one batch."""

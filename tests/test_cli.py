@@ -397,6 +397,28 @@ class TestConfigErrors:
         assert f"{key}: expected finite numbers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, base, lines", [
+        ("diagnose", "iv", ["run.forgetting_k = ,"]),
+        ("simulate", "lorenz", ["observation.indices = ,"]),
+        ("simulate", "torus", ["system.angles = ,", "observation.indices = ,"]),
+        ("simulate", "torus", ["system.initial = ,"]),
+        ("simulate", "torus", ["region.1.kind = box", "region.1.lo = ,", "region.1.hi = ,"]),
+        ("simulate", "torus", ["region.1.kind = box", "region.1.lo = 0 0", "region.1.hi = ,"]),
+        ("certify", "esn", ["statemap.zeta = ,"]),
+    ], ids=["forgetting_k", "indices", "angles_and_indices", "initial", "lo_and_hi", "hi",
+            "zeta"])
+    def test_empty_list_exit_2(self, tmp_path, capsys, command, base, lines):
+        # an empty list would resolve to "key = ", a line that does not parse
+        text = {"iv": SMALL_IV, "lorenz": SMALL_LORENZ, "torus": TORUS,
+                "esn": CAT_ESN.format(a="0.3")}[base]
+        keys = [l.split(" = ")[0] for l in lines]
+        text = "\n".join([l for l in text.splitlines() if l.split(" = ")[0] not in keys] + lines)
+        out = tmp_path / "o"
+        assert main([command, "--config", write_cfg(tmp_path, text + "\n"), "--out", str(out)]) == 2
+        key = keys[[l.endswith(",") for l in lines].index(True)]
+        assert f"{key}: expected at least one number, got ','" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_override_exit_2(self, tmp_path, capsys):
         out = tmp_path / "o"
         argv = ["diagnose", "--config", write_cfg(tmp_path, SMALL_IV), "--out", str(out)]
@@ -642,6 +664,11 @@ def mutate(name, key, j, token):
     return "\n".join(lines) + "\n"
 
 
+def assert_resolved_text_parses_again(out_dir):
+    text = open(os.path.join(out_dir, "resolved_config.cfg")).read()
+    assert parse_config_text(text).resolved_text() == text
+
+
 class TestExitCodeContract:
     @pytest.mark.parametrize("name", sorted(MUTABLE_CONFIGS))
     def test_unmutated_configs_succeed(self, tmp_path, name):
@@ -649,6 +676,7 @@ class TestExitCodeContract:
         for command in COMMANDS:
             out = str(tmp_path / command[0])
             assert main([*command, "--config", cfg, "--out", out]) == 0
+            assert_resolved_text_parses_again(out)
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(site=st.sampled_from(SITES), token=st.sampled_from(MUTANTS),
@@ -661,3 +689,15 @@ class TestExitCodeContract:
                 fh.write(mutate(*site, token))
             code = main([*command, "--config", cfg, "--out", os.path.join(tmp, "out")])
         assert code in (0, 2, 3, 4)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(site=st.sampled_from(SITES), token=st.sampled_from(MUTANTS),
+           command=st.sampled_from(COMMANDS))
+    def test_accepted_config_resolves_to_text_that_parses_again(self, site, token, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "run.cfg")
+            with open(cfg, "w") as fh:
+                fh.write(mutate(*site, token))
+            out = os.path.join(tmp, "out")
+            if main([*command, "--config", cfg, "--out", out]) != 2:
+                assert_resolved_text_parses_again(out)

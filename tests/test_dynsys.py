@@ -4,7 +4,7 @@ import pytest
 from gsync import (CatMap, CoordinateProjection, CustomObservation, CustomSystem,
                    LinearObservation, OdeFlow, TorusRotation, check_equivariance,
                    delay_window, lorenz_field, lorenz_system, tangent_norm_bounds)
-from gsync.dynsys import _tangent_norm_bounds_loop
+from gsync.dynsys import DiscreteSystem
 from gsync.errors import DimensionMismatch, NonFiniteError, RoundTripFailure
 
 from conftest import LORENZ_M0
@@ -54,6 +54,24 @@ def reference_equivariance(sys, obs, m, t, window):
     return max([0.0] + [float(np.max(np.abs(np.atleast_1d(obs(orbit_m[tau + t]))
                                             - np.atleast_1d(obs(orbit_mt[tau])))))
                         for tau in range(-window, window + 1)])
+
+
+def per_sample_suprema(system, samples):
+    # the base class's sample-by-sample kernel, each matrix's norm on its own
+    return tuple(max([0.0] + [float(np.linalg.svd(J, compute_uv=False)[0]) for J in maps])
+                 for maps in DiscreteSystem._tangent_maps(system, np.asarray(samples)))
+
+
+def shear(m):
+    return np.array([m[0] + 0.3 * np.sin(m[1]), m[1]])
+
+
+def shear_inverse(m):
+    return np.array([m[0] - 0.3 * np.sin(m[1]), m[1]])
+
+
+def shear_jacobian(sign):
+    return lambda m: np.array([[1.0, sign * 0.3 * np.cos(m[1])], [0.0, 1.0]])
 
 
 def orbit_case(which, lorenz, lorenz_traj, torus):
@@ -215,27 +233,39 @@ class TestFastPaths:
                               lorenz_traj.points[:201])
 
     @pytest.mark.parametrize("n", [101, 1001])
-    def test_batched_tangent_bounds_match_per_sample(self, lorenz, lorenz_traj, n):
+    def test_batched_tangent_bounds_match_per_sample(self, lorenz, lorenz_traj, n, monkeypatch):
         idx = np.linspace(0, len(lorenz_traj) - 1, n).astype(int)
         samples = lorenz_traj.points[idx]
-        assert lorenz._batch_tangent_maps(samples) is not None
-        assert tangent_norm_bounds(lorenz, samples) == _tangent_norm_bounds_loop(lorenz, samples)
+        want = per_sample_suprema(lorenz, samples)
+
+        def per_sample(m):
+            raise AssertionError("the batched kernel fell back to the per-sample one")
+
+        monkeypatch.setattr(lorenz, "jacobian", per_sample)
+        assert tangent_norm_bounds(lorenz, samples) == want
 
     @pytest.mark.parametrize("which", ["torus", "cat"])
     def test_exact_tangent_batches_match_per_sample(self, torus, which):
         system = torus if which == "torus" else CatMap()
         samples = np.random.default_rng(2).uniform(0.0, 1.0, size=(1000, 2))
-        fwd, inv = system._batch_tangent_maps(samples)
+        fwd, inv = system._tangent_maps(samples)
         assert fwd.shape == inv.shape == (1000, 2, 2)
         assert np.array_equal(fwd[17], system.jacobian(samples[17]))
         assert np.array_equal(inv[17], system.inverse_jacobian(samples[17]))
-        assert tangent_norm_bounds(system, samples) == _tangent_norm_bounds_loop(system, samples)
+        assert tangent_norm_bounds(system, samples) == per_sample_suprema(system, samples)
 
     def test_non_finite_batch_left_to_per_sample_check(self):
+        # the matrix is the one source of the cat map's tangent maps: the
+        # batch, the per-point maps and the per-sample kernel all see it
         broken = CatMap()
         broken.matrix = np.array([[np.nan, 1.0], [1.0, 1.0]])
+        samples = np.array([[0.1, 0.2], [0.3, 0.4]])
+        assert np.array_equal(broken._tangent_maps(samples)[0][1], broken.matrix, equal_nan=True)
+        assert np.array_equal(broken.jacobian(samples[1]), broken.matrix, equal_nan=True)
         with pytest.raises(NonFiniteError, match="tangent map evaluation is non-finite"):
-            tangent_norm_bounds(broken, [[0.1, 0.2], [0.3, 0.4]])
+            tangent_norm_bounds(broken, samples)
+        with pytest.raises(NonFiniteError, match="tangent map evaluation is non-finite"):
+            DiscreteSystem._tangent_maps(broken, samples)
 
     def test_batched_tangent_bounds_roundtrip_failure(self, lorenz_traj):
         sloppy = lorenz_system(h=0.05, substeps=1)
@@ -392,6 +422,86 @@ class TestTangentNorms:
         for m in ([0.21, 0.33], [0.13, 0.52]):
             rel = np.linalg.norm(fd_version.jacobian(m) - cat.jacobian(m)) / np.linalg.norm(cat.jacobian(m))
             assert rel <= 1e-6
+
+
+TANGENT_KERNEL_CASES = ["torus2", "torus3", "cat", "lorenz", "numpy_field",
+                        "custom_callables", "custom_fd"]
+
+
+def tangent_kernel_case(which, lorenz, lorenz_traj):
+    """(system, samples) for one tangent-kernel case."""
+    uniform = np.random.default_rng(11).uniform(0.0, 1.0, size=(300, 3))
+    attractor = lorenz_traj.points[::40]
+    if which == "torus2":
+        return TorusRotation([np.sqrt(2.0) - 1.0, np.sqrt(10.0) - 3.0]), uniform[:, :2]
+    if which == "torus3":
+        return TorusRotation([0.1, np.sqrt(2.0) - 1.0, 0.7]), uniform
+    if which == "cat":
+        return CatMap(), uniform[:, :2]
+    if which == "lorenz":
+        return lorenz, attractor
+    if which == "numpy_field":
+        field = lorenz_field()
+        return OdeFlow(lambda m: field(m), phase_dim=3, h=0.01, substeps=8), attractor
+    if which == "custom_callables":
+        return CustomSystem(shear, shear_inverse, phase_dim=2, jacobian=shear_jacobian(1.0),
+                            inverse_jacobian=shear_jacobian(-1.0)), uniform[:, 1:]
+    return CustomSystem(shear, shear_inverse, phase_dim=2), uniform[:, 1:]
+
+
+class TestTangentKernel:
+    @pytest.mark.parametrize("which", TANGENT_KERNEL_CASES)
+    def test_stacks_equal_per_point_maps(self, lorenz, lorenz_traj, which):
+        system, samples = tangent_kernel_case(which, lorenz, lorenz_traj)
+        n, d = samples.shape
+        fwd, inv = system._tangent_maps(samples)
+        assert fwd.shape == inv.shape == (n, d, d)
+        for k, m in enumerate(samples):
+            assert np.array_equal(fwd[k], system.jacobian(m))
+            assert np.array_equal(inv[k], system.inverse_jacobian(m))
+
+    @pytest.mark.parametrize("which", TANGENT_KERNEL_CASES)
+    def test_suprema_equal_per_sample_kernel(self, lorenz, lorenz_traj, which):
+        system, samples = tangent_kernel_case(which, lorenz, lorenz_traj)
+        assert tangent_norm_bounds(system, samples) == per_sample_suprema(system, samples)
+
+    def test_custom_callables_are_the_closed_forms(self):
+        system = CustomSystem(shear, shear_inverse, phase_dim=2, jacobian=shear_jacobian(1.0),
+                              inverse_jacobian=shear_jacobian(-1.0))
+        samples = np.array([[0.2, 0.0], [0.5, np.pi / 3.0]])
+        fwd, inv = system._tangent_maps(samples)
+        assert np.array_equal(fwd[0], [[1.0, 0.3], [0.0, 1.0]])
+        assert np.array_equal(inv[1], [[1.0, -0.3 * np.cos(np.pi / 3.0)], [0.0, 1.0]])
+
+    def test_non_finite_custom_map_raises_at_its_sample(self):
+        calls = []
+
+        def jacobian(m):
+            calls.append(m[0])
+            return np.full((2, 2), np.nan) if m[0] > 0.5 else np.eye(2)
+
+        system = CustomSystem(shear, shear_inverse, phase_dim=2, jacobian=jacobian,
+                              inverse_jacobian=lambda m: np.eye(2))
+        with pytest.raises(NonFiniteError, match="tangent map evaluation is non-finite"):
+            tangent_norm_bounds(system, [[0.1, 0.0], [0.9, 0.0], [0.2, 0.0]])
+        assert calls == [0.1, 0.9]
+
+    def test_non_finite_batch_left_to_per_sample_kernel(self, lorenz_traj):
+        class Overflowing(OdeFlow):
+            def _integrate_batch(self, points, h):
+                images = super()._integrate_batch(points, h)
+                if h > 0:  # images of m + e_0 and m - e_0 overflow their quotient
+                    images[1::13], images[4::13] = 1e308, -1e308
+                return images
+
+        field = lorenz_field()
+        system = Overflowing(field, phase_dim=3, h=0.01, substeps=8)
+        samples = lorenz_traj.points[2000:2005]
+        with np.errstate(over="ignore"):
+            fwd, inv = system._tangent_maps(samples)
+        want_fwd, want_inv = DiscreteSystem._tangent_maps(system, samples)
+        assert np.isfinite(fwd).all()
+        assert np.array_equal(fwd, want_fwd) and np.array_equal(inv, want_inv)
 
 
 class TestObservations:
