@@ -70,9 +70,13 @@ def _fmt(x) -> str:
 
 
 def _prepare_out(cfg: RunConfig, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "resolved_config.cfg"), "w") as fh:
-        fh.write(cfg.resolved_text())
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "resolved_config.cfg"), "w") as fh:
+            fh.write(cfg.resolved_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_dir!r}: "
+                          f"{type(exc).__name__}: {exc}") from exc
 
 
 def _phase_names(cfg: RunConfig) -> list[str]:
@@ -217,8 +221,7 @@ def cmd_diagnose(cfg: RunConfig, out_dir: str) -> int:
     dists = esp_convergence(cfg.statemap, z[1:n_esp + 1], x0a, x0b)
     _write_csv(os.path.join(out_dir, "esp.csv"),
                _meta(cfg, "diagnose", {"l_fx": _fmt(l_fx)}),
-               ["t", "distance"],
-               ([str(t), _fmt(d)] for t, d in enumerate(dists)))
+               ["t", "distance"], np.column_stack([np.arange(len(dists)), dists]))
 
     rows = []
     for k in cfg.forgetting_k:
@@ -239,11 +242,11 @@ def cmd_diagnose(cfg: RunConfig, out_dir: str) -> int:
             "bin_counts": " ".join(str(c) for c in prof.bin_counts),
             "bin_max_slope": " ".join(_fmt(s) for s in prof.bin_max_slope),
         }
+        # pair indices are below 2**53: %.17g prints them as the integers they are
         _write_csv(os.path.join(out_dir, "slopes.csv"),
                    _meta(cfg, "diagnose", bins_meta),
                    ["i", "j", "dm", "df", "slope"],
-                   ([str(p[0]), str(p[1]), _fmt(a), _fmt(b), _fmt(s)]
-                    for p, a, b, s in zip(prof.pairs, prof.dm, prof.df, prof.slopes)))
+                   np.column_stack([prof.pairs, prof.dm, prof.df, prof.slopes]))
         fit = holder_exponent(gs, pair_budget=cfg.pair_budget, rng=cfg.seed)
         _write_csv(os.path.join(out_dir, "holder.csv"),
                    _meta(cfg, "diagnose"),
@@ -288,14 +291,15 @@ def cmd_reproduce(cfg: RunConfig, figure: str, out_dir: str) -> int:
         rows = []
         for x1 in grid:
             for x2 in grid:
+                # scalar ** per point: array ** may round differently
                 d1 = np.sign(x1) * abs(x1) ** alpha - x1
                 d2 = np.sign(x2) * abs(x2) ** alpha - x2
-                rows.append([_fmt(x1), _fmt(x2), _fmt(d1), _fmt(d2)])
+                rows.append([x1, x2, d1, d2])
         _write_csv(path, _meta(cfg, "reproduce",
                                {"figure": "fig3", "cross_section": "x3 = 1",
                                 "lambda": "0",
                                 "stable_fixed_points": "; ".join(fixed)}),
-                   ["x1", "x2", "dx1", "dx2"], rows)
+                   ["x1", "x2", "dx1", "dx2"], np.array(rows))
     elif figure == "fig4":
         blocks = []
         for branch, drive in enumerate(_drives(cfg, traj), start=1):

@@ -19,7 +19,8 @@ row separators or ``csv:relative/path``):
     region.N.kind = box | ball
     region.N.lo, region.N.hi       (box)
     region.N.center, region.N.radius   (ball)
-    region.N.label
+    region.N.label                 (default V<N>; a file-name part without
+                                    '/', '\\' or ',', unique across regions)
     run.washout, run.record, run.method, run.tol, run.max_iters,
     run.psi_record_from, run.grid_resolution, run.input_samples,
     run.forgetting_k, run.forgetting_trials, run.pair_budget, run.seed
@@ -236,8 +237,12 @@ def parse_config_text(text: str, base_dir: str = ".") -> RunConfig:
 def parse_config(path: str) -> RunConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{type(exc).__name__}: {exc}") from exc
     return parse_config_text(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -313,6 +318,18 @@ def _build_statemap(keys: _Keys, obs: ObservationMap) -> StateMap | None:
     return F
 
 
+def _check_label(label: str, pre: str, seen: dict[str, str]) -> None:
+    """A region label names output files (gs_<label>_<method>.csv) and CSV
+    fields, so it must be a plain file-name part that no other region uses;
+    ``seen`` maps each earlier label to its region's key prefix."""
+    if label in ("", ".", "..") or any(c in label for c in "/\\,"):
+        raise ConfigError(f"{pre}.label: label {label!r} must be a file-name part "
+                          "other than '.' and '..', without '/', '\\' or ','")
+    if label in seen:
+        raise ConfigError(f"{pre}.label: label {label!r} repeats the label of {seen[label]}")
+    seen[label] = pre
+
+
 def _build_regions(keys: _Keys, F: StateMap | None) -> list[InvariantRegion]:
     indices = set()
     for k in keys.raw:
@@ -322,6 +339,7 @@ def _build_regions(keys: _Keys, F: StateMap | None) -> list[InvariantRegion]:
             except ValueError as exc:
                 raise ConfigError(f"{k}: region index must be an integer") from exc
     regions = []
+    labels: dict[str, str] = {}
     for n in sorted(indices):
         pre = f"region.{n}"
         kind = keys.get(f"{pre}.kind", "box")
@@ -338,6 +356,7 @@ def _build_regions(keys: _Keys, F: StateMap | None) -> list[InvariantRegion]:
                 raise ConfigError(f"{pre}.kind: unknown region kind {kind!r}")
         except ValueError as exc:
             raise ConfigError(f"{pre}: {exc}") from exc
+        _check_label(region.label, pre, labels)
         if F is not None and region.dim != F.state_dim:
             raise ConfigError(f"{pre}: dimension {region.dim} does not match "
                               f"state dimension {F.state_dim}")

@@ -82,22 +82,20 @@ def _report_nonfinite(F: StateMap, new: np.ndarray, old: np.ndarray, z: np.ndarr
     F.eval(old[i], z[i])
 
 
-_CSV_BLOCK = 1024  # matrix rows converted to Python floats at a time
-
-
 def _write_csv(path, meta: dict, header: list[str], rows) -> None:
     """CSV with one '# key: value' line per metadata entry, then the header
     and the rows: sequences of already formatted fields, or a float matrix
-    whose every field is written as %.17g (the text of f"{x:.17g}")."""
+    whose every field is written as %.17g, byte for byte the text of
+    f"{x:.17g}" (``_csvtext.matrix_text``)."""
     with open(path, "w") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            for i in range(0, len(rows), _CSV_BLOCK):
-                block = rows[i:i + _CSV_BLOCK]
-                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            # imported here so that importing gsync, which every CLI process
+            # does, leaves the formatter unloaded until a matrix is written
+            from ._csvtext import matrix_text
+            fh.writelines(matrix_text(rows))
         else:
             for row in rows:
                 fh.write(",".join(row) + "\n")

@@ -25,10 +25,21 @@ def test_public_names():
     ]
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
-    # only the regularity probes use the KD-tree; every CLI process imports gsync
-    code = "import sys, gsync, gsync.cli; print('scipy.spatial' in sys.modules)"
+def loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh process that imports gsync and gsync.cli loads module."""
+    code = f"import sys, gsync, gsync.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # only the regularity probes use the KD-tree; every CLI process imports gsync
+    assert not loaded_by_cli_import("scipy.spatial")
+
+
+def test_cli_import_leaves_csv_formatter_unloaded():
+    # only matrix CSV bodies need the formatter; set-up and commands that write
+    # none skip loading it
+    assert not loaded_by_cli_import("gsync._csvtext")

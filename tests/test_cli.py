@@ -438,6 +438,62 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, SMALL_LORENZ + "statemap.kind = linear_delay\nstatemap.q = 1\n")
         assert main(["synchronize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_config_directory_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read config file")
+        assert str(tmp_path) in err and "IsADirectoryError" in err
+        assert not out.exists()
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(SMALL_LORENZ.encode() + b"# caf\xe9\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "UnicodeDecodeError" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under_file"])
+    def test_out_names_a_file_exit_2(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        out = str(taken / below) if below else str(taken)
+        assert main(["simulate", "--config", write_cfg(tmp_path, SMALL_LORENZ),
+                     "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write output {out!r}")
+        assert taken.read_text() == "keep\n"
+
+    def test_unwritable_resolved_config_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "resolved_config.cfg").mkdir(parents=True)
+        assert main(["simulate", "--config", write_cfg(tmp_path, SMALL_LORENZ),
+                     "--out", str(out)]) == 2
+        assert "cannot write output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["a/b", "a\\b", "a,b", ".", ".."])
+    def test_label_unfit_for_file_names_exit_2(self, tmp_path, capsys, label):
+        text = SMALL_IV.replace("region.1.label = V1", f"region.1.label = {label}")
+        out = tmp_path / "o"
+        assert main(["synchronize", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert f"region.1.label: label {label!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first, second, key", [
+        ("V1", "region.2.label = V1", "region.2.label"),
+        ("V2", "", "region.2.label"),  # the default label of region 2 is V2
+    ], ids=["explicit", "default"])
+    def test_repeated_label_exit_2(self, tmp_path, capsys, first, second, key):
+        text = SMALL_IV.replace("region.1.label = V1", f"region.1.label = {first}")
+        text += ("region.2.kind = box\nregion.2.lo = -1.1 0.9 0.9\n"
+                 f"region.2.hi = -0.9 1.1 1.1\n{second}\n")
+        out = tmp_path / "o"
+        assert main(["synchronize", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert f"{key}: label {first!r} repeats the label of region.1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCertify:
     def test_esn_03_require_diff_exit_0(self, tmp_path):

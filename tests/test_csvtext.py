@@ -1,0 +1,90 @@
+from decimal import Decimal
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gsync._csvtext import matrix_text
+
+MAX = np.finfo(float).max
+TINY = np.finfo(float).tiny
+
+
+def reference(matrix) -> str:
+    """The text of Python's % on every value: what matrix_text must match."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n"
+                   for row in np.asarray(matrix, dtype=float).tolist())
+
+
+def text(matrix) -> str:
+    return "".join(matrix_text(matrix))
+
+
+def fields(values) -> list[str]:
+    return text(np.asarray(values, dtype=float).reshape(-1, 1)).splitlines()
+
+
+def bulk(kind: str, n: int, rng) -> np.ndarray:
+    """n values of one family: raw bit patterns or numbers a program prints."""
+    if kind == "bits":
+        return rng.integers(0, 2 ** 64, size=n, dtype=np.uint64, endpoint=False).view(np.float64)
+    if kind == "scaled":
+        return rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    if kind == "decimal":
+        return np.round(rng.normal(size=n) * 10.0 ** rng.integers(0, 12, size=n),
+                        int(rng.integers(0, 10)))
+    if kind == "dyadic":  # exact ties of the 17-digit rounding live here
+        return rng.integers(-2 ** 53, 2 ** 53, size=n) / 2.0 ** rng.integers(0, 60, size=n)
+    return rng.integers(-10 ** 6, 10 ** 6, size=n).astype(float)
+
+
+@st.composite
+def matrices(draw):
+    cols = draw(st.integers(1, 20))
+    rows = draw(st.integers(0, 3000))
+    kind = draw(st.sampled_from(["bits", "scaled", "decimal", "dyadic", "integers"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = bulk(kind, rows * cols, rng)
+    picked = draw(st.lists(st.integers(0, 2 ** 64 - 1), max_size=40))
+    if len(values):
+        at = rng.integers(0, len(values), size=len(picked))
+        values[at] = np.array(picked, dtype=np.uint64).view(np.float64)
+    return values.reshape(rows, cols)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(matrix=matrices())
+def test_matches_python_percent_on_any_bit_patterns(matrix):
+    assert text(matrix) == reference(matrix)
+
+
+def test_exact_ties_round_half_even():
+    assert fields([1234567890123456.25, 1234567890123456.75, -1234567890123456.25]) == [
+        "1234567890123456.2", "1234567890123456.8", "-1234567890123456.2"]
+
+
+def test_powers_of_ten_and_their_neighbours():
+    powers = np.array([float(f"1e{e}") for e in range(-300, 301)])
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    values = np.concatenate([values, -values]).reshape(-1, 2)
+    assert text(values) == reference(values)
+
+
+def test_fixed_and_exponent_switch_after_rounding():
+    assert fields([99999999999999999.0, 1e16, 9.9999999999999995e-05, 1e-4, 1e-5]) == [
+        "1e+17", "10000000000000000", "9.9999999999999991e-05", "0.0001", "1.0000000000000001e-05"]
+    # float('1e-79') lies below 10**-79: its 17 digits carry into the exponent
+    assert Decimal(1e-79) < Decimal("1e-79")
+    assert fields([1e-79]) == ["1e-79"]
+
+
+def test_subnormals_extremes_zeros_and_non_finite():
+    values = [5e-324, -5e-324, TINY, np.nextafter(TINY, 0), 1e-300, MAX, -MAX,
+              0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]
+    assert fields(values) == ["%.17g" % v for v in values]
+    assert fields([-0.0, -np.nan, -np.inf]) == ["-0", "nan", "-inf"]
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (0, 1), (3, 0)])
+def test_empty_matrices(shape):
+    assert text(np.zeros(shape)) == reference(np.zeros(shape))

@@ -630,10 +630,11 @@ class TestSerialization:
         assert np.isfinite(float(second[-1]))
 
     def test_matrix_rows_match_field_formatting(self, tmp_path):
-        from gsync.gs import _CSV_BLOCK, _write_csv
+        from gsync._csvtext import BLOCK_VALUES
+        from gsync.gs import _write_csv
         rng = np.random.default_rng(9)
         special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, 3.0, -7.0, 0.1]
-        n = 2 * _CSV_BLOCK + 5  # two full blocks and a partial one
+        n = 2 * (BLOCK_VALUES // 3) + 5  # two full blocks of 3-value rows and a partial one
         scaled = rng.normal(size=3 * n) * 10.0 ** rng.integers(-20, 20, size=3 * n)
         matrix = np.concatenate([scaled, np.tile(special, 3)]).reshape(-1, 3)
         meta, header = {"note": "x"}, ["a", "b", "c"]
