@@ -61,24 +61,24 @@ def _split(a):
     return hi, a - hi
 
 
-def _field(sign: bool, case: int, nd: int) -> list[int]:
-    """Source bytes of one field, before its separator, keeping nd digits."""
+def _field(case: int, nd: int) -> list[int]:
+    """Source bytes of one non-negative field, before its separator, keeping
+    nd digits."""
     digits = [_LEAD] + list(range(16))  # digit i sits at byte i - 1
     if case == _NAN_CASE:
-        return [_N, _A, _N]  # Python prints nan without its sign
-    head = [_MINUS] if sign else []
+        return [_N, _A, _N]
     if case == _ZERO_CASE:
-        return head + [_ZERO]
+        return [_ZERO]
     if case == _INF_CASE:
-        return head + [_I, _N, _F]
+        return [_I, _N, _F]
     if case in (_EXP2, _EXP3):
         mantissa = digits[:1] + ([_DOT] + digits[1:nd] if nd > 1 else [])
         exponent = [_EXP, _EXP + 1, _EXP + 2] if case == _EXP3 else [_EXP + 1, _EXP + 2]
-        return head + mantissa + [_E, _ESIGN] + exponent
+        return mantissa + [_E, _ESIGN] + exponent
     k = case - 4
     if k < 0:
-        return head + [_ZERO, _DOT] + [_ZERO] * (-k - 1) + digits[:nd]
-    return head + digits[:k + 1] + ([_DOT] + digits[k + 1:nd] if nd > k + 1 else [])
+        return [_ZERO, _DOT] + [_ZERO] * (-k - 1) + digits[:nd]
+    return digits[:k + 1] + ([_DOT] + digits[k + 1:nd] if nd > k + 1 else [])
 
 
 @functools.cache
@@ -108,8 +108,8 @@ def _tables() -> SimpleNamespace:
     hi = np.array(hi)
     hh, hl = _split(hi)
 
-    four = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1])) % 10
-    digits4 = (four + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    four = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # row i: digits of i
+    digits4 = (four + ord("0")).astype(np.uint8, order="C").view(np.uint32).ravel()
     trailing4 = np.cumprod(four[:, ::-1] == 0, axis=1).sum(axis=1)
     k = np.arange(_K_MIN, _K_MAX + 1)
     three = (np.abs(k)[:, None] // np.array([100, 10, 1])) % 10
@@ -117,11 +117,14 @@ def _tables() -> SimpleNamespace:
     exponent = exponent.astype(np.uint8).view(np.uint32).ravel()
 
     layout = np.full((2, _N_CASES, 18, _WIDTH), _NUL, dtype=np.intp)
-    for sign in (0, 1):
-        for case in range(_N_CASES):
-            for nd in range(1, 18):
-                cols = _field(bool(sign), case, nd) + [_SEP]
-                layout[sign, case, nd, :len(cols)] = cols
+    pad = [_NUL] * _WIDTH
+    layout[0, :, 1:] = [[(_field(case, nd) + [_SEP] + pad)[:_WIDTH] for nd in range(1, 18)]
+                        for case in range(_N_CASES)]
+    # a negative field is its positive field behind a '-'; Python prints nan
+    # without its sign.  The longest positive field leaves the last byte free.
+    layout[1, :, 1:, 0] = _MINUS
+    layout[1, :, 1:, 1:] = layout[0, :, 1:, :-1]
+    layout[1, _NAN_CASE] = layout[0, _NAN_CASE]
     tables = SimpleNamespace(
         ten_hi=hi, ten_lo=np.array(lo), ten_hi_hi=hh, ten_hi_lo=hl, digits4=digits4,
         trailing4=trailing4, exponent=exponent, layout=layout.reshape(-1, _WIDTH),

@@ -70,13 +70,9 @@ def _fmt(x) -> str:
 
 
 def _prepare_out(cfg: RunConfig, out_dir: str) -> None:
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "resolved_config.cfg"), "w") as fh:
-            fh.write(cfg.resolved_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot write output {out_dir!r}: "
-                          f"{type(exc).__name__}: {exc}") from exc
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "resolved_config.cfg"), "w") as fh:
+        fh.write(cfg.resolved_text())
 
 
 def _phase_names(cfg: RunConfig) -> list[str]:
@@ -379,6 +375,13 @@ def main(argv=None) -> int:
     except GsyncError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        # parse_config turns its own read errors into ConfigError, so this is
+        # the output directory or a file written into it
+        path = exc.filename if exc.filename is not None else args.out
+        print(f"configuration error: cannot write output {path!r}: "
+              f"{type(exc).__name__}: {exc}", file=_sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -167,9 +167,24 @@ class TorusRotation(_ConstantTangent):
         m = _as_point(m, self.phase_dim)
         return (m - self.angles) % 1.0
 
+    def _stepper(self, m: np.ndarray):
+        # Python's float % is numpy's remainder: fmod, then the sign fix
+        angles = self.angles.tolist()
+        step = self.step
+
+        def advance(point):
+            if not math.isfinite(sum(point)):  # non-finite (or huge): the checked step
+                return step(np.array(point)).tolist()
+            return [(c + a) % 1.0 for c, a in zip(point, angles)]
+
+        return advance, m.tolist()
+
     def _tangent_pair(self) -> tuple[np.ndarray, np.ndarray]:
         eye = np.eye(self.phase_dim)
         return eye, eye
+
+
+_CAT_PLAIN = 2.0 ** 1022  # CatMap steps on plain floats below this magnitude
 
 
 class CatMap(_ConstantTangent):
@@ -187,6 +202,19 @@ class CatMap(_ConstantTangent):
     def inverse_step(self, m) -> np.ndarray:
         m = _as_point(m, 2)
         return (self.inverse_matrix @ m) % 1.0
+
+    def _stepper(self, m: np.ndarray):
+        step = self.step
+
+        def advance(point):
+            u, v = point
+            # below 2**1022 nothing overflows and 2u is exact, so 2u + v is
+            # rounded once, as the matrix product rounds it (fused or not)
+            if abs(u) < _CAT_PLAIN and abs(v) < _CAT_PLAIN:
+                return (2.0 * u + v) % 1.0, (u + v) % 1.0
+            return step(np.array(point)).tolist()  # raises on a non-finite point
+
+        return advance, m.tolist()
 
     def _tangent_pair(self) -> tuple[np.ndarray, np.ndarray]:
         return self.matrix, self.inverse_matrix

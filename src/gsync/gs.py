@@ -18,6 +18,7 @@ and the CLI drive all their regions at once through the kernel behind
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,24 @@ def _report_nonfinite(F: StateMap, new: np.ndarray, old: np.ndarray, z: np.ndarr
         return
     i = int(np.argmin(np.isfinite(new.reshape(len(new), -1)).all(axis=1)))
     F.eval(old[i], z[i])
+
+
+def _max_row_norm(d: np.ndarray) -> float:
+    """``np.max(np.linalg.norm(d, axis=-1))`` of a matrix d (n, N), bit for bit.
+
+    Below 8 columns numpy adds the squared columns of a many-row matrix left
+    to right, with the same add kernel as here (so even a nan keeps its
+    sign); sqrt is monotone, so the root of the largest sum is the largest
+    root.  From 8 columns numpy sums pairwise, and a lone row takes its
+    scalar reduction, whose nan sign can differ: both keep ``np.linalg.norm``.
+    """
+    if d.shape[1] >= 8 or len(d) < 2:
+        return float(np.max(np.linalg.norm(d, axis=-1)))
+    sq = d * d
+    total = sq[:, 0].copy()
+    for j in range(1, d.shape[1]):
+        total += sq[:, j]
+    return float(np.sqrt(np.max(total)))
 
 
 def _write_csv(path, meta: dict, header: list[str], rows) -> None:
@@ -270,8 +289,10 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
         f_new = np.empty_like(f)
         f_new[0] = boundary
         f_new[1:] = F.apply(f[:-1], u)
-        _report_nonfinite(F, f_new[1:], f[:-1], z[1:])
-        change = float(np.max(np.linalg.norm(f_new - f, axis=-1)))
+        change = _max_row_norm(f_new - f)
+        # a finite change needs finite rows in f and f_new alike
+        if not math.isfinite(change):
+            _report_nonfinite(F, f_new[1:], f[:-1], z[1:])
         change_history.append(change)
         f = f_new
         n_iters = sweep

@@ -473,6 +473,25 @@ class TestConfigErrors:
                      "--out", str(out)]) == 2
         assert "cannot write output" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, taken", [
+        (["simulate"], "trajectory.csv"),
+        (["certify"], "certificates.txt"),
+        (["certify"], "certificates.csv"),
+        (["synchronize"], "gs_V1_drive.csv"),
+        (["synchronize", "--method", "both"], "agreement.csv"),
+        (["diagnose"], "forgetting.csv"),
+        (["reproduce", "--figure", "fig3"], "fig3.csv"),
+    ])
+    def test_unwritable_output_file_exit_2(self, tmp_path, capsys, command, taken):
+        # a directory in the place of one output file that the command writes
+        out = tmp_path / "o"
+        (out / taken).mkdir(parents=True)
+        cfg = [] if command[0] == "reproduce" else ["--config", write_cfg(tmp_path, SMALL_IV)]
+        assert main([*command, *cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write output {str(out / taken)!r}")
+        assert "IsADirectoryError" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("label", ["a/b", "a\\b", "a,b", ".", ".."])
     def test_label_unfit_for_file_names_exit_2(self, tmp_path, capsys, label):
         text = SMALL_IV.replace("region.1.label = V1", f"region.1.label = {label}")

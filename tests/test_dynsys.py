@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,71 @@ class TestFastPaths:
         samples = np.vstack([lorenz_traj.points[2000:2003], [1e150, 1e150, 1e150]])
         with pytest.raises(NonFiniteError, match="substep"):
             tangent_norm_bounds(lorenz, samples)
+
+
+def step_loop(system, m0, n_steps):
+    """Points of ``n_steps`` checked numpy steps from m0, with the error that
+    ``trajectory`` reports at the step that fails."""
+    points = [np.asarray(m0, dtype=float)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            try:
+                points.append(system.step(points[-1]))
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"trajectory failed at step {k + 1}: {exc}") from None
+    return np.array(points)
+
+
+ANALYTIC_SYSTEMS = {
+    "torus": lambda: TorusRotation([np.sqrt(2.0) - 1.0, np.sqrt(10.0) - 3.0]),
+    "torus3": lambda: TorusRotation([0.1234567, -0.7654321, 1.5e308]),
+    "cat": CatMap,
+}
+
+
+class TestPlainFloatSteps:
+    """TorusRotation and CatMap trajectories against a loop over ``step``."""
+
+    @pytest.mark.parametrize("which", sorted(ANALYTIC_SYSTEMS))
+    def test_trajectories_match_step_loop(self, which):
+        system = ANALYTIC_SYSTEMS[which]()
+        rng = np.random.default_rng(17)
+        d = system.phase_dim
+        starts = [rng.uniform(0.0, 1.0, d), rng.uniform(-1e6, 1e6, d),
+                  rng.normal(size=d) * 1e300, np.full(d, -0.0), np.full(d, 5e-324),
+                  np.resize([1e308, -1e308], d), np.resize([2.0 ** 1022, -0.75], d),
+                  np.resize([-np.finfo(float).max, 0.5], d)]
+        for m0 in starts:
+            try:
+                expected = step_loop(system, m0, 10 ** 4)
+            except NonFiniteError as exc:  # 2 * -max overflows on the cat map
+                with pytest.raises(NonFiniteError, match=f"^{re.escape(str(exc))}$"), \
+                        np.errstate(over="ignore", invalid="ignore"):
+                    system.trajectory(m0, 10 ** 4)
+                continue
+            with np.errstate(over="ignore"):  # the checked step takes huge cat starts
+                points = system.trajectory(m0, 10 ** 4).points
+            assert points.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("which, m0, step", [
+        ("torus3", [0.5, 0.5, 1e308], 2),  # 1e308 + 1.5e308 overflows
+        ("torus3", [0.5, 0.5, np.finfo(float).max], 2),
+        ("cat", [1e308, 1e308], 2),
+        ("cat", [np.finfo(float).max, 0.0], 2),
+    ])
+    def test_overflowing_start_fails_at_the_same_step(self, which, m0, step):
+        system = ANALYTIC_SYSTEMS[which]()
+        with pytest.raises(NonFiniteError) as expected:
+            step_loop(system, m0, 5)
+        with pytest.raises(NonFiniteError) as got, np.errstate(over="ignore", invalid="ignore"):
+            system.trajectory(m0, 5)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith(f"trajectory failed at step {step}: non-finite point")
+        # the last point is not checked: one step from such a start returns it
+        with np.errstate(over="ignore", invalid="ignore"):
+            short = system.trajectory(m0, step - 1).points
+        assert short.tobytes() == step_loop(system, m0, step - 1).tobytes()
+        assert not np.isfinite(short[-1]).all()
 
 
 class TestDelayAndEquivariance:

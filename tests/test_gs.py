@@ -2,13 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gsync import (AxisBox, Ball, CatMap, CoordinateProjection, CustomObservation, CustomStateMap,
-                   LinearDelay, PowerSine, compare_gs, delay_window, drive_gs,
+                   LinearDelay, PowerSine, Trajectory, compare_gs, delay_window, drive_gs,
                    multistability_sweep, observe_trajectory, psi_iterate_gs,
                    recursion_residual, run_recursion, write_gs_csv)
 from gsync.errors import DisjointRanges, GsyncError, NonFiniteError, RegionEscape
-from gsync.gs import _drive_regions
+from gsync.gs import _drive_regions, _max_row_norm
 
 from conftest import LORENZ_M0, esn_reservoir
 
@@ -346,6 +347,138 @@ class TestNonFinite:
         z[2] = np.nan
         states = run_recursion(F, z, np.zeros(4))
         assert np.isfinite(states[:3]).all() and np.isnan(states[3:]).all()
+
+
+def reference_psi(F, obs, traj, f0, tol, max_iters, record_from=0, l_fx=None):
+    """The Jacobi loop that psi_iterate_gs ran before its exact change norm:
+    an isfinite pass over every sweep, then np.linalg.norm of the change.
+    Returns the recorded values, the residuals and the method record."""
+    z = observe_trajectory(obs, traj)
+    f0 = np.asarray(f0, dtype=float)
+    f = np.broadcast_to(f0, (len(traj), F.state_dim)).copy()
+    boundary = F.eval(f0, z[0])
+    u = F.input_terms(z[1:])
+    history, converged = [], False
+    for _ in range(max_iters):
+        f_new = np.empty_like(f)
+        f_new[0] = boundary
+        f_new[1:] = F.apply(f[:-1], u)
+        finite = np.isfinite(f_new[1:]).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            F.eval(f[i], z[i + 1])
+        history.append(float(np.max(np.linalg.norm(f_new - f, axis=-1))))
+        f = f_new
+        if history[-1] <= tol:
+            converged = True
+            break
+    apriori = float("nan")
+    if l_fx is not None and 0.0 < l_fx < 1.0:
+        apriori = l_fx ** len(history) / (1.0 - l_fx) * history[0]
+    values = f[record_from:]
+    pred = F.eval(values[:-1], z[record_from + 1:])
+    residuals = np.concatenate([[np.nan], np.linalg.norm(values[1:] - pred, axis=-1)])
+    method = {"name": "psi", "n_iters": len(history), "f0": f0.tolist(), "tol": tol,
+              "converged": converged, "final_change": history[-1],
+              "first_change": history[0], "change_history": history,
+              "apriori_bound": apriori, "record_from": record_from}
+    return values, residuals, method
+
+
+def doubling_map():
+    """F(x, z) = 2x: finite sweeps from 1e300 whose squared changes overflow,
+    then at sweep 28 an overflow to inf that ``eval`` rejects."""
+    return CustomStateMap(lambda x, z: 2.0 * x, state_dim=2, input_dim=1)
+
+
+class TestPsiAgainstJacobiLoop:
+    @pytest.fixture
+    def case(self, request, power_sine, lorenz_traj, lorenz_obs, torus, torus_traj):
+        iv = dict(F=power_sine, obs=lorenz_obs, traj=lorenz_traj, f0=np.ones(3), tol=1e-12,
+                  record_from=2000, l_fx=IV_LFX)
+        torus_obs = CoordinateProjection([0], 2)
+        sub = Trajectory(points=lorenz_traj.points[2000:2200], t0=2000)
+        cases = {
+            "power_sine": dict(iv, max_iters=500),
+            "power_sine_capped": dict(iv, max_iters=5),
+            "esn16": dict(F=esn_reservoir(), obs=torus_obs, traj=torus_traj, f0=np.zeros(16),
+                          tol=1e-13, max_iters=200, record_from=20, l_fx=0.35),
+            "esn16_nan_start": dict(F=esn_reservoir(), obs=torus_obs, traj=torus_traj,
+                                    f0=np.full(16, np.nan), tol=1e-13, max_iters=4),
+            "linear_delay": dict(F=LinearDelay(3), obs=lorenz_obs, traj=sub, f0=np.zeros(7),
+                                 tol=0.0, max_iters=20, record_from=6),
+            "linear_delay_capped": dict(F=LinearDelay(3), obs=lorenz_obs, traj=sub,
+                                        f0=np.zeros(7), tol=0.0, max_iters=7, record_from=6),
+            "custom": dict(F=CustomStateMap(lambda x, z: 0.5 * np.tanh(x) + z, state_dim=2,
+                                            input_dim=1),
+                           obs=torus_obs, traj=torus_traj, f0=np.array([0.3, -0.2]), tol=1e-14,
+                           max_iters=100, record_from=50, l_fx=0.5),
+        }
+        return cases[request.param]
+
+    @pytest.mark.parametrize("case", ["power_sine", "power_sine_capped", "esn16", "esn16_nan_start",
+                                      "linear_delay", "linear_delay_capped", "custom"],
+                             indirect=True)
+    def test_same_values_residuals_and_record(self, case):
+        values, residuals, method = reference_psi(**case)
+        gs = psi_iterate_gs(case["F"], None, case["obs"], case["traj"], case["f0"],
+                            tol=case["tol"], max_iters=case["max_iters"],
+                            record_from=case.get("record_from", 0), l_fx=case.get("l_fx"))
+        assert gs.values.tobytes() == values.tobytes()
+        assert gs.residuals.tobytes() == residuals.tobytes()
+        # repr tells float from np.float64 and prints nan, which == never matches
+        assert repr(gs.method) == repr(method)
+        if not np.isnan(method["final_change"]) and not np.isnan(method["apriori_bound"]):
+            assert gs.method == method
+
+    def test_same_error_at_the_same_sweep(self, torus, torus_traj, monkeypatch):
+        F = doubling_map()
+        obs = CoordinateProjection([0], 2)
+        sweeps = []
+        original = F.apply
+        monkeypatch.setattr(F, "apply",
+                            lambda x, u: sweeps.append(np.ndim(x) == 2) or original(x, u))
+        errors = []
+        with np.errstate(over="ignore"):
+            for run in (lambda: reference_psi(F, obs, torus_traj, [1e300, -1e300], 0.0, 100),
+                        lambda: psi_iterate_gs(F, torus, obs, torus_traj, [1e300, -1e300],
+                                               tol=0.0, max_iters=100)):
+                with pytest.raises(NonFiniteError) as exc:
+                    run()
+                errors.append((str(exc.value), sum(sweeps)))
+                sweeps.clear()
+        assert errors[0] == errors[1]
+        assert errors[0] == ("custom state map returned non-finite values", 28)
+
+
+@st.composite
+def change_matrices(draw):
+    """Matrices (n, N) of sweep changes, with planted inf, nan (either sign),
+    zeros, subnormals and values whose squares overflow."""
+    cols = draw(st.integers(1, 12))
+    rows = draw(st.sampled_from([1, 2, 3, 7, 8, 9, 33, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-320, 1e-160, 1.0, 1e155, 1e300]))
+    d = rng.normal(size=(rows, cols)) * scale
+    planted = draw(st.lists(st.sampled_from([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0,
+                                             5e-324, 1e200, np.finfo(float).max]),
+                            max_size=3 * cols))
+    d.ravel()[rng.integers(0, d.size, size=len(planted))] = planted
+    return d
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(d=change_matrices())
+# nan of both signs in one row: a lone row and a many-row matrix propagate
+# different ones
+@example(d=np.array([[np.nan, -np.nan]]))
+@example(d=np.array([[1.0, np.nan, -np.nan], [-np.nan, 2.0, np.nan]]))
+@example(d=np.array([[1e200, np.inf, 3.0]] * 3))
+def test_max_row_norm_is_numpys_bit_for_bit(d):
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.max(np.linalg.norm(d, axis=-1))
+        got = _max_row_norm(d)
+    assert np.float64(got).tobytes() == expected.tobytes()
 
 
 def lone_drives(F, sys, obs, traj, starts, regions, washout, record):

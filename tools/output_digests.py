@@ -9,14 +9,17 @@ fig1..fig4, each into its own directory under OUT_DIR.  Prints one
 ``sha256  relative/path`` line per output file, one ``sha256
 <config>/sweep`` line per config for ``multistability_sweep`` run as the
 benchmark runs it (its labels, failures, separations, echo index and the
-bytes of every synchronization's values), and one ``sha256
+bytes of every synchronization's values), one ``sha256
 <config>/lipschitz`` line per config for ``lipschitz_bounds`` on each of
-its regions (headline, method, closed forms and grid suprema), sorted by
-path.  ``certify`` evaluates no grid when a closed form exists, so the
+its regions (headline, method, closed forms and grid suprema), and one
+``sha256  <config>/psi`` line per config for ``psi_iterate_gs`` on each of
+its regions as ``synchronize`` runs it (sweep count, convergence flag,
+first, final and a-priori change and the bytes of the change history, none
+of which the psi CSVs hold), sorted by path.  ``certify`` evaluates no grid when a closed form exists, so the
 lipschitz lines are what see a change to the grid derivative norms.  Run
 it on two checkouts and ``diff`` the listings to check that a change keeps
-the CLI output, the sweep and the grid suprema byte-identical.  The
-package is imported from this checkout's ``src``.
+the CLI output, the sweep, the grid suprema and the psi convergence records
+byte-identical.  The package is imported from this checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -31,10 +34,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
-from gsync import lipschitz_bounds, multistability_sweep  # noqa: E402
+import numpy as np  # noqa: E402
+
+from gsync import lipschitz_bounds, multistability_sweep, psi_iterate_gs  # noqa: E402
 from gsync.cli import main as gsync_main, section_iv_config  # noqa: E402
 from gsync.config import parse_config  # noqa: E402
 from gsync.dynsys import observe_trajectory  # noqa: E402
+from gsync.errors import GsyncError  # noqa: E402
 from gsync.regions import InputRange  # noqa: E402
 
 COMMANDS = (["simulate"], ["certify"], ["synchronize", "--method", "both"], ["diagnose"])
@@ -76,10 +82,39 @@ def lipschitz_digest(config_path: str) -> str:
     return h.hexdigest()
 
 
+def psi_digest(config_path: str) -> str:
+    """SHA-256 of the ``method`` record of ``psi_iterate_gs`` on each of a
+    config's regions, with the trajectory, record start, tolerance, sweep
+    cap and closed-form l_fx that ``synchronize`` passes (a package error is
+    hashed by its type and text)."""
+    cfg = parse_config(config_path)
+    traj = cfg.system.trajectory(cfg.initial, max(cfg.n_steps, cfg.washout + cfg.record))
+    input_range = InputRange.from_observations(observe_trajectory(cfg.observation, traj))
+    record_from = cfg.psi_record_from if cfg.psi_record_from is not None else cfg.washout
+    h = hashlib.sha256()
+    for region in cfg.regions:
+        analytic = cfg.statemap.analytic_lipschitz(region, input_range)
+        l_fx = analytic["l_fx"] if analytic and analytic["l_fx"] < 1.0 else None
+        try:
+            m = psi_iterate_gs(cfg.statemap, cfg.system, cfg.observation, traj,
+                               region.center(), tol=cfg.tol, max_iters=cfg.max_iters,
+                               record_from=record_from, region=region, l_fx=l_fx).method
+        except GsyncError as exc:
+            record = f"{type(exc).__name__}: {exc}"
+        else:
+            record = (m["n_iters"], m["converged"],
+                      *(float(m[k]).hex() for k in ("first_change", "final_change",
+                                                    "apriori_bound")))
+            h.update(np.asarray(m["change_history"], dtype=float).tobytes())
+        h.update(repr((region.label, record)).encode())
+    return h.hexdigest()
+
+
 def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[str]]:
-    """Run every command, sweep and grid; return the sweep and lipschitz
-    digests as (label/sweep, digest) and (label/lipschitz, digest) pairs and
-    a message for each non-zero exit code."""
+    """Run every command, sweep, grid and psi iteration; return the sweep,
+    lipschitz and psi digests as (label/sweep, digest), (label/lipschitz,
+    digest) and (label/psi, digest) pairs and a message for each non-zero
+    exit code."""
     configs = {"section_iv": os.path.join(inputs_dir, "section_iv.cfg")}
     with open(configs["section_iv"], "w") as fh:
         fh.write(section_iv_config().resolved_text())
@@ -98,6 +133,7 @@ def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[
             failures.append(f"exit {code}: gsync {' '.join(argv)}")
     extra = [(f"{label}/sweep", sweep_digest(path)) for label, path in configs.items()]
     extra += [(f"{label}/lipschitz", lipschitz_digest(path)) for label, path in configs.items()]
+    extra += [(f"{label}/psi", psi_digest(path)) for label, path in configs.items()]
     return extra, failures
 
 
