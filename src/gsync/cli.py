@@ -16,7 +16,7 @@ import sys as _sys
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, parse_config, parse_config_text
+from .config import RunConfig, _fmt, parse_config, parse_config_text
 from .contraction import certify
 from .diagnostics import (derivative_profile, esp_convergence, holder_exponent,
                           input_forgetting)
@@ -63,10 +63,6 @@ def _meta(cfg: RunConfig, command: str, extra: dict | None = None) -> dict:
     if extra:
         meta.update(extra)
     return meta
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
 
 
 def _prepare_out(cfg: RunConfig, out_dir: str) -> None:
@@ -182,8 +178,7 @@ def cmd_synchronize(cfg: RunConfig, out_dir: str, method: str | None) -> int:
             produced["psi"] = gs
         for name, gs in produced.items():
             path = os.path.join(out_dir, f"gs_{region.label}_{name}.csv")
-            write_gs_csv(gs, path, F=cfg.statemap, obs=cfg.observation,
-                         metadata={"tool": f"gsync {__version__}", "seed": cfg.seed},
+            write_gs_csv(gs, path, metadata={"tool": f"gsync {__version__}", "seed": cfg.seed},
                          time_scale=cfg.time_scale)
             print(f"synchronize[{region.label}/{name}]: wrote {len(gs)} rows to {path}")
         if method == "both":

@@ -471,37 +471,6 @@ class ObservationMap:
         return max(float(_smax(self.jacobian(m))) for m in samples)
 
 
-class CoordinateProjection(ObservationMap):
-    """omega(m) = (m[i] for i in indices)."""
-
-    exact_norm = True
-
-    def __init__(self, indices, phase_dim: int):
-        raw = np.atleast_1d(np.asarray(indices, dtype=float))
-        if not np.all(np.isfinite(raw) & (raw == np.floor(raw))):
-            raise ValueError(f"projection indices must be integers, got {raw.tolist()}")
-        indices = [int(i) for i in raw]
-        if len(set(indices)) != len(indices):
-            raise ValueError("projection indices must be distinct")
-        if any(i < 0 or i >= phase_dim for i in indices):
-            raise ValueError("projection index out of range")
-        super().__init__(obs_dim=len(indices), phase_dim=phase_dim)
-        self.indices = indices
-
-    def __call__(self, m) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
-        return m[..., self.indices]
-
-    def jacobian(self, m) -> np.ndarray:
-        J = np.zeros((self.obs_dim, self.phase_dim))
-        for r, i in enumerate(self.indices):
-            J[r, i] = 1.0
-        return J
-
-    def norm_bound(self, samples=None) -> float:
-        return 1.0
-
-
 class LinearObservation(ObservationMap):
     """omega(m) = W m for a fixed matrix W."""
 
@@ -523,6 +492,28 @@ class LinearObservation(ObservationMap):
 
     def norm_bound(self, samples=None) -> float:
         return float(_smax(self.matrix))
+
+
+class CoordinateProjection(LinearObservation):
+    """omega(m) = (m[i] for i in indices): the linear observation whose rows
+    are the unit vectors e_i, evaluated by copying the coordinates (a product
+    would turn -0.0 into +0.0, and an unselected inf into nan)."""
+
+    def __init__(self, indices, phase_dim: int):
+        raw = np.atleast_1d(np.asarray(indices, dtype=float))
+        if not np.all(np.isfinite(raw) & (raw == np.floor(raw))):
+            raise ValueError(f"projection indices must be integers, got {raw.tolist()}")
+        indices = [int(i) for i in raw]
+        if len(set(indices)) != len(indices):
+            raise ValueError("projection indices must be distinct")
+        if any(i < 0 or i >= phase_dim for i in indices):
+            raise ValueError("projection index out of range")
+        super().__init__(np.eye(phase_dim)[indices])
+        self.indices = indices
+
+    def __call__(self, m) -> np.ndarray:
+        m = np.asarray(m, dtype=float)
+        return m[..., self.indices]
 
 
 class CustomObservation(ObservationMap):

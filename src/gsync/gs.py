@@ -353,8 +353,6 @@ def multistability_sweep(F: StateMap, regions, sys: DiscreteSystem,
     lower bound: the number of clusters of recorded synchronizations whose
     pairwise minimum separation exceeds ``distinct_tol``.
     """
-    if trajectory is None:
-        trajectory = sys.trajectory(m0, washout_steps + record_steps)
     regions = list(regions)
     results = _drive_regions(F, sys, obs, m0, [region.center() for region in regions],
                              regions, washout_steps, record_steps, trajectory)

@@ -3,7 +3,8 @@
 Built-in families:
 
 * ``Esn``         -- sigma(A x + C z + zeta) with a componentwise squashing
-* ``LinearDelay`` -- the lower-shift delay line (A = shift, C = e1)
+* ``LinearDelay`` -- the delay line: the identity ``Esn`` with A = the lower
+                     shift and C = e1, evaluated by copying
 * ``PowerSine``   -- componentwise signed power plus a trigonometric input term
 
 All built-ins evaluate F and its derivatives on batches (leading axes of x
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -214,8 +216,14 @@ class Esn(StateMap):
         if not np.all(np.isfinite(self.zeta)):
             raise ValueError("zeta must be finite")
         self.squashing = SQUASHINGS[squashing]
-        self.sigma_max_A = float(_smax(A))
-        self.sigma_max_C = float(_smax(C))
+
+    @cached_property
+    def sigma_max_A(self) -> float:
+        return float(_smax(self.A))
+
+    @cached_property
+    def sigma_max_C(self) -> float:
+        return float(_smax(self.C))
 
     def input_terms(self, z) -> np.ndarray:
         """z C^T + zeta for every row of z, in one batch."""
@@ -229,7 +237,7 @@ class Esn(StateMap):
         return self._check_state(x) @ self.A.T + self.input_terms(z)
 
     def eval(self, x, z) -> np.ndarray:
-        return self.squashing.func(self._pre(x, z))
+        return self.apply(self._check_state(x), self.input_terms(z))
 
     def jac_state(self, x, z) -> np.ndarray:
         d = self.squashing.deriv(self._pre(x, z))
@@ -272,43 +280,33 @@ def shift_matrix(n: int) -> np.ndarray:
     return np.eye(n, k=-1)
 
 
-class LinearDelay(StateMap):
-    """Delay line of depth 2q+1: F(x, z) = (z, x_1, ..., x_{2q})."""
+class LinearDelay(Esn):
+    """Delay line of depth 2q+1, F(x, z) = (z, x_1, ..., x_{2q}): the identity
+    ``Esn`` with A the lower shift, C = e1 and zeta = -0.0.  Inputs and states
+    are copied, not multiplied, so -0.0, inf and nan pass through unchanged."""
 
-    derivative_order = 2
+    sigma_max_A = 1.0  # the shift's singular values are 1 and 0
+    sigma_max_C = 1.0
 
     def __init__(self, q: int):
         if q < 1:
             raise ValueError("q must be >= 1")
         n = 2 * q + 1
-        super().__init__(state_dim=n, input_dim=1)
+        super().__init__(shift_matrix(n), np.eye(n, 1), zeta=np.full(n, -0.0),
+                         squashing="identity")
         self.q = int(q)
-        self.A = shift_matrix(n)
-        self.C = np.eye(n, 1)
 
-    def eval(self, x, z) -> np.ndarray:
-        x, z = self._check(x, z)
-        return np.concatenate([np.broadcast_to(z, x.shape[:-1] + (1,)), x[..., :-1]], axis=-1)
+    def input_terms(self, z) -> np.ndarray:
+        """C z + zeta = (z, -0.0, ..., -0.0), with z copied into place."""
+        z = self._check_input(z)
+        return np.concatenate([z, np.full(z.shape[:-1] + (self.state_dim - 1,), -0.0)], axis=-1)
 
-    def jac_state(self, x, z) -> np.ndarray:
-        return self._batched(*self._check(x, z), self.A)
-
-    def jac_input(self, x, z) -> np.ndarray:
-        return self._batched(*self._check(x, z), self.C)
-
-    def second_partials(self, x, z) -> tuple[np.ndarray, np.ndarray]:
-        zero = self._batched(*self._check(x, z), np.zeros(()), core=0)
-        return zero, zero.copy()
-
-    def analytic_lipschitz(self, region, input_range):
-        return {"l_fx": 1.0, "l_fz": 1.0, "l_fxx": 0.0, "l_fxz": 0.0}
-
-    def interval_image(self, lo, hi, z_lo, z_hi):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        z_lo = np.atleast_1d(np.asarray(z_lo, dtype=float))
-        z_hi = np.atleast_1d(np.asarray(z_hi, dtype=float))
-        return (np.concatenate([z_lo, lo[:-1]]), np.concatenate([z_hi, hi[:-1]]))
+    def apply(self, x, u) -> np.ndarray:
+        """(u_1, x_1, ..., x_{2q}) for u from ``input_terms``, by copying."""
+        out = np.empty(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + x.shape[-1:])
+        out[..., :1] = u[..., :1]
+        out[..., 1:] = x[..., :-1]
+        return out
 
 
 class PowerSine(StateMap):

@@ -601,6 +601,23 @@ class TestObservations:
         assert not CustomObservation(lambda m: m[..., :1], 1, 2,
                                      jacobian=lambda m: [[1.0, 0.0]]).exact_norm
 
+    @pytest.mark.parametrize("indices, d", [([0], 1), ([1], 3), ([2, 0], 3), ([3, 1, 7, 0], 8)])
+    def test_projection_is_a_unit_row_linear_observation(self, indices, d):
+        obs = CoordinateProjection(indices, phase_dim=d)
+        assert isinstance(obs, LinearObservation)
+        assert np.array_equal(obs.matrix, np.eye(d)[indices])
+        assert np.array_equal(obs.jacobian(np.zeros(d)), np.eye(d)[indices])
+        assert obs.norm_bound() == 1.0 and obs.norm_bound(np.ones((3, d))) == 1.0
+        assert (obs.obs_dim, obs.phase_dim) == (len(indices), d)
+
+    def test_projection_copies_coordinates(self):
+        # a product with the unit rows would give +0.0 for -0.0 and nan for 0 * inf
+        obs = CoordinateProjection([2, 0], phase_dim=4)
+        m = np.array([-0.0, np.inf, np.nan, -np.inf])
+        assert obs(m).tobytes() == np.array([np.nan, -0.0]).tobytes()
+        batch = np.array([m, [1.0, -np.inf, -0.0, np.nan]])
+        assert obs(batch).tobytes() == np.array([[np.nan, -0.0], [-0.0, 1.0]]).tobytes()
+
     def test_projection_accepts_integral_floats(self):
         obs = CoordinateProjection([1.0, 0.0], phase_dim=2)
         assert obs.indices == [1, 0]

@@ -719,6 +719,16 @@ class TestMultistability:
         assert result.failures["nowhere"].startswith("RegionEscape")
         assert len(result.synchronizations) == 1
 
+    @pytest.mark.parametrize("washout, record, message", [
+        (0, 0, "record_steps must be >= 1"), (-5, 3, "washout_steps must be >= 0")])
+    def test_step_counts_are_checked_before_the_trajectory(self, torus, power_sine,
+                                                            eight_boxes, washout, record,
+                                                            message):
+        with pytest.raises(ValueError, match=message):
+            multistability_sweep(power_sine, eight_boxes[:2], torus,
+                                 CoordinateProjection([0], 2), [0.13, 0.41],
+                                 washout_steps=washout, record_steps=record)
+
     def test_programming_errors_propagate(self, torus, torus_traj):
         def broken(x, z):
             raise TypeError("broken state map")

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from gsync import (AxisBox, CustomStateMap, Esn, InputRange, LinearDelay,
-                   PowerSine, cos_range, lipschitz_bounds, shift_matrix,
-                   sin_range)
+from gsync import (AxisBox, CoordinateProjection, CustomStateMap, Esn, InputRange,
+                   LinearDelay, PowerSine, Trajectory, cos_range, lipschitz_bounds,
+                   psi_iterate_gs, run_recursion, shift_matrix, sin_range)
 from gsync.errors import DimensionMismatch, DomainViolation
 from gsync.statemaps import _CHUNK
 
@@ -156,6 +158,92 @@ class TestLinearDelay:
         # oracle: enumerate singular values of the hand-built shift matrix
         s = np.linalg.svd(shift_matrix(7), compute_uv=False)
         assert s[0] == pytest.approx(1.0, abs=1e-14)
+
+
+def explicit_delay_esn(q):
+    n = 2 * q + 1
+    return Esn(shift_matrix(n), np.eye(n, 1), squashing="identity")
+
+
+def delay_by_hand(x, z):
+    """Oracle: the delay-line step (z, x_1, ..., x_{n-1}) of one state, by concatenation."""
+    return np.concatenate([[z], x[:-1]])
+
+
+# entries a delay line must copy bit for bit: signed zeros, infinities and a nan of each sign
+SPECIAL = [-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 2.5, -1.25]
+
+
+class TestLinearDelayIsAnEsn:
+    @pytest.mark.parametrize("q", [1, 2, 3, 10])
+    def test_derivatives_bounds_and_image_are_the_esns(self, q):
+        F, E = LinearDelay(q), explicit_delay_esn(q)
+        assert isinstance(F, Esn)
+        assert F.sigma_max_A == F.sigma_max_C == 1.0
+        assert E.sigma_max_A == E.sigma_max_C == 1.0
+        X, Z = grid_points(F, 30)
+        for x, z in ((X, Z), (X[0], Z), (X, Z[0]), (X[0], Z[0])):
+            for name in ("jac_state", "jac_input"):
+                assert np.array_equal(getattr(F, name)(x, z), getattr(E, name)(x, z))
+            for a, b in zip(F.second_partials(x, z), E.second_partials(x, z)):
+                assert np.array_equal(a, b)
+        for name in ("jac_state_norms", "jac_input_norms"):
+            assert np.array_equal(getattr(F, name)(X, Z), getattr(E, name)(X, Z))
+        for a, b in zip(F.second_partial_norms(X, Z), E.second_partial_norms(X, Z)):
+            assert np.array_equal(a, b)
+        n = F.state_dim
+        region, inputs = AxisBox([-1.0] * n, [1.5] * n), InputRange.of([-0.5], [1.0])
+        assert F.analytic_lipschitz(region, inputs) == E.analytic_lipschitz(region, inputs) \
+            == {"l_fx": 1.0, "l_fz": 1.0, "l_fxx": 0.0, "l_fxz": 0.0}
+        rng = np.random.default_rng(q)
+        lo = rng.uniform(-2.0, 0.0, size=n)
+        hi = lo + rng.uniform(0.0, 2.0, size=n)
+        img, ref = F.interval_image(lo, hi, -0.5, 1.0), E.interval_image(lo, hi, -0.5, 1.0)
+        for a, b, by_hand in zip(img, ref, (delay_by_hand(lo, -0.5), delay_by_hand(hi, 1.0))):
+            assert np.array_equal(a, b) and np.array_equal(a, by_hand)
+
+    def test_eval_copies_special_entries(self):
+        F = LinearDelay(3)
+        x = np.array(SPECIAL[:7])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no 0 * inf, no inf - inf
+            for z in SPECIAL:
+                assert F.eval(x, [z]).tobytes() == delay_by_hand(x, z).tobytes()
+                assert F(x, z).tobytes() == delay_by_hand(x, z).tobytes()
+            X = np.array([np.roll(SPECIAL, k)[:7] for k in range(len(SPECIAL))])
+            Z = np.array(SPECIAL)[:, None]
+            ref = np.stack([delay_by_hand(x, z) for x, z in zip(X, Z[:, 0])])
+            assert F.eval(X, Z).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_recursion_copies_special_entries(self, batch):
+        F = LinearDelay(2)
+        z = np.array(SPECIAL * 2)
+        x0 = np.array([np.roll(SPECIAL, k)[:5] for k in range(3)]) if batch \
+            else np.array(SPECIAL[3:8])
+        states = run_recursion(F, z, x0)
+        x, ref = x0, [x0]
+        for zt in z:
+            x = np.stack([delay_by_hand(r, zt) for r in x]) if batch else delay_by_hand(x, zt)
+            ref.append(x)
+        assert states.tobytes() == np.stack(ref).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf changes
+    def test_psi_copies_special_entries(self):
+        # a projection copies the -0.0 coordinates of the points; the start holds the rest
+        F = LinearDelay(2)
+        points = np.column_stack([[0.5, -0.0, 0.25, -0.0, 0.0, -0.0, 1.0, -0.0], np.zeros(8)])
+        traj = Trajectory(points=points)
+        f0 = np.array([-0.0, np.inf, -np.inf, np.nan, -np.nan])
+        gs = psi_iterate_gs(F, None, CoordinateProjection([0], 2), traj, f0, tol=0.0,
+                            max_iters=3)
+        z = points[:, 0]
+        f = np.tile(f0, (len(z), 1))
+        for _ in range(3):  # Jacobi sweeps, the left end's predecessor held at f0
+            f = np.stack([delay_by_hand(f0, z[0])]
+                         + [delay_by_hand(f[t - 1], z[t]) for t in range(1, len(z))])
+        assert gs.values.tobytes() == f.tobytes()
+        assert gs.method["n_iters"] == 3 and not gs.method["converged"]
 
 
 class TestEsn:

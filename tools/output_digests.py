@@ -3,9 +3,11 @@
 Usage: python3 tools/output_digests.py OUT_DIR
 
 Runs ``simulate``, ``certify``, ``synchronize --method both`` and
-``diagnose`` on the built-in Section IV config and on the seed-1 config of
-each benchmark workload (``perfbench/workloads.py``), plus ``reproduce``
-fig1..fig4, each into its own directory under OUT_DIR.  Prints one
+``diagnose`` on the built-in Section IV config, on ``TAKENS`` (a depth-7
+delay line driven by a linear observation of a torus rotation, on a box and
+a ball) and on the seed-1 config of each benchmark workload
+(``perfbench/workloads.py``), plus ``reproduce`` fig1..fig4, each into its
+own directory under OUT_DIR.  Prints one
 ``sha256  relative/path`` line per output file, one ``sha256
 <config>/sweep`` line per config for ``multistability_sweep`` run as the
 benchmark runs it (its labels, failures, separations, echo index and the
@@ -43,6 +45,28 @@ from gsync.dynsys import observe_trajectory  # noqa: E402
 from gsync.errors import GsyncError  # noqa: E402
 from gsync.regions import InputRange  # noqa: E402
 
+TAKENS = """
+system.kind = torus_rotation
+system.angles = 0.41421356237309503 0.16227766016837952
+system.initial = 0.1 0.7
+system.n_steps = 1500
+observation.kind = linear
+observation.matrix = 1 -0.5
+statemap.kind = linear_delay
+statemap.q = 3
+region.1.kind = box
+region.1.lo = -1 -1 -1 -1 -1 -1 -1
+region.1.hi = 1.5 1.5 1.5 1.5 1.5 1.5 1.5
+region.1.label = D
+region.2.kind = ball
+region.2.center = 0.25 0.25 0.25 0.25 0.25 0.25 0.25
+region.2.radius = 3
+region.2.label = B
+run.washout = 500
+run.record = 1000
+run.method = both
+run.seed = 3
+"""
 COMMANDS = (["simulate"], ["certify"], ["synchronize", "--method", "both"], ["diagnose"])
 FIGURES = ("fig1", "fig2", "fig3", "fig4")
 
@@ -115,9 +139,12 @@ def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[
     lipschitz and psi digests as (label/sweep, digest), (label/lipschitz,
     digest) and (label/psi, digest) pairs and a message for each non-zero
     exit code."""
-    configs = {"section_iv": os.path.join(inputs_dir, "section_iv.cfg")}
+    configs = {"section_iv": os.path.join(inputs_dir, "section_iv.cfg"),
+               "takens": os.path.join(inputs_dir, "takens.cfg")}
     with open(configs["section_iv"], "w") as fh:
         fh.write(section_iv_config().resolved_text())
+    with open(configs["takens"], "w") as fh:
+        fh.write(TAKENS)
     for name in workloads.NAMES:
         configs[name] = workloads.build(name, 1, os.path.join(inputs_dir, name)).config_path
 
