@@ -96,14 +96,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _drive(cfg: RunConfig, region, traj):
-    return drive_gs(cfg.statemap, cfg.system, cfg.observation, cfg.initial,
-                    region.center(), washout_steps=cfg.washout,
-                    record_steps=cfg.record, region=region, trajectory=traj)
-
-
 def _drives(cfg: RunConfig, traj) -> list:
-    """``_drive`` of every region in one stacked recursion: per region, in
+    """``drive_gs`` of every region in one stacked recursion: per region, in
     order, its synchronization or the error to raise at its turn."""
     return _drive_regions(cfg.statemap, cfg.system, cfg.observation, cfg.initial,
                           [region.center() for region in cfg.regions], cfg.regions,
@@ -225,7 +219,9 @@ def cmd_diagnose(cfg: RunConfig, out_dir: str) -> int:
                _meta(cfg, "diagnose", {"trials": cfg.forgetting_trials}),
                ["k", "max_distance", "bound"], rows)
 
-    gs = _drive(cfg, region, traj)
+    gs = drive_gs(cfg.statemap, cfg.system, cfg.observation, cfg.initial, region.center(),
+                  washout_steps=cfg.washout, record_steps=cfg.record, region=region,
+                  trajectory=traj)
     try:
         prof = derivative_profile(gs, pair_budget=cfg.pair_budget, rng=cfg.seed)
         bins_meta = {

@@ -52,10 +52,17 @@ def run_recursion(F: StateMap, z, x0) -> np.ndarray:
     Returns shape (len(z) + 1,) + x0.shape with row 0 = x0; a 1-D z is a
     sequence of scalar inputs and a 0-d z one scalar input.  x0 is checked
     once, ``F.input_terms`` (which checks z) is called once on all of z, and
-    then ``F.apply`` once per step on an
-    array of exactly x0's shape, so a state (N,) and a batch of states
-    (B, N) each evaluate as they would alone.
+    then ``F.apply`` once per step on an array of exactly x0's shape, so a
+    state (N,) and a batch of states (B, N) each evaluate as they would
+    alone.  F's non-finite rule then judges the finished states.
     """
+    states = _recur(F, z, x0)
+    F._check_finite(states[1:])
+    return states
+
+
+def _recur(F: StateMap, z, x0) -> np.ndarray:
+    """The loop of ``run_recursion``, without the non-finite rule."""
     z = np.asarray(z, dtype=float)
     if z.ndim < 2:
         z = z.reshape(-1, 1)
@@ -66,21 +73,7 @@ def run_recursion(F: StateMap, z, x0) -> np.ndarray:
     for t in range(len(z)):
         x = F.apply(x, u[t])
         states[t + 1] = x
-    _report_nonfinite(F, states[1:], states[:-1], z)
     return states
-
-
-def _report_nonfinite(F: StateMap, new: np.ndarray, old: np.ndarray, z: np.ndarray) -> None:
-    """Hand the first non-finite row of new = F(old, z) to ``F.eval``.
-
-    ``F.apply`` may skip the checks of ``F.eval``; re-evaluating the first
-    failing step lets the map raise its own error, exactly as a step-by-step
-    ``eval`` loop would, or accept the value if non-finite states are allowed.
-    """
-    if np.isfinite(new).all():
-        return
-    i = int(np.argmin(np.isfinite(new.reshape(len(new), -1)).all(axis=1)))
-    F.eval(old[i], z[i])
 
 
 def _max_row_norm(d: np.ndarray) -> float:
@@ -192,9 +185,9 @@ def _drive_regions(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0,
     Returns one entry per start, in order: its SampledGS, or the package
     error that ``drive_gs`` from that start alone would raise.  The starts
     that lie in their regions are driven together as one (B, N) batch by a
-    single ``run_recursion`` (a lone one as its own (N,) state).  If that
-    recursion raises a package error, each of them is driven again alone,
-    so the error is its own start's.
+    single recursion (a lone one as its own (N,) state), and F's non-finite
+    rule judges each row.  A package error of that loop itself (say from
+    ``input_terms``) is every driven start's error, as it is each lone one's.
     """
     if washout_steps < 0:
         raise ValueError("washout_steps must be >= 0")
@@ -227,14 +220,10 @@ def _drive_regions(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0,
     # a lone start keeps its own shape: (N,) steps are cheaper than (1, N) steps
     x0 = xs[live[0]] if len(live) == 1 else np.stack([xs[i] for i in live])
     try:
-        states = run_recursion(F, z[1:], x0).reshape(total + 1, len(live), -1)
+        states = _recur(F, z[1:], x0).reshape(total + 1, len(live), -1)
     except GsyncError as exc:
-        if len(live) == 1:
-            out[live[0]] = exc
-        else:
-            for i in live:
-                out[i], = _drive_regions(F, sys, obs, m0, [xs[i]], [regions[i]],
-                                         washout_steps, record_steps, trajectory)
+        for i in live:
+            out[i] = exc
         return out
 
     times = trajectory.t0 + np.arange(washout_steps, total + 1)
@@ -242,6 +231,7 @@ def _drive_regions(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0,
     for row, i in enumerate(live):
         method = {"name": "drive", "washout_steps": washout_steps, "x0": xs[i].tolist()}
         try:
+            F._check_finite(states[1:, row])
             out[i] = _sampled(F, z[washout_steps:], times, points,
                               states[washout_steps:, row].copy(), method, regions[i])
         except GsyncError as exc:
@@ -292,7 +282,7 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
         change = _max_row_norm(f_new - f)
         # a finite change needs finite rows in f and f_new alike
         if not math.isfinite(change):
-            _report_nonfinite(F, f_new[1:], f[:-1], z[1:])
+            F._check_finite(f_new[1:])
         change_history.append(change)
         f = f_new
         n_iters = sweep
@@ -348,10 +338,11 @@ def multistability_sweep(F: StateMap, regions, sys: DiscreteSystem,
 
     All regions are driven from their centers in one stacked recursion.
     Regions where the drive fails with a package error (for instance a
-    region escape) are reported in ``failures`` and the others are kept;
-    any other exception propagates.  The echo index is a
-    lower bound: the number of clusters of recorded synchronizations whose
-    pairwise minimum separation exceeds ``distinct_tol``.
+    region escape, or a non-finite row under F's non-finite rule) are
+    reported in ``failures`` and the others are kept; any other exception
+    propagates.  The echo index is a lower bound: the number of clusters of
+    recorded synchronizations whose pairwise minimum separation exceeds
+    ``distinct_tol``.
     """
     regions = list(regions)
     results = _drive_regions(F, sys, obs, m0, [region.center() for region in regions],

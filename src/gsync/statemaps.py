@@ -7,8 +7,11 @@ Built-in families:
                      shift and C = e1, evaluated by copying
 * ``PowerSine``   -- componentwise signed power plus a trigonometric input term
 
-All built-ins evaluate F and its derivatives on batches (leading axes of x
-and z broadcast), with closed-form derivative bounds where they exist;
+Every ``eval`` is ``input_terms`` (the input-only part of F), then ``apply``
+(the state part), then the map's one non-finite rule ``nonfinite_error``,
+by which the recursions also judge their finished states.  All built-ins
+evaluate F and its derivatives on batches (leading axes of x and z
+broadcast), with closed-form derivative bounds where they exist;
 ``CustomStateMap`` uses finite differences and takes its grid norms row by row.
 """
 
@@ -96,12 +99,16 @@ SQUASHINGS = {
 class StateMap:
     """Base class for driven state maps.
 
-    ``eval``, ``jac_state``, ``jac_input`` and ``second_partials`` take x
-    (..., N) and z (..., d) with leading batch axes that broadcast.  The
-    ``*_norms`` methods, one norm per row of X, Z, are ``lipschitz_bounds``' grid.
+    A subclass defines ``apply`` and may override ``input_terms`` and
+    ``nonfinite_error``, the text of the ``NonFiniteError`` raised on a
+    non-finite state (None, the default, accepts such states).  ``eval``,
+    ``jac_state``, ``jac_input`` and ``second_partials`` take x (..., N) and
+    z (..., d) with leading batch axes that broadcast.  The ``*_norms``
+    methods, one norm per row of X, Z, are ``lipschitz_bounds``' grid.
     """
 
     derivative_order = 0
+    nonfinite_error: str | None = None
 
     def __init__(self, state_dim: int, input_dim: int):
         self.state_dim = int(state_dim)
@@ -124,8 +131,16 @@ class StateMap:
             raise DimensionMismatch(f"input has trailing dimension {z.shape[-1]}, expected {self.input_dim}")
         return z
 
+    def _check_finite(self, values) -> None:
+        """Raise ``NonFiniteError(nonfinite_error)``, if set, on a non-finite value."""
+        if self.nonfinite_error is not None and not np.isfinite(values).all():
+            raise NonFiniteError(self.nonfinite_error)
+
     def eval(self, x, z) -> np.ndarray:
-        raise NotImplementedError
+        """F(x, z): ``apply`` after ``input_terms``, then the non-finite rule."""
+        out = self.apply(self._check_state(x), self.input_terms(z))
+        self._check_finite(out)
+        return out
 
     def input_terms(self, z) -> np.ndarray:
         """The input-only part of F for inputs z (..., input_dim), computed
@@ -135,11 +150,8 @@ class StateMap:
         return self._check_input(z)
 
     def apply(self, x, u) -> np.ndarray:
-        """F(x, z) from u, the entry of ``input_terms`` for z.  By default
-        ``eval(x, u)``.  An override may skip the checks ``eval`` makes per
-        call; the recursions check their finished states instead and hand
-        the first non-finite step to ``eval``."""
-        return self.eval(x, u)
+        """F(x, z) from u, the entry of ``input_terms`` for z; no checks."""
+        raise NotImplementedError
 
     def __call__(self, x, z) -> np.ndarray:
         return self.eval(x, z)
@@ -236,9 +248,6 @@ class Esn(StateMap):
     def _pre(self, x, z) -> np.ndarray:
         return self._check_state(x) @ self.A.T + self.input_terms(z)
 
-    def eval(self, x, z) -> np.ndarray:
-        return self.apply(self._check_state(x), self.input_terms(z))
-
     def jac_state(self, x, z) -> np.ndarray:
         d = self.squashing.deriv(self._pre(x, z))
         return d[..., :, None] * self.A
@@ -319,6 +328,7 @@ class PowerSine(StateMap):
     """
 
     derivative_order = 2
+    nonfinite_error = "power-sine evaluation is non-finite"
 
     def __init__(self, alpha: float, lam: float, k: float):
         if not 0.0 < alpha < 1.0:
@@ -343,12 +353,6 @@ class PowerSine(StateMap):
     def apply(self, x, u) -> np.ndarray:
         """s(x) + u for u from ``input_terms``; no checks."""
         return self._signed_power(x) + u
-
-    def eval(self, x, z) -> np.ndarray:
-        out = self.apply(self._check_state(x), self.input_terms(z))
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteError("power-sine evaluation is non-finite")
-        return out
 
     def _check_away_from_zero(self, x: np.ndarray):
         if np.any(np.abs(x) == 0.0):
@@ -427,6 +431,8 @@ class CustomStateMap(StateMap):
     batch) and ``second_partials`` takes one point, so its grid norms go row
     by row."""
 
+    nonfinite_error = "custom state map returned non-finite values"
+
     def __init__(self, func, state_dim: int, input_dim: int,
                  jac_state=None, jac_input=None, fd_step: float = 1e-6,
                  derivative_order: int = 1):
@@ -437,12 +443,9 @@ class CustomStateMap(StateMap):
         self.fd_step = float(fd_step)
         self.derivative_order = derivative_order
 
-    def eval(self, x, z) -> np.ndarray:
-        x, z = self._check(x, z)
-        out = np.asarray(self._func(x, z), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteError("custom state map returned non-finite values")
-        return out
+    def apply(self, x, u) -> np.ndarray:
+        """The wrapped function at (x, u); no checks."""
+        return np.asarray(self._func(x, u), dtype=float)
 
     def jac_state(self, x, z) -> np.ndarray:
         x, z = self._check(x, z)

@@ -8,7 +8,8 @@ from gsync import (AxisBox, Ball, CatMap, CoordinateProjection, CustomObservatio
                    LinearDelay, PowerSine, Trajectory, compare_gs, delay_window, drive_gs,
                    multistability_sweep, observe_trajectory, psi_iterate_gs,
                    recursion_residual, run_recursion, write_gs_csv)
-from gsync.errors import DisjointRanges, GsyncError, NonFiniteError, RegionEscape
+from gsync.errors import (DimensionMismatch, DisjointRanges, DomainViolation, GsyncError,
+                          NonFiniteError, RegionEscape)
 from gsync.gs import _drive_regions, _max_row_norm
 
 from conftest import LORENZ_M0, esn_reservoir
@@ -349,6 +350,153 @@ class TestNonFinite:
         assert np.isfinite(states[:3]).all() and np.isnan(states[3:]).all()
 
 
+def thresholded_map():
+    """A contraction from starts whose first coordinate is at most 10, nan above."""
+    return CustomStateMap(lambda x, z: np.where(x[..., :1] > 10.0, np.nan, 0.5 * x + z),
+                          state_dim=2, input_dim=1)
+
+
+# map, a start it fails from, a start it is finite from, its non-finite rule's text
+RULE_CASES = {
+    "power_sine": (lambda: PowerSine(0.9, 0.009, 10.0), [np.inf, 1.0, 1.0], [1.0, 1.0, 1.0],
+                   "power-sine evaluation is non-finite"),
+    "custom": (thresholded_map, [20.0, 0.0], [0.5, 0.5],
+               "custom state map returned non-finite values"),
+    "esn": (lambda: esn_reservoir(units=4), [np.nan, 0.0, 0.0, 0.0], np.zeros(4), None),
+}
+
+
+def esn_by_formula(F, z, x0):
+    """tanh(x A^T + (z C^T + zeta)) step by step, as numpy evaluates the Esn."""
+    u = z @ F.C.T + F.zeta
+    states = [np.asarray(x0, dtype=float)]
+    for ut in u:
+        states.append(np.tanh(states[-1] @ F.A.T + ut))
+    return np.stack(states)
+
+
+class TestNonFiniteRule:
+    """Every entry point judges a map's states by its one rule: ``PowerSine`` and
+    ``CustomStateMap`` raise the same error everywhere, ``Esn`` keeps its nans."""
+
+    @pytest.fixture
+    def case(self, request, torus_traj):
+        make, bad, good, text = RULE_CASES[request.param]
+        z = observe_trajectory(CoordinateProjection([0], 2), torus_traj)
+        return make(), np.asarray(bad), np.asarray(good), text, z
+
+    def calls(self, F, bad, good, z, torus, torus_traj):
+        obs = CoordinateProjection([0], 2)
+
+        def drive(x0):
+            return drive_gs(F, torus, obs, None, x0, washout_steps=10, record_steps=100,
+                            trajectory=torus_traj)
+        return {
+            "eval": lambda: F.eval(bad, z[0]),
+            "run_recursion": lambda: run_recursion(F, z[1:], bad),
+            "drive_gs": lambda: drive(bad),
+            "stacked": lambda: _drive_regions(F, torus, obs, None, [good, bad, good],
+                                              [None] * 3, 10, 100, torus_traj),
+            "psi": lambda: psi_iterate_gs(F, torus, obs, torus_traj, f0_const=bad,
+                                          tol=1e-12, max_iters=50),
+            "lone_good": lambda: drive(good),
+        }
+
+    @pytest.mark.parametrize("case", ["power_sine", "custom"], indirect=True)
+    def test_raising_rules_raise_the_same_error_everywhere(self, case, torus, torus_traj):
+        F, bad, good, text, z = case
+        calls = self.calls(F, bad, good, z, torus, torus_traj)
+        for name in ("eval", "run_recursion", "drive_gs", "psi"):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(NonFiniteError, match=f"^{text}$"):
+                calls[name]()
+        with np.errstate(invalid="ignore"):
+            stacked = calls["stacked"]()
+        assert isinstance(stacked[1], NonFiniteError) and str(stacked[1]) == text
+        for row in (0, 2):
+            assert_same_drive(stacked[row], calls["lone_good"]())
+
+    @pytest.mark.parametrize("case", ["esn"], indirect=True)
+    def test_esn_keeps_its_nans_everywhere(self, case, torus, torus_traj):
+        F, bad, good, text, z = case
+        calls = self.calls(F, bad, good, z, torus, torus_traj)
+        expected = esn_by_formula(F, z[1:], bad)
+        assert np.isnan(expected[1:]).all()
+        assert calls["eval"]().tobytes() == expected[1].tobytes()
+        assert calls["run_recursion"]().tobytes() == expected.tobytes()
+        lone = calls["drive_gs"]()
+        assert lone.values.tobytes() == expected[10:111].tobytes()
+        assert np.isnan(lone.residuals).all() and np.isnan(lone.residual_max)
+        stacked = calls["stacked"]()
+        assert stacked[1].values.tobytes() == lone.values.tobytes()
+        assert np.isnan(stacked[1].residuals).all() and np.isnan(stacked[1].residual_max)
+        # the finite rows stay finite: a nan row does not leak into the batch
+        good = calls["lone_good"]().values
+        for row in (0, 2):
+            assert np.max(np.abs(stacked[row].values - good)) <= 4 * EPS * np.max(np.abs(good))
+        psi = calls["psi"]()
+        assert psi.method["n_iters"] == 50 and not psi.method["converged"]
+        assert np.isnan(psi.values).all() and np.isnan(psi.method["change_history"]).all()
+
+    def test_custom_rule_in_the_sweep(self, torus, torus_traj):
+        regions = [AxisBox([-3.0, -3.0], [3.0, 3.0], label="A"),
+                   AxisBox([19.0, -1.0], [21.0, 1.0], label="bad")]
+        result = multistability_sweep(thresholded_map(), regions, torus,
+                                      CoordinateProjection([0], 2), None, washout_steps=10,
+                                      record_steps=100, trajectory=torus_traj)
+        assert result.labels == ["A"]
+        assert result.failures == {"bad": "NonFiniteError: custom state map returned "
+                                          "non-finite values"}
+
+    @pytest.mark.parametrize("case", ["power_sine", "custom"], indirect=True)
+    def test_failing_recursion_evaluates_no_step_again(self, case, monkeypatch):
+        F, bad, good, text, z = case
+        evals = []
+        original = F.eval
+        monkeypatch.setattr(F, "eval", lambda x, z: evals.append(1) or original(x, z))
+        with pytest.raises(NonFiniteError, match=f"^{text}$"):
+            run_recursion(F, z[1:], bad)
+        assert evals == []
+
+    def test_custom_recursion_runs_to_the_end_before_raising(self):
+        F = thresholded_map()
+        steps = []
+        original = F.apply
+        F.apply = lambda x, u: steps.append(1) or original(x, u)
+        with pytest.raises(NonFiniteError):
+            run_recursion(F, np.zeros((30, 1)), [20.0, 0.0])
+        assert len(steps) == 30
+
+    def test_stacked_loop_error_is_every_driven_start_error(self, torus, torus_traj):
+        def refusing(x, z):
+            if np.any(x[..., 0] > 10.0):
+                raise DomainViolation("a state above 10")
+            return 0.5 * x + z
+
+        F = CustomStateMap(refusing, state_dim=2, input_dim=1)
+        obs = CoordinateProjection([0], 2)
+        starts = [[0.5, 0.5], [20.0, 0.0], [0.0, 5.0]]
+        regions = [None, None, AxisBox([-1.0, -1.0], [1.0, 1.0], label="R")]
+        stacked = _drive_regions(F, torus, obs, None, starts, regions, 10, 100, torus_traj)
+        # the start outside its region keeps its own error; the two driven share one
+        assert isinstance(stacked[2], RegionEscape)
+        assert isinstance(stacked[0], DomainViolation) and stacked[1] is stacked[0]
+        lone = lone_drives(F, torus, obs, torus_traj, starts, regions, 10, 100)
+        assert_same_drive(stacked[1], lone[1])
+        assert_same_drive(stacked[2], lone[2])
+
+    def test_input_terms_error_is_every_start_error(self, power_sine, torus, torus_traj,
+                                                    eight_boxes):
+        obs = CoordinateProjection([0, 1], 2)  # two inputs for a one-input map
+        starts = [b.center() for b in eight_boxes[:3]]
+        stacked = _drive_regions(power_sine, torus, obs, None, starts, eight_boxes[:3],
+                                 10, 100, torus_traj)
+        lone = lone_drives(power_sine, torus, obs, torus_traj, starts, eight_boxes[:3], 10, 100)
+        assert all(isinstance(err, DimensionMismatch) for err in lone)
+        for a, b in zip(stacked, lone):
+            assert_same_drive(a, b)
+
+
 def reference_psi(F, obs, traj, f0, tol, max_iters, record_from=0, l_fx=None):
     """The Jacobi loop that psi_iterate_gs ran before its exact change norm:
     an isfinite pass over every sweep, then np.linalg.norm of the change.
@@ -599,8 +747,9 @@ class TestStackedDrive:
         monkeypatch.setattr(F, "apply", lambda x, u: calls.append(np.shape(x)) or original(x, u))
         result = multistability_sweep(F, regions, torus, obs, None, washout_steps=50,
                                       record_steps=200, trajectory=traj)
-        # the stacked run stops at its first step; then each region runs alone
-        assert calls[0] == (3, 2) and set(calls[1:]) == {(2,)}
+        # one stacked run of all 250 steps, its rows judged alone: no (2,) re-drive;
+        # the other calls are the residual evals of the two kept regions
+        assert [s for s in calls if s != (200, 2)] == [(3, 2)] * 250
         assert isinstance(lone[1], NonFiniteError)
         assert result.failures == {"bad": f"NonFiniteError: {lone[1]}"}
         assert result.labels == ["A", "C"]

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gsync import (AxisBox, CoordinateProjection, CustomStateMap, Esn, InputRange,
-                   LinearDelay, PowerSine, Trajectory, cos_range, lipschitz_bounds,
+                   LinearDelay, PowerSine, StateMap, Trajectory, cos_range, lipschitz_bounds,
                    psi_iterate_gs, run_recursion, shift_matrix, sin_range)
-from gsync.errors import DimensionMismatch, DomainViolation
+from gsync.errors import DimensionMismatch, DomainViolation, NonFiniteError
 from gsync.statemaps import _CHUNK
 
 from conftest import FIXED_POINTS, IV_ALPHA, IV_K, IV_LAMBDA, affine_half
@@ -37,6 +37,66 @@ def small_esn(scale=0.3, squashing="tanh", n=3):
     C = rng.normal(size=(n, 1)) * 0.2
     zeta = rng.normal(size=n) * 0.1
     return Esn(A, C, zeta=zeta, squashing=squashing)
+
+
+class Halving(StateMap):
+    """A map that defines only ``apply``: F(x, z) = x / 2 + z_1."""
+
+    def __init__(self):
+        super().__init__(state_dim=2, input_dim=1)
+
+    def apply(self, x, u):
+        return 0.5 * x + u[..., :1]
+
+
+class TestEvaluationContract:
+    @pytest.mark.parametrize("batch", [None, 5])
+    def test_eval_is_apply_after_input_terms(self, batch):
+        F = Halving()
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-1.0, 1.0, size=(2,) if batch is None else (batch, 2))
+        z = rng.uniform(-1.0, 1.0, size=(1,) if batch is None else (batch, 1))
+        assert np.array_equal(F.input_terms(z), z)
+        assert np.array_equal(F.eval(x, z), F.apply(x, F.input_terms(z)))
+        assert np.array_equal(F(x, z), F.eval(x, z))
+
+    def test_default_rule_accepts_non_finite_states(self):
+        F = Halving()
+        assert F.nonfinite_error is None
+        out = F.eval([np.nan, np.inf], [0.5])
+        assert np.isnan(out[0]) and out[1] == np.inf
+
+    def test_rule_set_on_the_class_is_checked_by_eval(self):
+        class Strict(Halving):
+            nonfinite_error = "halving is non-finite"
+
+        F = Strict()
+        assert np.array_equal(F.eval([1.0, 2.0], [0.5]), [1.0, 1.5])
+        with pytest.raises(NonFiniteError, match="^halving is non-finite$"):
+            F.eval([1.0, np.inf], [0.5])
+
+    def test_a_map_without_apply_cannot_evaluate(self):
+        F = StateMap(state_dim=2, input_dim=1)
+        with pytest.raises(NotImplementedError):
+            F.eval(np.zeros(2), [0.0])
+        with pytest.raises(NotImplementedError):
+            F.apply(np.zeros(2), np.zeros(1))
+
+    def test_built_in_rules(self):
+        assert PowerSine.nonfinite_error == "power-sine evaluation is non-finite"
+        assert CustomStateMap.nonfinite_error == "custom state map returned non-finite values"
+        assert Esn.nonfinite_error is None and LinearDelay.nonfinite_error is None
+        # eval is written once, on the base class
+        for cls in (Esn, LinearDelay, PowerSine, CustomStateMap):
+            assert "eval" not in vars(cls) and "apply" in vars(cls)
+
+    def test_custom_apply_is_the_function_unchecked(self):
+        F = CustomStateMap(lambda x, z: np.where(x > 10.0, np.nan, 0.5 * x + z),
+                           state_dim=2, input_dim=1)
+        out = F.apply(np.array([20.0, 1.0]), np.array([0.5]))
+        assert np.isnan(out[0]) and out[1] == 1.0
+        with pytest.raises(NonFiniteError, match="^custom state map returned non-finite values$"):
+            F.eval([20.0, 1.0], [0.5])
 
 
 class TestTrigRanges:
