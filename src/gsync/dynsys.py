@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -220,24 +221,6 @@ class CatMap(_ConstantTangent):
         return self.matrix, self.inverse_matrix
 
 
-def _rk4_substep(f, u, v, w, hs):
-    """One classical Runge-Kutta substep of a three-component field.
-
-    ``f(u, v, w) -> (du, dv, dw)``; the components are Python floats on the
-    trajectory path and equal-shape arrays on the batched path, and both
-    evaluate the same operations in the same order as ``OdeFlow._integrate``.
-    """
-    half = 0.5 * hs
-    a1, b1, c1 = f(u, v, w)
-    a2, b2, c2 = f(u + half * a1, v + half * b1, w + half * c1)
-    a3, b3, c3 = f(u + half * a2, v + half * b2, w + half * c2)
-    a4, b4, c4 = f(u + hs * a3, v + hs * b3, w + hs * c3)
-    sixth = hs / 6.0
-    return (u + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-            v + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
-            w + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4))
-
-
 class OdeFlow(DiscreteSystem):
     """Flow map of an autonomous vector field over a fixed time step.
 
@@ -246,12 +229,12 @@ class OdeFlow(DiscreteSystem):
     backward with the same scheme and verifies the forward round trip
     against ``roundtrip_tol``.
 
-    A three-dimensional field that also declares a component form,
-    ``field.components(u, v, w) -> (du, dv, dw)`` working on Python floats
-    and on equal-shape arrays (as ``lorenz_field`` does), is integrated on
-    plain floats by ``step``, ``inverse_step`` and ``trajectory`` and in one
-    batch by the tangent kernel ``_tangent_maps``, with bit-identical
-    results.  Other fields are integrated on numpy points.
+    A field that declares an RK4 kernel, ``field.rk4(point, hs, substeps,
+    isfinite, diverged)`` working on Python floats and on equal-shape arrays
+    (as ``lorenz_field`` does), is integrated by that kernel: on plain floats
+    by ``step``, ``inverse_step`` and ``trajectory`` and in one batch by the
+    tangent kernel ``_tangent_maps``, with results bit-identical to
+    ``_integrate``.  Other fields are integrated on numpy points.
     """
 
     def __init__(self, field, phase_dim: int, h: float, substeps: int = 1,
@@ -266,7 +249,7 @@ class OdeFlow(DiscreteSystem):
         self.substeps = int(substeps)
         self.roundtrip_tol = float(roundtrip_tol)
         self.name = name
-        self._components = getattr(field, "components", None) if self.phase_dim == 3 else None
+        self._rk4 = getattr(field, "rk4", None)
 
     def _diverged(self, i: int) -> NonFiniteError:
         return NonFiniteError(f"integration diverged at substep {i + 1} of {self.substeps}")
@@ -286,33 +269,24 @@ class OdeFlow(DiscreteSystem):
                     raise self._diverged(i)
         return y
 
-    def _integrate_components(self, point, h: float, isfinite=math.isfinite) -> tuple:
-        """RK4 on the component form.  ``point`` is (u, v, w) as floats, or
-        as equal-shape arrays with an ``isfinite`` that reduces over them."""
-        u, v, w = point
-        hs = h / self.substeps
-        f = self._components
-        for i in range(self.substeps):
-            u, v, w = _rk4_substep(f, u, v, w, hs)
-            if not (isfinite(u) and isfinite(v) and isfinite(w)):
-                raise self._diverged(i)
-        return u, v, w
-
     def _integrate_batch(self, points: np.ndarray, h: float) -> np.ndarray:
+        """The RK4 kernel on a batch of points (n, 3), as rows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            images = self._integrate_components(points.T, h, _all_finite)
+            images = self._rk4(points.T, h / self.substeps, self.substeps, _all_finite,
+                               self._diverged)
         return np.stack(images, axis=-1)
 
     def _flow(self, m: np.ndarray, h: float) -> np.ndarray:
-        if self._components is None:
+        if self._rk4 is None:
             return self._integrate(m, h)
-        return np.array(self._integrate_components(m.tolist(), h))
+        return np.array(self._rk4(m.tolist(), h / self.substeps, self.substeps, math.isfinite,
+                                  self._diverged))
 
     def _stepper(self, m: np.ndarray):
-        if self._components is None:
+        if self._rk4 is None:
             return super()._stepper(m)
-        h = self.h
-        return (lambda point: self._integrate_components(point, h)), m.tolist()
+        return partial(self._rk4, hs=self.h / self.substeps, substeps=self.substeps,
+                       isfinite=math.isfinite, diverged=self._diverged), m.tolist()
 
     def step(self, m) -> np.ndarray:
         m = _as_point(m, self.phase_dim)
@@ -339,7 +313,7 @@ class OdeFlow(DiscreteSystem):
         map) is left to that path, which decides and raises its own error.
         """
         per_sample = super()._tangent_maps
-        if self._components is None:
+        if self._rk4 is None:
             return per_sample(samples)
         d = samples.shape[1]
         h = self.fd_step
@@ -377,8 +351,14 @@ def lorenz_field(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0
     and is kept only as a documented comparison switch.
 
     The returned field carries its component form as ``field.components``,
-    ``(u, v, w) -> (du, dv, dw)`` on Python floats or equal-shape arrays,
-    which ``OdeFlow`` integrates without building a numpy point per stage.
+    ``(u, v, w) -> (du, dv, dw)``, and its integrator as ``field.rk4(point,
+    hs, substeps, isfinite, diverged)``: ``substeps`` classical Runge-Kutta
+    substeps of length ``hs`` from ``point = (u, v, w)``, with the four
+    stages written out.  Both work on Python floats and on equal-shape
+    arrays and perform the operations of ``OdeFlow._integrate`` in its
+    order, so the results are bit-identical.  After each substep ``i`` the
+    kernel raises ``diverged(i)`` unless ``isfinite`` holds for every
+    component (``math.isfinite`` on floats; a reduction over arrays).
     """
 
     if not all(map(math.isfinite, (sigma, rho, beta))):
@@ -388,11 +368,31 @@ def lorenz_field(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0
     def components(u, v, w):
         return s * (v - u), u * (rho - w) - v, u * v - beta * w
 
+    def rk4(point, hs, substeps, isfinite, diverged):
+        u, v, w = point
+        half = 0.5 * hs
+        sixth = hs / 6.0
+        for i in range(substeps):
+            a1, b1, c1 = s * (v - u), u * (rho - w) - v, u * v - beta * w
+            p, q, r = u + half * a1, v + half * b1, w + half * c1
+            a2, b2, c2 = s * (q - p), p * (rho - r) - q, p * q - beta * r
+            p, q, r = u + half * a2, v + half * b2, w + half * c2
+            a3, b3, c3 = s * (q - p), p * (rho - r) - q, p * q - beta * r
+            p, q, r = u + hs * a3, v + hs * b3, w + hs * c3
+            a4, b4, c4 = s * (q - p), p * (rho - r) - q, p * q - beta * r
+            u = u + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            v = v + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            w = w + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            if not (isfinite(u) and isfinite(v) and isfinite(w)):
+                raise diverged(i)
+        return u, v, w
+
     def field(m):
         # transposing puts the coordinate axis first for any batch shape
         return np.array(components(*np.asarray(m, dtype=float).T)).T
 
     field.components = components
+    field.rk4 = rk4
     return field
 
 
@@ -600,7 +600,9 @@ def tangent_norm_bounds(sys: DiscreteSystem, samples) -> tuple[float, float]:
     finite = np.isfinite(samples.reshape(len(samples), -1)).all(axis=1)
     if samples.shape[1:] != (sys.phase_dim,) or not finite.all():
         _as_point(samples[np.argmin(finite)], sys.phase_dim)  # raises for this row
-    maps = sys._tangent_maps(samples)
+    # a stack broadcast along its first axis (a constant tangent map) repeats
+    # one matrix: its norm is that matrix's norm
+    maps = [J[:1] if J.strides[0] == 0 else J for J in sys._tangent_maps(samples)]
     if not all(_all_finite(J) for J in maps):
         raise NonFiniteError("tangent map evaluation is non-finite")
     sup_fwd, sup_inv = (max(0.0, float(np.max(_smax(J)))) for J in maps)

@@ -73,10 +73,13 @@ class AxisBox(InvariantRegion):
         if resolution < 2:
             raise ValueError("resolution must be >= 2")
         if resolution ** self.dim <= max_points:
-            axes = [np.linspace(self.lo[j], self.hi[j], resolution) for j in range(self.dim)]
-            mesh = np.meshgrid(*axes, indexing="ij")
+            mesh = np.meshgrid(*self._axes(resolution), indexing="ij")
             return np.stack([g.ravel() for g in mesh], axis=1)
         return self.sample(max_points, rng)
+
+    def _axes(self, resolution: int) -> list[np.ndarray]:
+        """The grid coordinates along each axis."""
+        return [np.linspace(self.lo[j], self.hi[j], resolution) for j in range(self.dim)]
 
     def sample(self, n: int, rng=None) -> np.ndarray:
         g = _rng(rng)
@@ -93,7 +96,8 @@ class Ball(InvariantRegion):
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if not 0.0 < radius < np.inf:
             raise ValueError("radius must be positive and finite")
-        lo, hi = center - radius, center + radius
+        with np.errstate(over="ignore"):  # an overflow is rejected just below
+            lo, hi = center - radius, center + radius
         if not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
             raise ValueError("ball center - radius and center + radius must be finite and distinct")
         super().__init__(dim=center.size, label=label)
@@ -111,12 +115,29 @@ class Ball(InvariantRegion):
         return 2.0 * self.radius
 
     def grid(self, resolution: int, max_points: int = 250_000, rng=None) -> np.ndarray:
+        """The points of the bounding box's grid inside the ball, topped up
+        with ``max(resolution, 8)`` samples when fewer lie inside, then the
+        center."""
         box = AxisBox(self._center - self.radius, self._center + self.radius)
-        pts = box.grid(resolution, max_points=max_points, rng=rng)
-        inside = pts[self.contains(pts)]
+        if self._misses(box, resolution, max_points):
+            inside = np.empty((0, self.dim))
+        else:
+            pts = box.grid(resolution, max_points=max_points, rng=rng)
+            inside = pts[self.contains(pts)]
         if len(inside) < max(resolution, 8):
             inside = np.vstack([inside, self.sample(max(resolution, 8), rng)])
         return np.vstack([inside, self._center[None, :]])
+
+    def _misses(self, box: AxisBox, resolution: int, max_points: int) -> bool:
+        """Whether the box's grid is a full grid (not samples, no error) and
+        no point of it lies in the ball: even the one nearest the center,
+        whose offset along each axis is the smallest offset of that axis's
+        coordinates, is outside by more than the rounding of the norm's
+        summation order (an overflowing norm is borderline too)."""
+        if resolution < 2 or resolution ** self.dim > max_points:
+            return False
+        gaps = [np.min(np.abs(axis - c)) for axis, c in zip(box._axes(resolution), self._center)]
+        return bool(self.radius * (1.0 + 1e-9) < np.linalg.norm(gaps) < np.inf)
 
     def sample(self, n: int, rng=None) -> np.ndarray:
         g = _rng(rng)

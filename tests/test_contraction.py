@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,63 @@ class TestRegionValidation:
     def test_ball_rejects_radius_lost_or_overflowing(self, center, radius):
         with pytest.raises(ValueError, match="must be finite and distinct"):
             Ball(center, radius)
+
+    def test_ball_overflow_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite and distinct"):
+                Ball([1e308, 0.0], 1e308)
+
+
+def old_ball_grid(ball, resolution, rng):
+    # the construction that always built the bounding box's grid
+    c, r = ball.center(), ball.radius
+    pts = AxisBox(c - r, c + r).grid(resolution, rng=rng)
+    inside = pts[ball.contains(pts)]
+    if len(inside) < max(resolution, 8):
+        inside = np.vstack([inside, ball.sample(max(resolution, 8), rng)])
+    return np.vstack([inside, c[None, :]])
+
+
+class TestBallGrid:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("resolution", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seeded", [True, False])
+    def test_grid_matches_full_construction(self, dim, resolution, seeded):
+        centers = np.random.default_rng(dim).normal(size=(2, dim)) * [[1.0], [1e6]]
+        for center, radius in [(np.zeros(dim), 1.0), (centers[0], 0.3), (centers[1], 1e-3)]:
+            ball = Ball(center, radius)
+            if seeded:
+                got, want = ball.grid(resolution, rng=11), old_ball_grid(ball, resolution, 11)
+            else:
+                rng_new, rng_old = np.random.default_rng(11), np.random.default_rng(11)
+                got = ball.grid(resolution, rng=rng_new)
+                want = old_ball_grid(ball, resolution, rng_old)
+                # nothing extra is drawn: both generators end in the same state
+                assert rng_new.random() == rng_old.random()
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("resolution", [2, 3])
+    def test_grid_points_on_the_sphere_are_kept(self, resolution):
+        # the nearest grid point lies exactly on the boundary: borderline, so
+        # the grid is built and that point kept
+        ball = Ball([0.0], 1.0)
+        got = ball.grid(resolution, rng=0)
+        assert np.array_equal(got, old_ball_grid(ball, resolution, 0))
+        assert got[0, 0] == -1.0
+
+    @pytest.mark.parametrize("resolution", [1, 0])
+    def test_grid_rejects_resolution_below_two(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be >= 2"):
+            Ball(np.zeros(16), 1.0).grid(resolution)
+
+    def test_high_dimensional_ball_skips_the_vertex_grid(self, monkeypatch):
+        def vertices(*args, **kwargs):
+            raise AssertionError("the 2^16 box vertices were built")
+
+        monkeypatch.setattr(AxisBox, "grid", vertices)
+        got = Ball(np.zeros(16), 1.0).grid(2, rng=4)
+        assert got.shape == (9, 16) and np.array_equal(got[-1], np.zeros(16))
 
 
 class TestCheckInvariance:

@@ -279,6 +279,64 @@ class TestFastPaths:
         with pytest.raises(NonFiniteError, match="substep"):
             tangent_norm_bounds(lorenz, samples)
 
+    @pytest.mark.parametrize("params, n_steps", [
+        ({"literal_sign": True}, 120),  # diverges at step 131
+        ({"sigma": 16.0, "rho": 45.92, "beta": 4.0}, 1500),
+    ])
+    def test_kernel_matches_numpy_integration(self, params, n_steps):
+        # bits, not round trips, are under test: the collapsing literal-sign
+        # flow does not invert to 1e-9
+        system = OdeFlow(lorenz_field(**params), phase_dim=3, h=0.01, substeps=8,
+                         roundtrip_tol=np.inf)
+        h = system.h
+        ref = [LORENZ_M0]
+        for _ in range(n_steps):
+            ref.append(system._integrate(ref[-1], h))
+        ref = np.array(ref)
+        assert np.array_equal(system.trajectory(LORENZ_M0, n_steps).points, ref)
+        for m in ref[[0, n_steps // 2, n_steps]]:
+            assert np.array_equal(system.step(m), system._integrate(m, h))
+            assert np.array_equal(system.inverse_step(m), system._integrate(m, -h))
+        for t in (h, -h):
+            rows = np.array([system._integrate(m, t) for m in ref])
+            assert np.array_equal(system._integrate_batch(ref, t), rows)
+
+    @pytest.mark.parametrize("h, substeps, literal_sign, m0", [
+        (10.0, 4, False, [1e150, 1e150, 1e150]),
+        (0.01, 8, True, LORENZ_M0),  # fails at step 131, substep 4
+    ])
+    def test_kernel_diverges_as_numpy_path(self, h, substeps, literal_sign, m0):
+        field = lorenz_field(literal_sign=literal_sign)
+        system = OdeFlow(field, phase_dim=3, h=h, substeps=substeps)
+        plain = OdeFlow(lambda m: field(m), phase_dim=3, h=h, substeps=substeps)
+        with pytest.raises(NonFiniteError) as want:
+            plain.trajectory(m0, 10 ** 4)
+        with pytest.raises(NonFiniteError, match=f"^{re.escape(str(want.value))}$"):
+            system.trajectory(m0, 10 ** 4)
+        failed_at = int(re.match(r"trajectory failed at step (\d+): ", str(want.value))[1])
+        last = np.asarray(m0, dtype=float)
+        for _ in range(failed_at - 1):
+            last = plain.step(last)
+        with pytest.raises(NonFiniteError) as want_step:
+            plain.step(last)
+        assert str(want.value) == f"trajectory failed at step {failed_at}: {want_step.value}"
+        assert str(want_step.value).endswith(f" of {substeps}")
+        message = f"^{re.escape(str(want_step.value))}$"
+        with pytest.raises(NonFiniteError, match=message):
+            system.step(last)
+        with pytest.raises(NonFiniteError, match=message):
+            system._integrate_batch(last[None, :], h)
+
+    @pytest.mark.parametrize("which", ["torus", "cat"])
+    def test_constant_tangent_norms_match_stacked_svd(self, torus, which):
+        system = torus if which == "torus" else CatMap()
+        samples = np.random.default_rng(5).uniform(0.0, 1.0, size=(1000, 2))
+        stacked = [np.ascontiguousarray(J) for J in system._tangent_maps(samples)]
+        assert all(J.shape == (1000, 2, 2) for J in stacked)
+        want = tuple(max(0.0, float(np.max(np.linalg.svd(J, compute_uv=False)[..., 0])))
+                     for J in stacked)
+        assert tangent_norm_bounds(system, samples) == want
+
 
 def step_loop(system, m0, n_steps):
     """Points of ``n_steps`` checked numpy steps from m0, with the error that

@@ -7,21 +7,31 @@ Runs ``simulate``, ``certify``, ``synchronize --method both`` and
 delay line driven by a linear observation of a torus rotation, on a box and
 a ball) and on the seed-1 config of each benchmark workload
 (``perfbench/workloads.py``), plus ``reproduce`` fig1..fig4, each into its
-own directory under OUT_DIR.  Prints one
-``sha256  relative/path`` line per output file, one ``sha256
-<config>/sweep`` line per config for ``multistability_sweep`` run as the
-benchmark runs it (its labels, failures, separations, echo index and the
-bytes of every synchronization's values), one ``sha256
-<config>/lipschitz`` line per config for ``lipschitz_bounds`` on each of
-its regions (headline, method, closed forms and grid suprema), and one
-``sha256  <config>/psi`` line per config for ``psi_iterate_gs`` on each of
-its regions as ``synchronize`` runs it (sweep count, convergence flag,
-first, final and a-priori change and the bytes of the change history, none
-of which the psi CSVs hold), sorted by path.  ``certify`` evaluates no grid when a closed form exists, so the
-lipschitz lines are what see a change to the grid derivative norms.  Run
-it on two checkouts and ``diff`` the listings to check that a change keeps
-the CLI output, the sweep, the grid suprema and the psi convergence records
-byte-identical.  The package is imported from this checkout's ``src``.
+own directory under OUT_DIR.  Prints, sorted by path:
+
+- one ``sha256  relative/path`` line per output file;
+- one ``sha256  <config>/sweep`` line per config for
+  ``multistability_sweep`` run as the benchmark runs it (its labels,
+  failures, separations, echo index and the bytes of every
+  synchronization's values);
+- one ``sha256  <config>/lipschitz`` line per config for
+  ``lipschitz_bounds`` on each of its regions (headline, method, closed
+  forms and grid suprema);
+- one ``sha256  <config>/psi`` line per config for ``psi_iterate_gs`` on
+  each of its regions as ``synchronize`` runs it (sweep count, convergence
+  flag, first, final and a-priori change and the bytes of the change
+  history, none of which the psi CSVs hold);
+- one ``sha256  <config>/grid`` line per config for the points of
+  ``region.grid`` at the config's resolution and seed on each of its
+  regions, and for ``tangent_norm_bounds`` on the samples ``certify``
+  takes.
+
+``certify`` evaluates no grid when a closed form exists, so the lipschitz
+lines are what see a change to the grid derivative norms.  Run it on two
+checkouts and ``diff`` the listings to check that a change keeps the CLI
+output, the sweep, the grid suprema, the psi convergence records, the
+region grids and the tangent norms byte-identical.  The package is imported
+from this checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -38,7 +48,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import workloads  # noqa: E402
 import numpy as np  # noqa: E402
 
-from gsync import lipschitz_bounds, multistability_sweep, psi_iterate_gs  # noqa: E402
+from gsync import (lipschitz_bounds, multistability_sweep, psi_iterate_gs,  # noqa: E402
+                   tangent_norm_bounds)
 from gsync.cli import main as gsync_main, section_iv_config  # noqa: E402
 from gsync.config import parse_config  # noqa: E402
 from gsync.dynsys import observe_trajectory  # noqa: E402
@@ -67,6 +78,7 @@ run.record = 1000
 run.method = both
 run.seed = 3
 """
+TANGENT_SAMPLES = 1000  # certify's default max_tangent_samples
 COMMANDS = (["simulate"], ["certify"], ["synchronize", "--method", "both"], ["diagnose"])
 FIGURES = ("fig1", "fig2", "fig3", "fig4")
 
@@ -106,6 +118,23 @@ def lipschitz_digest(config_path: str) -> str:
     return h.hexdigest()
 
 
+def grid_digest(config_path: str) -> str:
+    """SHA-256 of the points of ``region.grid`` on each of a config's regions,
+    with the config's grid resolution and seed (the grid that a sampled
+    ``check_invariance`` evaluates), and of ``tangent_norm_bounds`` on the
+    samples ``certify`` takes from the config's trajectory."""
+    cfg = parse_config(config_path)
+    h = hashlib.sha256()
+    for region in cfg.regions:
+        h.update(region.grid(cfg.grid_resolution, rng=cfg.seed).tobytes())
+    points = cfg.system.trajectory(cfg.initial, cfg.n_steps).points
+    if len(points) > TANGENT_SAMPLES:  # certify's subsample
+        points = points[np.linspace(0, len(points) - 1, TANGENT_SAMPLES).astype(int)]
+    bounds = tangent_norm_bounds(cfg.system, points)
+    h.update(repr([float(b).hex() for b in bounds]).encode())
+    return h.hexdigest()
+
+
 def psi_digest(config_path: str) -> str:
     """SHA-256 of the ``method`` record of ``psi_iterate_gs`` on each of a
     config's regions, with the trajectory, record start, tolerance, sweep
@@ -136,9 +165,9 @@ def psi_digest(config_path: str) -> str:
 
 def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[str]]:
     """Run every command, sweep, grid and psi iteration; return the sweep,
-    lipschitz and psi digests as (label/sweep, digest), (label/lipschitz,
-    digest) and (label/psi, digest) pairs and a message for each non-zero
-    exit code."""
+    lipschitz, psi and grid digests as (label/sweep, digest),
+    (label/lipschitz, digest), (label/psi, digest) and (label/grid, digest)
+    pairs and a message for each non-zero exit code."""
     configs = {"section_iv": os.path.join(inputs_dir, "section_iv.cfg"),
                "takens": os.path.join(inputs_dir, "takens.cfg")}
     with open(configs["section_iv"], "w") as fh:
@@ -161,6 +190,7 @@ def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[
     extra = [(f"{label}/sweep", sweep_digest(path)) for label, path in configs.items()]
     extra += [(f"{label}/lipschitz", lipschitz_digest(path)) for label, path in configs.items()]
     extra += [(f"{label}/psi", psi_digest(path)) for label, path in configs.items()]
+    extra += [(f"{label}/grid", grid_digest(path)) for label, path in configs.items()]
     return extra, failures
 
 
