@@ -77,21 +77,25 @@ def _phase_names(cfg: RunConfig) -> list[str]:
     return [f"m{i+1}" for i in range(cfg.system.phase_dim)]
 
 
-def _times(cfg: RunConfig, indices: np.ndarray) -> np.ndarray:
-    scale = cfg.time_scale
-    return indices * scale if scale is not None else indices.astype(float)
+def _orbit(cfg: RunConfig, n_steps: int):
+    """The command's one orbit: the trajectory of ``n_steps`` steps from
+    ``system.initial``, its observations and the hull of those."""
+    traj = cfg.system.trajectory(cfg.initial, n_steps)
+    z = observe_trajectory(cfg.observation, traj)
+    return traj, z, InputRange.from_observations(z)
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     _prepare_out(cfg, out_dir)
-    traj = cfg.system.trajectory(cfg.initial, cfg.n_steps)
-    z = observe_trajectory(cfg.observation, traj)
+    traj, z, _ = _orbit(cfg, cfg.n_steps)
+    h = cfg.time_scale
     names = _phase_names(cfg)
     obs_names = ["obs"] if z.shape[1] == 1 else [f"obs{i+1}" for i in range(z.shape[1])]
     path = os.path.join(out_dir, "trajectory.csv")
     _write_csv(path, _meta(cfg, "simulate", {"rows": len(traj)}),
                ["t"] + names + obs_names,
-               np.column_stack([_times(cfg, traj.times), traj.points, z]))
+               np.column_stack([traj.times * h if h is not None else traj.times,
+                                traj.points, z]))
     print(f"simulate: wrote {len(traj)} rows to {path}")
     return EXIT_OK
 
@@ -115,7 +119,7 @@ def _require_statemap(cfg: RunConfig):
 def cmd_certify(cfg: RunConfig, out_dir: str, require: str | None) -> int:
     _require_statemap(cfg)
     _prepare_out(cfg, out_dir)
-    traj = cfg.system.trajectory(cfg.initial, cfg.n_steps)
+    traj, _, _ = _orbit(cfg, cfg.n_steps)
     certs = []
     for region in cfg.regions:
         cert = certify(cfg.statemap, region, cfg.system, cfg.observation,
@@ -146,10 +150,7 @@ def cmd_synchronize(cfg: RunConfig, out_dir: str, method: str | None) -> int:
     _require_statemap(cfg)
     method = method or cfg.method
     _prepare_out(cfg, out_dir)
-    total = cfg.washout + cfg.record
-    traj = cfg.system.trajectory(cfg.initial, max(cfg.n_steps, total))
-    z = observe_trajectory(cfg.observation, traj)
-    input_range = InputRange.from_observations(z)
+    traj, _, input_range = _orbit(cfg, max(cfg.n_steps, cfg.washout + cfg.record))
     record_from = cfg.psi_record_from if cfg.psi_record_from is not None else cfg.washout
 
     drives = _drives(cfg, traj) if method in ("drive", "both") else None
@@ -160,10 +161,10 @@ def cmd_synchronize(cfg: RunConfig, out_dir: str, method: str | None) -> int:
             produced["drive"] = _unwrap(drives[i])
         if method in ("psi", "both"):
             analytic = cfg.statemap.analytic_lipschitz(region, input_range)
-            l_fx = analytic["l_fx"] if analytic and analytic["l_fx"] < 1.0 else None
             gs = psi_iterate_gs(cfg.statemap, cfg.system, cfg.observation, traj,
                                 region.center(), tol=cfg.tol, max_iters=cfg.max_iters,
-                                record_from=record_from, region=region, l_fx=l_fx)
+                                record_from=record_from, region=region,
+                                l_fx=analytic["l_fx"] if analytic else None)
             if not gs.method["converged"]:
                 raise NotConverged(
                     f"psi iteration on region {region.label!r} stopped after "
@@ -192,10 +193,7 @@ def cmd_diagnose(cfg: RunConfig, out_dir: str) -> int:
     _require_statemap(cfg)
     _prepare_out(cfg, out_dir)
     region = cfg.regions[0]
-    total = cfg.washout + cfg.record
-    traj = cfg.system.trajectory(cfg.initial, max(cfg.n_steps, total))
-    z = observe_trajectory(cfg.observation, traj)
-    input_range = InputRange.from_observations(z)
+    traj, z, input_range = _orbit(cfg, max(cfg.n_steps, cfg.washout + cfg.record))
     rng = np.random.default_rng(cfg.seed)
     analytic = cfg.statemap.analytic_lipschitz(region, input_range)
     l_fx = analytic["l_fx"] if analytic else float("nan")
@@ -259,15 +257,13 @@ def cmd_reproduce(cfg: RunConfig, figure: str, out_dir: str) -> int:
     # rows with time in (20, 40]: step indices 2001..4000
     sel = np.arange(cfg.washout + 1, cfg.n_steps + 1)
     path = os.path.join(out_dir, f"{figure}.csv")
-    traj = None
     if figure in ("fig1", "fig2", "fig4"):
-        traj = cfg.system.trajectory(cfg.initial, cfg.n_steps)
+        traj, z, _ = _orbit(cfg, cfg.n_steps)
 
     if figure == "fig1":
         _write_csv(path, _meta(cfg, "reproduce", {"figure": "fig1", "rows": len(sel)}),
                    ["t", "u", "v", "w"], np.column_stack([sel * h, traj.points[sel]]))
     elif figure == "fig2":
-        z = observe_trajectory(cfg.observation, traj)
         _write_csv(path, _meta(cfg, "reproduce", {"figure": "fig2", "rows": len(sel)}),
                    ["t", "obs"], np.column_stack([sel * h, z[sel, 0]]))
     elif figure == "fig3":

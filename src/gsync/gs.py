@@ -321,12 +321,13 @@ def compare_gs(a: SampledGS, b: SampledGS) -> float:
 
 @dataclass
 class SweepResult:
-    """Outcome of a multi-region synchronization sweep."""
+    """Outcome of a multi-region synchronization sweep over regions with
+    distinct labels."""
 
     synchronizations: list      # SampledGS per successful region
     labels: list                # region labels, aligned with synchronizations
     separations: dict           # (label_i, label_j) -> min distance over shared times
-    echo_index: int             # number of pairwise-distinct synchronizations
+    echo_index: int             # connected components of the within-tol graph
     failures: dict = field(default_factory=dict)  # label -> error message
 
 
@@ -340,11 +341,18 @@ def multistability_sweep(F: StateMap, regions, sys: DiscreteSystem,
     Regions where the drive fails with a package error (for instance a
     region escape, or a non-finite row under F's non-finite rule) are
     reported in ``failures`` and the others are kept; any other exception
-    propagates.  The echo index is a lower bound: the number of clusters of
-    recorded synchronizations whose pairwise minimum separation exceeds
+    propagates.  Region labels must be distinct: ``separations`` and
+    ``failures`` are keyed by them.  The echo index is a lower bound: the
+    number of connected components of the recorded synchronizations, two
+    of them joined when their minimum separation is at most
     ``distinct_tol``.
     """
     regions = list(regions)
+    seen = set()
+    for region in regions:
+        if region.label in seen:
+            raise ValueError(f"region label {region.label!r} repeats")
+        seen.add(region.label)
     results = _drive_regions(F, sys, obs, m0, [region.center() for region in regions],
                              regions, washout_steps, record_steps, trajectory)
     gss, labels = [], []
@@ -362,12 +370,14 @@ def multistability_sweep(F: StateMap, regions, sys: DiscreteSystem,
             d = np.linalg.norm(gss[i].values - gss[j].values, axis=-1)
             separations[(labels[i], labels[j])] = float(np.min(d))
 
-    # greedy clustering on the min-separation graph
+    # connected components of the min-separation graph: a merge relabels
+    # every member of the merged cluster
     cluster = list(range(len(gss)))
     for i in range(len(gss)):
         for j in range(i + 1, len(gss)):
             if separations[(labels[i], labels[j])] <= distinct_tol:
-                cluster[j] = min(cluster[j], cluster[i])
+                old, new = max(cluster[i], cluster[j]), min(cluster[i], cluster[j])
+                cluster = [new if c == old else c for c in cluster]
     echo_index = len(set(cluster))
     return SweepResult(synchronizations=gss, labels=labels,
                        separations=separations, echo_index=echo_index,

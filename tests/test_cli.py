@@ -1,13 +1,15 @@
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gsync import cli
+from gsync import AxisBox, InputRange, cli, observe_trajectory, psi_iterate_gs
 from gsync.cli import main, section_iv_config
 from gsync.config import parse_config_text
+from gsync.dynsys import DiscreteSystem
 
 SMALL_LORENZ = """
 system.kind = lorenz
@@ -65,7 +67,7 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 
 def read_data_rows(path):
-    lines = [l for l in open(path).read().splitlines() if l and not l.startswith("#")]
+    lines = [l for l in Path(path).read_text().splitlines() if l and not l.startswith("#")]
     return lines[0].split(","), [l.split(",") for l in lines[1:]]
 
 
@@ -212,8 +214,8 @@ class TestSimulate:
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["simulate", "--config", cfg, "--out", out1, "--seed", "3"]) == 0
         assert main(["simulate", "--config", cfg, "--out", out2, "--seed", "3"]) == 0
-        b1 = open(os.path.join(out1, "trajectory.csv"), "rb").read()
-        b2 = open(os.path.join(out2, "trajectory.csv"), "rb").read()
+        b1 = Path(out1, "trajectory.csv").read_bytes()
+        b2 = Path(out2, "trajectory.csv").read_bytes()
         assert b1 == b2
 
     def test_resolved_config_reproduces_run(self, tmp_path):
@@ -223,8 +225,8 @@ class TestSimulate:
         resolved = os.path.join(out1, "resolved_config.cfg")
         out2 = str(tmp_path / "b")
         assert main(["simulate", "--config", resolved, "--out", out2]) == 0
-        b1 = open(os.path.join(out1, "trajectory.csv"), "rb").read()
-        b2 = open(os.path.join(out2, "trajectory.csv"), "rb").read()
+        b1 = Path(out1, "trajectory.csv").read_bytes()
+        b2 = Path(out2, "trajectory.csv").read_bytes()
         assert b1 == b2
 
     def test_literal_sign_distinct_from_butterfly(self, tmp_path):
@@ -251,7 +253,7 @@ class TestMatrixLoading:
         out = str(tmp_path / "out")
         assert main(["certify", "--config", cfg, "--out", out, "--require", "diff"]) == 0
         # the resolved copy inlines the matrices and still reproduces the run
-        resolved = open(os.path.join(out, "resolved_config.cfg")).read()
+        resolved = Path(out, "resolved_config.cfg").read_text()
         assert "csv:" not in resolved
 
     def test_missing_matrix_file_exit_2(self, tmp_path):
@@ -627,7 +629,7 @@ class TestReproduce:
     def test_fig3_grid_and_fixed_points(self, tmp_path):
         out = str(tmp_path / "out")
         assert main(["reproduce", "--figure", "fig3", "--out", out]) == 0
-        text = open(os.path.join(out, "fig3.csv")).read()
+        text = Path(out, "fig3.csv").read_text()
         assert "stable_fixed_points" in text
         header, rows = read_data_rows(os.path.join(out, "fig3.csv"))
         assert header == ["x1", "x2", "dx1", "dx2"]
@@ -636,6 +638,54 @@ class TestReproduce:
         for r in rows:
             if abs(abs(float(r[0])) - 1.0) < 1e-12 and abs(abs(float(r[1])) - 1.0) < 1e-12:
                 assert abs(float(r[2])) < 1e-12 and abs(float(r[3])) < 1e-12
+
+
+class TestOneOrbit:
+    # n_steps below washout + record, so the two orbit lengths differ
+    SHORT_IV = SMALL_IV.replace("system.n_steps = 600", "system.n_steps = 100")
+
+    @pytest.fixture
+    def integrations(self, monkeypatch):
+        calls = []
+        original = DiscreteSystem.trajectory
+
+        def counted(self, m0, n_steps, t0=0):
+            calls.append(n_steps)
+            return original(self, m0, n_steps, t0)
+
+        monkeypatch.setattr(DiscreteSystem, "trajectory", counted)
+        return calls
+
+    @pytest.mark.parametrize("args, n_steps", [
+        (["simulate"], 100), (["certify"], 100),
+        (["synchronize", "--method", "both"], 600), (["diagnose"], 600)])
+    def test_each_command_integrates_once(self, tmp_path, integrations, args, n_steps):
+        cfg = write_cfg(tmp_path, self.SHORT_IV)
+        assert main(args + ["--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert integrations == [n_steps]
+
+    @pytest.mark.parametrize("figure, n_steps", [
+        ("fig1", [4000]), ("fig2", [4000]), ("fig3", []), ("fig4", [4000])])
+    def test_each_figure_integrates_at_most_once(self, tmp_path, integrations, figure,
+                                                 n_steps):
+        assert main(["reproduce", "--figure", figure, "--out", str(tmp_path)]) == 0
+        assert integrations == n_steps
+
+    def test_psi_ignores_an_l_fx_without_a_bound(self):
+        # PowerSine at distance 0.1 from the planes: l_fx = 0.9 * 0.1**-0.1 > 1
+        cfg = parse_config_text(SMALL_IV)
+        box = AxisBox([0.1] * 3, [0.3] * 3)
+        traj = cfg.system.trajectory(cfg.initial, 300)
+        z = observe_trajectory(cfg.observation, traj)
+        l_fx = cfg.statemap.analytic_lipschitz(box, InputRange.from_observations(z))["l_fx"]
+        assert l_fx == pytest.approx(0.9 * 0.1 ** -0.1) and l_fx >= 1.0
+        runs = [psi_iterate_gs(cfg.statemap, cfg.system, cfg.observation, traj, box.center(),
+                               max_iters=50, record_from=100, l_fx=value)
+                for value in (None, l_fx)]
+        methods = [dict(gs.method) for gs in runs]
+        assert all(np.isnan(m.pop("apriori_bound")) for m in methods)
+        assert methods[0] == methods[1]
+        assert runs[0].values.tobytes() == runs[1].values.tobytes()
 
 
 # small configs for the exit-code property test; between them they set
@@ -740,7 +790,7 @@ def mutate(name, key, j, token):
 
 
 def assert_resolved_text_parses_again(out_dir):
-    text = open(os.path.join(out_dir, "resolved_config.cfg")).read()
+    text = Path(out_dir, "resolved_config.cfg").read_text()
     assert parse_config_text(text).resolved_text() == text
 
 

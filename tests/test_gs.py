@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gsync import (AxisBox, Ball, CatMap, CoordinateProjection, CustomObservatio
                    recursion_residual, run_recursion, write_gs_csv)
 from gsync.errors import (DimensionMismatch, DisjointRanges, DomainViolation, GsyncError,
                           NonFiniteError, RegionEscape)
+from gsync import gs as gs_module
 from gsync.gs import _drive_regions, _max_row_norm
 
 from conftest import LORENZ_M0, esn_reservoir
@@ -858,6 +860,41 @@ class TestMultistability:
         sep = result.separations[("V1", "V1copy")]
         assert sep <= 1e-12
         assert result.echo_index == 1
+
+    def test_echo_index_counts_connected_components(self, power_sine, torus, monkeypatch):
+        # A and B are 10 apart; the hub C, listed last, meets each of them
+        values = [np.zeros((11, 1)), np.full((11, 1), 10.0), np.arange(11.0)[:, None]]
+        monkeypatch.setattr(gs_module, "_drive_regions",
+                            lambda *args: [SimpleNamespace(values=v) for v in values])
+        regions = [AxisBox([0.9] * 3, [1.1] * 3, label=label) for label in "ABC"]
+        result = multistability_sweep(power_sine, regions, torus, CoordinateProjection([0], 2),
+                                      None)
+        assert result.separations == {("A", "B"): 10.0, ("A", "C"): 0.0, ("B", "C"): 0.0}
+        assert result.echo_index == 1
+
+    @pytest.mark.parametrize("labels, echo_index", [("", None), ("ABC", 2)])
+    def test_labels_must_be_distinct(self, power_sine, torus, torus_traj, labels,
+                                     echo_index, monkeypatch):
+        # two boxes around (1, 1, 1) hold the same synchronization
+        regions = [AxisBox([0.9] * 3, [1.1] * 3), AxisBox([0.8] * 3, [1.2] * 3),
+                   AxisBox([-1.1] * 3, [-0.9] * 3)]
+        for region, label in zip(regions, labels):
+            region.label = label
+        obs = CoordinateProjection([0], 2)
+        if echo_index is None:
+            driven = []
+            original = gs_module._drive_regions
+            monkeypatch.setattr(gs_module, "_drive_regions",
+                                lambda *args: driven.append(1) or original(*args))
+            with pytest.raises(ValueError, match="region label '' repeats"):
+                multistability_sweep(power_sine, regions, torus, obs, None, washout_steps=50,
+                                     record_steps=200, trajectory=torus_traj)
+            assert driven == []
+        else:
+            result = multistability_sweep(power_sine, regions, torus, obs, None,
+                                          washout_steps=50, record_steps=200,
+                                          trajectory=torus_traj)
+            assert len(result.separations) == 3 and result.echo_index == echo_index
 
     def test_failures_keep_sweeping(self, power_sine, lorenz, lorenz_obs,
                                     lorenz_traj, eight_boxes):
