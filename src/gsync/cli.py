@@ -150,8 +150,7 @@ def cmd_synchronize(cfg: RunConfig, out_dir: str, method: str | None) -> int:
     _require_statemap(cfg)
     method = method or cfg.method
     _prepare_out(cfg, out_dir)
-    traj, _, input_range = _orbit(cfg, max(cfg.n_steps, cfg.washout + cfg.record))
-    record_from = cfg.psi_record_from if cfg.psi_record_from is not None else cfg.washout
+    traj, _, input_range = _orbit(cfg, cfg.span)
 
     drives = _drives(cfg, traj) if method in ("drive", "both") else None
     agreements = []
@@ -163,7 +162,7 @@ def cmd_synchronize(cfg: RunConfig, out_dir: str, method: str | None) -> int:
             analytic = cfg.statemap.analytic_lipschitz(region, input_range)
             gs = psi_iterate_gs(cfg.statemap, cfg.system, cfg.observation, traj,
                                 region.center(), tol=cfg.tol, max_iters=cfg.max_iters,
-                                record_from=record_from, region=region,
+                                record_from=cfg.psi_from, region=region,
                                 l_fx=analytic["l_fx"] if analytic else None)
             if not gs.method["converged"]:
                 raise NotConverged(
@@ -193,7 +192,7 @@ def cmd_diagnose(cfg: RunConfig, out_dir: str) -> int:
     _require_statemap(cfg)
     _prepare_out(cfg, out_dir)
     region = cfg.regions[0]
-    traj, z, input_range = _orbit(cfg, max(cfg.n_steps, cfg.washout + cfg.record))
+    traj, z, input_range = _orbit(cfg, cfg.span)
     rng = np.random.default_rng(cfg.seed)
     analytic = cfg.statemap.analytic_lipschitz(region, input_range)
     l_fx = analytic["l_fx"] if analytic else float("nan")

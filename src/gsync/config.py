@@ -27,7 +27,8 @@ row separators or ``csv:relative/path``):
 
 Every number, in a scalar, a vector or a matrix (inline or CSV), must be
 finite: nan or inf is a ``ConfigError`` that names its key.  Integer keys
-and lists take integer literals.
+and lists take integer literals; the run.* size keys and system.n_steps
+have lower bounds, checked where they are read.
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ def _parse_bool(s: str, key: str) -> bool:
 class _Keys:
     """Typed accessors over the flat key-value dictionary.
 
-    Each accessor parses and checks one key, and records the text of the
+    Each accessor parses and checks one key (an integer one against its
+    lower bound ``at_least``, if it has one), and records the text of the
     value it returns (its default included) in ``resolved``, in the order
     the keys are read: that order is the resolved configuration's.
     """
@@ -144,10 +146,13 @@ class _Keys:
         self.used = set()
         self.resolved: dict[str, str | None] = {}
 
-    def _read(self, key, default, required, parse, fmt):
+    def _read(self, key, default, required, parse, fmt, at_least=None):
         if key in self.raw:
             self.used.add(key)
             value = parse(self.raw[key], key)
+            if at_least is not None and np.min(value) < at_least:
+                raise ConfigError(f"{key}: expected integers >= {at_least}, "
+                                  f"got {self.raw[key]!r}")
         elif required:
             raise ConfigError(f"missing required key {key!r}")
         else:
@@ -162,8 +167,8 @@ class _Keys:
     def get_float(self, key, default=None, required=False):
         return self._read(key, default, required, _parse_float, _fmt)
 
-    def get_int(self, key, default=None, required=False):
-        return self._read(key, default, required, _parse_int, str)
+    def get_int(self, key, default=None, required=False, at_least=None):
+        return self._read(key, default, required, _parse_int, str, at_least)
 
     def get_bool(self, key, default=False):
         return self._read(key, default, False, _parse_bool, lambda b: str(b).lower())
@@ -171,9 +176,9 @@ class _Keys:
     def get_vec(self, key, default=None, required=False):
         return self._read(key, default, required, _parse_vec, _fmt_vec)
 
-    def get_int_vec(self, key, default):
+    def get_int_vec(self, key, default, at_least=None):
         return self._read(key, default, False, _parse_int_vec,
-                          lambda v: " ".join(str(i) for i in v))
+                          lambda v: " ".join(str(i) for i in v), at_least)
 
     def get_matrix(self, key, required=False):
         return self._read(key, None, required,
@@ -207,6 +212,16 @@ class RunConfig:
     @property
     def time_scale(self) -> float | None:
         return getattr(self.system, "h", None)
+
+    @property
+    def span(self) -> int:
+        """Steps of the orbit that synchronize and diagnose drive along."""
+        return max(self.n_steps, self.washout + self.record)
+
+    @property
+    def psi_from(self) -> int:
+        """First step that the psi iteration records: after the washout by default."""
+        return self.washout if self.psi_record_from is None else self.psi_record_from
 
     def resolved_text(self) -> str:
         lines = ["# resolved run configuration (reproduces this run)"]
@@ -373,51 +388,32 @@ def _build(raw: dict, base_dir: str) -> RunConfig:
 
     # system.n_steps keeps its place before the run.* keys its default needs
     keys.resolved["system.n_steps"] = None
-    washout = keys.get_int("run.washout", 2000)
-    record = keys.get_int("run.record", 2000)
-    n_steps = keys.get_int("system.n_steps", washout + record)
+    washout = keys.get_int("run.washout", 2000, at_least=0)
+    record = keys.get_int("run.record", 2000, at_least=1)
+    n_steps = keys.get_int("system.n_steps", washout + record, at_least=1)
     method = keys.get("run.method", "drive")
     if method not in ("drive", "psi", "both"):
         raise ConfigError(f"run.method: expected drive|psi|both, got {method!r}")
     tol = keys.get_float("run.tol", 1e-12)
-    max_iters = keys.get_int("run.max_iters", 500)
-    grid_resolution = keys.get_int("run.grid_resolution", 20)
-    input_samples = keys.get_int("run.input_samples", 200)
-    forgetting_k = keys.get_int_vec("run.forgetting_k", [1, 5, 20, 100, 200])
-    if any(k < 0 for k in forgetting_k):
-        raise ConfigError("run.forgetting_k entries must be >= 0")
-    forgetting_trials = keys.get_int("run.forgetting_trials", 100)
-    pair_budget = keys.get_int("run.pair_budget", 4000)
-    seed = keys.get_int("run.seed", 0)
-    psi_record_from = keys.get_int("run.psi_record_from", None)
-
-    if washout < 0 or record < 1:
-        raise ConfigError("run.washout must be >= 0 and run.record >= 1")
-    if n_steps < 1:
-        raise ConfigError("system.n_steps must be >= 1")
-    if grid_resolution < 2:
-        raise ConfigError("run.grid_resolution must be >= 2")
-    if seed < 0:
-        raise ConfigError("run.seed must be >= 0")
-    for key, value in (("run.max_iters", max_iters), ("run.input_samples", input_samples),
-                       ("run.forgetting_trials", forgetting_trials),
-                       ("run.pair_budget", pair_budget)):
-        if value < 1:
-            raise ConfigError(f"{key} must be >= 1")
     if tol <= 0.0:
         raise ConfigError("run.tol must be > 0")
-    span = max(n_steps, washout + record)
-    if psi_record_from is not None and not 0 <= psi_record_from < span:
-        raise ConfigError(f"run.psi_record_from must lie in [0, {span})")
+    # keyword arguments are evaluated in order: the rest of the resolved order
+    cfg = RunConfig(
+        system=system, observation=observation, statemap=statemap, regions=regions,
+        initial=initial, n_steps=n_steps, washout=washout, record=record, method=method,
+        tol=tol, max_iters=keys.get_int("run.max_iters", 500, at_least=1),
+        grid_resolution=keys.get_int("run.grid_resolution", 20, at_least=2),
+        input_samples=keys.get_int("run.input_samples", 200, at_least=1),
+        forgetting_k=keys.get_int_vec("run.forgetting_k", [1, 5, 20, 100, 200], at_least=0),
+        forgetting_trials=keys.get_int("run.forgetting_trials", 100, at_least=1),
+        pair_budget=keys.get_int("run.pair_budget", 4000, at_least=1),
+        seed=keys.get_int("run.seed", 0, at_least=0),
+        psi_record_from=keys.get_int("run.psi_record_from", None, at_least=0),
+        resolved=keys.resolved)
+    if cfg.psi_record_from is not None and cfg.psi_record_from >= cfg.span:
+        raise ConfigError(f"run.psi_record_from must lie in [0, {cfg.span})")
 
     unused = set(raw) - keys.used
     if unused:
         raise ConfigError(f"unknown configuration keys: {sorted(unused)}")
-
-    return RunConfig(system=system, observation=observation, statemap=statemap,
-                     regions=regions, initial=initial, n_steps=n_steps,
-                     washout=washout, record=record, method=method, tol=tol,
-                     max_iters=max_iters, psi_record_from=psi_record_from,
-                     grid_resolution=grid_resolution, input_samples=input_samples,
-                     forgetting_k=forgetting_k, forgetting_trials=forgetting_trials,
-                     pair_budget=pair_budget, seed=seed, resolved=keys.resolved)
+    return cfg

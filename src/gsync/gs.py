@@ -271,11 +271,8 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
     f = np.broadcast_to(f0, (n, F.state_dim)).copy()
     boundary = F.eval(f0, z[0])  # constant: frozen predecessor value
     u = F.input_terms(z[1:])
-    n_iters = 0
-    converged = False
-    change = float("nan")
     change_history = []
-    for sweep in range(1, max_iters + 1):
+    for _ in range(max_iters):
         f_new = np.empty_like(f)
         f_new[0] = boundary
         f_new[1:] = F.apply(f[:-1], u)
@@ -285,11 +282,11 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
             F._check_finite(f_new[1:])
         change_history.append(change)
         f = f_new
-        n_iters = sweep
         if change <= tol:
-            converged = True
             break
-    first_change = change_history[0] if change_history else float("nan")
+    n_iters = len(change_history)
+    first_change, change = (change_history[0], change_history[-1]) if n_iters else (math.nan,) * 2
+    converged = change <= tol  # the last sweep broke the loop (a nan change never does)
 
     apriori = float("nan")
     if l_fx is not None and 0.0 < l_fx < 1.0:
@@ -364,18 +361,16 @@ def multistability_sweep(F: StateMap, regions, sys: DiscreteSystem,
         gss.append(result)
         labels.append(region.label)
 
+    # each pair's minimum separation, and the connected components of the
+    # graph of pairs within distinct_tol: a merge relabels every member of
+    # the merged cluster
     separations = {}
-    for i in range(len(gss)):
-        for j in range(i + 1, len(gss)):
-            d = np.linalg.norm(gss[i].values - gss[j].values, axis=-1)
-            separations[(labels[i], labels[j])] = float(np.min(d))
-
-    # connected components of the min-separation graph: a merge relabels
-    # every member of the merged cluster
     cluster = list(range(len(gss)))
     for i in range(len(gss)):
         for j in range(i + 1, len(gss)):
-            if separations[(labels[i], labels[j])] <= distinct_tol:
+            d = float(np.min(np.linalg.norm(gss[i].values - gss[j].values, axis=-1)))
+            separations[(labels[i], labels[j])] = d
+            if d <= distinct_tol:
                 old, new = max(cluster[i], cluster[j]), min(cluster[i], cluster[j])
                 cluster = [new if c == old else c for c in cluster]
     echo_index = len(set(cluster))

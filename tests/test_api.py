@@ -1,10 +1,12 @@
+import importlib.util
 import os
 import subprocess
 import sys
 
 import gsync
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def test_public_names():
@@ -43,3 +45,28 @@ def test_cli_import_leaves_csv_formatter_unloaded():
     # only matrix CSV bodies need the formatter; set-up and commands that write
     # none skip loading it
     assert not loaded_by_cli_import("gsync._csvtext")
+
+
+def test_benchmark_tracer_finds_and_restores_every_target(monkeypatch):
+    # the benchmark wraps gsync's entry points by name, so a rename or a moved
+    # method would leave its layer unmeasured without this check
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    absent = object()
+    targets = [(tracer._resolve(owner), attr)
+               for owner, attr, *_ in tracer.SPAN_TARGETS + tracer.COUNT_TARGETS]
+
+    def own_attributes():
+        return [obj.__dict__.get(attr, absent) for obj, attr in targets]
+
+    before = own_attributes()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert t.missing == []
+    finally:
+        t.uninstall()
+    assert all(a is b for a, b in zip(own_attributes(), before, strict=True))

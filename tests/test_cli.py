@@ -688,6 +688,44 @@ class TestOneOrbit:
         assert runs[0].values.tobytes() == runs[1].values.tobytes()
 
 
+# (key, lowest accepted value) of every run key with a lower bound, and system.n_steps
+BOUNDS = [("run.washout", 0), ("run.record", 1), ("system.n_steps", 1), ("run.max_iters", 1),
+          ("run.input_samples", 1), ("run.forgetting_trials", 1), ("run.pair_budget", 1),
+          ("run.grid_resolution", 2), ("run.seed", 0), ("run.forgetting_k", 0),
+          ("run.psi_record_from", 0)]
+
+
+def with_key(text, key, value):
+    """The config text with key set to value: its line replaced, or one added."""
+    lines = [l for l in text.splitlines() if l.partition("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+class TestBounds:
+    @pytest.mark.parametrize("key, bound", BOUNDS)
+    def test_one_below_the_bound_exits_2(self, tmp_path, capsys, key, bound):
+        cfg = write_cfg(tmp_path, with_key(SMALL_IV, key, bound - 1))
+        out = tmp_path / "o"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, bound", BOUNDS)
+    def test_the_bound_itself_parses_and_resolves_again(self, key, bound):
+        text = parse_config_text(with_key(SMALL_IV, key, bound)).resolved_text()
+        assert f"\n{key} = {bound}\n" in text
+        assert parse_config_text(text).resolved_text() == text
+
+    @pytest.mark.parametrize("text, span, psi_from", [
+        (None, 4000, 2000),
+        (TestOneOrbit.SHORT_IV + "run.psi_record_from = 50\n", 600, 50)])
+    def test_span_and_psi_from(self, text, span, psi_from):
+        cfg = section_iv_config() if text is None else parse_config_text(text)
+        assert cfg.span == max(cfg.n_steps, cfg.washout + cfg.record) == span
+        old_psi_from = cfg.psi_record_from if cfg.psi_record_from is not None else cfg.washout
+        assert cfg.psi_from == old_psi_from == psi_from
+
+
 # small configs for the exit-code property test; between them they set
 # nearly every key that takes a number, so each can be mutated
 _MUTABLE_RUN = """run.forgetting_k = 1 5

@@ -185,6 +185,15 @@ class TestPsiIterate:
         assert gs.method["n_iters"] == 1
         assert np.allclose(gs.values, w, atol=0.0)
 
+    def test_no_sweeps_keep_the_start(self, torus, torus_traj):
+        gs = psi_iterate_gs(constant_map(np.array([0.4, -0.2])), torus,
+                            CoordinateProjection([0], 2), torus_traj, f0_const=np.zeros(2),
+                            max_iters=0, l_fx=0.5)
+        m = gs.method
+        assert m["n_iters"] == 0 and m["converged"] is False and m["change_history"] == []
+        assert all(np.isnan(m[k]) for k in ("first_change", "final_change", "apriori_bound"))
+        assert np.all(gs.values == 0.0)
+
     def test_takens_nilpotent_exact_in_seven_sweeps(self, torus, torus_traj):
         F = LinearDelay(q=3)
         obs = CoordinateProjection([0], 2)

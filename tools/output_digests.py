@@ -141,17 +141,16 @@ def psi_digest(config_path: str) -> str:
     cap and closed-form l_fx that ``synchronize`` passes (a package error is
     hashed by its type and text)."""
     cfg = parse_config(config_path)
-    traj = cfg.system.trajectory(cfg.initial, max(cfg.n_steps, cfg.washout + cfg.record))
+    traj = cfg.system.trajectory(cfg.initial, cfg.span)
     input_range = InputRange.from_observations(observe_trajectory(cfg.observation, traj))
-    record_from = cfg.psi_record_from if cfg.psi_record_from is not None else cfg.washout
     h = hashlib.sha256()
     for region in cfg.regions:
         analytic = cfg.statemap.analytic_lipschitz(region, input_range)
-        l_fx = analytic["l_fx"] if analytic and analytic["l_fx"] < 1.0 else None
         try:
             m = psi_iterate_gs(cfg.statemap, cfg.system, cfg.observation, traj,
                                region.center(), tol=cfg.tol, max_iters=cfg.max_iters,
-                               record_from=record_from, region=region, l_fx=l_fx).method
+                               record_from=cfg.psi_from, region=region,
+                               l_fx=analytic["l_fx"] if analytic else None).method
         except GsyncError as exc:
             record = f"{type(exc).__name__}: {exc}"
         else:
