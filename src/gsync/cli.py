@@ -58,17 +58,14 @@ run.method = drive
 """
 
 
-def _meta(cfg: RunConfig, command: str, extra: dict | None = None) -> dict:
-    meta = {"tool": f"gsync {__version__}", "command": command, "seed": cfg.seed}
-    if extra:
-        meta.update(extra)
-    return meta
-
-
-def _prepare_out(cfg: RunConfig, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "resolved_config.cfg"), "w") as fh:
-        fh.write(cfg.resolved_text())
+def _write(cfg: RunConfig, args, name: str, meta: dict, header: list[str], rows) -> str:
+    """Write the command's CSV ``name`` into the output directory: the
+    metadata block tool, command, seed and then ``meta``, the header and the
+    rows; returns the path."""
+    path = os.path.join(args.out, name)
+    _write_csv(path, {"tool": f"gsync {__version__}", "command": args.command,
+                      "seed": cfg.seed, **meta}, header, rows)
+    return path
 
 
 def _phase_names(cfg: RunConfig) -> list[str]:
@@ -85,17 +82,14 @@ def _orbit(cfg: RunConfig, n_steps: int):
     return traj, z, InputRange.from_observations(z)
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
-    _prepare_out(cfg, out_dir)
+def cmd_simulate(cfg: RunConfig, args) -> int:
     traj, z, _ = _orbit(cfg, cfg.n_steps)
     h = cfg.time_scale
-    names = _phase_names(cfg)
     obs_names = ["obs"] if z.shape[1] == 1 else [f"obs{i+1}" for i in range(z.shape[1])]
-    path = os.path.join(out_dir, "trajectory.csv")
-    _write_csv(path, _meta(cfg, "simulate", {"rows": len(traj)}),
-               ["t"] + names + obs_names,
-               np.column_stack([traj.times * h if h is not None else traj.times,
-                                traj.points, z]))
+    path = _write(cfg, args, "trajectory.csv", {"rows": len(traj)},
+                  ["t"] + _phase_names(cfg) + obs_names,
+                  np.column_stack([traj.times * h if h is not None else traj.times,
+                                   traj.points, z]))
     print(f"simulate: wrote {len(traj)} rows to {path}")
     return EXIT_OK
 
@@ -109,47 +103,31 @@ def _drives(cfg: RunConfig, traj) -> list:
                           trajectory=traj)
 
 
-def _require_statemap(cfg: RunConfig):
-    if cfg.statemap is None:
-        raise ConfigError("this command requires a statemap.* section")
-    if not cfg.regions:
-        raise ConfigError("this command requires at least one region.N.* section")
-
-
-def cmd_certify(cfg: RunConfig, out_dir: str, require: str | None) -> int:
-    _require_statemap(cfg)
-    _prepare_out(cfg, out_dir)
+def cmd_certify(cfg: RunConfig, args) -> int:
     traj, _, _ = _orbit(cfg, cfg.n_steps)
-    certs = []
-    for region in cfg.regions:
-        cert = certify(cfg.statemap, region, cfg.system, cfg.observation,
-                       traj.points, resolution=cfg.grid_resolution,
-                       n_inputs=cfg.input_samples, rng=cfg.seed)
-        certs.append(cert)
-
-    report_path = os.path.join(out_dir, "certificates.txt")
-    with open(report_path, "w") as fh:
+    certs = [certify(cfg.statemap, region, cfg.system, cfg.observation, traj.points,
+                     resolution=cfg.grid_resolution, n_inputs=cfg.input_samples,
+                     rng=cfg.seed)
+             for region in cfg.regions]
+    with open(os.path.join(args.out, "certificates.txt"), "w") as fh:
         for cert in certs:
             fh.write(cert.report_text() + "\n\n")
     # the header and each row are one already joined CSV line
-    _write_csv(os.path.join(out_dir, "certificates.csv"),
-               _meta(cfg, "certify", {"require": require or "none"}),
-               [certs[0].csv_header()], ([cert.csv_row()] for cert in certs))
+    _write(cfg, args, "certificates.csv", {"require": args.require or "none"},
+           [certs[0].csv_header()], ([cert.csv_row()] for cert in certs))
 
     for cert in certs:
         print(f"certify[{cert.region_label}]: esp_ok={cert.esp_ok} "
               f"diff_ok={cert.diff_ok} l_fx={cert.bounds.l_fx:.6g} "
               f"margin={cert.invariance_margin:.3g}")
-    if require is not None and not all(c.condition_holds(require) for c in certs):
-        print(f"certify: required condition {require!r} FAILS", file=_sys.stderr)
+    if args.require is not None and not all(c.condition_holds(args.require) for c in certs):
+        print(f"certify: required condition {args.require!r} FAILS", file=_sys.stderr)
         return EXIT_CONDITION
     return EXIT_OK
 
 
-def cmd_synchronize(cfg: RunConfig, out_dir: str, method: str | None) -> int:
-    _require_statemap(cfg)
-    method = method or cfg.method
-    _prepare_out(cfg, out_dir)
+def cmd_synchronize(cfg: RunConfig, args) -> int:
+    method = args.method or cfg.method
     traj, _, input_range = _orbit(cfg, cfg.span)
 
     drives = _drives(cfg, traj) if method in ("drive", "both") else None
@@ -171,26 +149,22 @@ def cmd_synchronize(cfg: RunConfig, out_dir: str, method: str | None) -> int:
                     f"> tol {cfg.tol:.3e}")
             produced["psi"] = gs
         for name, gs in produced.items():
-            path = os.path.join(out_dir, f"gs_{region.label}_{name}.csv")
+            path = os.path.join(args.out, f"gs_{region.label}_{name}.csv")
             write_gs_csv(gs, path, metadata={"tool": f"gsync {__version__}", "seed": cfg.seed},
                          time_scale=cfg.time_scale)
             print(f"synchronize[{region.label}/{name}]: wrote {len(gs)} rows to {path}")
         if method == "both":
             sup = compare_gs(produced["drive"], produced["psi"])
-            agreements.append((region.label, sup))
+            agreements.append([region.label, sup])
             print(f"synchronize[{region.label}]: drive/psi sup distance {sup:.3e}")
 
     if agreements:
-        path = os.path.join(out_dir, "agreement.csv")
-        _write_csv(path, _meta(cfg, "synchronize", {"method": "both"}),
-                   ["region", "sup_distance"],
-                   ([label, _fmt(sup)] for label, sup in agreements))
+        _write(cfg, args, "agreement.csv", {"method": "both"},
+               ["region", "sup_distance"], agreements)
     return EXIT_OK
 
 
-def cmd_diagnose(cfg: RunConfig, out_dir: str) -> int:
-    _require_statemap(cfg)
-    _prepare_out(cfg, out_dir)
+def cmd_diagnose(cfg: RunConfig, args) -> int:
     region = cfg.regions[0]
     traj, z, input_range = _orbit(cfg, cfg.span)
     rng = np.random.default_rng(cfg.seed)
@@ -201,44 +175,35 @@ def cmd_diagnose(cfg: RunConfig, out_dir: str) -> int:
     x0a, x0b = region.sample(2, rng)
     n_esp = min(500, len(z) - 1)
     dists = esp_convergence(cfg.statemap, z[1:n_esp + 1], x0a, x0b)
-    _write_csv(os.path.join(out_dir, "esp.csv"),
-               _meta(cfg, "diagnose", {"l_fx": _fmt(l_fx)}),
-               ["t", "distance"], np.column_stack([np.arange(len(dists)), dists]))
+    _write(cfg, args, "esp.csv", {"l_fx": l_fx},
+           ["t", "distance"], np.column_stack([np.arange(len(dists)), dists]))
 
     rows = []
     for k in cfg.forgetting_k:
         worst = input_forgetting(cfg.statemap, region, input_range, k,
                                  trials=cfg.forgetting_trials, rng=rng)
         bound = _pow(l_fx, k) * region.diameter() + 1e-12 if np.isfinite(l_fx) else float("nan")
-        rows.append([str(k), _fmt(worst), _fmt(bound)])
+        rows.append([k, worst, bound])
         print(f"diagnose: forgetting k={k} max={worst:.3e} bound={bound:.3e}")
-    _write_csv(os.path.join(out_dir, "forgetting.csv"),
-               _meta(cfg, "diagnose", {"trials": cfg.forgetting_trials}),
-               ["k", "max_distance", "bound"], rows)
+    _write(cfg, args, "forgetting.csv", {"trials": cfg.forgetting_trials},
+           ["k", "max_distance", "bound"], rows)
 
     gs = drive_gs(cfg.statemap, cfg.system, cfg.observation, cfg.initial, region.center(),
                   washout_steps=cfg.washout, record_steps=cfg.record, region=region,
                   trajectory=traj)
     try:
         prof = derivative_profile(gs, pair_budget=cfg.pair_budget, rng=cfg.seed)
-        bins_meta = {
-            "bin_edges": " ".join(_fmt(e) for e in prof.bin_edges),
-            "bin_counts": " ".join(str(c) for c in prof.bin_counts),
-            "bin_max_slope": " ".join(_fmt(s) for s in prof.bin_max_slope),
-        }
         # pair indices are below 2**53: %.17g prints them as the integers they are
-        _write_csv(os.path.join(out_dir, "slopes.csv"),
-                   _meta(cfg, "diagnose", bins_meta),
-                   ["i", "j", "dm", "df", "slope"],
-                   np.column_stack([prof.pairs, prof.dm, prof.df, prof.slopes]))
+        _write(cfg, args, "slopes.csv",
+               {"bin_edges": " ".join(map(_fmt, prof.bin_edges)),
+                "bin_counts": " ".join(map(str, prof.bin_counts)),
+                "bin_max_slope": " ".join(map(_fmt, prof.bin_max_slope))},
+               ["i", "j", "dm", "df", "slope"],
+               np.column_stack([prof.pairs, prof.dm, prof.df, prof.slopes]))
         fit = holder_exponent(gs, pair_budget=cfg.pair_budget, rng=cfg.seed)
-        _write_csv(os.path.join(out_dir, "holder.csv"),
-                   _meta(cfg, "diagnose"),
-                   ["gamma", "r_squared", "n_pairs", "window_lo", "window_hi",
-                    "dropped_zero_pairs"],
-                   [[_fmt(fit.gamma), _fmt(fit.r_squared), str(fit.n_pairs),
-                     _fmt(fit.window[0]), _fmt(fit.window[1]),
-                     str(fit.dropped_zero_pairs)]])
+        _write(cfg, args, "holder.csv", {},
+               ["gamma", "r_squared", "n_pairs", "window_lo", "window_hi", "dropped_zero_pairs"],
+               [[fit.gamma, fit.r_squared, fit.n_pairs, *fit.window, fit.dropped_zero_pairs]])
         print(f"diagnose: holder gamma={fit.gamma:.4f} r2={fit.r_squared:.4f}")
     except InsufficientPairs as exc:
         print(f"diagnose: regularity probes skipped ({exc})", file=_sys.stderr)
@@ -250,26 +215,23 @@ def section_iv_config() -> RunConfig:
     return parse_config_text(_SECTION_IV)
 
 
-def cmd_reproduce(cfg: RunConfig, figure: str, out_dir: str) -> int:
-    _prepare_out(cfg, out_dir)
-    h = cfg.time_scale
+def cmd_reproduce(cfg: RunConfig, args) -> int:
+    figure, h = args.figure, cfg.time_scale
     # rows with time in (20, 40]: step indices 2001..4000
     sel = np.arange(cfg.washout + 1, cfg.n_steps + 1)
-    path = os.path.join(out_dir, f"{figure}.csv")
-    if figure in ("fig1", "fig2", "fig4"):
+    if figure != "fig3":
         traj, z, _ = _orbit(cfg, cfg.n_steps)
 
     if figure == "fig1":
-        _write_csv(path, _meta(cfg, "reproduce", {"figure": "fig1", "rows": len(sel)}),
-                   ["t", "u", "v", "w"], np.column_stack([sel * h, traj.points[sel]]))
+        meta, header = {"rows": len(sel)}, ["t", "u", "v", "w"]
+        table = np.column_stack([sel * h, traj.points[sel]])
     elif figure == "fig2":
-        _write_csv(path, _meta(cfg, "reproduce", {"figure": "fig2", "rows": len(sel)}),
-                   ["t", "obs"], np.column_stack([sel * h, z[sel, 0]]))
+        meta, header = {"rows": len(sel)}, ["t", "obs"]
+        table = np.column_stack([sel * h, z[sel, 0]])
     elif figure == "fig3":
         # autonomous one-step displacement at the x3 = 1 cross-section
         alpha = cfg.statemap.alpha
         grid = np.linspace(-1.5, 1.5, 41)
-        fixed = ["(1, 1)", "(-1, 1)", "(1, -1)", "(-1, -1)"]
         rows = []
         for x1 in grid:
             for x2 in grid:
@@ -277,12 +239,10 @@ def cmd_reproduce(cfg: RunConfig, figure: str, out_dir: str) -> int:
                 d1 = np.sign(x1) * abs(x1) ** alpha - x1
                 d2 = np.sign(x2) * abs(x2) ** alpha - x2
                 rows.append([x1, x2, d1, d2])
-        _write_csv(path, _meta(cfg, "reproduce",
-                               {"figure": "fig3", "cross_section": "x3 = 1",
-                                "lambda": "0",
-                                "stable_fixed_points": "; ".join(fixed)}),
-                   ["x1", "x2", "dx1", "dx2"], np.array(rows))
-    elif figure == "fig4":
+        meta = {"cross_section": "x3 = 1", "lambda": "0",
+                "stable_fixed_points": "(1, 1); (-1, 1); (1, -1); (-1, -1)"}
+        header, table = ["x1", "x2", "dx1", "dx2"], np.array(rows)
+    else:
         blocks = []
         for branch, drive in enumerate(_drives(cfg, traj), start=1):
             gs = _unwrap(drive)
@@ -290,12 +250,9 @@ def cmd_reproduce(cfg: RunConfig, figure: str, out_dir: str) -> int:
             # branch number as the integer it is
             blocks.append(np.column_stack([gs.times[1:] * h, np.full(len(gs) - 1, branch),
                                            gs.values[1:]]))
-        _write_csv(path, _meta(cfg, "reproduce",
-                               {"figure": "fig4",
-                                "branches": " ".join(r.label for r in cfg.regions)}),
-                   ["t", "branch", "f1", "f2", "f3"], np.concatenate(blocks))
-    else:
-        raise ConfigError(f"unknown figure {figure!r}; choose fig1..fig4")
+        meta = {"branches": " ".join(r.label for r in cfg.regions)}
+        header, table = ["t", "branch", "f1", "f2", "f3"], np.concatenate(blocks)
+    path = _write(cfg, args, f"{figure}.csv", {"figure": figure, **meta}, header, table)
     print(f"reproduce: wrote {path}")
     return EXIT_OK
 
@@ -306,50 +263,49 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Construct, certify, and diagnose generalized synchronizations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", required=True, help="run configuration file")
+    def command(name, run, text, config=True, needs_regions=False):
+        p = sub.add_parser(name, help=text)
+        if config:
+            p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
+        # needs_regions: the command reads a statemap.* and a region.N.* section
+        p.set_defaults(run=run, needs_regions=needs_regions)
+        return p
 
-    common(sub.add_parser("simulate", help="integrate and write the trajectory"))
-    p = sub.add_parser("certify", help="invariance + contraction certificates")
-    common(p)
+    command("simulate", cmd_simulate, "integrate and write the trajectory")
+    p = command("certify", cmd_certify, "invariance + contraction certificates",
+                needs_regions=True)
     p.add_argument("--require", choices=("esp", "diff"),
                    help="exit 0 iff this condition holds on every region")
-    p = sub.add_parser("synchronize", help="construct sampled synchronizations")
-    common(p)
-    p.add_argument("--method", choices=("drive", "psi", "both"),
-                   help="override run.method")
-    common(sub.add_parser("diagnose", help="convergence/forgetting/regularity probes"))
-    p = sub.add_parser("reproduce", help="emit the built-in demonstration figure data")
+    p = command("synchronize", cmd_synchronize, "construct sampled synchronizations",
+                needs_regions=True)
+    p.add_argument("--method", choices=("drive", "psi", "both"), help="override run.method")
+    command("diagnose", cmd_diagnose, "convergence/forgetting/regularity probes",
+            needs_regions=True)
+    p = command("reproduce", cmd_reproduce, "emit the built-in demonstration figure data",
+                config=False)
     p.add_argument("--figure", required=True, choices=("fig1", "fig2", "fig3", "fig4"))
-    p.add_argument("--out", default="out")
-    p.add_argument("--seed", type=int, default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        reproduce = args.command == "reproduce"
-        cfg = section_iv_config() if reproduce else parse_config(args.config)
+        cfg = section_iv_config() if args.command == "reproduce" else parse_config(args.config)
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("--seed must be >= 0")
             cfg.seed = args.seed
             cfg.resolved["run.seed"] = str(args.seed)
-        if reproduce:
-            return cmd_reproduce(cfg, args.figure, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out)
-        if args.command == "certify":
-            return cmd_certify(cfg, args.out, args.require)
-        if args.command == "synchronize":
-            return cmd_synchronize(cfg, args.out, args.method)
-        if args.command == "diagnose":
-            return cmd_diagnose(cfg, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        if args.needs_regions and cfg.statemap is None:
+            raise ConfigError("this command requires a statemap.* section")
+        if args.needs_regions and not cfg.regions:
+            raise ConfigError("this command requires at least one region.N.* section")
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, "resolved_config.cfg"), "w") as fh:
+            fh.write(cfg.resolved_text())
+        return args.run(cfg, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG

@@ -94,14 +94,20 @@ def _max_row_norm(d: np.ndarray) -> float:
     return float(np.sqrt(np.max(total)))
 
 
+def _field(value) -> str:
+    """CSV text of one value: a float as %.17g, anything else as str."""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
 def _write_csv(path, meta: dict, header: list[str], rows) -> None:
     """CSV with one '# key: value' line per metadata entry, then the header
-    and the rows: sequences of already formatted fields, or a float matrix
-    whose every field is written as %.17g, byte for byte the text of
-    f"{x:.17g}" (``_csvtext.matrix_text``)."""
+    and the rows: sequences of fields, or a float matrix.  Every field and
+    metadata value is written by one rule, a float as %.17g and anything else
+    as str; a matrix goes through ``_csvtext.matrix_text``, byte for byte the
+    text of f"{x:.17g}"."""
     with open(path, "w") as fh:
         for k, v in meta.items():
-            fh.write(f"# {k}: {v}\n")
+            fh.write(f"# {k}: {_field(v)}\n")
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
             # imported here so that importing gsync, which every CLI process
@@ -110,7 +116,7 @@ def _write_csv(path, meta: dict, header: list[str], rows) -> None:
             fh.writelines(matrix_text(rows))
         else:
             for row in rows:
-                fh.write(",".join(row) + "\n")
+                fh.write(",".join(map(_field, row)) + "\n")
 
 
 def _residuals(values: np.ndarray, z: np.ndarray, F: StateMap) -> np.ndarray:
@@ -393,8 +399,7 @@ def write_gs_csv(gs: SampledGS, path, F: StateMap | None = None,
     the t column.
     """
     meta = {"method": gs.method.get("name", "?"), "region": gs.region_label,
-            "residual_max": f"{gs.residual_max:.17g}",
-            "residual_mean": f"{gs.residual_mean:.17g}"}
+            "residual_max": gs.residual_max, "residual_mean": gs.residual_mean}
     if metadata:
         meta.update(metadata)
     pd = gs.points.shape[1]

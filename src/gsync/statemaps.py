@@ -52,10 +52,11 @@ def cos_range(a: float, b: float) -> tuple[float, float]:
 
 
 def _pow(x: float, y: float) -> float:
-    """x ** y on Python floats, inf where that overflows (not OverflowError)."""
+    """x ** y on Python floats, inf where that overflows or 0 has a negative
+    power (not OverflowError or ZeroDivisionError)."""
     try:
         return x ** y
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
@@ -324,7 +325,8 @@ class PowerSine(StateMap):
     The power s(x) = sign(x) |x|^alpha is the odd extension of x^alpha, so the
     map is defined on all sign-definite boxes; for lam = 0 it has the eight
     stable fixed points (+-1, +-1, +-1).  Derivatives blow up at coordinates
-    equal to zero, which the derivative evaluations reject.
+    equal to zero, which the derivative evaluations reject; the closed-form
+    bounds of a box that reaches a coordinate plane are inf.
     """
 
     derivative_order = 2
@@ -399,9 +401,11 @@ class PowerSine(StateMap):
     def analytic_lipschitz(self, region, input_range):
         if not isinstance(region, AxisBox):
             return None
-        if np.any((region.lo <= 0.0) & (region.hi >= 0.0)):
-            return None  # derivative unbounded across a zero coordinate
-        m = float(np.min(np.minimum(np.abs(region.lo), np.abs(region.hi))))
+        # the smallest |x_i| on the box: 0 on an axis that reaches a coordinate
+        # plane, where the derivative is unbounded and l_fx = l_fxx = inf
+        reaches = (region.lo <= 0.0) & (region.hi >= 0.0)
+        nearest = np.minimum(np.abs(region.lo), np.abs(region.hi))
+        m = float(np.min(np.where(reaches, 0.0, nearest)))
         s2 = _abs_sin_sup(*self._angles(input_range.lo, input_range.hi, 2.0)) ** 2
         return {
             "l_fx": self.alpha * _pow(m, self.alpha - 1.0),

@@ -136,6 +136,15 @@ class TestPowerSine:
                                       InputRange.of([-1.0], [1.0]))
         assert bounds["l_fxx"] == np.inf and np.isfinite(bounds["l_fx"])
 
+    @pytest.mark.parametrize("lo, hi", [([-0.1] * 3, [0.1] * 3),
+                                        ([0.0, 0.9, 0.9], [0.2, 1.1, 1.1]),
+                                        ([0.9, 0.9, -1.1], [1.1, 1.1, -0.0])])
+    def test_box_reaching_a_coordinate_plane_has_infinite_bounds(self, lo, hi):
+        bounds = PowerSine(0.9, 0.009, 0.1).analytic_lipschitz(
+            AxisBox(lo, hi), InputRange.of([-1.0], [1.0]))
+        assert bounds["l_fx"] == bounds["l_fxx"] == np.inf
+        assert np.isfinite(bounds["l_fz"]) and bounds["l_fxz"] == 0.0
+
     def test_fixed_points_autonomous(self):
         F = PowerSine(0.9, 0.0, 0.1)
         for p in FIXED_POINTS:
