@@ -8,6 +8,7 @@ than the smoothness of the flow itself.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,42 +104,178 @@ def input_forgetting(F: StateMap, region: InvariantRegion, input_range: InputRan
     return float(np.max(np.linalg.norm(xa - xb, axis=-1)))
 
 
+# The near-pair search puts points into cubic cells on at most the first
+# _CELL_AXES coordinates, at most _AXIS_CELLS cells per axis so that a cell
+# key with a one-cell border fits in int64.  A cell's side exceeds the search
+# radius by _MARGIN, far above the rounding of the cell coordinates, so every
+# pair within the radius lies in the same or adjacent cells.  Candidate pairs
+# are tested about _BATCH at a time: that bounds the memory the search takes,
+# and batch arrays of about 128 KB ran faster than larger ones.
+_CELL_AXES = 3
+_AXIS_CELLS = 2 ** 20
+_MARGIN = 1e-6
+_BATCH = 2 ** 14
+
+
+def _squared_distances(points, cols, a, b) -> np.ndarray:
+    """Squared distances between rows ``a`` and ``b`` (index arrays or slices)
+    of ``points``, whose columns are ``cols``: summed column by column below
+    8 columns, which is how ``np.linalg.norm(points[a] - points[b], axis=-1)``
+    sums them, and by that reduction itself from 8 columns, so that the
+    square root has the bits of the norm."""
+    if len(cols) >= 8:
+        diff = points[a] - points[b]
+        return np.add.reduce(diff * diff, axis=-1)
+    total = None
+    for col in cols:
+        diff = col[a] - col[b]
+        diff *= diff
+        if total is None:
+            total = diff
+        else:
+            total += diff
+    return total
+
+
+def _pairs_within(points: np.ndarray, radius: float):
+    """Every pair of points whose squared distance is at most ``radius**2``,
+    once each, in batches ``(i, j, squared distance)`` with unordered indices.
+
+    A grid (cell-list) search: the points are sorted by cell, and each
+    point is tested against runs of the sorted points that cover half of its
+    neighbour cells, so that each pair of adjacent cells is visited once.
+    """
+    n = len(points)
+    head = points[:, :_CELL_AXES]
+    lo = head.min(axis=0)
+    extent = head.max(axis=0) - lo
+    side = max(radius * (1.0 + _MARGIN), float(extent.max()) / _AXIS_CELLS)
+    if side == 0.0:  # a zero radius on points equal on the cell axes
+        side = 1.0
+    cell = np.floor((head - lo) / side).astype(np.int64) + 1
+    strides = np.cumprod(np.r_[1, cell.max(axis=0)[:-1] + 2])
+    key = cell @ strides
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    points = points[order]
+    cols = list(points.T.copy())
+    bound = radius * radius
+
+    # runs of candidates in the cell order: each point meets the later points
+    # of its cell and of the next cell along axis 0, and the three cells along
+    # axis 0 of each neighbour row at a positive key step (whose last nonzero
+    # offset is +1); together they visit every pair of adjacent cells once
+    rows = [step for offset in itertools.product((-1, 0, 1), repeat=len(strides) - 1)
+            if (step := int(np.dot(offset, strides[1:]))) > 0]
+    first = np.stack([np.arange(1, n + 1)]
+                     + [np.searchsorted(key, key + (row - 1)) for row in rows], axis=1)
+    end = np.stack([np.searchsorted(key, key + (row + 1), side="right")
+                    for row in [0, *rows]], axis=1)
+    count = (end - first).ravel()
+    first = first.ravel()
+    owner = np.repeat(np.arange(n), len(rows) + 1)
+    ends = np.cumsum(count)
+    cuts = [0, *np.searchsorted(ends, range(_BATCH, ends[-1], _BATCH), side="right"),
+            len(count)]
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        m = count[r0:r1]
+        if not m.any():
+            continue
+        before = ends[r0:r1] - m
+        a = np.repeat(owner[r0:r1], m)
+        b = np.arange(before[0], ends[r1 - 1]) + np.repeat(first[r0:r1] - before, m)
+        sq = _squared_distances(points, cols, a, b)
+        near = sq <= bound
+        if not near.all():
+            a, b, sq = a[near], b[near], sq[near]
+        if len(sq):
+            yield order[a], order[b], sq
+
+
+def _median_spacing(points: np.ndarray) -> float:
+    """``np.median`` of each point's distance to its nearest other point.
+
+    Searches pairs within a radius, doubled until at least ``n//2 + 1``
+    points find their nearest neighbour within it: those distances are
+    exact and the others exceed them, so the middle order statistics are
+    exact.  The radius starts at the smaller of the side of a cell holding
+    one point on average and the distance within which half the points
+    have a temporal neighbour (tight on a sampled flow).
+    """
+    n = len(points)
+    if n < 2:
+        return float("inf")
+    cols = list(points.T)
+    step = _squared_distances(points, cols, slice(1, None), slice(None, -1))
+    to_neighbour = np.minimum(np.r_[step, np.inf], np.r_[np.inf, step])
+    half = np.partition(to_neighbour, n // 2)[n // 2]
+    if half == 0.0:  # more than half the points repeat a temporal neighbour
+        return 0.0
+    radius = np.sqrt(half) * (1.0 + _MARGIN)
+    extent = np.ptp(points[:, :_CELL_AXES], axis=0)
+    extent = extent[extent > 0.0]
+    if len(extent):
+        radius = min(radius, float(np.prod(extent / n ** (1.0 / len(extent))))
+                     ** (1.0 / len(extent)))
+    while True:
+        nearest = np.full(n, np.inf)
+        for i, j, sq in _pairs_within(points, radius):
+            np.minimum.at(nearest, i, sq)
+            np.minimum.at(nearest, j, sq)
+        if np.count_nonzero(nearest < np.inf) > n // 2:
+            return float(np.median(np.sqrt(nearest)))
+        radius *= 2.0
+
+
 def _near_pairs(points: np.ndarray, radius_factor: float, min_time_sep: int,
                 pair_budget: int, rng) -> tuple[np.ndarray, np.ndarray, float]:
     """Index pairs within a radius, temporally separated, subsampled per scale.
 
     The radius is ``radius_factor`` times the median distance from each
     point to its nearest other point; it is returned with the pairs and
-    their distances.  Subsampling is stratified over logarithmic distance
-    shells so that the fine scales keep representation when the budget
-    truncates.
+    their distances.  The pairs come in lexicographic ``(i, j)`` order,
+    ``i < j``.  Subsampling is stratified over logarithmic distance shells
+    so that the fine scales keep representation when the budget truncates;
+    which pairs it keeps depends only on the pair set and ``rng``.
     """
-    from scipy.spatial import cKDTree  # only the regularity probes need scipy
-    tree = cKDTree(points)
-    med = float(np.median(tree.query(points, k=2)[0][:, 1]))
+    med = _median_spacing(points)
     if med == 0.0:
         raise InsufficientPairs("degenerate sample: repeated phase points")
     radius = med * radius_factor
-    pairs = tree.query_pairs(r=radius, output_type="ndarray")
-    if len(pairs) == 0:
+    n = len(points)
+    keys, sqs = [], []
+    found = separated = 0
+    for i, j, sq in _pairs_within(points, radius):
+        first, second = np.minimum(i, j), np.maximum(i, j)
+        found += len(sq)
+        keep = second - first >= min_time_sep
+        separated += np.count_nonzero(keep)
+        keep &= sq > 0.0
+        if not keep.all():
+            first, second, sq = first[keep], second[keep], sq[keep]
+        keys.append(first * n + second)
+        sqs.append(sq)
+    if found == 0:
         raise InsufficientPairs("no near pairs within the search radius")
-    pairs = pairs[np.abs(pairs[:, 0] - pairs[:, 1]) >= min_time_sep]
-    if len(pairs) == 0:
+    if separated == 0:
         raise InsufficientPairs("all near pairs are temporal neighbors")
-    dm = np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=-1)
-    pos = dm > 0.0
-    pairs, dm = pairs[pos], dm[pos]
-    if len(pairs) > pair_budget:
-        shells = np.clip(np.floor(np.log10(dm / dm.min()) * 4.0).astype(int), 0, 64)
-        keep = []
-        per_shell = max(pair_budget // (shells.max() + 1), 50)
-        for s in np.unique(shells):
-            idx = np.flatnonzero(shells == s)
-            if len(idx) > per_shell:
-                idx = rng.choice(idx, per_shell, replace=False)
-            keep.append(idx)
-        sel = np.concatenate(keep)
-        pairs, dm = pairs[sel], dm[sel]
+    key = np.concatenate(keys)
+    if len(key) > pair_budget:
+        dm = np.sqrt(np.concatenate(sqs))
+        shells = np.clip(np.floor(np.log10(dm / dm.min()) * 4.0), 0, 64).astype(np.int64)
+        counts = np.bincount(shells)
+        per_shell = max(pair_budget // len(counts), 50)
+        # sorted shell by shell, each shell in lexicographic order (the shell
+        # keys stay below 65 n**2, in int64 for any sample that fits in memory)
+        by_shell = np.split(np.sort(shells * (n * n) + key), np.cumsum(counts)[:-1])
+        key = np.concatenate([rng.choice(shell, per_shell, replace=False)
+                              if len(shell) > per_shell else shell
+                              for shell in by_shell]) % (n * n)
+    else:
+        key = np.sort(key)
+    first, second = np.divmod(key, n)
+    dm = np.sqrt(_squared_distances(points, list(points.T), first, second))
+    pairs = np.stack([first, second], axis=1)
     return pairs, dm, radius
 
 

@@ -325,8 +325,9 @@ class PowerSine(StateMap):
     The power s(x) = sign(x) |x|^alpha is the odd extension of x^alpha, so the
     map is defined on all sign-definite boxes; for lam = 0 it has the eight
     stable fixed points (+-1, +-1, +-1).  Derivatives blow up at coordinates
-    equal to zero, which the derivative evaluations reject; the closed-form
-    bounds of a box that reaches a coordinate plane are inf.
+    equal to zero, which the derivatives at a point reject; the grid norms
+    of a row with a zero coordinate and the closed-form bounds of a box that
+    reaches a coordinate plane are inf, since the supremum there is unbounded.
     """
 
     derivative_order = 2
@@ -379,10 +380,17 @@ class PowerSine(StateMap):
         nxx = self.alpha * (1.0 - self.alpha) * m ** (self.alpha - 2.0)
         return nxx, np.zeros_like(nxx)
 
+    def _nearest_power(self, X, power: float) -> np.ndarray:
+        """Each row's smallest |x_i| to a negative power, inf at a zero."""
+        with np.errstate(divide="ignore"):
+            return np.min(np.abs(np.atleast_2d(X)), axis=-1) ** power
+
     def jac_state_norms(self, X, Z) -> np.ndarray:
-        X = np.atleast_2d(X)
-        self._check_away_from_zero(X)
-        return self.alpha * np.min(np.abs(X), axis=-1) ** (self.alpha - 1.0)
+        return self.alpha * self._nearest_power(X, self.alpha - 1.0)
+
+    def second_partial_norms(self, X, Z) -> tuple[np.ndarray, np.ndarray]:
+        nxx = self.alpha * (1.0 - self.alpha) * self._nearest_power(X, self.alpha - 2.0)
+        return nxx, np.zeros_like(nxx)
 
     def jac_input_norms(self, X, Z) -> np.ndarray:
         Z = np.atleast_2d(Z)

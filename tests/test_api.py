@@ -27,18 +27,34 @@ def test_public_names():
     ]
 
 
-def loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh process that imports gsync and gsync.cli loads module."""
-    code = f"import sys, gsync, gsync.cli; print({module!r} in sys.modules)"
+def loaded_after(statements: str, module: str) -> bool:
+    """Whether a fresh process that runs statements loads module."""
+    code = f"import sys\n{statements}\nprint({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    return out.stdout.strip() == "True"
+    return out.stdout.strip().splitlines()[-1] == "True"
+
+
+def loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh process that imports gsync and gsync.cli loads module."""
+    return loaded_after("import gsync, gsync.cli", module)
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():
     # only the regularity probes use the KD-tree; every CLI process imports gsync
     assert not loaded_by_cli_import("scipy.spatial")
+
+
+def test_diagnose_leaves_scipy_unloaded(tmp_path):
+    # the regularity probes find their near pairs with numpy alone
+    cfg, out = tmp_path / "iv.cfg", tmp_path / "out"
+    statements = ("from gsync.cli import main, section_iv_config\n"
+                  f"open({str(cfg)!r}, 'w').write(section_iv_config().resolved_text())\n"
+                  f"argv = ['diagnose', '--config', {str(cfg)!r}, '--out', {str(out)!r}]\n"
+                  "assert main(argv) == 0")
+    assert not loaded_after(statements, "scipy")
+    assert (out / "holder.csv").exists()
 
 
 def test_cli_import_leaves_csv_formatter_unloaded():

@@ -571,6 +571,17 @@ run.input_samples = 20
         assert (cert["esp_ok"], cert["diff_ok"]) == ("False", "False")
         assert "method: analytic" in (tmp_path / "out20" / "certificates.txt").read_text()
 
+    def test_ball_holding_a_zero_coordinate_is_unbounded(self, tmp_path):
+        # a PowerSine ball takes the grid path; its center is a grid point
+        text = (TestOneOrbit.SHORT_IV + "region.2.kind = ball\nregion.2.center = 0 0 0\n"
+                "region.2.radius = 0.5\nregion.2.label = Z\n")
+        out = tmp_path / "out"
+        assert main(["certify", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        header, rows = read_data_rows(out / "certificates.csv")
+        cert = dict(zip(header, rows[1]))
+        assert (cert["region"], cert["l_fx"], cert["l_fxx"]) == ("Z", "inf", "inf")
+        assert (cert["esp_ok"], cert["diff_ok"]) == ("False", "False")
+
 
 class TestSynchronize:
     def test_both_methods_agree(self, tmp_path):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from gsync import (AxisBox, CoordinateProjection, CustomObservation,
+from gsync import (AxisBox, CatMap, CoordinateProjection, CustomObservation,
                    CustomStateMap, Esn, InputRange, LinearDelay, PowerSine,
-                   WeightingSequence, derivative_profile, drive_gs,
+                   WeightingSequence, derivative_profile, diagnostics, drive_gs,
                    esp_convergence, holder_exponent, input_forgetting,
                    psi_iterate_gs, weighted_distance)
+from gsync.diagnostics import _median_spacing, _near_pairs
 from gsync.errors import InsufficientPairs, LengthMismatch
 
 from conftest import LORENZ_M0, esn_reservoir
@@ -293,3 +294,173 @@ class TestStepLoopEquivalence:
             want = loop_input_forgetting(F, region, input_range, k, 30, 7, g_ref)
             assert got == want
             assert g_new.bit_generator.state == g_ref.bit_generator.state
+
+
+def kd_near_pairs(points, radius_factor, min_time_sep, pair_budget, rng, lexicographic=False):
+    """The KD-tree near-pair search (scipy's cKDTree), as the probes ran it
+    before the grid search; ``lexicographic`` sorts its pairs before the
+    filters and the subsample."""
+    from scipy.spatial import cKDTree
+    tree = cKDTree(points)
+    med = float(np.median(tree.query(points, k=2)[0][:, 1]))
+    if med == 0.0:
+        raise InsufficientPairs("degenerate sample: repeated phase points")
+    radius = med * radius_factor
+    pairs = tree.query_pairs(r=radius, output_type="ndarray")
+    if len(pairs) == 0:
+        raise InsufficientPairs("no near pairs within the search radius")
+    if lexicographic:
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    pairs = pairs[np.abs(pairs[:, 0] - pairs[:, 1]) >= min_time_sep]
+    if len(pairs) == 0:
+        raise InsufficientPairs("all near pairs are temporal neighbors")
+    dm = np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=-1)
+    pos = dm > 0.0
+    pairs, dm = pairs[pos], dm[pos]
+    if len(pairs) > pair_budget:
+        shells = np.clip(np.floor(np.log10(dm / dm.min()) * 4.0).astype(int), 0, 64)
+        keep = []
+        per_shell = max(pair_budget // (shells.max() + 1), 50)
+        for s in np.unique(shells):
+            idx = np.flatnonzero(shells == s)
+            if len(idx) > per_shell:
+                idx = rng.choice(idx, per_shell, replace=False)
+            keep.append(idx)
+        sel = np.concatenate(keep)
+        pairs, dm = pairs[sel], dm[sel]
+    return pairs, dm, radius
+
+
+def near_pairs_outcome(search, points, radius_factor, min_time_sep, pair_budget=None, seed=0):
+    """A search's pairs and distances in lexicographic order and its radius,
+    or its InsufficientPairs text."""
+    budget = len(points) ** 2 if pair_budget is None else pair_budget
+    try:
+        pairs, dm, radius = search(points, radius_factor, min_time_sep, budget,
+                                   np.random.default_rng(seed))
+    except InsufficientPairs as exc:
+        return str(exc)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    return pairs[order].tolist(), dm[order].tolist(), radius
+
+
+def shell_counts(dm):
+    return np.bincount(np.clip(np.floor(np.log10(dm / dm.min()) * 4.0).astype(int), 0, 64))
+
+
+def edge_samples():
+    g = np.random.default_rng(19)
+    t = np.linspace(0.0, 1.0, 300)
+    few_repeats = g.normal(size=(300, 3))
+    few_repeats[200:230] = few_repeats[:30]  # repeats far apart in time
+    many_repeats = g.normal(size=(300, 3))
+    many_repeats[g.permutation(300)[:180]] = [0.5, -0.25, 2.0]
+    return {
+        "1d": g.normal(size=(400, 1)),
+        "5d": g.normal(size=(400, 5)),
+        "repeats": few_repeats,
+        "mostly_repeats": many_repeats,
+        "line_in_3d": np.column_stack([t ** 2, np.zeros_like(t), np.full_like(t, 3.0)]),
+        "cluster_and_outlier": np.vstack([1e-9 * g.normal(size=(300, 3)), [[1e6, -1e6, 5e5]]]),
+        "two_points": np.array([[0.0, 0.0], [3.0, 4.0]]),
+    }
+
+
+class TestNearPairs:
+    """The grid search against scipy's cKDTree, the search it replaced."""
+
+    @pytest.fixture(scope="class")
+    def samples(self, iv_gs, torus_delay_gs):
+        cat = CatMap().trajectory([0.1234, 0.5678], 3000).points
+        return {"section_iv": iv_gs.points, "torus": torus_delay_gs.points, "cat": cat}
+
+    @pytest.mark.parametrize("name", ["section_iv", "torus", "cat"])
+    def test_same_median_and_pairs_as_kd_tree(self, samples, name):
+        spatial = pytest.importorskip("scipy.spatial")
+        points = samples[name]
+        med = float(np.median(spatial.cKDTree(points).query(points, k=2)[0][:, 1]))
+        assert _median_spacing(points) == med
+        for factor in (10.0, 3.0):
+            for sep in (0, 10):
+                assert (near_pairs_outcome(_near_pairs, points, factor, sep)
+                        == near_pairs_outcome(kd_near_pairs, points, factor, sep))
+
+    @pytest.mark.parametrize("name", list(edge_samples()))
+    def test_edge_cases_as_kd_tree(self, name):
+        spatial = pytest.importorskip("scipy.spatial")
+        points = edge_samples()[name]
+        med = float(np.median(spatial.cKDTree(points).query(points, k=2)[0][:, 1]))
+        assert _median_spacing(points) == med
+        for factor in (10.0, 3.0, 0.5):
+            for sep in (0, 1, 10):
+                assert (near_pairs_outcome(_near_pairs, points, factor, sep)
+                        == near_pairs_outcome(kd_near_pairs, points, factor, sep))
+
+    @pytest.mark.parametrize("name", ["5d", "cluster_and_outlier"])
+    def test_any_batch_size_gives_the_same_pairs(self, name, monkeypatch):
+        points = edge_samples()[name]
+        want = near_pairs_outcome(_near_pairs, points, 10.0, 0)
+        monkeypatch.setattr(diagnostics, "_BATCH", 50)
+        assert near_pairs_outcome(_near_pairs, points, 10.0, 0) == want
+        assert _median_spacing(points) == _median_spacing(points[::-1])
+
+    def test_repeated_points_drop_their_zero_distance_pairs(self):
+        points = edge_samples()["repeats"]
+        pairs, dm, _ = _near_pairs(points, 10.0, 10, 10 ** 6, None)
+        assert np.all(dm > 0.0)
+        assert not np.any(np.all(pairs == [[0, 200]], axis=1))
+        with pytest.raises(InsufficientPairs, match="^degenerate sample"):
+            _near_pairs(edge_samples()["mostly_repeats"], 10.0, 10, 10 ** 6, None)
+        # two of three points coincide: the median spacing is 0
+        assert _median_spacing(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])) == 0.0
+
+    @pytest.mark.parametrize("name", ["section_iv", "torus", "cat"])
+    def test_pairs_in_lexicographic_order(self, samples, name):
+        pairs, dm, _ = _near_pairs(samples[name], 10.0, 10, 10 ** 8, None)
+        key = pairs[:, 0] * len(samples[name]) + pairs[:, 1]
+        assert np.all(pairs[:, 0] < pairs[:, 1]) and np.all(np.diff(key) > 0)
+        assert np.array_equal(
+            dm, np.linalg.norm(samples[name][pairs[:, 0]] - samples[name][pairs[:, 1]], axis=-1))
+
+    @pytest.mark.parametrize("name", ["section_iv", "torus", "cat"])
+    @pytest.mark.parametrize("budget", [4000, 500])
+    def test_subsample_depends_only_on_pair_set_and_seed(self, samples, name, budget):
+        # the KD-tree's pairs, sorted, then its filters and subsample rule
+        pytest.importorskip("scipy.spatial")
+        got = _near_pairs(samples[name], 10.0, 10, budget, np.random.default_rng(4))
+        want = kd_near_pairs(samples[name], 10.0, 10, budget, np.random.default_rng(4),
+                             lexicographic=True)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_profile_and_fit_without_subsample_equal_kd_path(self, iv_gs, monkeypatch):
+        pytest.importorskip("scipy.spatial")
+        budget = len(iv_gs.points) ** 2
+        prof = derivative_profile(iv_gs, pair_budget=budget, rng=0)
+        fit = holder_exponent(iv_gs, pair_budget=budget, rng=0)
+        monkeypatch.setattr(diagnostics, "_near_pairs", kd_near_pairs)
+        kd_prof = derivative_profile(iv_gs, pair_budget=budget, rng=0)
+        kd_fit = holder_exponent(iv_gs, pair_budget=budget, rng=0)
+        for field in ("bin_edges", "bin_counts", "bin_max_slope"):
+            assert np.array_equal(getattr(prof, field), getattr(kd_prof, field))
+
+        def rows(p):
+            table = np.column_stack([p.pairs, p.dm, p.df, p.slopes])
+            return table[np.lexsort((p.pairs[:, 1], p.pairs[:, 0]))]
+        assert np.array_equal(rows(prof), rows(kd_prof))
+        assert fit.gamma == pytest.approx(kd_fit.gamma, abs=1e-12)
+        assert (fit.n_pairs, fit.window) == (kd_fit.n_pairs, kd_fit.window)
+
+    @pytest.mark.parametrize("which", ["iv_gs", "torus_delay_gs"])
+    def test_cli_budget_keeps_shell_counts_and_exponent(self, which, request, monkeypatch):
+        # the subsample keeps other pairs than the KD-tree's order did, the
+        # same number from each shell, and the exponent moves little
+        pytest.importorskip("scipy.spatial")
+        gs = request.getfixturevalue(which)
+        prof = derivative_profile(gs, pair_budget=4000, rng=0)
+        fit = holder_exponent(gs, pair_budget=4000, rng=0)
+        monkeypatch.setattr(diagnostics, "_near_pairs", kd_near_pairs)
+        kd_prof = derivative_profile(gs, pair_budget=4000, rng=0)
+        kd_fit = holder_exponent(gs, pair_budget=4000, rng=0)
+        assert np.array_equal(shell_counts(prof.dm), shell_counts(kd_prof.dm))
+        assert abs(fit.gamma - kd_fit.gamma) <= 0.05

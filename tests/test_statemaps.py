@@ -409,6 +409,30 @@ class TestLipschitzBounds:
         assert b.l_fz == pytest.approx(IV_LAMBDA * IV_K * np.sqrt(2.0), rel=1e-12)
         assert b.l_fxz == 0.0
 
+    # a box that reaches a coordinate plane: the grid of an odd resolution
+    # holds 0, where the grid norms are inf like the closed form
+    @pytest.mark.parametrize("lo, hi", [([-0.1] * 3, [0.1] * 3),
+                                        ([0.0, 0.9, 0.9], [0.2, 1.1, 1.1])])
+    @pytest.mark.parametrize("resolution", [20, 21])
+    def test_power_sine_box_reaching_a_plane_is_unbounded(self, power_sine, lo, hi, resolution):
+        b = lipschitz_bounds(power_sine, AxisBox(lo, hi), InputRange.of([-20.0], [20.0]),
+                             resolution=resolution, n_inputs=20, rng=0)
+        assert b.method == "analytic+grid"
+        assert b.l_fx == b.l_fxx == np.inf
+        assert b.analytic["l_fx"] == b.analytic["l_fxx"] == np.inf
+        assert b.l_fz == pytest.approx(IV_LAMBDA * IV_K * np.sqrt(2.0), rel=1e-12)
+
+    def test_power_sine_grid_norms_inf_only_on_zero_rows(self, power_sine):
+        X = np.array([[0.0, 1.0, 1.0], [0.9, 1.0, 1.1], [1.0, -0.0, 2.0]])
+        Z = np.zeros((3, 1))
+        gx = power_sine.jac_state_norms(X, Z)
+        nxx, nxz = power_sine.second_partial_norms(X, Z)
+        assert gx[0] == gx[2] == nxx[0] == nxx[2] == np.inf
+        assert gx[1] == pytest.approx(np.linalg.norm(power_sine.jac_state(X[1], [0.0]), 2),
+                                      rel=1e-14)
+        assert (nxx[1], nxz[1]) == power_sine.second_partials(X[1], [0.0])
+        assert np.all(nxz == 0.0)
+
     def test_linear_delay_exactness(self):
         F = LinearDelay(q=3)
         region = AxisBox([-1.0] * 7, [1.0] * 7)

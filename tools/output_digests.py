@@ -24,14 +24,19 @@ own directory under OUT_DIR.  Prints, sorted by path:
 - one ``sha256  <config>/grid`` line per config for the points of
   ``region.grid`` at the config's resolution and seed on each of its
   regions, and for ``tangent_norm_bounds`` on the samples ``certify``
-  takes.
+  takes;
+- one ``sha256  <config>/pairs`` line per config for the near pairs of
+  the regularity probes on the synchronization ``diagnose`` drives, at
+  radius factors 10 and 3 with nothing subsampled (the pairs and their
+  distances in lexicographic order and the radius, or the
+  ``InsufficientPairs`` text), which no search order changes.
 
 ``certify`` evaluates no grid when a closed form exists, so the lipschitz
 lines are what see a change to the grid derivative norms.  Run it on two
 checkouts and ``diff`` the listings to check that a change keeps the CLI
 output, the sweep, the grid suprema, the psi convergence records, the
-region grids and the tangent norms byte-identical.  The package is imported
-from this checkout's ``src``.
+region grids, the tangent norms and the near pairs byte-identical.  The
+package is imported from this checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -48,12 +53,13 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import workloads  # noqa: E402
 import numpy as np  # noqa: E402
 
-from gsync import (lipschitz_bounds, multistability_sweep, psi_iterate_gs,  # noqa: E402
-                   tangent_norm_bounds)
+from gsync import (drive_gs, lipschitz_bounds, multistability_sweep,  # noqa: E402
+                   psi_iterate_gs, tangent_norm_bounds)
 from gsync.cli import main as gsync_main, section_iv_config  # noqa: E402
 from gsync.config import parse_config  # noqa: E402
 from gsync.dynsys import observe_trajectory  # noqa: E402
-from gsync.errors import GsyncError  # noqa: E402
+from gsync.diagnostics import _near_pairs  # noqa: E402
+from gsync.errors import GsyncError, InsufficientPairs  # noqa: E402
 from gsync.regions import InputRange  # noqa: E402
 
 TAKENS = """
@@ -162,11 +168,38 @@ def psi_digest(config_path: str) -> str:
     return h.hexdigest()
 
 
+def pairs_digest(config_path: str) -> str:
+    """SHA-256 of ``_near_pairs`` at radius factors 10 and 3 on the points of
+    the synchronization that ``diagnose`` drives (region 0), with the
+    probes' temporal separation of 10 and a budget of every pair: the pairs
+    sorted lexicographically with their distances, and the radius (an
+    ``InsufficientPairs`` is hashed by its text)."""
+    cfg = parse_config(config_path)
+    region = cfg.regions[0]
+    gs = drive_gs(cfg.statemap, cfg.system, cfg.observation, cfg.initial, region.center(),
+                  washout_steps=cfg.washout, record_steps=cfg.record, region=region,
+                  trajectory=cfg.system.trajectory(cfg.initial, cfg.span))
+    h = hashlib.sha256()
+    for factor in (10.0, 3.0):
+        try:
+            pairs, dm, radius = _near_pairs(gs.points, factor, 10, len(gs.points) ** 2,
+                                            np.random.default_rng(0))
+        except InsufficientPairs as exc:
+            h.update(repr(str(exc)).encode())
+        else:
+            order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+            h.update(pairs[order].astype(np.int64).tobytes())
+            h.update(dm[order].tobytes())
+            h.update(float(radius).hex().encode())
+    return h.hexdigest()
+
+
 def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[str]]:
-    """Run every command, sweep, grid and psi iteration; return the sweep,
-    lipschitz, psi and grid digests as (label/sweep, digest),
-    (label/lipschitz, digest), (label/psi, digest) and (label/grid, digest)
-    pairs and a message for each non-zero exit code."""
+    """Run every command, sweep, grid, psi iteration and near-pair search;
+    return the sweep, lipschitz, psi, grid and pairs digests as
+    (label/sweep, digest), (label/lipschitz, digest), (label/psi, digest),
+    (label/grid, digest) and (label/pairs, digest) pairs and a message for
+    each non-zero exit code."""
     configs = {"section_iv": os.path.join(inputs_dir, "section_iv.cfg"),
                "takens": os.path.join(inputs_dir, "takens.cfg")}
     with open(configs["section_iv"], "w") as fh:
@@ -190,6 +223,7 @@ def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[
     extra += [(f"{label}/lipschitz", lipschitz_digest(path)) for label, path in configs.items()]
     extra += [(f"{label}/psi", psi_digest(path)) for label, path in configs.items()]
     extra += [(f"{label}/grid", grid_digest(path)) for label, path in configs.items()]
+    extra += [(f"{label}/pairs", pairs_digest(path)) for label, path in configs.items()]
     return extra, failures
 
 
