@@ -16,13 +16,13 @@ import sys as _sys
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, _fmt, parse_config, parse_config_text
+from .config import RunConfig, parse_config, parse_config_text
 from .contraction import certify
 from .diagnostics import (derivative_profile, esp_convergence, holder_exponent,
                           input_forgetting)
 from .dynsys import observe_trajectory
 from .errors import ConfigError, GsyncError, InsufficientPairs, NotConverged
-from .gs import (_drive_regions, _unwrap, _write_csv, compare_gs, drive_gs,
+from .gs import (_drive_regions, _field, _unwrap, _write_csv, compare_gs, drive_gs,
                  psi_iterate_gs, write_gs_csv)
 from .regions import InputRange
 from .statemaps import _pow
@@ -82,6 +82,12 @@ def _orbit(cfg: RunConfig, n_steps: int):
     return traj, z, InputRange.from_observations(z)
 
 
+def _closed_form_l_fx(cfg: RunConfig, region, input_range: InputRange) -> float:
+    """The state map's closed-form ``l_fx`` on region x input range, else nan."""
+    analytic = cfg.statemap.analytic_lipschitz(region, input_range)
+    return analytic["l_fx"] if analytic else float("nan")
+
+
 def cmd_simulate(cfg: RunConfig, args) -> int:
     traj, z, _ = _orbit(cfg, cfg.n_steps)
     h = cfg.time_scale
@@ -137,11 +143,10 @@ def cmd_synchronize(cfg: RunConfig, args) -> int:
         if drives is not None:
             produced["drive"] = _unwrap(drives[i])
         if method in ("psi", "both"):
-            analytic = cfg.statemap.analytic_lipschitz(region, input_range)
             gs = psi_iterate_gs(cfg.statemap, cfg.system, cfg.observation, traj,
                                 region.center(), tol=cfg.tol, max_iters=cfg.max_iters,
                                 record_from=cfg.psi_from, region=region,
-                                l_fx=analytic["l_fx"] if analytic else None)
+                                l_fx=_closed_form_l_fx(cfg, region, input_range))
             if not gs.method["converged"]:
                 raise NotConverged(
                     f"psi iteration on region {region.label!r} stopped after "
@@ -168,8 +173,7 @@ def cmd_diagnose(cfg: RunConfig, args) -> int:
     region = cfg.regions[0]
     traj, z, input_range = _orbit(cfg, cfg.span)
     rng = np.random.default_rng(cfg.seed)
-    analytic = cfg.statemap.analytic_lipschitz(region, input_range)
-    l_fx = analytic["l_fx"] if analytic else float("nan")
+    l_fx = _closed_form_l_fx(cfg, region, input_range)
 
     # state convergence from two region points under the observed inputs
     x0a, x0b = region.sample(2, rng)
@@ -195,9 +199,9 @@ def cmd_diagnose(cfg: RunConfig, args) -> int:
         prof = derivative_profile(gs, pair_budget=cfg.pair_budget, rng=cfg.seed)
         # pair indices are below 2**53: %.17g prints them as the integers they are
         _write(cfg, args, "slopes.csv",
-               {"bin_edges": " ".join(map(_fmt, prof.bin_edges)),
+               {"bin_edges": " ".join(map(_field, prof.bin_edges)),
                 "bin_counts": " ".join(map(str, prof.bin_counts)),
-                "bin_max_slope": " ".join(map(_fmt, prof.bin_max_slope))},
+                "bin_max_slope": " ".join(map(_field, prof.bin_max_slope))},
                ["i", "j", "dm", "df", "slope"],
                np.column_stack([prof.pairs, prof.dm, prof.df, prof.slopes]))
         fit = holder_exponent(gs, pair_budget=cfg.pair_budget, rng=cfg.seed)
@@ -230,18 +234,13 @@ def cmd_reproduce(cfg: RunConfig, args) -> int:
         table = np.column_stack([sel * h, z[sel, 0]])
     elif figure == "fig3":
         # autonomous one-step displacement at the x3 = 1 cross-section
-        alpha = cfg.statemap.alpha
         grid = np.linspace(-1.5, 1.5, 41)
-        rows = []
-        for x1 in grid:
-            for x2 in grid:
-                # scalar ** per point: array ** may round differently
-                d1 = np.sign(x1) * abs(x1) ** alpha - x1
-                d2 = np.sign(x2) * abs(x2) ** alpha - x2
-                rows.append([x1, x2, d1, d2])
+        # scalar ** per grid value: array ** may round differently
+        d = np.array([cfg.statemap._signed_power(x) - x for x in grid])
+        i, j = np.divmod(np.arange(len(grid) ** 2), len(grid))  # row-major (x1, x2) pairs
         meta = {"cross_section": "x3 = 1", "lambda": "0",
                 "stable_fixed_points": "(1, 1); (-1, 1); (1, -1); (-1, -1)"}
-        header, table = ["x1", "x2", "dx1", "dx2"], np.array(rows)
+        header, table = ["x1", "x2", "dx1", "dx2"], np.column_stack([grid[i], grid[j], d[i], d[j]])
     else:
         blocks = []
         for branch, drive in enumerate(_drives(cfg, traj), start=1):

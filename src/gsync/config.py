@@ -28,7 +28,8 @@ row separators or ``csv:relative/path``):
 Every number, in a scalar, a vector or a matrix (inline or CSV), must be
 finite: nan or inf is a ``ConfigError`` that names its key.  Integer keys
 and lists take integer literals; the run.* size keys and system.n_steps
-have lower bounds, checked where they are read.
+have lower bounds, checked where they are read, and together an upper one:
+no array a command holds may exceed 2**50 numbers (``_check_size``).
 """
 
 from __future__ import annotations
@@ -42,21 +43,18 @@ from .dynsys import (CatMap, CoordinateProjection, DiscreteSystem,
                      LinearObservation, ObservationMap, TorusRotation,
                      lorenz_system)
 from .errors import ConfigError
+from .gs import _field
 from .regions import AxisBox, Ball, InvariantRegion
 from .statemaps import Esn, LinearDelay, PowerSine, StateMap
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _fmt_vec(v) -> str:
-    return " ".join(_fmt(float(c)) for c in np.atleast_1d(v))
+    return " ".join(_field(float(c)) for c in np.atleast_1d(v))
 
 
 def _fmt_mat(m) -> str:
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    return "; ".join(" ".join(_fmt(c) for c in row) for row in m)
+    return "; ".join(" ".join(map(_field, row)) for row in m)
 
 
 def _finite(value, key: str, s: str):
@@ -165,7 +163,7 @@ class _Keys:
         return self._read(key, default, required, lambda s, key: s, str)
 
     def get_float(self, key, default=None, required=False):
-        return self._read(key, default, required, _parse_float, _fmt)
+        return self._read(key, default, required, _parse_float, _field)
 
     def get_int(self, key, default=None, required=False, at_least=None):
         return self._read(key, default, required, _parse_int, str, at_least)
@@ -416,4 +414,34 @@ def _build(raw: dict, base_dir: str) -> RunConfig:
     unused = set(raw) - keys.used
     if unused:
         raise ConfigError(f"unknown configuration keys: {sorted(unused)}")
+    _check_size(cfg)
     return cfg
+
+
+# Above this many numbers in one array a config is rejected.  Below it every
+# array a command allocates stays far under numpy's limit of 2**63 bytes, so
+# a run too large for memory ends in a MemoryError rather than a ValueError.
+_SIZE_CAP = 2 ** 50
+
+
+def _check_size(cfg: RunConfig) -> None:
+    """Estimate the largest arrays a command allocates from the resolved
+    keys, each with the keys that set its size, and raise a ``ConfigError``
+    naming the keys of every estimate above ``_SIZE_CAP``."""
+    state = cfg.statemap.state_dim if cfg.statemap is not None else 0
+    obs = cfg.observation.obs_dim
+    rows = cfg.span + 1
+    span_keys = ("system.n_steps" if cfg.n_steps > cfg.washout + cfg.record
+                 else "run.washout, run.record")
+    sizes = [(rows * (cfg.system.phase_dim + obs), span_keys),  # the orbit and its observations
+             (rows * len(cfg.regions) * state, span_keys),  # the stacked drive, the psi iterate
+             ((max(cfg.forgetting_k) + 20) * cfg.forgetting_trials * max(obs, state),
+              "run.forgetting_k, run.forgetting_trials"),  # input_forgetting, 20 prefix steps
+             (cfg.input_samples * obs, "run.input_samples")]
+    sizes += [(max(cfg.grid_resolution, 8) * region.dim, "run.grid_resolution")
+              for region in cfg.regions if isinstance(region, Ball)]  # Ball.grid's top-up
+    over = dict.fromkeys(keys for n, keys in sizes if n > _SIZE_CAP)
+    if over:
+        largest = max(n for n, _ in sizes)
+        raise ConfigError(f"{', '.join(over)}: the run would hold an array of at least "
+                          f"2**{largest.bit_length() - 1} numbers, above the cap of 2**50")

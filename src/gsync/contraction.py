@@ -9,12 +9,13 @@ also below the reciprocal of the driving system's inverse tangent norm).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .dynsys import DiscreteSystem, ObservationMap, _observe, tangent_norm_bounds
 from .errors import NotAContraction
+from .gs import _field
 from .regions import AxisBox, Ball, InputRange, InvariantRegion, RegionIntersection
 from .statemaps import LipschitzBounds, StateMap, _cyclic_pair, lipschitz_bounds
 
@@ -139,32 +140,24 @@ class ContractionCertificate:
         raise ValueError("requirement must be 'esp' or 'diff'")
 
     def _fields(self) -> dict:
-        """The report's fields in order, name -> value."""
+        """The report's fields in order, name -> value: the region, the
+        bounds' method and constants, then every later dataclass field."""
         b = self.bounds
-        return {"region": self.region_label, "method": b.method, "l_fx": b.l_fx,
-                "l_fz": b.l_fz, "l_fxx": b.l_fxx, "l_fxz": b.l_fxz,
-                "tangent_norm": self.tangent_norm, "tangent_inv_norm": self.tangent_inv_norm,
-                "domega_norm": self.domega_norm, "invariance_ok": self.invariance_ok,
-                "invariance_margin": self.invariance_margin,
-                "invariance_method": self.invariance_method, "esp_ok": self.esp_ok,
-                "diff_ok": self.diff_ok, "r_const": self.r_const, "delta0": self.delta0,
-                "c0": self.c0, "sampled": self.sampled,
-                "n_tangent_samples": self.n_tangent_samples}
+        return {"region": self.region_label, "method": b.method,
+                **{k: getattr(b, k) for k in ("l_fx", "l_fz", "l_fxx", "l_fxz")},
+                **{f.name: getattr(self, f.name) for f in fields(self)[2:]}}
 
     def report_text(self) -> str:
-        return "\n".join(f"{k}: {_text(v, '.12g')}" for k, v in self._fields().items())
+        return "\n".join(f"{k}: {v:.12g}" if isinstance(v, float) else f"{k}: {v}"
+                         for k, v in self._fields().items())
 
     @staticmethod
     def csv_header() -> str:
         return ",".join(_CSV_FIELDS)
 
     def csv_row(self) -> str:
-        fields = self._fields()
-        return ",".join(_text(fields[k], ".17g") for k in _CSV_FIELDS)
-
-
-def _text(value, float_format: str) -> str:
-    return format(value, float_format) if isinstance(value, float) else str(value)
+        values = self._fields()
+        return ",".join(_field(values[k]) for k in _CSV_FIELDS)
 
 
 def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,

@@ -95,7 +95,8 @@ def _max_row_norm(d: np.ndarray) -> float:
 
 
 def _field(value) -> str:
-    """CSV text of one value: a float as %.17g, anything else as str."""
+    """Text of one value, the rule behind every CSV field and metadata value
+    and every float of the resolved config: a float as %.17g, else str."""
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 

@@ -1,9 +1,11 @@
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
 import gsync
+from gsync.config import parse_config_text
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -63,14 +65,19 @@ def test_cli_import_leaves_csv_formatter_unloaded():
     assert not loaded_by_cli_import("gsync._csvtext")
 
 
+def load_script(monkeypatch, name, *path):
+    """Import the repository file ``path`` as module ``name``, for this test only."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, *path))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_finds_and_restores_every_target(monkeypatch):
     # the benchmark wraps gsync's entry points by name, so a rename or a moved
     # method would leave its layer unmeasured without this check
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)
-    spec.loader.exec_module(tracer)
+    tracer = load_script(monkeypatch, "perfbench_tracer", "perfbench", "tracer.py")
     absent = object()
     targets = [(tracer._resolve(owner), attr)
                for owner, attr, *_ in tracer.SPAN_TARGETS + tracer.COUNT_TARGETS]
@@ -86,3 +93,38 @@ def test_benchmark_tracer_finds_and_restores_every_target(monkeypatch):
     finally:
         t.uninstall()
     assert all(a is b for a, b in zip(own_attributes(), before, strict=True))
+
+
+DIGEST_CONFIG = """
+system.kind = torus_rotation
+system.angles = 0.41421356237309503 0.16227766016837952
+system.n_steps = 300
+observation.kind = linear
+observation.matrix = 1 -0.5
+statemap.kind = power_sine
+statemap.alpha = 0.9
+statemap.lambda = 0.009
+statemap.k = 0.1
+region.1.lo = 0.9 0.9 0.9
+region.1.hi = 1.1 1.1 1.1
+region.2.kind = ball
+region.2.center = -1 1 1
+region.2.radius = 0.1
+run.washout = 100
+run.record = 200
+run.grid_resolution = 4
+run.input_samples = 20
+"""
+
+
+def test_output_digest_records_repeat(monkeypatch):
+    # the byte-identity tool imports gsync names, some private; a rename must
+    # fail here rather than at the tool's next run
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src and perfbench
+    load_script(monkeypatch, "workloads", "perfbench", "workloads.py")
+    tool = load_script(monkeypatch, "output_digests", "tools", "output_digests.py")
+    cfg = parse_config_text(DIGEST_CONFIG)
+    assert list(tool.RECORDS) == ["sweep", "lipschitz", "psi", "grid", "pairs"]
+    for name, record in tool.RECORDS.items():
+        digest = record(cfg)
+        assert re.fullmatch("[0-9a-f]{64}", digest) and record(cfg) == digest, name

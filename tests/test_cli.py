@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gsync import AxisBox, InputRange, cli, observe_trajectory, psi_iterate_gs
+from gsync import (AxisBox, Ball, InputRange, PowerSine, cli, observe_trajectory,
+                   psi_iterate_gs)
 from gsync.cli import main, section_iv_config
 from gsync.config import parse_config_text
 from gsync.dynsys import DiscreteSystem
+from gsync.errors import ConfigError
 
 SMALL_LORENZ = """
 system.kind = lorenz
@@ -670,6 +672,18 @@ class TestReproduce:
             if abs(abs(float(r[0])) - 1.0) < 1e-12 and abs(abs(float(r[1])) - 1.0) < 1e-12:
                 assert abs(float(r[2])) < 1e-12 and abs(float(r[3])) < 1e-12
 
+    def test_fig3_takes_one_power_per_grid_value(self, tmp_path, monkeypatch):
+        calls = []
+        power = PowerSine._signed_power
+
+        def counted(self, x):
+            calls.append(x)
+            return power(self, x)
+
+        monkeypatch.setattr(PowerSine, "_signed_power", counted)
+        assert main(["reproduce", "--figure", "fig3", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 41
+
 
 def metadata_keys(path):
     return [l[2:].partition(":")[0] for l in Path(path).read_text().splitlines()
@@ -750,13 +764,23 @@ class TestOneOrbit:
         z = observe_trajectory(cfg.observation, traj)
         l_fx = cfg.statemap.analytic_lipschitz(box, InputRange.from_observations(z))["l_fx"]
         assert l_fx == pytest.approx(0.9 * 0.1 ** -0.1) and l_fx >= 1.0
+        # nan is what cli._closed_form_l_fx gives for a map without a closed form
         runs = [psi_iterate_gs(cfg.statemap, cfg.system, cfg.observation, traj, box.center(),
                                max_iters=50, record_from=100, l_fx=value)
-                for value in (None, l_fx)]
+                for value in (None, l_fx, float("nan"))]
         methods = [dict(gs.method) for gs in runs]
         assert all(np.isnan(m.pop("apriori_bound")) for m in methods)
-        assert methods[0] == methods[1]
-        assert runs[0].values.tobytes() == runs[1].values.tobytes()
+        assert methods[0] == methods[1] == methods[2]
+        assert runs[0].values.tobytes() == runs[1].values.tobytes() == runs[2].values.tobytes()
+
+    def test_closed_form_l_fx_else_nan(self):
+        cfg = parse_config_text(SMALL_IV)
+        _, _, input_range = cli._orbit(cfg, 100)
+        box = cfg.regions[0]
+        assert (cli._closed_form_l_fx(cfg, box, input_range)
+                == cfg.statemap.analytic_lipschitz(box, input_range)["l_fx"] < 1.0)
+        # PowerSine has no closed form on a ball
+        assert np.isnan(cli._closed_form_l_fx(cfg, Ball([1.0] * 3, 0.1), input_range))
 
 
 # (key, lowest accepted value) of every run key with a lower bound, and system.n_steps
@@ -795,6 +819,47 @@ class TestBounds:
         assert cfg.span == max(cfg.n_steps, cfg.washout + cfg.record) == span
         old_psi_from = cfg.psi_record_from if cfg.psi_record_from is not None else cfg.washout
         assert cfg.psi_from == old_psi_from == psi_from
+
+
+BALL_IV = SMALL_IV.replace(
+    "region.1.kind = box\nregion.1.lo = 0.9 0.9 0.9\nregion.1.hi = 1.1 1.1 1.1\n",
+    "region.1.kind = ball\nregion.1.center = 1 1 1\nregion.1.radius = 0.1\n")
+
+
+class TestSizeCap:
+    """No array a command holds may exceed 2**50 numbers: a config that asks
+    for more exits 2 at parse time, naming the keys that set the size."""
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("diagnose", SMALL_IV, "run.washout"), ("diagnose", SMALL_IV, "run.record"),
+        ("diagnose", SMALL_IV, "system.n_steps"), ("diagnose", SMALL_IV, "run.forgetting_k"),
+        ("diagnose", SMALL_IV, "run.forgetting_trials"),
+        ("certify", BALL_IV, "run.input_samples"), ("certify", BALL_IV, "run.grid_resolution")])
+    def test_size_key_of_10_to_the_20_exits_2(self, tmp_path, capsys, command, text, key):
+        cfg = write_cfg(tmp_path, with_key(text, key, 10 ** 20))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and key in err and "2**50" in err
+        assert not out.exists()
+
+    def test_two_keys_whose_product_is_too_large_exit_2(self, tmp_path, capsys):
+        text = with_key(with_key(SMALL_IV, "run.forgetting_trials", 10 ** 10),
+                        "run.forgetting_k", 10 ** 10)
+        out = tmp_path / "o"
+        assert main(["diagnose", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert "run.forgetting_k, run.forgetting_trials:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_the_cap_itself_parses(self):
+        # one input coordinate: run.input_samples numbers of certify's inputs
+        parse_config_text(with_key(BALL_IV, "run.input_samples", 2 ** 50))
+        with pytest.raises(ConfigError, match="^run.input_samples: .* at least 2\\*\\*50 "):
+            parse_config_text(with_key(BALL_IV, "run.input_samples", 2 ** 50 + 1))
+
+    def test_a_box_takes_any_grid_resolution(self):
+        # only a ball tops its grid up with max(resolution, 8) samples
+        assert parse_config_text(with_key(SMALL_IV, "run.grid_resolution", 10 ** 20))
 
 
 # small configs for the exit-code property test; between them they set

@@ -344,6 +344,37 @@ def near_pairs_outcome(search, points, radius_factor, min_time_sep, pair_budget=
     return pairs[order].tolist(), dm[order].tolist(), radius
 
 
+def brute_near_pairs(points, radius_factor, min_time_sep, pair_budget, rng):
+    """The probes' near pairs from every pair's ``np.linalg.norm`` distance,
+    with their filters and no subsample (the budget must hold every pair)."""
+    n = len(points)
+    i, j = np.triu_indices(n, 1)
+    d = np.linalg.norm(points[i] - points[j], axis=-1)
+    nearest = np.full(n, np.inf)
+    np.minimum.at(nearest, i, d)
+    np.minimum.at(nearest, j, d)
+    med = float(np.median(nearest))
+    if med == 0.0:
+        raise InsufficientPairs("degenerate sample: repeated phase points")
+    radius = med * radius_factor
+    near = d <= radius
+    if not near.any():
+        raise InsufficientPairs("no near pairs within the search radius")
+    near &= j - i >= min_time_sep
+    if not near.any():
+        raise InsufficientPairs("all near pairs are temporal neighbors")
+    near &= d > 0.0
+    assert np.count_nonzero(near) <= pair_budget
+    return np.stack([i[near], j[near]], axis=1), d[near], radius
+
+
+def wide_samples():
+    """Samples with 8 or more coordinates, where distances take numpy's
+    pairwise sum; the KD tree's median differs from it on some of them."""
+    g = np.random.default_rng(20)
+    return {f"{dim}d": g.normal(size=(400, dim)) for dim in (8, 9, 12)}
+
+
 def shell_counts(dm):
     return np.bincount(np.clip(np.floor(np.log10(dm / dm.min()) * 4.0).astype(int), 0, 64))
 
@@ -395,6 +426,17 @@ class TestNearPairs:
             for sep in (0, 1, 10):
                 assert (near_pairs_outcome(_near_pairs, points, factor, sep)
                         == near_pairs_outcome(kd_near_pairs, points, factor, sep))
+
+    @pytest.mark.parametrize("name", list(wide_samples()))
+    def test_wide_samples_as_brute_force(self, name):
+        points = wide_samples()[name]
+        # at radius factor 1 the radius is the median spacing
+        assert _median_spacing(points) == brute_near_pairs(points, 1.0, 0, len(points) ** 2,
+                                                           None)[2]
+        for factor in (10.0, 3.0, 0.5):
+            for sep in (0, 10):
+                assert (near_pairs_outcome(_near_pairs, points, factor, sep)
+                        == near_pairs_outcome(brute_near_pairs, points, factor, sep))
 
     @pytest.mark.parametrize("name", ["5d", "cluster_and_outlier"])
     def test_any_batch_size_gives_the_same_pairs(self, name, monkeypatch):

@@ -23,13 +23,15 @@ own directory under OUT_DIR.  Prints, sorted by path:
   history, none of which the psi CSVs hold);
 - one ``sha256  <config>/grid`` line per config for the points of
   ``region.grid`` at the config's resolution and seed on each of its
-  regions, and for ``tangent_norm_bounds`` on the samples ``certify``
-  takes;
+  regions, and for the tangent norms of ``certify``'s certificate;
 - one ``sha256  <config>/pairs`` line per config for the near pairs of
   the regularity probes on the synchronization ``diagnose`` drives, at
   radius factors 10 and 3 with nothing subsampled (the pairs and their
   distances in lexicographic order and the radius, or the
   ``InsufficientPairs`` text), which no search order changes.
+
+Every orbit and input range comes from ``cli._orbit`` and psi's ``l_fx``
+from ``cli._closed_form_l_fx``, so the records follow the CLI's rules.
 
 ``certify`` evaluates no grid when a closed form exists, so the lipschitz
 lines are what see a change to the grid derivative norms.  Run it on two
@@ -53,14 +55,13 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import workloads  # noqa: E402
 import numpy as np  # noqa: E402
 
-from gsync import (drive_gs, lipschitz_bounds, multistability_sweep,  # noqa: E402
-                   psi_iterate_gs, tangent_norm_bounds)
-from gsync.cli import main as gsync_main, section_iv_config  # noqa: E402
-from gsync.config import parse_config  # noqa: E402
-from gsync.dynsys import observe_trajectory  # noqa: E402
+from gsync import (certify, drive_gs, lipschitz_bounds,  # noqa: E402
+                   multistability_sweep, psi_iterate_gs)
+from gsync.cli import (_closed_form_l_fx, _orbit, main as gsync_main,  # noqa: E402
+                       section_iv_config)
+from gsync.config import RunConfig, parse_config  # noqa: E402
 from gsync.diagnostics import _near_pairs  # noqa: E402
 from gsync.errors import GsyncError, InsufficientPairs  # noqa: E402
-from gsync.regions import InputRange  # noqa: E402
 
 TAKENS = """
 system.kind = torus_rotation
@@ -84,14 +85,12 @@ run.record = 1000
 run.method = both
 run.seed = 3
 """
-TANGENT_SAMPLES = 1000  # certify's default max_tangent_samples
 COMMANDS = (["simulate"], ["certify"], ["synchronize", "--method", "both"], ["diagnose"])
 FIGURES = ("fig1", "fig2", "fig3", "fig4")
 
 
-def sweep_digest(config_path: str) -> str:
+def sweep_digest(cfg: RunConfig) -> str:
     """SHA-256 of ``multistability_sweep`` on a config's regions."""
-    cfg = parse_config(config_path)
     result = multistability_sweep(cfg.statemap, cfg.regions, cfg.system, cfg.observation,
                                   cfg.initial, washout_steps=cfg.washout,
                                   record_steps=cfg.record)
@@ -103,13 +102,11 @@ def sweep_digest(config_path: str) -> str:
     return h.hexdigest()
 
 
-def lipschitz_digest(config_path: str) -> str:
+def lipschitz_digest(cfg: RunConfig) -> str:
     """SHA-256 of ``lipschitz_bounds`` on each of a config's regions, with the
     config's grid resolution, input samples and seed, over the input range
     that ``certify`` uses (the hull of the observed trajectory)."""
-    cfg = parse_config(config_path)
-    traj = cfg.system.trajectory(cfg.initial, cfg.n_steps)
-    input_range = InputRange.from_observations(observe_trajectory(cfg.observation, traj))
+    _, _, input_range = _orbit(cfg, cfg.n_steps)
 
     def exact(values):  # float.hex is exact and blind to float vs np.float64
         return None if values is None else [(k, float(v).hex()) for k, v in sorted(values.items())]
@@ -124,39 +121,34 @@ def lipschitz_digest(config_path: str) -> str:
     return h.hexdigest()
 
 
-def grid_digest(config_path: str) -> str:
+def grid_digest(cfg: RunConfig) -> str:
     """SHA-256 of the points of ``region.grid`` on each of a config's regions,
     with the config's grid resolution and seed (the grid that a sampled
-    ``check_invariance`` evaluates), and of ``tangent_norm_bounds`` on the
-    samples ``certify`` takes from the config's trajectory."""
-    cfg = parse_config(config_path)
+    ``check_invariance`` evaluates), and of the tangent norms of the
+    certificate that ``certify`` gives the first region."""
     h = hashlib.sha256()
     for region in cfg.regions:
         h.update(region.grid(cfg.grid_resolution, rng=cfg.seed).tobytes())
-    points = cfg.system.trajectory(cfg.initial, cfg.n_steps).points
-    if len(points) > TANGENT_SAMPLES:  # certify's subsample
-        points = points[np.linspace(0, len(points) - 1, TANGENT_SAMPLES).astype(int)]
-    bounds = tangent_norm_bounds(cfg.system, points)
-    h.update(repr([float(b).hex() for b in bounds]).encode())
+    traj, _, _ = _orbit(cfg, cfg.n_steps)
+    cert = certify(cfg.statemap, cfg.regions[0], cfg.system, cfg.observation, traj.points,
+                   resolution=cfg.grid_resolution, n_inputs=cfg.input_samples, rng=cfg.seed)
+    h.update(repr([float(b).hex() for b in (cert.tangent_norm, cert.tangent_inv_norm)]).encode())
     return h.hexdigest()
 
 
-def psi_digest(config_path: str) -> str:
+def psi_digest(cfg: RunConfig) -> str:
     """SHA-256 of the ``method`` record of ``psi_iterate_gs`` on each of a
     config's regions, with the trajectory, record start, tolerance, sweep
     cap and closed-form l_fx that ``synchronize`` passes (a package error is
     hashed by its type and text)."""
-    cfg = parse_config(config_path)
-    traj = cfg.system.trajectory(cfg.initial, cfg.span)
-    input_range = InputRange.from_observations(observe_trajectory(cfg.observation, traj))
+    traj, _, input_range = _orbit(cfg, cfg.span)
     h = hashlib.sha256()
     for region in cfg.regions:
-        analytic = cfg.statemap.analytic_lipschitz(region, input_range)
         try:
             m = psi_iterate_gs(cfg.statemap, cfg.system, cfg.observation, traj,
                                region.center(), tol=cfg.tol, max_iters=cfg.max_iters,
                                record_from=cfg.psi_from, region=region,
-                               l_fx=analytic["l_fx"] if analytic else None).method
+                               l_fx=_closed_form_l_fx(cfg, region, input_range)).method
         except GsyncError as exc:
             record = f"{type(exc).__name__}: {exc}"
         else:
@@ -168,17 +160,16 @@ def psi_digest(config_path: str) -> str:
     return h.hexdigest()
 
 
-def pairs_digest(config_path: str) -> str:
+def pairs_digest(cfg: RunConfig) -> str:
     """SHA-256 of ``_near_pairs`` at radius factors 10 and 3 on the points of
     the synchronization that ``diagnose`` drives (region 0), with the
     probes' temporal separation of 10 and a budget of every pair: the pairs
     sorted lexicographically with their distances, and the radius (an
     ``InsufficientPairs`` is hashed by its text)."""
-    cfg = parse_config(config_path)
     region = cfg.regions[0]
     gs = drive_gs(cfg.statemap, cfg.system, cfg.observation, cfg.initial, region.center(),
                   washout_steps=cfg.washout, record_steps=cfg.record, region=region,
-                  trajectory=cfg.system.trajectory(cfg.initial, cfg.span))
+                  trajectory=_orbit(cfg, cfg.span)[0])
     h = hashlib.sha256()
     for factor in (10.0, 3.0):
         try:
@@ -194,12 +185,14 @@ def pairs_digest(config_path: str) -> str:
     return h.hexdigest()
 
 
+RECORDS = {"sweep": sweep_digest, "lipschitz": lipschitz_digest, "psi": psi_digest,
+           "grid": grid_digest, "pairs": pairs_digest}
+
+
 def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[str]]:
-    """Run every command, sweep, grid, psi iteration and near-pair search;
-    return the sweep, lipschitz, psi, grid and pairs digests as
-    (label/sweep, digest), (label/lipschitz, digest), (label/psi, digest),
-    (label/grid, digest) and (label/pairs, digest) pairs and a message for
-    each non-zero exit code."""
+    """Run every command, and every ``RECORDS`` function on each config
+    parsed once; return the records as (label/<record>, digest) pairs and a
+    message for each non-zero exit code."""
     configs = {"section_iv": os.path.join(inputs_dir, "section_iv.cfg"),
                "takens": os.path.join(inputs_dir, "takens.cfg")}
     with open(configs["section_iv"], "w") as fh:
@@ -219,11 +212,10 @@ def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[
             code = gsync_main(argv)
         if code != 0:
             failures.append(f"exit {code}: gsync {' '.join(argv)}")
-    extra = [(f"{label}/sweep", sweep_digest(path)) for label, path in configs.items()]
-    extra += [(f"{label}/lipschitz", lipschitz_digest(path)) for label, path in configs.items()]
-    extra += [(f"{label}/psi", psi_digest(path)) for label, path in configs.items()]
-    extra += [(f"{label}/grid", grid_digest(path)) for label, path in configs.items()]
-    extra += [(f"{label}/pairs", pairs_digest(path)) for label, path in configs.items()]
+    extra = []
+    for label, path in configs.items():
+        cfg = parse_config(path)
+        extra += [(f"{label}/{name}", record(cfg)) for name, record in RECORDS.items()]
     return extra, failures
 
 
