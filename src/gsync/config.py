@@ -1,40 +1,24 @@
 """Flat key-value run configuration: parsing, validation, and round-trip.
 
-Schema (sectioned keys, '#' comments, matrices inline row-major with ';'
-row separators or ``csv:relative/path``):
-
-    system.kind = lorenz | torus_rotation | cat_map
-    system.h, system.substeps, system.sigma, system.rho, system.beta,
-    system.literal_sign            (lorenz flow map)
-    system.angles                  (torus rotation)
-    system.initial = 0 1 1.05
-    system.n_steps = 4000
-    observation.kind = projection | linear
-    observation.indices = 0        (projection)
-    observation.matrix = 1 0 0     (linear, row-major)
-    statemap.kind = power_sine | esn | linear_delay
-    statemap.alpha, statemap.lambda, statemap.k        (power_sine)
-    statemap.A, statemap.C, statemap.zeta, statemap.squashing   (esn)
-    statemap.q                     (linear_delay)
-    region.N.kind = box | ball
-    region.N.lo, region.N.hi       (box)
-    region.N.center, region.N.radius   (ball)
-    region.N.label                 (default V<N>; a file-name part without
-                                    '/', '\\' or ',', unique across regions)
-    run.washout, run.record, run.method, run.tol, run.max_iters,
-    run.psi_record_from, run.grid_resolution, run.input_samples,
-    run.forgetting_k, run.forgetting_trials, run.pair_budget, run.seed
+Sectioned ``key = value`` lines and '#' comments; matrices are inline,
+row-major with ';' row separators, or ``csv:relative/path``.  ``_KEYS``
+states every key: its type, its default and, for an integer key, its lower
+bound.  Which keys a config must set follows from the kinds it names
+(``system.kind``, ``observation.kind``, ``statemap.kind``,
+``region.N.kind``); a region label is a file-name part without '/', '\\'
+or ',', unique across regions.
 
 Every number, in a scalar, a vector or a matrix (inline or CSV), must be
 finite: nan or inf is a ``ConfigError`` that names its key.  Integer keys
-and lists take integer literals; the run.* size keys and system.n_steps
-have lower bounds, checked where they are read, and together an upper one:
-no array a command holds may exceed 2**50 numbers (``_check_size``).
+and lists take integer literals, each checked where it is read against its
+lower bound in ``_KEYS``.  Together the size keys have an upper bound: no
+array a command holds may exceed 2**50 numbers (``_check_size``).
 """
 
 from __future__ import annotations
 
 import os
+from copy import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,11 +32,8 @@ from .regions import AxisBox, Ball, InvariantRegion
 from .statemaps import Esn, LinearDelay, PowerSine, StateMap
 
 
-def _fmt_vec(v) -> str:
-    return " ".join(_field(float(c)) for c in np.atleast_1d(v))
-
-
-def _fmt_mat(m) -> str:
+def _fmt_floats(m) -> str:
+    """A vector as one row, a matrix as rows joined by '; '."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     return "; ".join(" ".join(map(_field, row)) for row in m)
 
@@ -63,20 +44,6 @@ def _finite(value, key: str, s: str):
     return value
 
 
-def _parse_float(s: str, key: str) -> float:
-    try:
-        return _finite(float(s), key, s)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {s!r}") from exc
-
-
-def _parse_int(s: str, key: str) -> int:
-    try:
-        return int(s)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer, got {s!r}") from exc
-
-
 def _tokens(s: str, key: str) -> list[str]:
     tokens = s.replace(",", " ").split()
     if not tokens:
@@ -84,23 +51,7 @@ def _tokens(s: str, key: str) -> list[str]:
     return tokens
 
 
-def _parse_vec(s: str, key: str) -> np.ndarray:
-    try:
-        v = np.array([float(tok) for tok in _tokens(s, key)])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: cannot parse vector {s!r}") from exc
-    return _finite(v, key, s)
-
-
-def _parse_int_vec(s: str, key: str) -> list[int]:
-    try:
-        return [int(tok) for tok in _tokens(s, key)]
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected integers, got {s!r}") from exc
-
-
 def _parse_matrix(s: str, key: str, base_dir: str) -> np.ndarray:
-    s = s.strip()
     if s.startswith("csv:"):
         path = s[4:].strip()
         if not os.path.isabs(path):
@@ -112,30 +63,91 @@ def _parse_matrix(s: str, key: str, base_dir: str) -> np.ndarray:
         except Exception as exc:
             raise ConfigError(f"{key}: failed to read matrix CSV {path}: {exc}") from exc
     else:
-        try:
-            rows = [r for r in s.split(";") if r.strip()]
-            m = np.atleast_2d(np.array([[float(tok) for tok in r.split()] for r in rows]))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: cannot parse inline matrix {s!r}") from exc
+        rows = [r for r in s.split(";") if r.strip()]
+        m = np.atleast_2d(np.array([[float(tok) for tok in r.split()] for r in rows]))
     return _finite(m, key, s)
 
 
 def _parse_bool(s: str, key: str) -> bool:
-    v = s.strip().lower()
+    v = s.lower()
     if v in ("true", "1", "yes", "on"):
         return True
     if v in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {s!r}")
+    raise ValueError(s)
+
+
+_REQUIRED = object()  # the default of a key that has none
+
+
+class _Derived(str):
+    """A default derived from other keys, its text saying from what: the
+    builder passes its value to ``_Keys.get`` (none: the key stays unresolved)."""
+
+
+# each type of value: (parse, format, what a ValueError of parse means)
+_STR = (lambda s, key: s, str, None)
+_BOOL = (_parse_bool, lambda b: str(b).lower(), "expected a boolean, got")
+_FLOAT = (lambda s, key: _finite(float(s), key, s), _field, "expected a number, got")
+_INT = (lambda s, key: int(s), str, "expected an integer, got")
+_VEC = (lambda s, key: _finite(np.array([float(t) for t in _tokens(s, key)]), key, s),
+        _fmt_floats, "cannot parse vector")
+_INTS = (lambda s, key: [int(t) for t in _tokens(s, key)],
+         lambda v: " ".join(map(str, v)), "expected integers, got")
+_MATRIX = (_parse_matrix, _fmt_floats, "cannot parse inline matrix")
+
+# every key: its type, its default and the lower bound of an integer key;
+# region.N.* stands for the keys of every region index N
+_KEYS = {
+    "system.kind": (*_STR, _REQUIRED, None),
+    "system.h": (*_FLOAT, 0.01, None),
+    "system.substeps": (*_INT, 8, 1),
+    "system.sigma": (*_FLOAT, 10.0, None),
+    "system.rho": (*_FLOAT, 28.0, None),
+    "system.beta": (*_FLOAT, 8.0 / 3.0, None),
+    "system.literal_sign": (*_BOOL, False, None),
+    "system.angles": (*_VEC, _REQUIRED, None),
+    "system.initial": (*_VEC, _Derived("per system.kind"), None),
+    "system.n_steps": (*_INT, _Derived("run.washout + run.record"), 1),
+    "observation.kind": (*_STR, "projection", None),
+    "observation.indices": (*_INTS, [0], None),
+    "observation.matrix": (*_MATRIX, _REQUIRED, None),
+    "statemap.kind": (*_STR, None, None),
+    "statemap.alpha": (*_FLOAT, _REQUIRED, None),
+    "statemap.lambda": (*_FLOAT, _REQUIRED, None),
+    "statemap.k": (*_FLOAT, _REQUIRED, None),
+    "statemap.A": (*_MATRIX, _REQUIRED, None),
+    "statemap.C": (*_MATRIX, _REQUIRED, None),
+    "statemap.squashing": (*_STR, "tanh", None),
+    "statemap.zeta": (*_VEC, None, None),
+    "statemap.q": (*_INT, _REQUIRED, 1),
+    "region.N.kind": (*_STR, "box", None),
+    "region.N.lo": (*_VEC, _REQUIRED, None),
+    "region.N.hi": (*_VEC, _REQUIRED, None),
+    "region.N.center": (*_VEC, _REQUIRED, None),
+    "region.N.radius": (*_FLOAT, _REQUIRED, None),
+    "region.N.label": (*_STR, _Derived("V<N>"), None),
+    "run.washout": (*_INT, 2000, 0),
+    "run.record": (*_INT, 2000, 1),
+    "run.method": (*_STR, "drive", None),
+    "run.tol": (*_FLOAT, 1e-12, None),
+    "run.max_iters": (*_INT, 500, 1),
+    "run.psi_record_from": (*_INT, _Derived("run.washout"), 0),
+    "run.grid_resolution": (*_INT, 20, 2),
+    "run.input_samples": (*_INT, 200, 1),
+    "run.forgetting_k": (*_INTS, [1, 5, 20, 100, 200], 0),
+    "run.forgetting_trials": (*_INT, 100, 1),
+    "run.pair_budget": (*_INT, 4000, 1),
+    "run.seed": (*_INT, 0, 0),
+}
 
 
 class _Keys:
-    """Typed accessors over the flat key-value dictionary.
+    """The flat key-value dictionary, read one key at a time.
 
-    Each accessor parses and checks one key (an integer one against its
-    lower bound ``at_least``, if it has one), and records the text of the
-    value it returns (its default included) in ``resolved``, in the order
-    the keys are read: that order is the resolved configuration's.
+    ``get`` parses and checks a key as its ``_KEYS`` row says, and records
+    the text of the value it returns (its default included) in ``resolved``,
+    in the order the keys are read: that order is the resolved configuration's.
     """
 
     def __init__(self, raw: dict, base_dir: str):
@@ -144,43 +156,27 @@ class _Keys:
         self.used = set()
         self.resolved: dict[str, str | None] = {}
 
-    def _read(self, key, default, required, parse, fmt, at_least=None):
+    def get(self, key, derived=None):
+        """The value of ``key``; ``derived`` is that of a ``_Derived`` default."""
+        parse, fmt, error, default, at_least = (_KEYS.get(key)
+                                                or _KEYS["region.N." + key.rsplit(".", 1)[1]])
         if key in self.raw:
             self.used.add(key)
-            value = parse(self.raw[key], key)
+            text = self.raw[key]
+            try:
+                value = (parse(text, key, self.base_dir) if parse is _parse_matrix
+                         else parse(text, key))
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {error} {text!r}") from exc
             if at_least is not None and np.min(value) < at_least:
-                raise ConfigError(f"{key}: expected integers >= {at_least}, "
-                                  f"got {self.raw[key]!r}")
-        elif required:
+                raise ConfigError(f"{key}: expected integers >= {at_least}, got {text!r}")
+        elif default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
         else:
-            value = default
+            value = derived if isinstance(default, _Derived) else copy(default)
         if value is not None:
             self.resolved[key] = fmt(value)
         return value
-
-    def get(self, key, default=None, required=False) -> str | None:
-        return self._read(key, default, required, lambda s, key: s, str)
-
-    def get_float(self, key, default=None, required=False):
-        return self._read(key, default, required, _parse_float, _field)
-
-    def get_int(self, key, default=None, required=False, at_least=None):
-        return self._read(key, default, required, _parse_int, str, at_least)
-
-    def get_bool(self, key, default=False):
-        return self._read(key, default, False, _parse_bool, lambda b: str(b).lower())
-
-    def get_vec(self, key, default=None, required=False):
-        return self._read(key, default, required, _parse_vec, _fmt_vec)
-
-    def get_int_vec(self, key, default, at_least=None):
-        return self._read(key, default, False, _parse_int_vec,
-                          lambda v: " ".join(str(i) for i in v), at_least)
-
-    def get_matrix(self, key, required=False):
-        return self._read(key, None, required,
-                          lambda s, key: _parse_matrix(s, key, self.base_dir), _fmt_mat)
 
 
 @dataclass
@@ -260,28 +256,23 @@ def parse_config(path: str) -> RunConfig:
 
 
 def _build_system(keys: _Keys) -> tuple[DiscreteSystem, np.ndarray]:
-    kind = keys.get("system.kind", required=True)
+    kind = keys.get("system.kind")
     if kind == "lorenz":
-        h = keys.get_float("system.h", 0.01)
-        substeps = keys.get_int("system.substeps", 8)
-        sigma = keys.get_float("system.sigma", 10.0)
-        rho = keys.get_float("system.rho", 28.0)
-        beta = keys.get_float("system.beta", 8.0 / 3.0)
-        literal = keys.get_bool("system.literal_sign", False)
+        params = {p: keys.get(f"system.{p}")
+                  for p in ("h", "substeps", "sigma", "rho", "beta", "literal_sign")}
         try:
-            sys_ = lorenz_system(h=h, substeps=substeps, sigma=sigma, rho=rho,
-                                 beta=beta, literal_sign=literal)
+            sys_ = lorenz_system(**params)
         except ValueError as exc:
             raise ConfigError(f"system: {exc}") from exc
-        initial = keys.get_vec("system.initial", np.array([0.0, 1.0, 1.05]))
+        start = [0.0, 1.0, 1.05]
     elif kind == "torus_rotation":
-        sys_ = TorusRotation(keys.get_vec("system.angles", required=True))
-        initial = keys.get_vec("system.initial", np.zeros(sys_.phase_dim))
+        sys_ = TorusRotation(keys.get("system.angles"))
+        start = np.zeros(sys_.phase_dim)
     elif kind == "cat_map":
-        sys_ = CatMap()
-        initial = keys.get_vec("system.initial", np.array([0.1, 0.2]))
+        sys_, start = CatMap(), [0.1, 0.2]
     else:
         raise ConfigError(f"system.kind: unknown system {kind!r}")
+    initial = keys.get("system.initial", np.array(start, dtype=float))
     if initial.shape != (sys_.phase_dim,):
         raise ConfigError(f"system.initial: expected {sys_.phase_dim} coordinates, "
                           f"got {initial.size}")
@@ -289,15 +280,15 @@ def _build_system(keys: _Keys) -> tuple[DiscreteSystem, np.ndarray]:
 
 
 def _build_observation(keys: _Keys, sys_: DiscreteSystem) -> ObservationMap:
-    kind = keys.get("observation.kind", "projection")
+    kind = keys.get("observation.kind")
     if kind == "projection":
-        indices = keys.get_int_vec("observation.indices", [0])
+        indices = keys.get("observation.indices")
         try:
             return CoordinateProjection(indices, phase_dim=sys_.phase_dim)
         except ValueError as exc:
             raise ConfigError(f"observation.indices: {exc}") from exc
     if kind == "linear":
-        W = keys.get_matrix("observation.matrix", required=True)
+        W = keys.get("observation.matrix")
         if W.shape[1] != sys_.phase_dim:
             raise ConfigError(f"observation.matrix: {W.shape[1]} columns do not match "
                               f"phase dimension {sys_.phase_dim}")
@@ -311,16 +302,13 @@ def _build_statemap(keys: _Keys, obs: ObservationMap) -> StateMap | None:
         return None
     try:
         if kind == "power_sine":
-            F = PowerSine(keys.get_float("statemap.alpha", required=True),
-                          keys.get_float("statemap.lambda", required=True),
-                          keys.get_float("statemap.k", required=True))
+            F = PowerSine(*[keys.get(f"statemap.{p}") for p in ("alpha", "lambda", "k")])
         elif kind == "esn":
-            A = keys.get_matrix("statemap.A", required=True)
-            C = keys.get_matrix("statemap.C", required=True)
-            squashing = keys.get("statemap.squashing", "tanh")
-            F = Esn(A, C, zeta=keys.get_vec("statemap.zeta"), squashing=squashing)
+            # keyword arguments are evaluated in order: the resolved order
+            F = Esn(keys.get("statemap.A"), keys.get("statemap.C"),
+                    squashing=keys.get("statemap.squashing"), zeta=keys.get("statemap.zeta"))
         elif kind == "linear_delay":
-            F = LinearDelay(keys.get_int("statemap.q", required=True))
+            F = LinearDelay(keys.get("statemap.q"))
         else:
             raise ConfigError(f"statemap.kind: unknown state map {kind!r}")
     except ValueError as exc:
@@ -355,18 +343,13 @@ def _build_regions(keys: _Keys, F: StateMap | None) -> list[InvariantRegion]:
     labels: dict[str, str] = {}
     for n in sorted(indices):
         pre = f"region.{n}"
-        kind = keys.get(f"{pre}.kind", "box")
+        kind = keys.get(f"{pre}.kind")
+        if kind not in ("box", "ball"):
+            raise ConfigError(f"{pre}.kind: unknown region kind {kind!r}")
+        cls, parts = (AxisBox, ("lo", "hi")) if kind == "box" else (Ball, ("center", "radius"))
         try:
-            if kind == "box":
-                lo = keys.get_vec(f"{pre}.lo", required=True)
-                hi = keys.get_vec(f"{pre}.hi", required=True)
-                region = AxisBox(lo, hi, label=keys.get(f"{pre}.label", f"V{n}"))
-            elif kind == "ball":
-                center = keys.get_vec(f"{pre}.center", required=True)
-                radius = keys.get_float(f"{pre}.radius", required=True)
-                region = Ball(center, radius, label=keys.get(f"{pre}.label", f"V{n}"))
-            else:
-                raise ConfigError(f"{pre}.kind: unknown region kind {kind!r}")
+            region = cls(*[keys.get(f"{pre}.{p}") for p in parts],
+                         label=keys.get(f"{pre}.label", f"V{n}"))
         except ValueError as exc:
             raise ConfigError(f"{pre}: {exc}") from exc
         _check_label(region.label, pre, labels)
@@ -386,28 +369,23 @@ def _build(raw: dict, base_dir: str) -> RunConfig:
 
     # system.n_steps keeps its place before the run.* keys its default needs
     keys.resolved["system.n_steps"] = None
-    washout = keys.get_int("run.washout", 2000, at_least=0)
-    record = keys.get_int("run.record", 2000, at_least=1)
-    n_steps = keys.get_int("system.n_steps", washout + record, at_least=1)
-    method = keys.get("run.method", "drive")
+    washout = keys.get("run.washout")
+    record = keys.get("run.record")
+    n_steps = keys.get("system.n_steps", washout + record)
+    method = keys.get("run.method")
     if method not in ("drive", "psi", "both"):
         raise ConfigError(f"run.method: expected drive|psi|both, got {method!r}")
-    tol = keys.get_float("run.tol", 1e-12)
+    tol = keys.get("run.tol")
     if tol <= 0.0:
         raise ConfigError("run.tol must be > 0")
     # keyword arguments are evaluated in order: the rest of the resolved order
     cfg = RunConfig(
         system=system, observation=observation, statemap=statemap, regions=regions,
         initial=initial, n_steps=n_steps, washout=washout, record=record, method=method,
-        tol=tol, max_iters=keys.get_int("run.max_iters", 500, at_least=1),
-        grid_resolution=keys.get_int("run.grid_resolution", 20, at_least=2),
-        input_samples=keys.get_int("run.input_samples", 200, at_least=1),
-        forgetting_k=keys.get_int_vec("run.forgetting_k", [1, 5, 20, 100, 200], at_least=0),
-        forgetting_trials=keys.get_int("run.forgetting_trials", 100, at_least=1),
-        pair_budget=keys.get_int("run.pair_budget", 4000, at_least=1),
-        seed=keys.get_int("run.seed", 0, at_least=0),
-        psi_record_from=keys.get_int("run.psi_record_from", None, at_least=0),
-        resolved=keys.resolved)
+        tol=tol, resolved=keys.resolved,
+        **{name: keys.get(f"run.{name}") for name in (
+            "max_iters", "grid_resolution", "input_samples", "forgetting_k",
+            "forgetting_trials", "pair_budget", "seed", "psi_record_from")})
     if cfg.psi_record_from is not None and cfg.psi_record_from >= cfg.span:
         raise ConfigError(f"run.psi_record_from must lie in [0, {cfg.span})")
 

@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from gsync import (AxisBox, Ball, InputRange, PowerSine, cli, observe_trajectory,
                    psi_iterate_gs)
 from gsync.cli import main, section_iv_config
-from gsync.config import parse_config_text
+from gsync import config
+from gsync.config import _KEYS, parse_config_text
 from gsync.dynsys import DiscreteSystem
 from gsync.errors import ConfigError
 
@@ -59,6 +61,22 @@ region.1.lo = -1 -1
 region.1.hi = 1 1
 run.grid_resolution = 8
 run.input_samples = 40
+"""
+
+# a depth-3 delay line driven by a torus rotation
+TORUS_DELAY = """
+system.kind = torus_rotation
+system.angles = 0.41421356 0.31662479
+system.initial = 0.1 0.2
+system.n_steps = 200
+observation.indices = 0
+statemap.kind = linear_delay
+statemap.q = 1
+region.1.kind = box
+region.1.lo = -1 -1 -1
+region.1.hi = 1 1 1
+run.grid_resolution = 4
+run.input_samples = 20
 """
 
 
@@ -533,20 +551,7 @@ class TestCertify:
         assert main(["certify", "--config", cfg, "--out", out, "--require", "esp"]) == 0
 
     def test_unit_norm_delay_require_esp_exit_4(self, tmp_path):
-        cfg = write_cfg(tmp_path, """
-system.kind = torus_rotation
-system.angles = 0.41421356 0.31662479
-system.initial = 0.1 0.2
-system.n_steps = 200
-observation.indices = 0
-statemap.kind = linear_delay
-statemap.q = 1
-region.1.kind = box
-region.1.lo = -1 -1 -1
-region.1.hi = 1 1 1
-run.grid_resolution = 4
-run.input_samples = 20
-""")
+        cfg = write_cfg(tmp_path, TORUS_DELAY)
         out = str(tmp_path / "out")
         assert main(["certify", "--config", cfg, "--out", out, "--require", "esp"]) == 4
         header, rows = read_data_rows(os.path.join(out, "certificates.csv"))
@@ -783,11 +788,8 @@ class TestOneOrbit:
         assert np.isnan(cli._closed_form_l_fx(cfg, Ball([1.0] * 3, 0.1), input_range))
 
 
-# (key, lowest accepted value) of every run key with a lower bound, and system.n_steps
-BOUNDS = [("run.washout", 0), ("run.record", 1), ("system.n_steps", 1), ("run.max_iters", 1),
-          ("run.input_samples", 1), ("run.forgetting_trials", 1), ("run.pair_budget", 1),
-          ("run.grid_resolution", 2), ("run.seed", 0), ("run.forgetting_k", 0),
-          ("run.psi_record_from", 0)]
+# (key, lowest accepted value) of every key with a lower bound in the key table
+BOUNDS = [(key, row[-1]) for key, row in _KEYS.items() if row[-1] is not None]
 
 
 def with_key(text, key, value):
@@ -799,7 +801,7 @@ def with_key(text, key, value):
 class TestBounds:
     @pytest.mark.parametrize("key, bound", BOUNDS)
     def test_one_below_the_bound_exits_2(self, tmp_path, capsys, key, bound):
-        cfg = write_cfg(tmp_path, with_key(SMALL_IV, key, bound - 1))
+        cfg = write_cfg(tmp_path, with_key(reading(key)[0], key, bound - 1))
         out = tmp_path / "o"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
@@ -807,7 +809,7 @@ class TestBounds:
 
     @pytest.mark.parametrize("key, bound", BOUNDS)
     def test_the_bound_itself_parses_and_resolves_again(self, key, bound):
-        text = parse_config_text(with_key(SMALL_IV, key, bound)).resolved_text()
+        text = parse_config_text(with_key(reading(key)[0], key, bound)).resolved_text()
         assert f"\n{key} = {bound}\n" in text
         assert parse_config_text(text).resolved_text() == text
 
@@ -1004,3 +1006,73 @@ class TestExitCodeContract:
             out = os.path.join(tmp, "out")
             if main([*command, "--config", cfg, "--out", out]) != 2:
                 assert_resolved_text_parses_again(out)
+
+
+# small configs of these tests; between them they resolve every key of the
+# key table, SMALL_IV first so that the run keys are tried on it
+TIER1_CONFIGS = [SMALL_IV, SMALL_LORENZ, TORUS, CAT_ESN.format(a="0.3"), BALL_IV, TORUS_DELAY,
+                 *MUTABLE_CONFIGS.values()]
+
+
+def reading(key):
+    """The first of TIER1_CONFIGS whose resolved text holds key, and key as
+    that text names it (region.N.* with the region's index), else None."""
+    name = re.compile("^" + re.escape(key).replace(r"region\.N\.", r"region\.\d+\.") + "(?= = )",
+                      re.M)
+    for text in TIER1_CONFIGS:
+        found = name.search(parse_config_text(text).resolved_text())
+        if found:
+            return text, found.group()
+    return None
+
+
+NUMBERS = (config._FLOAT, config._INT, config._VEC, config._INTS, config._MATRIX)
+# (key, value) of every key that takes numbers set to a word, and of every
+# key that takes floats set to nan
+REJECTED = ([(key, "one") for key, row in _KEYS.items() if row[:3] in NUMBERS]
+            + [(key, "nan") for key, row in _KEYS.items()
+               if row[:3] in (config._FLOAT, config._VEC, config._MATRIX)])
+
+
+def readme_key_rows():
+    """{key: (default, admits)} of README's key table, backticks dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("| key | default | admits | what it sets |\n|---|---|---|---|\n")[1]
+    rows = {}
+    for line in table.split("\n\n")[0].splitlines():
+        key, default, admits, _ = (c.strip().replace("`", "") for c in line.strip("|").split("|"))
+        rows[key] = (default, admits)
+    return rows
+
+
+class TestKeyTable:
+    """The key table (config._KEYS) is the config schema: every row is read
+    by some tier-1 config, every bad number exits 2 naming its key, and
+    README's key table agrees with it."""
+
+    def test_every_row_is_resolved_by_a_tier1_config(self):
+        assert [key for key in _KEYS if reading(key) is None] == []
+
+    @pytest.mark.parametrize("key, value", REJECTED)
+    def test_a_word_or_nan_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
+        text, name = reading(key)
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, with_key(text, name, value))
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 2
+        assert f"configuration error: {name}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_defaults_and_bounds_are_the_tables(self):
+        rows = readme_key_rows()
+        assert set(rows) <= set(_KEYS)
+        assert {key for key, bound in BOUNDS} <= set(rows)
+        for key, (default, admits) in rows.items():
+            parse, _, _, expected, at_least = _KEYS[key]
+            if expected is config._REQUIRED:
+                assert default == "required", key
+            elif isinstance(expected, config._Derived):
+                assert default == expected, key
+            else:
+                assert parse(default, key) == expected, key
+            bound = re.search(r">= (\d+)", admits)
+            assert (int(bound.group(1)) if bound else None) == at_least, key
