@@ -3,21 +3,23 @@
 Sectioned ``key = value`` lines and '#' comments; matrices are inline,
 row-major with ';' row separators, or ``csv:relative/path``.  ``_KEYS``
 states every key: its type, its default and, for an integer key, its lower
-bound.  Which keys a config must set follows from the kinds it names
-(``system.kind``, ``observation.kind``, ``statemap.kind``,
-``region.N.kind``); a region label is a file-name part without '/', '\\'
-or ',', unique across regions.
+bound.  ``_KINDS`` states each kind of ``system``, ``observation``,
+``statemap`` and ``region.N``: its constructor and the keys it reads.  A
+region index is digits without a leading zero; a region label is a
+file-name part without '/', '\\' or ',', unique across regions.
 
 Every number, in a scalar, a vector or a matrix (inline or CSV), must be
 finite: nan or inf is a ``ConfigError`` that names its key.  Integer keys
 and lists take integer literals, each checked where it is read against its
 lower bound in ``_KEYS``.  Together the size keys have an upper bound: no
-array a command holds may exceed 2**50 numbers (``_check_size``).
+array a command holds may exceed 2**50 numbers, and no command may integrate
+more than 2**33 RK4 substeps (``_check_size``).
 """
 
 from __future__ import annotations
 
 import os
+import re
 from copy import copy
 from dataclasses import dataclass, field
 
@@ -142,6 +144,32 @@ _KEYS = {
 }
 
 
+# each kind of each section: its constructor, the keys it takes in resolved
+# order and, for a system, system.initial's default (a point or one number)
+_KINDS = {
+    "system": {
+        "lorenz": (lorenz_system, ("h", "substeps", "sigma", "rho", "beta", "literal_sign"),
+                   [0.0, 1.0, 1.05]),
+        "torus_rotation": (TorusRotation, ("angles",), 0.0),
+        "cat_map": (CatMap, (), [0.1, 0.2]),
+    },
+    "observation": {  # a linear observation's phase dimension is its column count
+        "projection": (CoordinateProjection, ("indices",)),
+        "linear": (lambda matrix, phase_dim: LinearObservation(matrix), ("matrix",)),
+    },
+    "statemap": {
+        "power_sine": (PowerSine, ("alpha", "lambda", "k")),
+        "esn": (lambda A, C, squashing, zeta: Esn(A, C, zeta, squashing),
+                ("A", "C", "squashing", "zeta")),
+        "linear_delay": (LinearDelay, ("q",)),
+    },
+    "region": {
+        "box": (AxisBox, ("lo", "hi", "label")),
+        "ball": (Ball, ("center", "radius", "label")),
+    },
+}
+
+
 class _Keys:
     """The flat key-value dictionary, read one key at a time.
 
@@ -255,104 +283,47 @@ def parse_config(path: str) -> RunConfig:
     return parse_config_text(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _build_system(keys: _Keys) -> tuple[DiscreteSystem, np.ndarray]:
-    kind = keys.get("system.kind")
-    if kind == "lorenz":
-        params = {p: keys.get(f"system.{p}")
-                  for p in ("h", "substeps", "sigma", "rho", "beta", "literal_sign")}
-        try:
-            sys_ = lorenz_system(**params)
-        except ValueError as exc:
-            raise ConfigError(f"system: {exc}") from exc
-        start = [0.0, 1.0, 1.05]
-    elif kind == "torus_rotation":
-        sys_ = TorusRotation(keys.get("system.angles"))
-        start = np.zeros(sys_.phase_dim)
-    elif kind == "cat_map":
-        sys_, start = CatMap(), [0.1, 0.2]
-    else:
-        raise ConfigError(f"system.kind: unknown system {kind!r}")
-    initial = keys.get("system.initial", np.array(start, dtype=float))
-    if initial.shape != (sys_.phase_dim,):
-        raise ConfigError(f"system.initial: expected {sys_.phase_dim} coordinates, "
-                          f"got {initial.size}")
-    return sys_, initial
-
-
-def _build_observation(keys: _Keys, sys_: DiscreteSystem) -> ObservationMap:
-    kind = keys.get("observation.kind")
-    if kind == "projection":
-        indices = keys.get("observation.indices")
-        try:
-            return CoordinateProjection(indices, phase_dim=sys_.phase_dim)
-        except ValueError as exc:
-            raise ConfigError(f"observation.indices: {exc}") from exc
-    if kind == "linear":
-        W = keys.get("observation.matrix")
-        if W.shape[1] != sys_.phase_dim:
-            raise ConfigError(f"observation.matrix: {W.shape[1]} columns do not match "
-                              f"phase dimension {sys_.phase_dim}")
-        return LinearObservation(W)
-    raise ConfigError(f"observation.kind: unknown observation {kind!r}")
-
-
-def _build_statemap(keys: _Keys, obs: ObservationMap) -> StateMap | None:
-    kind = keys.get("statemap.kind")
+def _read_kind(keys: _Keys, prefix: str, derived=None, **given):
+    """The kind that ``<prefix>.kind`` names and the object that its
+    ``_KINDS`` row builds from the kind's keys (``derived`` is the value of a
+    ``_Derived`` default) and ``given``, or ``(None, None)`` without a kind."""
+    kind = keys.get(f"{prefix}.kind")
     if kind is None:
-        return None
+        return None, None
+    kinds = _KINDS[prefix.split(".")[0]]
+    if kind not in kinds:
+        raise ConfigError(f"{prefix}.kind: unknown kind {kind!r}, expected {' | '.join(kinds)}")
+    make, names = kinds[kind][:2]
+    values = [keys.get(f"{prefix}.{name}", derived) for name in names]
     try:
-        if kind == "power_sine":
-            F = PowerSine(*[keys.get(f"statemap.{p}") for p in ("alpha", "lambda", "k")])
-        elif kind == "esn":
-            # keyword arguments are evaluated in order: the resolved order
-            F = Esn(keys.get("statemap.A"), keys.get("statemap.C"),
-                    squashing=keys.get("statemap.squashing"), zeta=keys.get("statemap.zeta"))
-        elif kind == "linear_delay":
-            F = LinearDelay(keys.get("statemap.q"))
-        else:
-            raise ConfigError(f"statemap.kind: unknown state map {kind!r}")
+        return kind, make(*values, **given)
     except ValueError as exc:
-        raise ConfigError(f"statemap: {exc}") from exc
-    if F.input_dim != obs.obs_dim:
-        raise ConfigError(f"statemap input dimension {F.input_dim} does not match "
-                          f"observation dimension {obs.obs_dim}")
-    return F
-
-
-def _check_label(label: str, pre: str, seen: dict[str, str]) -> None:
-    """A region label names output files (gs_<label>_<method>.csv) and CSV
-    fields, so it must be a plain file-name part that no other region uses;
-    ``seen`` maps each earlier label to its region's key prefix."""
-    if label in ("", ".", "..") or any(c in label for c in "/\\,"):
-        raise ConfigError(f"{pre}.label: label {label!r} must be a file-name part "
-                          "other than '.' and '..', without '/', '\\' or ','")
-    if label in seen:
-        raise ConfigError(f"{pre}.label: label {label!r} repeats the label of {seen[label]}")
-    seen[label] = pre
+        at = f"{prefix}.{names[0]}" if len(names) == 1 else prefix
+        raise ConfigError(f"{at}: {exc}") from exc
 
 
 def _build_regions(keys: _Keys, F: StateMap | None) -> list[InvariantRegion]:
     indices = set()
     for k in keys.raw:
         if k.startswith("region.") and k.count(".") == 2:
-            try:
-                indices.add(int(k.split(".")[1]))
-            except ValueError as exc:
-                raise ConfigError(f"{k}: region index must be an integer") from exc
+            index = k.split(".")[1]
+            if not re.fullmatch("0|[1-9][0-9]*", index):
+                raise ConfigError(f"{k}: region index {index!r} must be digits with no leading zero")
+            indices.add(int(index))
     regions = []
     labels: dict[str, str] = {}
     for n in sorted(indices):
         pre = f"region.{n}"
-        kind = keys.get(f"{pre}.kind")
-        if kind not in ("box", "ball"):
-            raise ConfigError(f"{pre}.kind: unknown region kind {kind!r}")
-        cls, parts = (AxisBox, ("lo", "hi")) if kind == "box" else (Ball, ("center", "radius"))
-        try:
-            region = cls(*[keys.get(f"{pre}.{p}") for p in parts],
-                         label=keys.get(f"{pre}.label", f"V{n}"))
-        except ValueError as exc:
-            raise ConfigError(f"{pre}: {exc}") from exc
-        _check_label(region.label, pre, labels)
+        _, region = _read_kind(keys, pre, f"V{n}")
+        # a label names output files (gs_<label>_<method>.csv) and CSV fields:
+        # a plain file-name part that no other region uses
+        label = region.label
+        if label in ("", ".", "..") or any(c in label for c in "/\\,"):
+            raise ConfigError(f"{pre}.label: label {label!r} must be a file-name part "
+                              "other than '.' and '..', without '/', '\\' or ','")
+        if label in labels:
+            raise ConfigError(f"{pre}.label: label {label!r} repeats the label of {labels[label]}")
+        labels[label] = pre
         if F is not None and region.dim != F.state_dim:
             raise ConfigError(f"{pre}: dimension {region.dim} does not match "
                               f"state dimension {F.state_dim}")
@@ -362,9 +333,19 @@ def _build_regions(keys: _Keys, F: StateMap | None) -> list[InvariantRegion]:
 
 def _build(raw: dict, base_dir: str) -> RunConfig:
     keys = _Keys(raw, base_dir)
-    system, initial = _build_system(keys)
-    observation = _build_observation(keys, system)
-    statemap = _build_statemap(keys, observation)
+    kind, system = _read_kind(keys, "system")
+    initial = keys.get("system.initial", np.full(system.phase_dim, _KINDS["system"][kind][2]))
+    if initial.shape != (system.phase_dim,):
+        raise ConfigError(f"system.initial: expected {system.phase_dim} coordinates, "
+                          f"got {initial.size}")
+    _, observation = _read_kind(keys, "observation", phase_dim=system.phase_dim)
+    if observation.phase_dim != system.phase_dim:
+        raise ConfigError(f"observation.matrix: {observation.phase_dim} columns do not match "
+                          f"phase dimension {system.phase_dim}")
+    _, statemap = _read_kind(keys, "statemap")
+    if statemap is not None and statemap.input_dim != observation.obs_dim:
+        raise ConfigError(f"statemap input dimension {statemap.input_dim} does not match "
+                          f"observation dimension {observation.obs_dim}")
     regions = _build_regions(keys, statemap)
 
     # system.n_steps keeps its place before the run.* keys its default needs
@@ -400,12 +381,15 @@ def _build(raw: dict, base_dir: str) -> RunConfig:
 # array a command allocates stays far under numpy's limit of 2**63 bytes, so
 # a run too large for memory ends in a MemoryError rather than a ValueError.
 _SIZE_CAP = 2 ** 50
+# Above this many RK4 substeps a config is rejected: at about 1.2 microseconds
+# per Lorenz substep, 2**33 of them take nearly three hours.
+_SUBSTEP_CAP = 2 ** 33
 
 
 def _check_size(cfg: RunConfig) -> None:
-    """Estimate the largest arrays a command allocates from the resolved
-    keys, each with the keys that set its size, and raise a ``ConfigError``
-    naming the keys of every estimate above ``_SIZE_CAP``."""
+    """Estimate from the resolved keys the largest arrays a command allocates
+    and the RK4 substeps it integrates, and raise a ``ConfigError`` naming the
+    keys behind each estimate above ``_SIZE_CAP`` or ``_SUBSTEP_CAP``."""
     state = cfg.statemap.state_dim if cfg.statemap is not None else 0
     obs = cfg.observation.obs_dim
     rows = cfg.span + 1
@@ -423,3 +407,8 @@ def _check_size(cfg: RunConfig) -> None:
         largest = max(n for n, _ in sizes)
         raise ConfigError(f"{', '.join(over)}: the run would hold an array of at least "
                           f"2**{largest.bit_length() - 1} numbers, above the cap of 2**50")
+    # the orbit, and certify's tangent kernel: 14 integrations per sample, <= 1000 samples
+    substeps = getattr(cfg.system, "substeps", 0) * (rows + 14 * 1000)
+    if substeps > _SUBSTEP_CAP:
+        raise ConfigError(f"system.substeps, {span_keys}: the run would integrate at least "
+                          f"2**{substeps.bit_length() - 1} RK4 substeps, above the cap of 2**33")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientPairs, LengthMismatch
-from .gs import SampledGS, run_recursion
+from .gs import SampledGS, _sum_of_squares, run_recursion
 from .regions import InputRange, InvariantRegion, _rng
 from .statemaps import StateMap
 
@@ -119,22 +119,14 @@ _BATCH = 2 ** 14
 
 def _squared_distances(points, cols, a, b) -> np.ndarray:
     """Squared distances between rows ``a`` and ``b`` (index arrays or slices)
-    of ``points``, whose columns are ``cols``: summed column by column below
-    8 columns, which is how ``np.linalg.norm(points[a] - points[b], axis=-1)``
-    sums them, and by that reduction itself from 8 columns, so that the
-    square root has the bits of the norm."""
+    of ``points``, whose columns are ``cols``, summed as
+    ``np.linalg.norm(points[a] - points[b], axis=-1)`` sums them: column by
+    column below 8 columns, by that reduction itself from 8 columns, so that
+    the square root has the bits of the norm."""
     if len(cols) >= 8:
         diff = points[a] - points[b]
         return np.add.reduce(diff * diff, axis=-1)
-    total = None
-    for col in cols:
-        diff = col[a] - col[b]
-        diff *= diff
-        if total is None:
-            total = diff
-        else:
-            total += diff
-    return total
+    return _sum_of_squares(col[a] - col[b] for col in cols)
 
 
 def _pairs_within(points: np.ndarray, radius: float):

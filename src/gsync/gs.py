@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import iadd
 
 import numpy as np
 
@@ -76,22 +78,24 @@ def _recur(F: StateMap, z, x0) -> np.ndarray:
     return states
 
 
+def _sum_of_squares(columns) -> np.ndarray:
+    """The squares of the columns added left to right, in place: how
+    ``np.linalg.norm(x, axis=-1)`` sums the squared columns of a many-row x
+    below 8 columns, with the same add kernel (so even a nan keeps its sign)."""
+    return reduce(iadd, (col * col for col in columns))
+
+
 def _max_row_norm(d: np.ndarray) -> float:
     """``np.max(np.linalg.norm(d, axis=-1))`` of a matrix d (n, N), bit for bit.
 
-    Below 8 columns numpy adds the squared columns of a many-row matrix left
-    to right, with the same add kernel as here (so even a nan keeps its
-    sign); sqrt is monotone, so the root of the largest sum is the largest
+    Below 8 columns ``_sum_of_squares`` sums the squared columns as numpy
+    does; sqrt is monotone, so the root of the largest sum is the largest
     root.  From 8 columns numpy sums pairwise, and a lone row takes its
     scalar reduction, whose nan sign can differ: both keep ``np.linalg.norm``.
     """
     if d.shape[1] >= 8 or len(d) < 2:
         return float(np.max(np.linalg.norm(d, axis=-1)))
-    sq = d * d
-    total = sq[:, 0].copy()
-    for j in range(1, d.shape[1]):
-        total += sq[:, j]
-    return float(np.sqrt(np.max(total)))
+    return float(np.sqrt(np.max(_sum_of_squares(d.T))))
 
 
 def _field(value) -> str:

@@ -864,6 +864,45 @@ class TestSizeCap:
         assert parse_config_text(with_key(SMALL_IV, "run.grid_resolution", 10 ** 20))
 
 
+class TestSubstepCap:
+    """No command may integrate more than 2**33 RK4 substeps: a config that
+    asks for more exits 2 at parse time, naming system.substeps and the keys
+    that set the orbit's length.  Parsing integrates nothing, so each case
+    runs in-process and at once."""
+
+    FIVE_STEPS = SMALL_LORENZ.replace("system.n_steps = 60", "system.n_steps = 5")
+
+    def test_10_to_the_20_substeps_exit_2_before_out_exists(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, with_key(self.FIVE_STEPS, "system.substeps", 10 ** 20))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: system.substeps, run.washout, run.record: the run would "
+            "integrate at least 2**80 RK4 substeps, above the cap of 2**33\n")
+        assert not out.exists()
+
+    def test_the_cap_itself_parses(self):
+        # (span + 1) orbit steps, span = washout + record by default, and
+        # certify's 14 integrations for each of at most 1000 tangent samples
+        most = config._SUBSTEP_CAP // (2000 + 2000 + 1 + 14 * 1000)
+        parse_config_text(with_key(self.FIVE_STEPS, "system.substeps", most))
+        with pytest.raises(ConfigError, match="^system.substeps, run.washout, run.record: "):
+            parse_config_text(with_key(self.FIVE_STEPS, "system.substeps", most + 1))
+
+    def test_a_long_orbit_names_system_n_steps(self):
+        text = with_key(self.FIVE_STEPS, "system.n_steps", 2 * 10 ** 9)
+        with pytest.raises(ConfigError, match="^system.substeps, system.n_steps: .* 2\\*\\*33$"):
+            parse_config_text(text)
+
+    def test_a_map_integrates_nothing(self):
+        assert parse_config_text(with_key(TORUS, "system.n_steps", 10 ** 12))
+
+    def test_readme_states_the_cap(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        base, power = re.search(r"(\d+)\*\*(\d+) RK4 substeps", text).groups()
+        assert int(base) ** int(power) == config._SUBSTEP_CAP
+
+
 # small configs for the exit-code property test; between them they set
 # nearly every key that takes a number, so each can be mutated
 _MUTABLE_RUN = """run.forgetting_k = 1 5
@@ -1076,3 +1115,46 @@ class TestKeyTable:
                 assert parse(default, key) == expected, key
             bound = re.search(r">= (\d+)", admits)
             assert (int(bound.group(1)) if bound else None) == at_least, key
+
+
+def readme_kind_lists():
+    """{section: its kinds} as the comments of README's config block list them."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return {section: kinds.split(" | ")
+            for section, kinds in re.findall(r"^(\w+)(?:\.\d+)?\.kind = \w+ +# (.+)$", text, re.M)}
+
+
+class TestKindTable:
+    """The kind table (config._KINDS) states each section's kinds: an unknown
+    kind exits 2 naming its key and listing them, and README lists them."""
+
+    def test_readme_lists_the_kinds_of_every_section(self):
+        assert readme_kind_lists() == {section: list(kinds)
+                                       for section, kinds in config._KINDS.items()}
+
+    @pytest.mark.parametrize("prefix", ["system", "observation", "statemap", "region.1"])
+    def test_an_unknown_kind_exits_2_naming_its_key(self, tmp_path, capsys, prefix):
+        cfg = write_cfg(tmp_path, with_key(SMALL_IV, f"{prefix}.kind", "spline"))
+        out = tmp_path / "o"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 2
+        kinds = " | ".join(config._KINDS[prefix.split(".")[0]])
+        assert capsys.readouterr().err == (f"configuration error: {prefix}.kind: unknown kind "
+                                           f"'spline', expected {kinds}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("index", ["01", "+2", " 3", "-1"])
+    def test_an_index_not_in_plain_digits_exits_2_naming_its_key(self, tmp_path, capsys, index):
+        text = SMALL_IV.replace("region.1.", f"region.{index}.")
+        out = tmp_path / "o"
+        assert main(["certify", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: region.{index}.kind: region index {index!r} must be digits "
+            "with no leading zero\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("index", ["0", "10"])
+    def test_plain_digits_name_the_region(self, index):
+        cfg = parse_config_text(SMALL_IV.replace("region.1.", f"region.{index}.")
+                                .replace(f"region.{index}.label = V1\n", ""))
+        assert [r.label for r in cfg.regions] == [f"V{index}"]
+        assert f"\nregion.{index}.lo = " in cfg.resolved_text()
