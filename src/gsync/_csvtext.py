@@ -21,6 +21,9 @@ and the constant bytes the ``%g`` rules need.  A layout table indexed by
 notation for -4 <= k < 17, exponent notation otherwise, trailing zeros
 stripped, at least two exponent digits.  One gather per block builds
 NUL-padded fields that end in their separator, and one pass drops the NULs.
+Leading columns that several matrices share can be rendered once
+(``prefix_fields``) and kept as those padded fields, which ``matrix_text``
+puts before each row of every such matrix.
 
 The tables are built on first use, so importing the module costs nothing.
 Multi-byte table entries are byte strings viewed as wider integers and
@@ -31,6 +34,7 @@ order of the machine.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Iterator
 from types import SimpleNamespace
 
@@ -42,6 +46,7 @@ _WIDTH = 25       # '-1.2345678901234567e-308' is the longest field: 24 bytes + 
 _TIE_BAND = 1e-6  # fractions this close to 1/2 go to Python's %
 _K_MIN, _K_MAX = -282, 280  # decimal exponents the fast path can reach
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+_RECIPROCAL_BITS = 1000  # 2**1000 / 10**264 keeps 123 bits; 2**1001 / 10 is finite
 
 # source row: bytes 0-15 digits 2..17, 16-19 exponent sign and digits,
 # 20 digit 1, 21 separator, 22-23 NUL, 24-31 the constants below
@@ -59,6 +64,36 @@ def _split(a):
     c = a * _SPLIT
     hi = c - (c - a)
     return hi, a - hi
+
+
+def _powers_of_ten() -> tuple[list[float], list[float]]:
+    """10**(16 - k) = hi + lo for k = _K_MIN.._K_MAX, hi and lo each
+    correctly rounded, from powers stepped exactly as Python ints.
+
+    10**n, n >= 0, is p *= 10.  For 10**-m, t = floor(2**S / 10**m) is the
+    previous t // 10, and 10**-m = (2t + 2f) 2**-(S+1) for some 0 < f < 1
+    (10**-m is not dyadic).  When 2t + 1 has more than 54 bits, its
+    rounding points are even integers, so the odd 2t + 1 rounds as 2t + 2f
+    does: float(2t + 1) scaled is hi.  The odd remainder d = 2t + 1 -
+    hi 2**(S+1) keeps more than 54 bits (at least 68 here), so likewise lo
+    is float(d) scaled.  No big-int division is needed.
+    """
+    hi, lo = [], []
+    p = 1
+    for _ in range(16 - _K_MIN + 1):
+        h = float(p)
+        hi.append(h)
+        lo.append(float(p - int(h)))
+        p *= 10
+    hi.reverse()
+    lo.reverse()
+    t, s = 1 << _RECIPROCAL_BITS, _RECIPROCAL_BITS + 1
+    for _ in range(_K_MAX - 16):
+        t //= 10
+        h = math.ldexp(float(2 * t + 1), -s)
+        hi.append(h)
+        lo.append(math.ldexp(float(2 * t + 1 - int(math.ldexp(h, s))), -s))
+    return hi, lo
 
 
 def _field(case: int, nd: int) -> list[int]:
@@ -93,18 +128,7 @@ def _tables() -> SimpleNamespace:
     constants            _CONSTANTS viewed as one uint64
     layout               (2 * _N_CASES * 18, _WIDTH) source bytes of each field
     """
-    hi, lo = [], []
-    for k in range(_K_MIN, _K_MAX + 1):
-        n = 16 - k
-        if n >= 0:
-            p = 10 ** n
-            hi.append(float(p))
-            lo.append(float(p - int(hi[-1])))
-        else:
-            q = 10 ** -n
-            hi.append(1 / q)  # int / int is correctly rounded
-            num, den = hi[-1].as_integer_ratio()
-            lo.append((den - num * q) / (den * q))
+    hi, lo = _powers_of_ten()
     hi = np.array(hi)
     hh, hl = _split(hi)
 
@@ -150,8 +174,10 @@ def _significand(a: np.ndarray, k: np.ndarray, tables: SimpleNamespace):
     return s.astype(np.int64) + whole.astype(np.int64), t - whole
 
 
-def _block_text(x: np.ndarray, sep: np.ndarray, base: np.ndarray, tables: SimpleNamespace) -> str:
-    """The '%.17g' fields of the values x, each followed by its separator.
+def _block_fields(x: np.ndarray, sep: np.ndarray, base: np.ndarray,
+                  tables: SimpleNamespace) -> np.ndarray:
+    """The '%.17g' fields of the values x, each followed by its separator and
+    NUL-padded to _WIDTH bytes: (len(x), _WIDTH) uint8.
 
     ``base`` holds 32 * (i // _WIDTH) for i < _WIDTH * len(x): the offset of
     each output byte's source row."""
@@ -201,22 +227,50 @@ def _block_text(x: np.ndarray, sep: np.ndarray, base: np.ndarray, tables: Simple
         field = ("%.17g" % x[i]).encode() + bytes(sep[i:i + 1])
         out[i] = 0
         out[i, :len(field)] = np.frombuffer(field, dtype=np.uint8)
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    return out
 
 
-def matrix_text(matrix) -> Iterator[str]:
-    """The CSV rows of a 2-D float matrix, '%.17g' fields, in blocks of text."""
+def _row_blocks(matrix: np.ndarray, end: str, rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, fields) for each block of ``rows`` rows of a float64
+    matrix: the NUL-padded fields of the block's rows, (rows, cols * _WIDTH),
+    each ending in ',' except the last column's, which ends in ``end``."""
+    tables = _tables()
+    n_cols = matrix.shape[1]
+    sep = np.full(n_cols, ord(","), dtype=np.uint8)
+    sep[-1] = ord(end)
+    sep = np.tile(sep, rows)
+    base = np.repeat(np.arange(len(sep)) * 32, _WIDTH)
+    for i in range(0, len(matrix), rows):
+        block = matrix[i:i + rows].ravel()
+        fields = _block_fields(block, sep[:len(block)], base[:_WIDTH * len(block)], tables)
+        yield i, fields.reshape(-1, n_cols * _WIDTH)
+
+
+def prefix_fields(matrix) -> np.ndarray:
+    """The fields of a float matrix (at least one column) as the leading
+    columns of CSV rows: (rows, cols * _WIDTH) NUL-padded bytes, every field
+    ending in ','.  Rendered once, they go before the rows of any number of
+    ``matrix_text(rest, prefix)`` calls."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    out = np.empty((len(matrix), matrix.shape[1] * _WIDTH), dtype=np.uint8)
+    for i, fields in _row_blocks(matrix, ",", max(1, BLOCK_VALUES // matrix.shape[1])):
+        out[i:i + len(fields)] = fields
+    return out
+
+
+def matrix_text(matrix, prefix: np.ndarray | None = None) -> Iterator[str]:
+    """The CSV rows of a 2-D float matrix, '%.17g' fields, in blocks of text.
+
+    ``prefix``, from ``prefix_fields`` of a matrix with as many rows, gives
+    each row its leading fields: the text is that of the two matrices side
+    by side, without rendering the prefix columns again."""
     matrix = np.asarray(matrix, dtype=np.float64)
     n_rows, n_cols = matrix.shape
     if n_cols == 0:
         yield "\n" * n_rows
         return
-    tables = _tables()
-    rows = max(1, BLOCK_VALUES // n_cols)
-    sep = np.full(n_cols, ord(","), dtype=np.uint8)
-    sep[-1] = ord("\n")
-    sep = np.tile(sep, rows)
-    base = np.repeat(np.arange(len(sep)) * 32, _WIDTH)
-    for i in range(0, n_rows, rows):
-        block = matrix[i:i + rows].ravel()
-        yield _block_text(block, sep[:len(block)], base[:_WIDTH * len(block)], tables)
+    width = n_cols if prefix is None else n_cols + prefix.shape[1] // _WIDTH
+    for i, fields in _row_blocks(matrix, "\n", max(1, BLOCK_VALUES // width)):
+        if prefix is not None:
+            fields = np.concatenate([prefix[i:i + len(fields)], fields], axis=1)
+        yield fields.tobytes().translate(None, b"\0").decode("ascii")

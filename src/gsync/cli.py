@@ -138,6 +138,7 @@ def cmd_synchronize(cfg: RunConfig, args) -> int:
 
     drives = _drives(cfg, traj) if method in ("drive", "both") else None
     agreements = []
+    shared = {}  # the text of the t, m... columns, rendered once per command
     for i, region in enumerate(cfg.regions):
         produced = {}
         if drives is not None:
@@ -156,7 +157,7 @@ def cmd_synchronize(cfg: RunConfig, args) -> int:
         for name, gs in produced.items():
             path = os.path.join(args.out, f"gs_{region.label}_{name}.csv")
             write_gs_csv(gs, path, metadata={"tool": f"gsync {__version__}", "seed": cfg.seed},
-                         time_scale=cfg.time_scale)
+                         time_scale=cfg.time_scale, shared=shared)
             print(f"synchronize[{region.label}/{name}]: wrote {len(gs)} rows to {path}")
         if method == "both":
             sup = compare_gs(produced["drive"], produced["psi"])

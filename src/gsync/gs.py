@@ -54,9 +54,10 @@ def run_recursion(F: StateMap, z, x0) -> np.ndarray:
     Returns shape (len(z) + 1,) + x0.shape with row 0 = x0; a 1-D z is a
     sequence of scalar inputs and a 0-d z one scalar input.  x0 is checked
     once, ``F.input_terms`` (which checks z) is called once on all of z, and
-    then ``F.apply`` once per step on an array of exactly x0's shape, so a
-    state (N,) and a batch of states (B, N) each evaluate as they would
-    alone.  F's non-finite rule then judges the finished states.
+    then ``F.apply_into`` once per step on an array of exactly x0's shape,
+    writing into the next row, so a state (N,) and a batch of states (B, N)
+    each evaluate as they would alone.  F's non-finite rule then judges the
+    finished states.
     """
     states = _recur(F, z, x0)
     F._check_finite(states[1:])
@@ -73,8 +74,7 @@ def _recur(F: StateMap, z, x0) -> np.ndarray:
     states = np.empty((len(z) + 1,) + x.shape)
     states[0] = x
     for t in range(len(z)):
-        x = F.apply(x, u[t])
-        states[t + 1] = x
+        F.apply_into(states[t], u[t], states[t + 1])
     return states
 
 
@@ -104,12 +104,13 @@ def _field(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
-def _write_csv(path, meta: dict, header: list[str], rows) -> None:
+def _write_csv(path, meta: dict, header: list[str], rows, prefix=None) -> None:
     """CSV with one '# key: value' line per metadata entry, then the header
     and the rows: sequences of fields, or a float matrix.  Every field and
     metadata value is written by one rule, a float as %.17g and anything else
     as str; a matrix goes through ``_csvtext.matrix_text``, byte for byte the
-    text of f"{x:.17g}"."""
+    text of f"{x:.17g}", after the already rendered leading fields
+    ``prefix`` of each row (``_csvtext.prefix_fields``), if given."""
     with open(path, "w") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}: {_field(v)}\n")
@@ -118,7 +119,7 @@ def _write_csv(path, meta: dict, header: list[str], rows) -> None:
             # imported here so that importing gsync, which every CLI process
             # does, leaves the formatter unloaded until a matrix is written
             from ._csvtext import matrix_text
-            fh.writelines(matrix_text(rows))
+            fh.writelines(matrix_text(rows, prefix))
         else:
             for row in rows:
                 fh.write(",".join(map(_field, row)) + "\n")
@@ -264,8 +265,9 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
     that decays geometrically with the point index; ``record_from`` drops
     that contaminated left margin from the returned sample set.
 
-    Sweeps are simultaneous (Jacobi) updates from the previous iterate and
-    stop when the sup-norm change falls to ``tol``.  If ``l_fx`` is given,
+    Sweeps are simultaneous (Jacobi) updates from the previous iterate,
+    written by ``F.apply_into`` into the other of two preallocated iterates,
+    and stop when the sup-norm change falls to ``tol``.  If ``l_fx`` is given,
     the a-priori fixed-point error bound l_fx^n/(1-l_fx)*||f1-f0|| is
     reported alongside the final sup-change.
     """
@@ -280,19 +282,19 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
 
     n = len(trajectory)
     f = np.broadcast_to(f0, (n, F.state_dim)).copy()
+    f_new, diff = np.empty_like(f), np.empty_like(f)
     boundary = F.eval(f0, z[0])  # constant: frozen predecessor value
     u = F.input_terms(z[1:])
     change_history = []
     for _ in range(max_iters):
-        f_new = np.empty_like(f)
         f_new[0] = boundary
-        f_new[1:] = F.apply(f[:-1], u)
-        change = _max_row_norm(f_new - f)
+        F.apply_into(f[:-1], u, f_new[1:])
+        change = _max_row_norm(np.subtract(f_new, f, out=diff))
         # a finite change needs finite rows in f and f_new alike
         if not math.isfinite(change):
             F._check_finite(f_new[1:])
         change_history.append(change)
-        f = f_new
+        f, f_new = f_new, f
         if change <= tol:
             break
     n_iters = len(change_history)
@@ -393,7 +395,7 @@ def multistability_sweep(F: StateMap, regions, sys: DiscreteSystem,
 def write_gs_csv(gs: SampledGS, path, F: StateMap | None = None,
                  obs: ObservationMap | None = None,
                  metadata: dict | None = None,
-                 time_scale: float | None = None) -> None:
+                 time_scale: float | None = None, *, shared: dict | None = None) -> None:
     """Serialize a sampled synchronization to CSV with '#'-prefixed metadata.
 
     Columns: t, the phase coordinates m1..mk, the value coordinates f1..fN,
@@ -402,6 +404,11 @@ def write_gs_csv(gs: SampledGS, path, F: StateMap | None = None,
     them recomputed from F and obs (nan throughout when those are not
     supplied).  ``time_scale`` converts step indices to continuous time in
     the t column.
+
+    ``shared`` lets the files of one command render the t, m... columns
+    that they have in common once: it maps the bytes of those columns to
+    their rendered text, added by the first file that has them.  The caller
+    owns it, so nothing outlives the command that made it.
     """
     meta = {"method": gs.method.get("name", "?"), "region": gs.region_label,
             "residual_max": gs.residual_max, "residual_mean": gs.residual_mean}
@@ -416,4 +423,12 @@ def write_gs_csv(gs: SampledGS, path, F: StateMap | None = None,
         if F is not None and obs is not None and len(gs) >= 2:
             res[1:] = _residuals(gs.values, _observe(obs, gs.points), F)
     times = gs.times * time_scale if time_scale is not None else gs.times
-    _write_csv(path, meta, header, np.column_stack([times, gs.points, gs.values, res]))
+    if shared is None:
+        _write_csv(path, meta, header, np.column_stack([times, gs.points, gs.values, res]))
+        return
+    left = np.column_stack([times, gs.points])
+    key = (left.shape, left.tobytes())  # bytes, not ==: -0.0 == 0.0 and nan != nan
+    if key not in shared:
+        from ._csvtext import prefix_fields
+        shared[key] = prefix_fields(left)
+    _write_csv(path, meta, header, np.column_stack([gs.values, res]), shared[key])

@@ -67,7 +67,8 @@ def _abs_sin_sup(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class Squashing:
-    """A squashing function with its first two derivatives and their suprema."""
+    """A squashing function with its first two derivatives and their suprema.
+    ``func(y, out=y)`` squashes y in place and returns it."""
 
     name: str
     func: callable
@@ -77,8 +78,14 @@ class Squashing:
     max_deriv2: float
 
 
-def _logistic(y):
-    return 1.0 / (1.0 + np.exp(-y))
+def _logistic(y, out=None):
+    """1 / (1 + exp(-y)), into the array ``out`` if given."""
+    if out is None:
+        return 1.0 / (1.0 + np.exp(-y))
+    np.negative(y, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 SQUASHINGS = {
@@ -90,7 +97,7 @@ SQUASHINGS = {
                           lambda y: _logistic(y) * (1.0 - _logistic(y)),
                           lambda y: _logistic(y) * (1.0 - _logistic(y)) * (1.0 - 2.0 * _logistic(y)),
                           0.25, math.sqrt(3.0) / 18.0),
-    "identity": Squashing("identity", lambda y: y,
+    "identity": Squashing("identity", lambda y, out=None: y,
                           lambda y: np.ones_like(y),
                           lambda y: np.zeros_like(y),
                           1.0, 0.0),
@@ -100,9 +107,16 @@ SQUASHINGS = {
 class StateMap:
     """Base class for driven state maps.
 
-    A subclass defines ``apply`` and may override ``input_terms`` and
-    ``nonfinite_error``, the text of the ``NonFiniteError`` raised on a
-    non-finite state (None, the default, accepts such states).  ``eval``,
+    A subclass defines ``apply`` and may override ``input_terms``,
+    ``apply_into`` and ``nonfinite_error``, the text of the
+    ``NonFiniteError`` raised on a non-finite state (None, the default,
+    accepts such states).  The recursions evaluate F through
+    ``apply_into(x, u, out)``, which writes F into the caller's array:
+    ``out`` has the batch shape of (x, u) and N columns and never aliases x
+    or u.  Its default copies ``apply``'s result into ``out``, so a map
+    that defines only a two-argument ``apply`` works unchanged; the
+    built-in maps compute F in ``apply_into`` and ``apply`` fills a fresh
+    array through it, so each keeps one kernel.  ``eval``,
     ``jac_state``, ``jac_input`` and ``second_partials`` take x (..., N) and
     z (..., d) with leading batch axes that broadcast.  The ``*_norms``
     methods, one norm per row of X, Z, are ``lipschitz_bounds``' grid.
@@ -153,6 +167,17 @@ class StateMap:
     def apply(self, x, u) -> np.ndarray:
         """F(x, z) from u, the entry of ``input_terms`` for z; no checks."""
         raise NotImplementedError
+
+    def apply_into(self, x, u, out) -> np.ndarray:
+        """``apply(x, u)`` written into ``out`` (never x or u), which is
+        returned; no checks.  By default a copy of ``apply``'s result."""
+        out[...] = self.apply(x, u)
+        return out
+
+    def _apply_fresh(self, x, u) -> np.ndarray:
+        """``apply_into`` a new array: the ``apply`` of an in-place kernel."""
+        out = np.empty(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (self.state_dim,))
+        return self.apply_into(x, u, out)
 
     def __call__(self, x, z) -> np.ndarray:
         return self.eval(x, z)
@@ -244,7 +269,15 @@ class Esn(StateMap):
 
     def apply(self, x, u) -> np.ndarray:
         """sigma(x A^T + u) for u from ``input_terms``; no checks."""
-        return self.squashing.func(x @ self.A.T + u)
+        return self._apply_fresh(x, u)
+
+    def apply_into(self, x, u, out) -> np.ndarray:
+        if x.shape == out.shape:
+            np.matmul(x, self.A.T, out=out)
+        else:  # x's batch broadcasts against u's, which matmul's out cannot do
+            out[...] = x @ self.A.T
+        out += u
+        return self.squashing.func(out, out=out)
 
     def _pre(self, x, z) -> np.ndarray:
         return self._check_state(x) @ self.A.T + self.input_terms(z)
@@ -313,7 +346,9 @@ class LinearDelay(Esn):
 
     def apply(self, x, u) -> np.ndarray:
         """(u_1, x_1, ..., x_{2q}) for u from ``input_terms``, by copying."""
-        out = np.empty(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + x.shape[-1:])
+        return self._apply_fresh(x, u)
+
+    def apply_into(self, x, u, out) -> np.ndarray:
         out[..., :1] = u[..., :1]
         out[..., 1:] = x[..., :-1]
         return out
@@ -355,7 +390,16 @@ class PowerSine(StateMap):
 
     def apply(self, x, u) -> np.ndarray:
         """s(x) + u for u from ``input_terms``; no checks."""
-        return self._signed_power(x) + u
+        return self._apply_fresh(x, u)
+
+    def apply_into(self, x, u, out) -> np.ndarray:
+        # the operations of _signed_power(x) + u, each written into out;
+        # not copysign, which turns x = -0.0 into -0.0 where np.sign gives +0.0
+        np.abs(x, out=out)
+        out **= self.alpha  # the scalar-power dispatch of |x| ** alpha
+        np.multiply(np.sign(x), out, out=out)
+        out += u
+        return out
 
     def _check_away_from_zero(self, x: np.ndarray):
         if np.any(np.abs(x) == 0.0):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gsync import (CoordinateProjection, CustomStateMap, Esn, PowerSine, TorusRotation,
-                   AxisBox, lorenz_system, observe_trajectory)
+from gsync import (CoordinateProjection, CustomStateMap, Esn, LinearDelay, PowerSine,
+                   TorusRotation, AxisBox, lorenz_system, observe_trajectory)
 
 LORENZ_M0 = np.array([0.0, 1.0, 1.05])
 IV_ALPHA, IV_LAMBDA, IV_K = 0.9, 0.009, 0.1
@@ -19,6 +19,25 @@ def esn_reservoir(units=16, seed=7):
     A = rng.normal(size=(units, units))
     A *= 0.35 / np.linalg.norm(A, 2)
     return Esn(A, 0.1 * rng.normal(size=(units, 1)), zeta=0.05 * rng.normal(size=units))
+
+
+def formula(F):
+    """F from (x, u) into a fresh array, as each built-in map computed it
+    before its in-place kernel; any other map's own ``apply``."""
+    if isinstance(F, PowerSine):
+        return lambda x, u: np.sign(x) * np.abs(x) ** F.alpha + u
+    if isinstance(F, LinearDelay):
+        def shift(x, u):
+            out = np.empty(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + x.shape[-1:])
+            out[..., :1] = u[..., :1]
+            out[..., 1:] = x[..., :-1]
+            return out
+        return shift
+    if isinstance(F, Esn):
+        squash = {"tanh": np.tanh, "logistic": lambda y: 1.0 / (1.0 + np.exp(-y)),
+                  "identity": lambda y: y}[F.squashing.name]
+        return lambda x, u: squash(x @ F.A.T + u)
+    return F.apply
 
 
 def affine_half(dim=1, derivative_order=2):

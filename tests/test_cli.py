@@ -639,6 +639,83 @@ class TestSynchronize:
         assert not (out / "gs_V1_psi.csv").exists()
 
 
+# the torus rotation driving the power-sine map near each of its eight fixed points
+EIGHT_BOX_TORUS = """
+system.kind = torus_rotation
+system.angles = 0.41421356237309503 0.16227766016837952
+system.initial = 0.3 0.6
+observation.indices = 0
+statemap.kind = power_sine
+statemap.alpha = 0.9
+statemap.lambda = 0.009
+statemap.k = 0.1
+run.washout = 100
+run.record = 300
+""" + "".join(
+    f"region.{n}.kind = box\n"
+    f"region.{n}.lo = {' '.join('0.9' if c > 0 else '-1.1' for c in signs)}\n"
+    f"region.{n}.hi = {' '.join('1.1' if c > 0 else '-0.9' for c in signs)}\n"
+    for n, signs in enumerate([(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)],
+                              start=1))
+SECOND_BOX = "region.2.kind = box\nregion.2.lo = -1.1 0.9 0.9\nregion.2.hi = -0.9 1.1 1.1\n"
+# the drive from (0.6, 0.6, 0.6) runs to the fixed point (1, 1, 1), out of its box
+ESCAPING_BOX = "region.2.kind = box\nregion.2.lo = 0.5 0.5 0.5\nregion.2.hi = 0.7 0.7 0.7\n"
+
+
+class TestSharedColumns:
+    # config, exit code, renders of the t, m... columns: psi with its own rows
+    # (psi_record_from != washout) shares nothing with the drive
+    CASES = {
+        "eight_box_torus": (EIGHT_BOX_TORUS, 0, 1),
+        "psi_own_rows": (SMALL_IV + SECOND_BOX + "run.psi_record_from = 300\n", 0, 2),
+        "section_iv_time": (SMALL_IV + SECOND_BOX, 0, 1),
+        "failing_region": (SMALL_IV + ESCAPING_BOX, 3, 1),
+    }
+
+    @pytest.fixture
+    def renders(self, monkeypatch):
+        from gsync import _csvtext
+        renders, original = [], _csvtext.prefix_fields
+        monkeypatch.setattr(_csvtext, "prefix_fields",
+                            lambda matrix: renders.append(len(matrix)) or original(matrix))
+        return renders
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_file_is_one_standalone_write(self, tmp_path, monkeypatch, renders, case):
+        text, code, n_renders = self.CASES[case]
+        calls, original = [], cli.write_gs_csv
+
+        def recording(gs, path, **kwargs):
+            calls.append((gs, path, kwargs))
+            return original(gs, path, **kwargs)
+
+        monkeypatch.setattr(cli, "write_gs_csv", recording)
+        out = tmp_path / "out"
+        assert main(["synchronize", "--config", write_cfg(tmp_path, text), "--out", str(out),
+                     "--method", "both"]) == code
+        names = sorted(os.path.basename(path) for _, path, _ in calls)
+        assert names == sorted(p.name for p in out.glob("gs_*.csv"))
+        assert len(names) == {"eight_box_torus": 16, "failing_region": 2}.get(case, 4)
+        assert len(renders) == n_renders
+        for gs, path, kwargs in calls:
+            assert kwargs.pop("shared") is not None
+            alone = tmp_path / "alone.csv"
+            original(gs, str(alone), **kwargs)
+            assert Path(path).read_bytes() == alone.read_bytes(), path
+        if case == "section_iv_time":  # t = step * h
+            _, rows = read_data_rows(out / "gs_V1_drive.csv")
+            assert rows[1][0] == "4.0099999999999998"
+
+    def test_each_command_renders_the_shared_columns_once(self, tmp_path, renders):
+        cfg = write_cfg(tmp_path, EIGHT_BOX_TORUS)
+        for n in (1, 2):
+            assert main(["synchronize", "--config", cfg, "--out", str(tmp_path / f"out{n}"),
+                         "--method", "both"]) == 0
+            assert renders == [301] * n
+        for path in (tmp_path / "out1").glob("gs_*.csv"):
+            assert path.read_bytes() == (tmp_path / "out2" / path.name).read_bytes()
+
+
 class TestDiagnose:
     def test_outputs_exist_and_bounds_hold(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_IV + "run.forgetting_k = 1 5 20\nrun.forgetting_trials = 30\n")

@@ -1,10 +1,12 @@
 from decimal import Decimal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsync._csvtext import matrix_text
+from gsync import _csvtext
+from gsync._csvtext import matrix_text, prefix_fields
 
 MAX = np.finfo(float).max
 TINY = np.finfo(float).tiny
@@ -88,3 +90,78 @@ def test_subnormals_extremes_zeros_and_non_finite():
 @pytest.mark.parametrize("shape", [(0, 5), (0, 1), (3, 0)])
 def test_empty_matrices(shape):
     assert text(np.zeros(shape)) == reference(np.zeros(shape))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(matrix=matrices(), data=st.data())
+def test_prefix_text_is_the_text_side_by_side(matrix, data):
+    # the leading columns rendered once, then joined row by row with the rest
+    cut = data.draw(st.integers(1, matrix.shape[1]))
+    if cut == matrix.shape[1]:
+        matrix = np.column_stack([matrix, np.ones(len(matrix))])
+    left, right = matrix[:, :cut], matrix[:, cut:]
+    prefix = prefix_fields(left)
+    assert prefix.shape == (len(matrix), cut * _csvtext._WIDTH)
+    assert "".join(matrix_text(right, prefix)) == reference(matrix)
+    # the same prefix serves any number of matrices with as many rows
+    assert "".join(matrix_text(-right, prefix)) == reference(np.column_stack([left, -right]))
+
+
+def test_prefix_blocks_split_rows_as_a_whole(monkeypatch):
+    monkeypatch.setattr(_csvtext, "BLOCK_VALUES", 7)  # 1 or 2 rows per block
+    rng = np.random.default_rng(4)
+    matrix = bulk("bits", 40 * 5, rng).reshape(40, 5)
+    for cut in (1, 3, 4):
+        got = "".join(matrix_text(matrix[:, cut:], prefix_fields(matrix[:, :cut])))
+        assert got == reference(matrix)
+
+
+def reference_tables() -> SimpleNamespace:
+    """The tables as ``_tables`` built them with a fresh 10**n and a big-int
+    division per exponent: what the stepped construction must reproduce."""
+    t = _csvtext
+    hi, lo = [], []
+    for k in range(t._K_MIN, t._K_MAX + 1):
+        n = 16 - k
+        if n >= 0:
+            p = 10 ** n
+            hi.append(float(p))
+            lo.append(float(p - int(hi[-1])))
+        else:
+            q = 10 ** -n
+            hi.append(1 / q)  # int / int is correctly rounded
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * q) / (den * q))
+    hi = np.array(hi)
+    hh, hl = t._split(hi)
+
+    four = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
+    digits4 = (four + ord("0")).astype(np.uint8, order="C").view(np.uint32).ravel()
+    trailing4 = np.cumprod(four[:, ::-1] == 0, axis=1).sum(axis=1)
+    k = np.arange(t._K_MIN, t._K_MAX + 1)
+    three = (np.abs(k)[:, None] // np.array([100, 10, 1])) % 10
+    exponent = np.column_stack([np.where(k < 0, ord("-"), ord("+")), three + ord("0")])
+    exponent = exponent.astype(np.uint8).view(np.uint32).ravel()
+
+    layout = np.full((2, t._N_CASES, 18, t._WIDTH), t._NUL, dtype=np.intp)
+    pad = [t._NUL] * t._WIDTH
+    layout[0, :, 1:] = [[(t._field(case, nd) + [t._SEP] + pad)[:t._WIDTH] for nd in range(1, 18)]
+                        for case in range(t._N_CASES)]
+    layout[1, :, 1:, 0] = t._MINUS
+    layout[1, :, 1:, 1:] = layout[0, :, 1:, :-1]
+    layout[1, t._NAN_CASE] = layout[0, t._NAN_CASE]
+    return SimpleNamespace(
+        ten_hi=hi, ten_lo=np.array(lo), ten_hi_hi=hh, ten_hi_lo=hl, digits4=digits4,
+        trailing4=trailing4, exponent=exponent, layout=layout.reshape(-1, t._WIDTH),
+        constants=np.frombuffer(t._CONSTANTS, dtype=np.uint64)[0])
+
+
+def test_tables_are_the_reference_construction():
+    got, expected = vars(_csvtext._tables()), vars(reference_tables())
+    assert got.keys() == expected.keys()
+    for name, table in expected.items():
+        assert got[name].dtype == table.dtype, name
+        assert np.array_equal(got[name], table), name
+    # every power's parts, to the last bit (array_equal takes -0.0 == 0.0)
+    for name in ("ten_hi", "ten_lo"):
+        assert got[name].tobytes() == expected[name].tobytes()

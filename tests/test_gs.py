@@ -6,15 +6,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gsync import (AxisBox, Ball, CatMap, CoordinateProjection, CustomObservation, CustomStateMap,
-                   LinearDelay, PowerSine, Trajectory, compare_gs, delay_window, drive_gs,
-                   multistability_sweep, observe_trajectory, psi_iterate_gs,
+                   Esn, LinearDelay, PowerSine, StateMap, Trajectory, compare_gs, delay_window,
+                   drive_gs, multistability_sweep, observe_trajectory, psi_iterate_gs,
                    recursion_residual, run_recursion, write_gs_csv)
 from gsync.errors import (DimensionMismatch, DisjointRanges, DomainViolation, GsyncError,
                           NonFiniteError, RegionEscape)
 from gsync import gs as gs_module
 from gsync.gs import _drive_regions, _max_row_norm
 
-from conftest import LORENZ_M0, esn_reservoir
+from conftest import LORENZ_M0, esn_reservoir, formula
 
 IV_LFX = 0.9 * 0.9 ** (-0.1)
 EPS = np.finfo(float).eps
@@ -41,11 +41,12 @@ def iv_drive(power_sine, lorenz, lorenz_obs, lorenz_traj, eight_boxes):
 
 
 def reference_states(F, z, x0):
-    # the step-by-step loop that run_recursion replaces
+    # the step-by-step loop that run_recursion replaces, with F from formula
+    apply = formula(F)
     x = np.asarray(x0, dtype=float)
     states = [x]
     for zt in z:
-        x = F.eval(x, zt)
+        x = apply(x, F.input_terms(zt))
         states.append(x)
     return np.stack(states)
 
@@ -63,13 +64,13 @@ class TestRunRecursion:
         expected = reference_states(F, z, x0)
 
         seen = []
-        original = F.apply
+        original = F.apply_into
 
-        def recording_apply(x, u):
+        def recording_apply_into(x, u, out):
             seen.append(np.shape(x))
-            return original(x, u)
+            return original(x, u, out)
 
-        monkeypatch.setattr(F, "apply", recording_apply)
+        monkeypatch.setattr(F, "apply_into", recording_apply_into)
         states = run_recursion(F, z, x0)
         assert states.shape == (len(z) + 1,) + shape
         assert np.array_equal(states, expected)
@@ -338,10 +339,11 @@ class TestNonFinite:
     def test_psi_stops_at_the_first_non_finite_sweep(self, run, monkeypatch):
         F = PowerSine(0.9, 0.009, 10.0)
         sweeps = []
-        original = F.apply
+        original = F.apply_into
         # a sweep applies F to all points at once; eval applies it to one
-        monkeypatch.setattr(F, "apply",
-                            lambda x, u: sweeps.append(np.ndim(x) == 2) or original(x, u))
+        monkeypatch.setattr(F, "apply_into",
+                            lambda x, u, out: sweeps.append(np.ndim(x) == 2)
+                            or original(x, u, out))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
             run("psi", F, spiked_observation(1e308))
         assert sum(sweeps) == 1
@@ -472,8 +474,8 @@ class TestNonFiniteRule:
     def test_custom_recursion_runs_to_the_end_before_raising(self):
         F = thresholded_map()
         steps = []
-        original = F.apply
-        F.apply = lambda x, u: steps.append(1) or original(x, u)
+        original = F.apply_into
+        F.apply_into = lambda x, u, out: steps.append(1) or original(x, u, out)
         with pytest.raises(NonFiniteError):
             run_recursion(F, np.zeros((30, 1)), [20.0, 0.0])
         assert len(steps) == 30
@@ -509,23 +511,31 @@ class TestNonFiniteRule:
 
 
 def reference_psi(F, obs, traj, f0, tol, max_iters, record_from=0, l_fx=None):
-    """The Jacobi loop that psi_iterate_gs ran before its exact change norm:
-    an isfinite pass over every sweep, then np.linalg.norm of the change.
+    """The Jacobi loop that psi_iterate_gs ran before its exact change norm
+    and its preallocated iterates: fresh arrays from ``formula(F)``, an
+    isfinite pass over every sweep, then np.linalg.norm of the change.
     Returns the recorded values, the residuals and the method record."""
+    apply = formula(F)
+
+    def evaluate(x, z):  # eval with the formula: input terms, F, the non-finite rule
+        out = apply(np.asarray(x, dtype=float), F.input_terms(z))
+        F._check_finite(out)
+        return out
+
     z = observe_trajectory(obs, traj)
     f0 = np.asarray(f0, dtype=float)
     f = np.broadcast_to(f0, (len(traj), F.state_dim)).copy()
-    boundary = F.eval(f0, z[0])
+    boundary = evaluate(f0, z[0])
     u = F.input_terms(z[1:])
     history, converged = [], False
     for _ in range(max_iters):
         f_new = np.empty_like(f)
         f_new[0] = boundary
-        f_new[1:] = F.apply(f[:-1], u)
+        f_new[1:] = apply(f[:-1], u)
         finite = np.isfinite(f_new[1:]).all(axis=1)
         if not finite.all():
             i = int(np.argmin(finite))
-            F.eval(f[i], z[i + 1])
+            evaluate(f[i], z[i + 1])
         history.append(float(np.max(np.linalg.norm(f_new - f, axis=-1))))
         f = f_new
         if history[-1] <= tol:
@@ -535,7 +545,7 @@ def reference_psi(F, obs, traj, f0, tol, max_iters, record_from=0, l_fx=None):
     if l_fx is not None and 0.0 < l_fx < 1.0:
         apriori = l_fx ** len(history) / (1.0 - l_fx) * history[0]
     values = f[record_from:]
-    pred = F.eval(values[:-1], z[record_from + 1:])
+    pred = evaluate(values[:-1], z[record_from + 1:])
     residuals = np.concatenate([[np.nan], np.linalg.norm(values[1:] - pred, axis=-1)])
     method = {"name": "psi", "n_iters": len(history), "f0": f0.tolist(), "tol": tol,
               "converged": converged, "final_change": history[-1],
@@ -548,6 +558,22 @@ def doubling_map():
     """F(x, z) = 2x: finite sweeps from 1e300 whose squared changes overflow,
     then at sweep 28 an overflow to inf that ``eval`` rejects."""
     return CustomStateMap(lambda x, z: 2.0 * x, state_dim=2, input_dim=1)
+
+
+class HalvingSine(StateMap):
+    """A map that defines only a two-argument ``apply``: F(x, z) = x / 2 + sin z_1."""
+
+    def __init__(self):
+        super().__init__(state_dim=2, input_dim=1)
+
+    def apply(self, x, u):
+        return 0.5 * x + np.sin(u[..., :1])
+
+
+def squashed(name):
+    """The 16-unit reservoir with another squashing."""
+    F = esn_reservoir()
+    return Esn(F.A, F.C, zeta=F.zeta, squashing=name)
 
 
 class TestPsiAgainstJacobiLoop:
@@ -572,11 +598,24 @@ class TestPsiAgainstJacobiLoop:
                                             input_dim=1),
                            obs=torus_obs, traj=torus_traj, f0=np.array([0.3, -0.2]), tol=1e-14,
                            max_iters=100, record_from=50, l_fx=0.5),
+            "apply_only": dict(F=HalvingSine(), obs=torus_obs, traj=torus_traj,
+                               f0=np.array([0.3, -0.2]), tol=1e-14, max_iters=100, record_from=50),
+            # lam = 0 and sin kz < 0 put -0.0 in u; the start's -0.0 has np.sign
+            # +0.0, so F's first coordinate is +0.0, where copysign gives -0.0
+            "power_sine_negative_zero": dict(
+                F=PowerSine(0.9, 0.0, 1.0), traj=torus_traj, f0=np.array([-0.0, 1.0, 1.0]),
+                obs=CustomObservation(lambda m: -0.5 - m[..., :1], obs_dim=1, phase_dim=2),
+                tol=1e-12, max_iters=50),
+            **{f"esn_{name}": dict(F=squashed(name), obs=torus_obs, traj=torus_traj,
+                                   f0=np.zeros(16), tol=1e-13, max_iters=200, record_from=20)
+               for name in ("tanh", "logistic", "identity")},
         }
         return cases[request.param]
 
     @pytest.mark.parametrize("case", ["power_sine", "power_sine_capped", "esn16", "esn16_nan_start",
-                                      "linear_delay", "linear_delay_capped", "custom"],
+                                      "linear_delay", "linear_delay_capped", "custom",
+                                      "apply_only", "power_sine_negative_zero", "esn_tanh",
+                                      "esn_logistic", "esn_identity"],
                              indirect=True)
     def test_same_values_residuals_and_record(self, case):
         values, residuals, method = reference_psi(**case)
@@ -594,20 +633,49 @@ class TestPsiAgainstJacobiLoop:
         F = doubling_map()
         obs = CoordinateProjection([0], 2)
         sweeps = []
-        original = F.apply
-        monkeypatch.setattr(F, "apply",
-                            lambda x, u: sweeps.append(np.ndim(x) == 2) or original(x, u))
+
+        def record(name):
+            # each loop is recorded through the entry point it calls: the
+            # reference through apply, psi_iterate_gs through apply_into
+            original = getattr(F, name)
+            monkeypatch.setattr(F, name, lambda x, u, *out: sweeps.append(np.ndim(x) == 2)
+                                or original(x, u, *out))
+
         errors = []
         with np.errstate(over="ignore"):
-            for run in (lambda: reference_psi(F, obs, torus_traj, [1e300, -1e300], 0.0, 100),
-                        lambda: psi_iterate_gs(F, torus, obs, torus_traj, [1e300, -1e300],
-                                               tol=0.0, max_iters=100)):
+            for name, run in (
+                    ("apply", lambda: reference_psi(F, obs, torus_traj, [1e300, -1e300], 0.0,
+                                                    100)),
+                    ("apply_into", lambda: psi_iterate_gs(F, torus, obs, torus_traj,
+                                                          [1e300, -1e300], tol=0.0,
+                                                          max_iters=100))):
+                record(name)
                 with pytest.raises(NonFiniteError) as exc:
                     run()
+                monkeypatch.undo()
                 errors.append((str(exc.value), sum(sweeps)))
                 sweeps.clear()
         assert errors[0] == errors[1]
         assert errors[0] == ("custom state map returned non-finite values", 28)
+
+    def test_negative_zero_case_holds_negative_zeros(self, torus_traj):
+        obs = CustomObservation(lambda m: -0.5 - m[..., :1], obs_dim=1, phase_dim=2)
+        u = PowerSine(0.9, 0.0, 1.0).input_terms(observe_trajectory(obs, torus_traj))
+        assert np.signbit(u[:, 0]).all() and not np.signbit(u[:, 1:]).any()
+        assert not np.signbit(np.sign(-0.0)) and np.signbit(np.copysign(0.0, -0.0))
+
+    def test_apply_only_map_through_the_stacked_drive(self, torus, torus_traj):
+        F = HalvingSine()
+        obs = CoordinateProjection([0], 2)
+        starts = [[0.3, -0.2], [-1.0, 2.0], [0.0, -0.0]]
+        stacked = _drive_regions(F, torus, obs, None, starts, [None] * 3, 10, 100, torus_traj)
+        z = observe_trajectory(obs, torus_traj)
+        for gs, x0 in zip(stacked, starts):
+            values = reference_states(F, z[1:111], x0)[10:]
+            assert gs.values.tobytes() == values.tobytes()
+            residuals = np.linalg.norm(values[1:] - formula(F)(values[:-1], z[11:111]), axis=-1)
+            assert gs.residuals[1:].tobytes() == residuals.tobytes()
+            assert gs.method == {"name": "drive", "washout_steps": 10, "x0": x0}
 
 
 @st.composite
@@ -678,8 +746,9 @@ class TestStackedDrive:
         starts = [r.center() for r in regions]
         lone = lone_drives(F, sys, obs, traj, starts, regions, washout, record)
         shapes = []
-        original = F.apply
-        monkeypatch.setattr(F, "apply", lambda x, u: shapes.append(np.shape(x)) or original(x, u))
+        original = F.apply_into
+        monkeypatch.setattr(F, "apply_into",
+                            lambda x, u, out: shapes.append(np.shape(x)) or original(x, u, out))
         stacked = _drive_regions(F, sys, obs, None, starts, regions, washout, record, traj)
         # one recursion over all regions, one step at a time, then a residual per region
         steps = washout + record
@@ -754,12 +823,13 @@ class TestStackedDrive:
         starts = [r.center() for r in regions]
         lone = lone_drives(F, torus, obs, traj, starts, regions, 50, 200)
         calls = []
-        original = F.apply
-        monkeypatch.setattr(F, "apply", lambda x, u: calls.append(np.shape(x)) or original(x, u))
+        original = F.apply_into
+        monkeypatch.setattr(F, "apply_into",
+                            lambda x, u, out: calls.append(np.shape(x)) or original(x, u, out))
         result = multistability_sweep(F, regions, torus, obs, None, washout_steps=50,
                                       record_steps=200, trajectory=traj)
-        # one stacked run of all 250 steps, its rows judged alone: no (2,) re-drive;
-        # the other calls are the residual evals of the two kept regions
+        # one stacked run of all 250 steps, its rows judged alone: no (2,) re-drive
+        # (the residual evals of the two kept regions call apply, not apply_into)
         assert [s for s in calls if s != (200, 2)] == [(3, 2)] * 250
         assert isinstance(lone[1], NonFiniteError)
         assert result.failures == {"bad": f"NonFiniteError: {lone[1]}"}
@@ -951,6 +1021,25 @@ class TestSerialization:
         assert stored.read_bytes() == recomputed.read_bytes()
         write_gs_csv(iv_drive, tmp_path / "no_map.csv")
         assert (tmp_path / "no_map.csv").read_bytes() == stored.read_bytes()
+
+    def test_shared_columns_are_keyed_by_their_bytes(self, tmp_path, iv_drive):
+        # same shapes throughout; -0.0 == 0.0 and nan != nan, but their text differs
+        # or matches by the bytes alone
+        points = iv_drive.points.copy()
+        points[0, 0] = 0.0
+        signed = points.copy()
+        signed[0, 0] = -0.0
+        with_nan = points.copy()
+        with_nan[1, 1] = np.nan
+        variants = [(points, None), (signed, None), (points, None), (with_nan, None),
+                    (with_nan.copy(), None), (points, 0.01), (signed, 0.01)]
+        shared = {}
+        for i, (p, scale) in enumerate(variants):
+            gs = replace(iv_drive, points=p, values=-iv_drive.values if i % 2 else iv_drive.values)
+            write_gs_csv(gs, tmp_path / "shared.csv", time_scale=scale, shared=shared)
+            write_gs_csv(gs, tmp_path / "alone.csv", time_scale=scale)
+            assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+        assert len(shared) == 5
 
     def test_gs_csv_roundtrip(self, tmp_path, power_sine, lorenz_obs, iv_drive):
         path = tmp_path / "gs.csv"

@@ -9,7 +9,7 @@ from gsync import (AxisBox, CoordinateProjection, CustomStateMap, Esn, InputRang
 from gsync.errors import DimensionMismatch, DomainViolation, NonFiniteError
 from gsync.statemaps import _CHUNK
 
-from conftest import FIXED_POINTS, IV_ALPHA, IV_K, IV_LAMBDA, affine_half
+from conftest import FIXED_POINTS, IV_ALPHA, IV_K, IV_LAMBDA, affine_half, formula
 
 
 def fd_jac_state(F, x, z, h=1e-7):
@@ -89,6 +89,32 @@ class TestEvaluationContract:
         # eval is written once, on the base class
         for cls in (Esn, LinearDelay, PowerSine, CustomStateMap):
             assert "eval" not in vars(cls) and "apply" in vars(cls)
+
+    @pytest.mark.parametrize("F", [PowerSine(0.9, 0.009, 10.0), LinearDelay(2),
+                                   *(small_esn(0.9, name, n=5)
+                                     for name in ("tanh", "logistic", "identity"))],
+                             ids=["power_sine", "linear_delay", "tanh", "logistic", "identity"])
+    @pytest.mark.parametrize("x_batch, z_batch", [((), ()), ((6,), (6,)), ((), (6,)), ((6,), ()),
+                                                  ((3, 1), (4,))])
+    def test_in_place_kernel_is_the_formula(self, F, x_batch, z_batch):
+        # the batch shapes broadcast, as in eval; -0.0, zeros and nan included
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-2.0, 2.0, size=x_batch + (F.state_dim,))
+        x.ravel()[:3] = [-0.0, 0.0, np.nan][:x.size]
+        u = F.input_terms(rng.uniform(-3.0, 3.0, size=z_batch + (F.input_dim,)))
+        expected = formula(F)(x, u)
+        out = np.full(expected.shape, 7.0)
+        with np.errstate(invalid="ignore"):
+            assert F.apply_into(x, u, out) is out
+            assert out.tobytes() == expected.tobytes()
+            assert F.apply(x, u).tobytes() == expected.tobytes()
+
+    def test_apply_into_defaults_to_a_copy_of_apply(self):
+        F = Halving()
+        x, u = np.array([[1.0, -0.0], [3.0, np.nan]]), np.array([[0.5], [-0.0]])
+        out = np.empty((2, 2))
+        assert F.apply_into(x, u, out) is out
+        assert out.tobytes() == F.apply(x, u).tobytes()
 
     def test_custom_apply_is_the_function_unchecked(self):
         F = CustomStateMap(lambda x, z: np.where(x > 10.0, np.nan, 0.5 * x + z),

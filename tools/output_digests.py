@@ -2,8 +2,9 @@
 
 Usage: python3 tools/output_digests.py OUT_DIR
 
-Runs ``simulate``, ``certify``, ``synchronize --method both`` and
-``diagnose`` on the built-in Section IV config, on ``TAKENS`` (a depth-7
+Runs ``simulate``, ``certify``, ``synchronize`` (``--method both`` into
+``synchronize``, ``psi`` and ``drive`` into ``synchronize_psi`` and
+``synchronize_drive``) and ``diagnose`` on the built-in Section IV config, on ``TAKENS`` (a depth-7
 delay line driven by a linear observation of a torus rotation, on a box and
 a ball) and on the seed-1 config of each benchmark workload
 (``perfbench/workloads.py``), plus ``reproduce`` fig1..fig4, each into its
@@ -85,7 +86,11 @@ run.record = 1000
 run.method = both
 run.seed = 3
 """
-COMMANDS = (["simulate"], ["certify"], ["synchronize", "--method", "both"], ["diagnose"])
+COMMANDS = {"simulate": ["simulate"], "certify": ["certify"],
+            "synchronize": ["synchronize", "--method", "both"],
+            "synchronize_psi": ["synchronize", "--method", "psi"],
+            "synchronize_drive": ["synchronize", "--method", "drive"],
+            "diagnose": ["diagnose"]}  # output directory -> arguments
 FIGURES = ("fig1", "fig2", "fig3", "fig4")
 
 
@@ -202,8 +207,8 @@ def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[
     for name in workloads.NAMES:
         configs[name] = workloads.build(name, 1, os.path.join(inputs_dir, name)).config_path
 
-    runs = [[*cmd, "--config", path, "--out", os.path.join(out_dir, label, cmd[0])]
-            for label, path in configs.items() for cmd in COMMANDS]
+    runs = [[*cmd, "--config", path, "--out", os.path.join(out_dir, label, name)]
+            for label, path in configs.items() for name, cmd in COMMANDS.items()]
     runs += [["reproduce", "--figure", fig, "--out", os.path.join(out_dir, "reproduce", fig)]
              for fig in FIGURES]
     failures = []
