@@ -9,7 +9,7 @@ also below the reciprocal of the driving system's inverse tangent norm).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -160,10 +160,49 @@ class ContractionCertificate:
         return ",".join(_field(values[k]) for k in _CSV_FIELDS)
 
 
+@dataclass(frozen=True)
+class _OrbitConstants:
+    """The constants of a certificate that depend on the samples and not on
+    the region: the input range and the sampled tangent and ||D omega||
+    norms, with the number of samples they were taken over."""
+
+    input_range: InputRange
+    tangent_norm: float
+    tangent_inv_norm: float
+    domega_norm: float
+    n_tangent_samples: int
+    # (sys, obs, attractor_samples, max_tangent_samples) they were taken from
+    source: tuple = field(repr=False, compare=False)
+
+    def taken_from(self, sys, obs, attractor_samples, max_tangent_samples) -> bool:
+        s, o, a, m = self.source
+        return s is sys and o is obs and a is attractor_samples and m == max_tangent_samples
+
+
+def _orbit_constants(sys: DiscreteSystem, obs: ObservationMap, attractor_samples,
+                     max_tangent_samples: int = 1000,
+                     input_range: InputRange | None = None) -> _OrbitConstants:
+    """``certify``'s region-independent constants on the samples: the hull
+    of their observations, and the suprema of ||T phi||, ||T phi^-1|| and
+    ||D omega|| over at most ``max_tangent_samples`` evenly spaced ones.
+    ``input_range``, if given, is that hull as the caller already took it."""
+    samples = np.atleast_2d(np.asarray(attractor_samples, dtype=float))
+    if input_range is None:
+        input_range = InputRange.from_observations(_observe(obs, samples, finite=True))
+    tangent_samples = samples
+    if len(samples) > max_tangent_samples:
+        idx = np.linspace(0, len(samples) - 1, max_tangent_samples).astype(int)
+        tangent_samples = samples[idx]
+    tnorm, tinv = tangent_norm_bounds(sys, tangent_samples)
+    return _OrbitConstants(input_range, tnorm, tinv, obs.norm_bound(tangent_samples),
+                           len(tangent_samples),
+                           (sys, obs, attractor_samples, max_tangent_samples))
+
+
 def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
             obs: ObservationMap, attractor_samples, *, resolution: int = 20,
-            n_inputs: int = 200, rng=None,
-            max_tangent_samples: int = 1000) -> ContractionCertificate:
+            n_inputs: int = 200, rng=None, max_tangent_samples: int = 1000,
+            _constants: _OrbitConstants | None = None) -> ContractionCertificate:
     """Assemble the full certificate for F restricted to region.
 
     Failed conditions are reported as flags rather than errors.  The input
@@ -180,9 +219,18 @@ def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
     Otherwise the constants are ``lipschitz_bounds``' grid suprema (method
     "grid").  ``diff_ok`` also needs ``F.derivative_order >= 2``, since the
     constants l_fxx and l_fxz presume second derivatives.
+
+    ``_constants``, private, holds the region-independent constants when a
+    caller that certifies many regions took them once (``_orbit_constants``)
+    from these same sys, obs, attractor_samples and max_tangent_samples;
+    constants taken from any others raise ValueError.
     """
-    samples = np.atleast_2d(np.asarray(attractor_samples, dtype=float))
-    input_range = InputRange.from_observations(_observe(obs, samples, finite=True))
+    orbit = _constants
+    if orbit is None:
+        orbit = _orbit_constants(sys, obs, attractor_samples, max_tangent_samples)
+    elif not orbit.taken_from(sys, obs, attractor_samples, max_tangent_samples):
+        raise ValueError("_constants were taken from other samples or settings")
+    input_range, tinv, domega = orbit.input_range, orbit.tangent_inv_norm, orbit.domega_norm
 
     analytic = F.analytic_lipschitz(region, input_range)
     if analytic is None:
@@ -190,15 +238,6 @@ def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
                                   n_inputs=n_inputs, rng=rng)
     else:
         bounds = LipschitzBounds(method="analytic", analytic=analytic, grid=None, **analytic)
-
-    if len(samples) > max_tangent_samples:
-        idx = np.linspace(0, len(samples) - 1, max_tangent_samples).astype(int)
-        tangent_samples = samples[idx]
-    else:
-        tangent_samples = samples
-    tnorm, tinv = tangent_norm_bounds(sys, tangent_samples)
-
-    domega = obs.norm_bound(tangent_samples)
 
     inv = check_invariance(F, region, input_range, resolution=resolution,
                            n_inputs=n_inputs, rng=rng)
@@ -222,7 +261,7 @@ def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
     return ContractionCertificate(
         region_label=region.label,
         bounds=bounds,
-        tangent_norm=tnorm,
+        tangent_norm=orbit.tangent_norm,
         tangent_inv_norm=tinv,
         domega_norm=domega,
         invariance_ok=inv.ok,
@@ -234,5 +273,5 @@ def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
         delta0=delta0,
         c0=c0,
         sampled=sampled,
-        n_tangent_samples=len(tangent_samples),
+        n_tangent_samples=orbit.n_tangent_samples,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientPairs, LengthMismatch
-from .gs import SampledGS, _sum_of_squares, run_recursion
+from .gs import SampledGS, _add_columns, run_recursion
 from .regions import InputRange, InvariantRegion, _rng
 from .statemaps import StateMap
 
@@ -126,7 +126,7 @@ def _squared_distances(points, cols, a, b) -> np.ndarray:
     if len(cols) >= 8:
         diff = points[a] - points[b]
         return np.add.reduce(diff * diff, axis=-1)
-    return _sum_of_squares(col[a] - col[b] for col in cols)
+    return _add_columns(np.multiply(d, d, out=d) for d in (col[a] - col[b] for col in cols))
 
 
 def _pairs_within(points: np.ndarray, radius: float):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -103,21 +104,36 @@ class DiscreteSystem:
             raise ValueError("n_steps must be >= 1")
         m = _as_point(m0, self.phase_dim)
         advance, state = self._stepper(m)
-        pts = np.empty((n_steps + 1, self.phase_dim))
-        pts[0] = m
-        for k in range(n_steps):
-            try:
-                state = advance(state)
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"trajectory failed at step {k + 1}: {exc}") from exc
-            pts[k + 1] = state
-        return Trajectory(points=pts, t0=t0)
+
+        def images(state):
+            for k in range(n_steps):
+                try:
+                    state = advance(state)
+                except NonFiniteError as exc:
+                    raise NonFiniteError(f"trajectory failed at step {k + 1}: {exc}") from exc
+                yield state
+
+        # every coordinate in order into one array of the exact size
+        coords = chain(m, chain.from_iterable(images(state)))
+        points = np.fromiter(coords, float, count=(n_steps + 1) * self.phase_dim)
+        return Trajectory(points=points.reshape(n_steps + 1, self.phase_dim), t0=t0)
 
     def _stepper(self, m: np.ndarray):
         """(advance, state) for ``trajectory``: one forward step on a state
-        that starts at m and that a row of the points array accepts.
-        Subclasses override it with a cheaper state than a checked point."""
-        return self.step, m
+        that starts at m and iterates over the point's phase_dim coordinates.
+        By default ``step``, whose image must be a point of shape
+        (phase_dim,); subclasses override it with a cheaper state than a
+        checked point."""
+        step, shape = self.step, (self.phase_dim,)
+
+        def advance(m):
+            image = step(m)
+            if np.shape(image) != shape:  # the last image meets no later check
+                raise DimensionMismatch(f"step returned shape {np.shape(image)}, "
+                                        f"expected {shape}")
+            return image
+
+        return advance, m
 
     def _tangent_maps(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stacked T_m(phi) and T_m(phi^-1), each (n, phase_dim, phase_dim),

@@ -54,10 +54,10 @@ def run_recursion(F: StateMap, z, x0) -> np.ndarray:
     Returns shape (len(z) + 1,) + x0.shape with row 0 = x0; a 1-D z is a
     sequence of scalar inputs and a 0-d z one scalar input.  x0 is checked
     once, ``F.input_terms`` (which checks z) is called once on all of z, and
-    then ``F.apply_into`` once per step on an array of exactly x0's shape,
-    writing into the next row, so a state (N,) and a batch of states (B, N)
-    each evaluate as they would alone.  F's non-finite rule then judges the
-    finished states.
+    then F's kernel, prepared once for x0's shape (``F._kernel``), once per
+    step on an array of exactly that shape, writing into the next row, so a
+    state (N,) and a batch of states (B, N) each evaluate as they would
+    alone.  F's non-finite rule then judges the finished states.
     """
     states = _recur(F, z, x0)
     F._check_finite(states[1:])
@@ -73,29 +73,41 @@ def _recur(F: StateMap, z, x0) -> np.ndarray:
     u = F.input_terms(z)
     states = np.empty((len(z) + 1,) + x.shape)
     states[0] = x
-    for t in range(len(z)):
-        F.apply_into(states[t], u[t], states[t + 1])
+    step = F._kernel(x.shape)
+    for prev, u_t, out in zip(states, u, states[1:]):
+        step(prev, u_t, out)
     return states
 
 
-def _sum_of_squares(columns) -> np.ndarray:
-    """The squares of the columns added left to right, in place: how
-    ``np.linalg.norm(x, axis=-1)`` sums the squared columns of a many-row x
-    below 8 columns, with the same add kernel (so even a nan keeps its sign)."""
-    return reduce(iadd, (col * col for col in columns))
+def _add_columns(columns, out=None) -> np.ndarray:
+    """The columns added left to right, in place: how
+    ``np.linalg.norm(x, axis=-1)`` adds the squared columns of a many-row x
+    below 8 columns, with the same add kernel (so even a nan keeps its
+    sign).  The sum goes into ``out`` if given, else into the first column:
+    the columns are the caller's scratch."""
+    columns = iter(columns)
+    total = next(columns)
+    if out is not None:
+        np.copyto(out, total)
+        total = out
+    return reduce(iadd, columns, total)
 
 
-def _max_row_norm(d: np.ndarray) -> float:
-    """``np.max(np.linalg.norm(d, axis=-1))`` of a matrix d (n, N), bit for bit.
+def _max_row_norm(d: np.ndarray, sums: np.ndarray) -> float:
+    """``np.max(np.linalg.norm(d, axis=-1))`` of a matrix d (n, N), bit for
+    bit, with d and the (n,) array ``sums`` as scratch.
 
-    Below 8 columns ``_sum_of_squares`` sums the squared columns as numpy
-    does; sqrt is monotone, so the root of the largest sum is the largest
-    root.  From 8 columns numpy sums pairwise, and a lone row takes its
-    scalar reduction, whose nan sign can differ: both keep ``np.linalg.norm``.
+    Below 8 columns it squares d in place and adds its columns into
+    ``sums`` (``_add_columns``) as numpy adds them, with no array
+    allocated; sqrt is monotone, so the root of the largest sum is the
+    largest root.  The maximum is taken over the contiguous ``sums``: a
+    strided maximum can return another nan.  From 8 columns numpy sums
+    pairwise, and a lone row takes its scalar reduction, whose nan sign can
+    differ: both keep ``np.linalg.norm``.
     """
     if d.shape[1] >= 8 or len(d) < 2:
         return float(np.max(np.linalg.norm(d, axis=-1)))
-    return float(np.sqrt(np.max(_sum_of_squares(d.T))))
+    return float(np.sqrt(np.max(_add_columns(np.multiply(d, d, out=d).T, out=sums))))
 
 
 def _field(value) -> str:
@@ -266,8 +278,9 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
     that contaminated left margin from the returned sample set.
 
     Sweeps are simultaneous (Jacobi) updates from the previous iterate,
-    written by ``F.apply_into`` into the other of two preallocated iterates,
-    and stop when the sup-norm change falls to ``tol``.  If ``l_fx`` is given,
+    written by F's kernel (``F._kernel``, prepared once) into the other of
+    two preallocated iterates, and stop when the sup-norm change, taken in
+    a preallocated change buffer, falls to ``tol``.  If ``l_fx`` is given,
     the a-priori fixed-point error bound l_fx^n/(1-l_fx)*||f1-f0|| is
     reported alongside the final sup-change.
     """
@@ -282,14 +295,15 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
 
     n = len(trajectory)
     f = np.broadcast_to(f0, (n, F.state_dim)).copy()
-    f_new, diff = np.empty_like(f), np.empty_like(f)
+    f_new, diff, sums = np.empty_like(f), np.empty_like(f), np.empty(n)
     boundary = F.eval(f0, z[0])  # constant: frozen predecessor value
     u = F.input_terms(z[1:])
+    step = F._kernel(f[:-1].shape)
     change_history = []
     for _ in range(max_iters):
         f_new[0] = boundary
-        F.apply_into(f[:-1], u, f_new[1:])
-        change = _max_row_norm(np.subtract(f_new, f, out=diff))
+        step(f[:-1], u, f_new[1:])
+        change = _max_row_norm(np.subtract(f_new, f, out=diff), sums)
         # a finite change needs finite rows in f and f_new alike
         if not math.isfinite(change):
             F._check_finite(f_new[1:])

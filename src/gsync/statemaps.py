@@ -107,16 +107,17 @@ SQUASHINGS = {
 class StateMap:
     """Base class for driven state maps.
 
-    A subclass defines ``apply`` and may override ``input_terms``,
-    ``apply_into`` and ``nonfinite_error``, the text of the
-    ``NonFiniteError`` raised on a non-finite state (None, the default,
-    accepts such states).  The recursions evaluate F through
-    ``apply_into(x, u, out)``, which writes F into the caller's array:
-    ``out`` has the batch shape of (x, u) and N columns and never aliases x
-    or u.  Its default copies ``apply``'s result into ``out``, so a map
-    that defines only a two-argument ``apply`` works unchanged; the
-    built-in maps compute F in ``apply_into`` and ``apply`` fills a fresh
-    array through it, so each keeps one kernel.  ``eval``,
+    A subclass defines ``apply`` and may override ``input_terms`` and
+    ``nonfinite_error``, the text of the ``NonFiniteError`` raised on a
+    non-finite state (None, the default, accepts such states).  The
+    recursions step F through ``_kernel(shape)``, prepared once per run for
+    states of one shape: ``step(x, u, out)`` writes F into the caller's
+    array, which is C-contiguous, has the batch shape of (x, u) and N
+    columns and never aliases x or u.  The default step copies ``apply``'s
+    result into ``out``, so a map that defines only a two-argument
+    ``apply`` works unchanged; the built-in maps compute F in their kernel
+    and ``apply`` fills a fresh array through it, so each keeps one
+    formula.  ``apply_into(x, u, out)`` runs a kernel once.  ``eval``,
     ``jac_state``, ``jac_input`` and ``second_partials`` take x (..., N) and
     z (..., d) with leading batch axes that broadcast.  The ``*_norms``
     methods, one norm per row of X, Z, are ``lipschitz_bounds``' grid.
@@ -170,14 +171,28 @@ class StateMap:
 
     def apply_into(self, x, u, out) -> np.ndarray:
         """``apply(x, u)`` written into ``out`` (never x or u), which is
-        returned; no checks.  By default a copy of ``apply``'s result."""
-        out[...] = self.apply(x, u)
-        return out
+        returned, by a kernel prepared for x's shape; no checks."""
+        return self._kernel(x.shape)(x, u, out)
+
+    def _kernel(self, shape):
+        """``step(x, u, out)``, F written into ``out`` for states x of
+        ``shape``, with the map's constants and any scratch array bound
+        once: the recursions prepare one per run and call it at every step.
+        Each call of ``_kernel`` gets its own scratch.  By default a copy of
+        ``apply``'s result, so a map that defines ``apply`` gets one."""
+        apply = self.apply
+
+        def step(x, u, out):
+            out[...] = apply(x, u)
+            return out
+
+        return step
 
     def _apply_fresh(self, x, u) -> np.ndarray:
-        """``apply_into`` a new array: the ``apply`` of an in-place kernel."""
+        """F in a new array by a prepared kernel: the ``apply`` of a map
+        that computes F in ``_kernel``."""
         out = np.empty(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (self.state_dim,))
-        return self.apply_into(x, u, out)
+        return self._kernel(x.shape)(x, u, out)
 
     def __call__(self, x, z) -> np.ndarray:
         return self.eval(x, z)
@@ -271,13 +286,21 @@ class Esn(StateMap):
         """sigma(x A^T + u) for u from ``input_terms``; no checks."""
         return self._apply_fresh(x, u)
 
-    def apply_into(self, x, u, out) -> np.ndarray:
-        if x.shape == out.shape:
-            np.matmul(x, self.A.T, out=out)
-        else:  # x's batch broadcasts against u's, which matmul's out cannot do
-            out[...] = x @ self.A.T
-        out += u
-        return self.squashing.func(out, out=out)
+    def _kernel(self, shape):
+        At, squash = self.A.T, self.squashing.func
+        # on 1-D and 2-D states np.dot is matmul's BLAS call with less
+        # dispatch; on higher ranks the two sum differently
+        product = np.dot if len(shape) <= 2 else np.matmul
+
+        def step(x, u, out):
+            if x.shape == out.shape:
+                product(x, At, out)
+            else:  # x's batch broadcasts against u's, which an out array cannot take
+                out[...] = x @ At
+            np.add(out, u, out)
+            return squash(out, out)
+
+        return step
 
     def _pre(self, x, z) -> np.ndarray:
         return self._check_state(x) @ self.A.T + self.input_terms(z)
@@ -348,10 +371,13 @@ class LinearDelay(Esn):
         """(u_1, x_1, ..., x_{2q}) for u from ``input_terms``, by copying."""
         return self._apply_fresh(x, u)
 
-    def apply_into(self, x, u, out) -> np.ndarray:
-        out[..., :1] = u[..., :1]
-        out[..., 1:] = x[..., :-1]
-        return out
+    def _kernel(self, shape):
+        def step(x, u, out):
+            out[..., :1] = u[..., :1]
+            out[..., 1:] = x[..., :-1]
+            return out
+
+        return step
 
 
 class PowerSine(StateMap):
@@ -392,14 +418,19 @@ class PowerSine(StateMap):
         """s(x) + u for u from ``input_terms``; no checks."""
         return self._apply_fresh(x, u)
 
-    def apply_into(self, x, u, out) -> np.ndarray:
-        # the operations of _signed_power(x) + u, each written into out;
-        # not copysign, which turns x = -0.0 into -0.0 where np.sign gives +0.0
-        np.abs(x, out=out)
-        out **= self.alpha  # the scalar-power dispatch of |x| ** alpha
-        np.multiply(np.sign(x), out, out=out)
-        out += u
-        return out
+    def _kernel(self, shape):
+        alpha, sign = self.alpha, np.empty(shape)
+
+        def step(x, u, out):
+            # the operations of _signed_power(x) + u, each written into out;
+            # not copysign, which turns x = -0.0 into -0.0 where np.sign gives +0.0
+            np.abs(x, out)
+            out **= alpha  # the scalar-power dispatch of |x| ** alpha
+            np.multiply(np.sign(x, sign), out, out)
+            np.add(out, u, out)
+            return out
+
+        return step
 
     def _check_away_from_zero(self, x: np.ndarray):
         if np.any(np.abs(x) == 0.0):

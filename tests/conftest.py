@@ -40,6 +40,24 @@ def formula(F):
     return F.apply
 
 
+def record_steps(F, monkeypatch, record):
+    """Patch F so that every step of each kernel it prepares (``F._kernel``),
+    the entry point the recursions and psi sweeps call, first calls
+    ``record(x)`` on the step's state."""
+    prepare = F._kernel
+
+    def recording_kernel(shape):
+        step = prepare(shape)
+
+        def recording_step(x, u, out):
+            record(x)
+            return step(x, u, out)
+
+        return recording_step
+
+    monkeypatch.setattr(F, "_kernel", recording_kernel)
+
+
 def affine_half(dim=1, derivative_order=2):
     """F(x, z) = x / 2 + z with per-point Jacobian callables (one matrix
     whatever the batch)."""

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gsync import (AxisBox, Ball, InputRange, PowerSine, cli, observe_trajectory,
-                   psi_iterate_gs)
+from gsync import (AxisBox, Ball, InputRange, LinearObservation, PowerSine, certify, cli,
+                   contraction, observe_trajectory, psi_iterate_gs)
 from gsync.cli import main, section_iv_config
 from gsync import config
 from gsync.config import _KEYS, parse_config_text
@@ -577,6 +577,43 @@ class TestCertify:
         assert (cert["region"], cert["l_fx"], cert["l_fxx"]) == ("Z", "inf", "inf")
         assert (cert["esp_ok"], cert["diff_ok"]) == ("False", "False")
         assert "method: analytic" in (tmp_path / "out20" / "certificates.txt").read_text()
+
+    def test_region_independent_constants_once_per_command(self, tmp_path, monkeypatch):
+        # three regions on one orbit: one input range, one set of tangent and
+        # D omega norms, and each certificate the one certify gives alone
+        text = (TestOneOrbit.SHORT_IV + "region.2.kind = box\nregion.2.lo = -1.1 0.9 0.9\n"
+                "region.2.hi = -0.9 1.1 1.1\nregion.2.label = V2\nregion.3.kind = ball\n"
+                "region.3.center = 1 1 1\nregion.3.radius = 0.1\nregion.3.label = B\n")
+        cfg_path = write_cfg(tmp_path, text)
+        cfg = parse_config_text(text)
+        traj = cfg.system.trajectory(cfg.initial, cfg.n_steps)
+        alone = [certify(cfg.statemap, region, cfg.system, cfg.observation, traj.points,
+                         resolution=cfg.grid_resolution, n_inputs=cfg.input_samples,
+                         rng=cfg.seed) for region in cfg.regions]
+        calls = []
+        for owner, name in ((contraction, "tangent_norm_bounds"),
+                            (LinearObservation, "norm_bound"),
+                            (contraction.InputRange, "from_observations")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, name=name, original=original:
+                                calls.append(name) or original(*a))
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg_path, "--out", str(out)]) == 0
+        # the hull cli._orbit takes is the one the certificates use
+        assert sorted(calls) == ["from_observations", "norm_bound", "tangent_norm_bounds"]
+        assert (out / "certificates.txt").read_text() == "".join(
+            cert.report_text() + "\n\n" for cert in alone)
+        assert [line for line in (out / "certificates.csv").read_text().splitlines()
+                if not line.startswith("#")][1:] == [cert.csv_row() for cert in alone]
+
+    def test_constants_of_other_samples_are_refused(self):
+        cfg = parse_config_text(TestOneOrbit.SHORT_IV)
+        points = cfg.system.trajectory(cfg.initial, 50).points
+        constants = contraction._orbit_constants(cfg.system, cfg.observation, points)
+        for samples, most in ((points.copy(), 1000), (points, 10)):
+            with pytest.raises(ValueError, match="^_constants were taken from other samples"):
+                certify(cfg.statemap, cfg.regions[0], cfg.system, cfg.observation, samples,
+                        max_tangent_samples=most, _constants=constants)
 
     def test_ball_holding_a_zero_coordinate_is_unbounded(self, tmp_path):
         # a PowerSine ball takes the grid path; its center is a grid point

@@ -6,7 +6,7 @@ import pytest
 from gsync import (CatMap, CoordinateProjection, CustomObservation, CustomSystem,
                    LinearObservation, OdeFlow, TorusRotation, check_equivariance,
                    delay_window, lorenz_field, lorenz_system, tangent_norm_bounds)
-from gsync.dynsys import DiscreteSystem
+from gsync.dynsys import DiscreteSystem, _as_point
 from gsync.errors import DimensionMismatch, NonFiniteError, RoundTripFailure
 
 from conftest import LORENZ_M0
@@ -401,6 +401,52 @@ class TestPlainFloatSteps:
             short = system.trajectory(m0, step - 1).points
         assert short.tobytes() == step_loop(system, m0, step - 1).tobytes()
         assert not np.isfinite(short[-1]).all()
+
+
+class Doubling(DiscreteSystem):
+    """m -> 2m on numpy points, its input checked as ``step``s check a point
+    and its image not: a system on the default stepper."""
+
+    def __init__(self):
+        super().__init__(phase_dim=2)
+
+    def step(self, m):
+        return 2.0 * _as_point(m, 2)
+
+
+def test_numpy_stepper_keeps_the_error_and_the_unchecked_last_point():
+    system, m0 = Doubling(), [1e307, -0.0]  # 2**5 * 1e307 overflows
+    with np.errstate(over="ignore"):
+        points = system.trajectory(m0, 5).points
+        assert points.tobytes() == step_loop(system, m0, 5).tobytes()
+        assert points.shape == (6, 2) and points[-1, 0] == np.inf
+        assert np.signbit(points[:, 1]).all()
+        with pytest.raises(NonFiniteError) as expected:
+            step_loop(system, m0, 6)
+        with pytest.raises(NonFiniteError) as got:
+            system.trajectory(m0, 6)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("trajectory failed at step 6: non-finite point")
+
+
+class Lengthening(Doubling):
+    """``Doubling`` whose images gain a coordinate from the second step on."""
+
+    def step(self, m):
+        image = super().step(m)
+        return np.append(image, 0.0) if image[0] > 3.0 else image
+
+
+@pytest.mark.parametrize("system, m0, steps", [
+    (Lengthening(), [1.0, 0.0], 2),  # only the last image is too long
+    (CustomSystem(lambda m: np.append(m, 0.0), None, phase_dim=2), [0.1, 0.2], 1),
+    (CustomSystem(lambda m: m[:1], None, phase_dim=2), [0.1, 0.2], 1),
+    (CustomSystem(lambda m: m[0], None, phase_dim=1), [0.1], 1),
+], ids=["long_last", "long", "short", "scalar"])
+def test_numpy_stepper_rejects_an_image_of_the_wrong_shape(system, m0, steps):
+    # the last image too, which no later step checks
+    with pytest.raises(DimensionMismatch, match=r"^step returned shape \("):
+        system.trajectory(m0, steps)
 
 
 class TestDelayAndEquivariance:

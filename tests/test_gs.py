@@ -14,7 +14,7 @@ from gsync.errors import (DimensionMismatch, DisjointRanges, DomainViolation, Gs
 from gsync import gs as gs_module
 from gsync.gs import _drive_regions, _max_row_norm
 
-from conftest import LORENZ_M0, esn_reservoir, formula
+from conftest import LORENZ_M0, esn_reservoir, formula, record_steps
 
 IV_LFX = 0.9 * 0.9 ** (-0.1)
 EPS = np.finfo(float).eps
@@ -64,13 +64,7 @@ class TestRunRecursion:
         expected = reference_states(F, z, x0)
 
         seen = []
-        original = F.apply_into
-
-        def recording_apply_into(x, u, out):
-            seen.append(np.shape(x))
-            return original(x, u, out)
-
-        monkeypatch.setattr(F, "apply_into", recording_apply_into)
+        record_steps(F, monkeypatch, lambda x: seen.append(np.shape(x)))
         states = run_recursion(F, z, x0)
         assert states.shape == (len(z) + 1,) + shape
         assert np.array_equal(states, expected)
@@ -339,11 +333,8 @@ class TestNonFinite:
     def test_psi_stops_at_the_first_non_finite_sweep(self, run, monkeypatch):
         F = PowerSine(0.9, 0.009, 10.0)
         sweeps = []
-        original = F.apply_into
         # a sweep applies F to all points at once; eval applies it to one
-        monkeypatch.setattr(F, "apply_into",
-                            lambda x, u, out: sweeps.append(np.ndim(x) == 2)
-                            or original(x, u, out))
+        record_steps(F, monkeypatch, lambda x: sweeps.append(np.ndim(x) == 2))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
             run("psi", F, spiked_observation(1e308))
         assert sum(sweeps) == 1
@@ -471,11 +462,10 @@ class TestNonFiniteRule:
             run_recursion(F, z[1:], bad)
         assert evals == []
 
-    def test_custom_recursion_runs_to_the_end_before_raising(self):
+    def test_custom_recursion_runs_to_the_end_before_raising(self, monkeypatch):
         F = thresholded_map()
         steps = []
-        original = F.apply_into
-        F.apply_into = lambda x, u, out: steps.append(1) or original(x, u, out)
+        record_steps(F, monkeypatch, lambda x: steps.append(1))
         with pytest.raises(NonFiniteError):
             run_recursion(F, np.zeros((30, 1)), [20.0, 0.0])
         assert len(steps) == 30
@@ -634,22 +624,24 @@ class TestPsiAgainstJacobiLoop:
         obs = CoordinateProjection([0], 2)
         sweeps = []
 
-        def record(name):
-            # each loop is recorded through the entry point it calls: the
-            # reference through apply, psi_iterate_gs through apply_into
-            original = getattr(F, name)
-            monkeypatch.setattr(F, name, lambda x, u, *out: sweeps.append(np.ndim(x) == 2)
-                                or original(x, u, *out))
+        def sweep(x):
+            sweeps.append(np.ndim(x) == 2)
+
+        def record_apply():
+            original = F.apply
+            monkeypatch.setattr(F, "apply", lambda x, u: sweep(x) or original(x, u))
 
         errors = []
+        # each loop is recorded through the entry point it calls: the
+        # reference through apply, psi_iterate_gs through its prepared kernel
         with np.errstate(over="ignore"):
-            for name, run in (
-                    ("apply", lambda: reference_psi(F, obs, torus_traj, [1e300, -1e300], 0.0,
-                                                    100)),
-                    ("apply_into", lambda: psi_iterate_gs(F, torus, obs, torus_traj,
-                                                          [1e300, -1e300], tol=0.0,
-                                                          max_iters=100))):
-                record(name)
+            for record, run in (
+                    (record_apply,
+                     lambda: reference_psi(F, obs, torus_traj, [1e300, -1e300], 0.0, 100)),
+                    (lambda: record_steps(F, monkeypatch, sweep),
+                     lambda: psi_iterate_gs(F, torus, obs, torus_traj, [1e300, -1e300],
+                                            tol=0.0, max_iters=100))):
+                record()
                 with pytest.raises(NonFiniteError) as exc:
                     run()
                 monkeypatch.undo()
@@ -704,7 +696,7 @@ def change_matrices(draw):
 def test_max_row_norm_is_numpys_bit_for_bit(d):
     with np.errstate(over="ignore", invalid="ignore"):
         expected = np.max(np.linalg.norm(d, axis=-1))
-        got = _max_row_norm(d)
+        got = _max_row_norm(d.copy(), np.full(len(d), 7.0))
     assert np.float64(got).tobytes() == expected.tobytes()
 
 
@@ -746,9 +738,7 @@ class TestStackedDrive:
         starts = [r.center() for r in regions]
         lone = lone_drives(F, sys, obs, traj, starts, regions, washout, record)
         shapes = []
-        original = F.apply_into
-        monkeypatch.setattr(F, "apply_into",
-                            lambda x, u, out: shapes.append(np.shape(x)) or original(x, u, out))
+        record_steps(F, monkeypatch, lambda x: shapes.append(np.shape(x)))
         stacked = _drive_regions(F, sys, obs, None, starts, regions, washout, record, traj)
         # one recursion over all regions, one step at a time, then a residual per region
         steps = washout + record
@@ -823,13 +813,11 @@ class TestStackedDrive:
         starts = [r.center() for r in regions]
         lone = lone_drives(F, torus, obs, traj, starts, regions, 50, 200)
         calls = []
-        original = F.apply_into
-        monkeypatch.setattr(F, "apply_into",
-                            lambda x, u, out: calls.append(np.shape(x)) or original(x, u, out))
+        record_steps(F, monkeypatch, lambda x: calls.append(np.shape(x)))
         result = multistability_sweep(F, regions, torus, obs, None, washout_steps=50,
                                       record_steps=200, trajectory=traj)
         # one stacked run of all 250 steps, its rows judged alone: no (2,) re-drive
-        # (the residual evals of the two kept regions call apply, not apply_into)
+        # (the residual evals of the two kept regions call apply, not the kernel)
         assert [s for s in calls if s != (200, 2)] == [(3, 2)] * 250
         assert isinstance(lone[1], NonFiniteError)
         assert result.failures == {"bad": f"NonFiniteError: {lone[1]}"}

@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +9,12 @@ import pytest
 from gsync import (AxisBox, CoordinateProjection, CustomStateMap, Esn, InputRange,
                    LinearDelay, PowerSine, StateMap, Trajectory, cos_range, lipschitz_bounds,
                    psi_iterate_gs, run_recursion, shift_matrix, sin_range)
+from gsync.config import parse_config
 from gsync.errors import DimensionMismatch, DomainViolation, NonFiniteError
 from gsync.statemaps import _CHUNK
 
-from conftest import FIXED_POINTS, IV_ALPHA, IV_K, IV_LAMBDA, affine_half, formula
+from conftest import (FIXED_POINTS, IV_ALPHA, IV_K, IV_LAMBDA, affine_half, esn_reservoir,
+                      formula)
 
 
 def fd_jac_state(F, x, z, h=1e-7):
@@ -47,6 +52,17 @@ class Halving(StateMap):
 
     def apply(self, x, u):
         return 0.5 * x + u[..., :1]
+
+
+KERNEL_MAPS = {
+    "power_sine": lambda: PowerSine(0.9, 0.009, 10.0),
+    "linear_delay": lambda: LinearDelay(2),
+    **{name: (lambda name=name: small_esn(0.9, name, n=5))
+       for name in ("tanh", "logistic", "identity")},
+    "esn16": esn_reservoir,
+    "apply_only": Halving,
+    "custom": lambda: affine_half(dim=2),
+}
 
 
 class TestEvaluationContract:
@@ -90,21 +106,27 @@ class TestEvaluationContract:
         for cls in (Esn, LinearDelay, PowerSine, CustomStateMap):
             assert "eval" not in vars(cls) and "apply" in vars(cls)
 
-    @pytest.mark.parametrize("F", [PowerSine(0.9, 0.009, 10.0), LinearDelay(2),
-                                   *(small_esn(0.9, name, n=5)
-                                     for name in ("tanh", "logistic", "identity"))],
-                             ids=["power_sine", "linear_delay", "tanh", "logistic", "identity"])
+    @pytest.mark.parametrize("F", [make() for make in KERNEL_MAPS.values()], ids=list(KERNEL_MAPS))
+    # broadcast batches as in eval; a lone stacked row, a psi sweep's rows,
+    # and stacked drive states under (T, B, d) inputs
     @pytest.mark.parametrize("x_batch, z_batch", [((), ()), ((6,), (6,)), ((), (6,)), ((6,), ()),
-                                                  ((3, 1), (4,))])
+                                                  ((3, 1), (4,)), ((1,), (1,)),
+                                                  ((6000,), (6000,)), ((4, 5), (4, 5))])
     def test_in_place_kernel_is_the_formula(self, F, x_batch, z_batch):
-        # the batch shapes broadcast, as in eval; -0.0, zeros and nan included
+        # -0.0, zeros, +-inf and nan in x and in u
         rng = np.random.default_rng(8)
         x = rng.uniform(-2.0, 2.0, size=x_batch + (F.state_dim,))
-        x.ravel()[:3] = [-0.0, 0.0, np.nan][:x.size]
-        u = F.input_terms(rng.uniform(-3.0, 3.0, size=z_batch + (F.input_dim,)))
-        expected = formula(F)(x, u)
-        out = np.full(expected.shape, 7.0)
-        with np.errstate(invalid="ignore"):
+        x.ravel()[:5] = [-0.0, 0.0, np.nan, np.inf, -np.inf][:x.size]
+        u = np.array(F.input_terms(rng.uniform(-3.0, 3.0, size=z_batch + (F.input_dim,))))
+        u.ravel()[-4:] = [np.inf, -0.0, np.nan, -np.inf][-u.size:]
+        with np.errstate(all="ignore"):
+            expected = formula(F)(x, u)
+            step = F._kernel(x.shape)
+            for _ in range(2):  # a prepared kernel is called at every step
+                out = np.full(expected.shape, 7.0)
+                assert step(x, u, out) is out
+                assert out.tobytes() == expected.tobytes()
+            out = np.full(expected.shape, 7.0)
             assert F.apply_into(x, u, out) is out
             assert out.tobytes() == expected.tobytes()
             assert F.apply(x, u).tobytes() == expected.tobytes()
@@ -123,6 +145,56 @@ class TestEvaluationContract:
         assert np.isnan(out[0]) and out[1] == 1.0
         with pytest.raises(NonFiniteError, match="^custom state map returned non-finite values$"):
             F.eval([20.0, 1.0], [0.5])
+
+
+@pytest.fixture
+def cat_reservoir_map(tmp_path, monkeypatch):
+    """The Esn of the benchmark's cat_reservoir workload at seed 1, read from
+    the config that perfbench/workloads.py writes."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    return parse_config(workloads.build("cat_reservoir", 1, str(tmp_path)).config_path).statemap
+
+
+class TestPreparedKernels:
+    @pytest.mark.parametrize("name", sorted(KERNEL_MAPS))
+    def test_two_kernels_of_one_shape_share_no_scratch(self, name):
+        F = KERNEL_MAPS[name]()
+        rng = np.random.default_rng(4)
+        z = rng.uniform(-1.0, 1.0, size=(50, 3, F.input_dim))
+        starts = [rng.uniform(0.5, 1.5, size=(3, F.state_dim)) * sign for sign in (1.0, -1.0)]
+        kernels = [F._kernel((3, F.state_dim)) for _ in starts]
+        runs = [[x0] for x0 in starts]
+        for u_t in F.input_terms(z):  # the two runs stepped alternately
+            for step, run in zip(kernels, runs):
+                run.append(step(run[-1], u_t, np.empty((3, F.state_dim))))
+        for x0, run in zip(starts, runs):
+            assert np.stack(run).tobytes() == run_recursion(F, z, x0).tobytes()
+        # the arrays a kernel binds, other than a view of an Esn's A
+        constants = [F.A] if isinstance(F, Esn) else []
+        scratch = [[c.cell_contents for c in k.__closure__ or ()
+                    if isinstance(c.cell_contents, np.ndarray)
+                    and not any(np.shares_memory(c.cell_contents, a) for a in constants)]
+                   for k in kernels]
+        assert not any(np.shares_memory(a, b) for a in scratch[0] for b in scratch[1])
+        assert (len(scratch[0]) == 1) == (name == "power_sine")
+
+    @pytest.mark.parametrize("batch", [(), (1,), (2,), (8,), (6000,)], ids=str)
+    @pytest.mark.parametrize("n", [1, 3, 16, 33, 129])
+    def test_esn_dot_is_matmul(self, cat_reservoir_map, n, batch):
+        # the cat_reservoir A at 16 units, other reservoir sizes around it
+        F = cat_reservoir_map if n == 16 else small_esn(0.9, "tanh", n=n)
+        assert F.A.shape == (n, n)
+        rng = np.random.default_rng(len(batch) and batch[0])
+        x = np.tanh(rng.normal(size=batch + (n,)))
+        out = np.empty_like(x)
+        assert np.dot(x, F.A.T, out).tobytes() == np.matmul(x, F.A.T).tobytes()
+        u = F.input_terms(rng.uniform(0.0, 1.0, size=batch + (1,)))
+        assert (F._kernel(x.shape)(x, u, out).tobytes()
+                == np.tanh(np.matmul(x, F.A.T) + u).tobytes())
 
 
 class TestTrigRanges:

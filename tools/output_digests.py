@@ -25,6 +25,13 @@ own directory under OUT_DIR.  Prints, sorted by path:
 - one ``sha256  <config>/grid`` line per config for the points of
   ``region.grid`` at the config's resolution and seed on each of its
   regions, and for the tangent norms of ``certify``'s certificate;
+- one ``sha256  <config>/recur`` line per config for the states of
+  ``run_recursion`` on the config's map at every state shape the
+  recursions step: region 0's center as a lone (N,) state and every
+  region's center stacked as (B, N), both under the observed inputs, and
+  ``run.forgetting_trials`` points of region 0 as (trials, N) under
+  (T, trials, d) inputs drawn from the input range, as
+  ``input_forgetting`` runs them;
 - one ``sha256  <config>/pairs`` line per config for the near pairs of
   the regularity probes on the synchronization ``diagnose`` drives, at
   radius factors 10 and 3 with nothing subsampled (the pairs and their
@@ -38,7 +45,8 @@ from ``cli._closed_form_l_fx``, so the records follow the CLI's rules.
 lines are what see a change to the grid derivative norms.  Run it on two
 checkouts and ``diff`` the listings to check that a change keeps the CLI
 output, the sweep, the grid suprema, the psi convergence records, the
-region grids, the tangent norms and the near pairs byte-identical.  The
+region grids, the tangent norms, the recursion states and the near pairs
+byte-identical.  The
 package is imported from this checkout's ``src``.
 """
 
@@ -57,7 +65,7 @@ import workloads  # noqa: E402
 import numpy as np  # noqa: E402
 
 from gsync import (certify, drive_gs, lipschitz_bounds,  # noqa: E402
-                   multistability_sweep, psi_iterate_gs)
+                   multistability_sweep, psi_iterate_gs, run_recursion)
 from gsync.cli import (_closed_form_l_fx, _orbit, main as gsync_main,  # noqa: E402
                        section_iv_config)
 from gsync.config import RunConfig, parse_config  # noqa: E402
@@ -165,6 +173,33 @@ def psi_digest(cfg: RunConfig) -> str:
     return h.hexdigest()
 
 
+def recur_digest(cfg: RunConfig) -> str:
+    """SHA-256 of ``run_recursion``'s states on a config's map at each state
+    shape: region 0's center alone (N,) and every region's center stacked
+    (B, N) under the observed inputs of ``synchronize``'s orbit, then
+    ``run.forgetting_trials`` points of region 0 (trials, N) under 200 steps
+    of (T, trials, d) inputs drawn uniformly from the orbit's input range,
+    both from the config's seed (a package error is hashed by its type and
+    text)."""
+    _, z, input_range = _orbit(cfg, cfg.span)
+    rng = np.random.default_rng(cfg.seed)
+    trials = cfg.forgetting_trials
+    centers = [region.center() for region in cfg.regions]
+    runs = [(z[1:], centers[0]), (z[1:], np.stack(centers)),
+            (rng.uniform(input_range.lo, input_range.hi, size=(200, trials, input_range.dim)),
+             cfg.regions[0].sample(trials, rng))]
+    h = hashlib.sha256()
+    for inputs, x0 in runs:
+        try:
+            states = run_recursion(cfg.statemap, inputs, x0)
+        except GsyncError as exc:
+            h.update(repr(f"{type(exc).__name__}: {exc}").encode())
+        else:
+            h.update(repr(states.shape).encode())
+            h.update(states.tobytes())
+    return h.hexdigest()
+
+
 def pairs_digest(cfg: RunConfig) -> str:
     """SHA-256 of ``_near_pairs`` at radius factors 10 and 3 on the points of
     the synchronization that ``diagnose`` drives (region 0), with the
@@ -191,7 +226,7 @@ def pairs_digest(cfg: RunConfig) -> str:
 
 
 RECORDS = {"sweep": sweep_digest, "lipschitz": lipschitz_digest, "psi": psi_digest,
-           "grid": grid_digest, "pairs": pairs_digest}
+           "grid": grid_digest, "recur": recur_digest, "pairs": pairs_digest}
 
 
 def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[str]]:
