@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientPairs, LengthMismatch
-from .gs import SampledGS, _add_columns, run_recursion
+from .gs import (_PAIRWISE_COLUMNS, SampledGS, _add_columns, _row_norms,
+                 _row_sums_of_squares, run_recursion)
 from .regions import InputRange, InvariantRegion, _rng
 from .statemaps import StateMap
 
@@ -60,7 +61,7 @@ def weighted_distance(window_a, window_b, w: WeightingSequence) -> float:
     if a.shape != b.shape:
         raise LengthMismatch(f"window shapes differ: {a.shape} vs {b.shape}")
     wts = w.weights(len(a))
-    return float(np.max(np.linalg.norm(a - b, axis=-1) * wts))
+    return float(np.max(_row_norms(a - b) * wts))
 
 
 def esp_convergence(F: StateMap, inputs, x0a, x0b) -> np.ndarray:
@@ -101,7 +102,7 @@ def input_forgetting(F: StateMap, region: InvariantRegion, input_range: InputRan
     suffix = g.uniform(input_range.lo, input_range.hi, size=(suffix_len, trials, d))
     xa = run_recursion(F, suffix, run_recursion(F, prefix[:, 0], xa)[-1])[-1]
     xb = run_recursion(F, suffix, run_recursion(F, prefix[:, 1], xb)[-1])[-1]
-    return float(np.max(np.linalg.norm(xa - xb, axis=-1)))
+    return float(np.max(_row_norms(xa - xb)))
 
 
 # The near-pair search puts points into cubic cells on at most the first
@@ -120,12 +121,12 @@ _BATCH = 2 ** 14
 def _squared_distances(points, cols, a, b) -> np.ndarray:
     """Squared distances between rows ``a`` and ``b`` (index arrays or slices)
     of ``points``, whose columns are ``cols``, summed as
-    ``np.linalg.norm(points[a] - points[b], axis=-1)`` sums them: column by
-    column below 8 columns, by that reduction itself from 8 columns, so that
-    the square root has the bits of the norm."""
-    if len(cols) >= 8:
+    ``np.linalg.norm(points[a] - points[b], axis=-1)`` sums them, so that
+    the square root has the bits of the norm: gathered column by column
+    below ``_PAIRWISE_COLUMNS``, by ``_row_sums_of_squares`` from there."""
+    if len(cols) >= _PAIRWISE_COLUMNS:
         diff = points[a] - points[b]
-        return np.add.reduce(diff * diff, axis=-1)
+        return _row_sums_of_squares(diff, np.empty(len(diff)))
     return _add_columns(np.multiply(d, d, out=d) for d in (col[a] - col[b] for col in cols))
 
 
@@ -297,7 +298,7 @@ def derivative_profile(gs: SampledGS, pair_budget: int = 4000,
     """
     g = _rng(rng)
     pairs, dm, _ = _near_pairs(gs.points, radius_factor, min_time_sep, pair_budget, g)
-    df = np.linalg.norm(gs.values[pairs[:, 0]] - gs.values[pairs[:, 1]], axis=-1)
+    df = _row_norms(gs.values[pairs[:, 0]] - gs.values[pairs[:, 1]])
     slopes = df / dm
 
     edges = np.geomspace(dm.min(), dm.max() * (1 + 1e-12), n_bins + 1)
@@ -343,7 +344,7 @@ def holder_exponent(gs: SampledGS, pair_budget: int = 4000,
     pairs, dm, upper = _near_pairs(gs.points, window_upper_factor, min_time_sep,
                                    pair_budget, g)
     lower = upper / 10.0 ** window_decades
-    df = np.linalg.norm(gs.values[pairs[:, 0]] - gs.values[pairs[:, 1]], axis=-1)
+    df = _row_norms(gs.values[pairs[:, 0]] - gs.values[pairs[:, 1]])
 
     in_window = (dm >= lower) & (dm <= upper)
     dm, df = dm[in_window], df[in_window]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -185,14 +184,23 @@ class TorusRotation(_ConstantTangent):
         return (m - self.angles) % 1.0
 
     def _stepper(self, m: np.ndarray):
-        # Python's float % is numpy's remainder: fmod, then the sign fix
+        # Python's float % is numpy's remainder: fmod, then the sign fix; a
+        # non-finite (or huge) point takes the checked step
         angles = self.angles.tolist()
         step = self.step
+        if len(angles) == 2:  # the plane torus, on unpacked floats
+            a, b = angles
 
-        def advance(point):
-            if not math.isfinite(sum(point)):  # non-finite (or huge): the checked step
+            def advance(point):
+                u, v = point
+                if math.isfinite(u + v):
+                    return (u + a) % 1.0, (v + b) % 1.0
                 return step(np.array(point)).tolist()
-            return [(c + a) % 1.0 for c, a in zip(point, angles)]
+        else:
+            def advance(point):
+                if math.isfinite(sum(point)):
+                    return [(c + a) % 1.0 for c, a in zip(point, angles)]
+                return step(np.array(point)).tolist()
 
         return advance, m.tolist()
 
@@ -250,7 +258,10 @@ class OdeFlow(DiscreteSystem):
     (as ``lorenz_field`` does), is integrated by that kernel: on plain floats
     by ``step``, ``inverse_step`` and ``trajectory`` and in one batch by the
     tangent kernel ``_tangent_maps``, with results bit-identical to
-    ``_integrate``.  Other fields are integrated on numpy points.
+    ``_integrate``.  Such a kernel checks finiteness once per step, not
+    after every substep as ``_integrate`` does, and on a divergence raises
+    ``diverged(i)``, the error of ``_integrate``, for the same substep
+    ``i``.  Other fields are integrated on numpy points.
     """
 
     def __init__(self, field, phase_dim: int, h: float, substeps: int = 1,
@@ -301,8 +312,13 @@ class OdeFlow(DiscreteSystem):
     def _stepper(self, m: np.ndarray):
         if self._rk4 is None:
             return super()._stepper(m)
-        return partial(self._rk4, hs=self.h / self.substeps, substeps=self.substeps,
-                       isfinite=math.isfinite, diverged=self._diverged), m.tolist()
+        rk4, hs, substeps = self._rk4, self.h / self.substeps, self.substeps
+        isfinite, diverged = math.isfinite, self._diverged
+
+        def advance(point):  # positional: a partial's keywords cost a dict per step
+            return rk4(point, hs, substeps, isfinite, diverged)
+
+        return advance, m.tolist()
 
     def step(self, m) -> np.ndarray:
         m = _as_point(m, self.phase_dim)
@@ -372,9 +388,15 @@ def lorenz_field(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0
     substeps of length ``hs`` from ``point = (u, v, w)``, with the four
     stages written out.  Both work on Python floats and on equal-shape
     arrays and perform the operations of ``OdeFlow._integrate`` in its
-    order, so the results are bit-identical.  After each substep ``i`` the
-    kernel raises ``diverged(i)`` unless ``isfinite`` holds for every
-    component (``math.isfinite`` on floats; a reduction over arrays).
+    order, so the results are bit-identical.  The kernel checks finiteness
+    once per step, ``isfinite(u + v + w)`` (``math.isfinite`` on floats; a
+    reduction over arrays): under +, - and * a non-finite component stays
+    non-finite, so the end of the step sees every divergence.  When that
+    check fails, the step is run again from ``point`` with ``checked=True``,
+    a check after each substep, which raises ``diverged(i)`` at the first
+    substep ``i`` that left a component non-finite, the error
+    ``_integrate`` raises; a sum that merely overflowed finds none and
+    returns the step.
     """
 
     if not all(map(math.isfinite, (sigma, rho, beta))):
@@ -384,7 +406,7 @@ def lorenz_field(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0
     def components(u, v, w):
         return s * (v - u), u * (rho - w) - v, u * v - beta * w
 
-    def rk4(point, hs, substeps, isfinite, diverged):
+    def rk4(point, hs, substeps, isfinite, diverged, checked=False):
         u, v, w = point
         half = 0.5 * hs
         sixth = hs / 6.0
@@ -399,9 +421,13 @@ def lorenz_field(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0
             u = u + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
             v = v + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             w = w + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-            if not (isfinite(u) and isfinite(v) and isfinite(w)):
+            if checked and not (isfinite(u) and isfinite(v) and isfinite(w)):
                 raise diverged(i)
-        return u, v, w
+        if checked or isfinite(u + v + w):
+            return u, v, w
+        # a non-finite component stays so under +, - and *, so the sum saw
+        # every divergence (or overflowed): the checked run finds its substep
+        return rk4(point, hs, substeps, isfinite, diverged, checked=True)
 
     def field(m):
         # transposing puts the coordinate axis first for any batch shape
@@ -445,6 +471,9 @@ class CustomSystem(DiscreteSystem):
     def inverse_step(self, m) -> np.ndarray:
         m = _as_point(m, self.phase_dim)
         out = np.asarray(self._inverse(m), dtype=float)
+        if out.shape != m.shape:  # as the forward stepper checks each image
+            raise DimensionMismatch(f"inverse step returned shape {out.shape}, "
+                                    f"expected {m.shape}")
         if not np.all(np.isfinite(out)):
             raise NonFiniteError("custom inverse map returned non-finite values")
         return out

@@ -79,10 +79,15 @@ def _recur(F: StateMap, z, x0) -> np.ndarray:
     return states
 
 
+# numpy's norm of a many-row x adds the squared columns left to right below
+# this many columns and sums each row by its own add.reduce from it
+_PAIRWISE_COLUMNS = 8
+
+
 def _add_columns(columns, out=None) -> np.ndarray:
     """The columns added left to right, in place: how
     ``np.linalg.norm(x, axis=-1)`` adds the squared columns of a many-row x
-    below 8 columns, with the same add kernel (so even a nan keeps its
+    below ``_PAIRWISE_COLUMNS``, with the same add kernel (so even a nan keeps its
     sign).  The sum goes into ``out`` if given, else into the first column:
     the columns are the caller's scratch."""
     columns = iter(columns)
@@ -93,21 +98,44 @@ def _add_columns(columns, out=None) -> np.ndarray:
     return reduce(iadd, columns, total)
 
 
+def _row_sums_of_squares(d: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """The row sums of d * d of a matrix d (n, N) with n >= 2, added as
+    ``np.linalg.norm(d, axis=-1)`` adds them, into ``sums`` (n,), with no
+    array allocated: d is squared in place (it is the caller's scratch).
+
+    Below ``_PAIRWISE_COLUMNS`` numpy adds the columns left to right, as
+    ``_add_columns`` does; from there it sums each row pairwise, which its
+    own ``add.reduce`` does into ``sums``.
+    """
+    np.multiply(d, d, out=d)
+    if 0 < d.shape[1] < _PAIRWISE_COLUMNS:
+        return _add_columns(d.T, out=sums)
+    return np.add.reduce(d, axis=-1, out=sums)
+
+
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(d, axis=-1)`` of a matrix d (n, N), bit for bit, with
+    d as scratch: the row norm of every hot path.  numpy's norm calls its
+    sum once per row; ``_row_sums_of_squares`` adds whole columns.  A lone
+    row takes numpy's scalar reduction, whose nan sign can differ, so it
+    keeps ``np.linalg.norm``."""
+    if len(d) < 2:
+        return np.linalg.norm(d, axis=-1)
+    sums = _row_sums_of_squares(d, np.empty(len(d)))
+    return np.sqrt(sums, out=sums)
+
+
 def _max_row_norm(d: np.ndarray, sums: np.ndarray) -> float:
     """``np.max(np.linalg.norm(d, axis=-1))`` of a matrix d (n, N), bit for
-    bit, with d and the (n,) array ``sums`` as scratch.
-
-    Below 8 columns it squares d in place and adds its columns into
-    ``sums`` (``_add_columns``) as numpy adds them, with no array
-    allocated; sqrt is monotone, so the root of the largest sum is the
-    largest root.  The maximum is taken over the contiguous ``sums``: a
-    strided maximum can return another nan.  From 8 columns numpy sums
-    pairwise, and a lone row takes its scalar reduction, whose nan sign can
-    differ: both keep ``np.linalg.norm``.
+    bit, with d and the (n,) array ``sums`` as scratch and no array
+    allocated.  sqrt is monotone, so the root of the largest sum is the
+    largest root; the maximum is taken over the contiguous ``sums``, as a
+    strided maximum can return another nan.  A lone row keeps
+    ``np.linalg.norm``, as in ``_row_norms``.
     """
-    if d.shape[1] >= 8 or len(d) < 2:
+    if len(d) < 2:
         return float(np.max(np.linalg.norm(d, axis=-1)))
-    return float(np.sqrt(np.max(_add_columns(np.multiply(d, d, out=d).T, out=sums))))
+    return float(np.sqrt(np.max(_row_sums_of_squares(d, sums))))
 
 
 def _field(value) -> str:
@@ -140,7 +168,7 @@ def _write_csv(path, meta: dict, header: list[str], rows, prefix=None) -> None:
 def _residuals(values: np.ndarray, z: np.ndarray, F: StateMap) -> np.ndarray:
     """Recursion defects ||f_t - F(f_{t-1}, z_t)|| over the recorded window."""
     pred = F.eval(values[:-1], z[1:])
-    return np.linalg.norm(values[1:] - pred, axis=-1)
+    return _row_norms(values[1:] - pred)
 
 
 def _sampled(F: StateMap, z: np.ndarray, times: np.ndarray, points: np.ndarray,
@@ -340,7 +368,7 @@ def compare_gs(a: SampledGS, b: SampledGS) -> float:
     ib = slice(int(t_lo - b.times[0]), int(t_hi - b.times[0]) + 1)
     if not np.allclose(a.points[ia], b.points[ib], atol=1e-9, rtol=0.0):
         raise ValueError("the two synchronizations sample different base trajectories")
-    return float(np.max(np.linalg.norm(a.values[ia] - b.values[ib], axis=-1)))
+    return float(np.max(_row_norms(a.values[ia] - b.values[ib])))
 
 
 @dataclass
@@ -395,7 +423,7 @@ def multistability_sweep(F: StateMap, regions, sys: DiscreteSystem,
     cluster = list(range(len(gss)))
     for i in range(len(gss)):
         for j in range(i + 1, len(gss)):
-            d = float(np.min(np.linalg.norm(gss[i].values - gss[j].values, axis=-1)))
+            d = float(np.min(_row_norms(gss[i].values - gss[j].values)))
             separations[(labels[i], labels[j])] = d
             if d <= distinct_tol:
                 old, new = max(cluster[i], cluster[j]), min(cluster[i], cluster[j])

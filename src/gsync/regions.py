@@ -59,9 +59,22 @@ class AxisBox(InvariantRegion):
         self.hi = hi
 
     def boundary_margin(self, x):
+        """The smallest distance of each point to a face, negative outside.
+
+        Points (n, dim) take their minimum column by column: numpy's row
+        minimum calls its loop once per row.  Where a minimum is a zero or
+        a nan, the bits tell which of equal values or of several nans
+        numpy's row minimum returns, so such a batch keeps that minimum.
+        """
         x = np.asarray(x, dtype=float)
-        m = np.minimum(x - self.lo, self.hi - x)
-        return m.min(axis=-1)
+        if x.ndim == 2 and x.shape[1] == self.dim > 0:
+            out = None
+            for col, lo, hi in zip(x.T, self.lo.tolist(), self.hi.tolist()):
+                m = np.minimum(col - lo, hi - col)
+                out = m if out is None else np.minimum(out, m, out=out)
+            if (np.abs(out) > 0.0).all():
+                return out
+        return np.minimum(x - self.lo, self.hi - x).min(axis=-1)
 
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gsync import (CatMap, CoordinateProjection, CustomObservation, CustomSystem,
                    LinearObservation, OdeFlow, TorusRotation, check_equivariance,
@@ -327,6 +328,58 @@ class TestFastPaths:
         with pytest.raises(NonFiniteError, match=message):
             system._integrate_batch(last[None, :], h)
 
+    def test_kernel_raises_at_the_substep_of_integrate(self):
+        # one step of 8 substeps from this start leaves a component
+        # non-finite at substep 5; the kernel checks only the step's end
+        system = OdeFlow(lorenz_field(), phase_dim=3, h=0.5, substeps=8)
+        m0 = np.array([100.0, -100.0, 100.0])
+        with pytest.raises(NonFiniteError) as want, np.errstate(over="ignore", invalid="ignore"):
+            system._integrate(m0, system.h)
+        assert str(want.value) == "integration diverged at substep 5 of 8"
+        message = f"^{re.escape(str(want.value))}$"
+        with pytest.raises(NonFiniteError, match=message):
+            system.step(m0)
+        with pytest.raises(NonFiniteError, match=message):
+            system._integrate_batch(np.stack([m0, LORENZ_M0]), system.h)
+        with pytest.raises(NonFiniteError, match=f"^trajectory failed at step 1: {message[1:]}"):
+            system.trajectory(m0, 3)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(h=st.sampled_from([0.01, 0.1, 0.5, 1.0, 10.0]), substeps=st.integers(1, 8),
+           m0=st.lists(st.sampled_from([0.0, -0.0, 1.0, -3.5, 1e2, -1e2, 1e5, 1e40, 1e150,
+                                        -1e308, np.finfo(float).max]), min_size=3, max_size=3))
+    def test_kernel_step_is_integrate_or_its_error(self, h, substeps, m0):
+        system = OdeFlow(lorenz_field(), phase_dim=3, h=h, substeps=substeps)
+        m0 = np.array(m0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = system._integrate(m0, h)
+            except NonFiniteError as exc:
+                with pytest.raises(NonFiniteError, match=f"^{re.escape(str(exc))}$"):
+                    system.step(m0)
+                return
+        assert system.step(m0).tobytes() == want.tobytes()
+
+    def test_overflowing_sum_of_finite_components_returns_the_step(self):
+        # u stays 0 and w 1.7e308 while v stays near 1e307, so u + v + w
+        # overflows with every component finite: the checked re-run finds
+        # no substep
+        field = lorenz_field(sigma=0.0, rho=0.0, beta=0.0)
+        system = OdeFlow(field, phase_dim=3, h=1e-300, substeps=4)
+        m0 = np.array([0.0, 1e307, 1.7e308])
+        calls = []
+
+        def isfinite(x):
+            calls.append(x)
+            return np.isfinite(x)
+
+        image = field.rk4(m0.tolist(), system.h / 4, 4, isfinite, system._diverged)
+        assert calls[0] == np.inf and len(calls) == 1 + 3 * 4
+        assert np.isfinite(image).all()
+        with np.errstate(over="ignore"):
+            assert np.array(image).tobytes() == system._integrate(m0, system.h).tobytes()
+        assert system.step(m0).tobytes() == np.array(image).tobytes()
+
     @pytest.mark.parametrize("which", ["torus", "cat"])
     def test_constant_tangent_norms_match_stacked_svd(self, torus, which):
         system = torus if which == "torus" else CatMap()
@@ -402,6 +455,25 @@ class TestPlainFloatSteps:
         assert short.tobytes() == step_loop(system, m0, step - 1).tobytes()
         assert not np.isfinite(short[-1]).all()
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(which=st.sampled_from(["torus", "torus3"]), data=st.data())
+    def test_torus_plain_float_step_is_step(self, which, data):
+        system = ANALYTIC_SYSTEMS[which]()
+        coord = st.one_of(st.floats(-2.0, 2.0), st.floats(),
+                          st.sampled_from([-0.0, 5e-324, 1e308, -1e308, np.finfo(float).max,
+                                           np.nan, -np.nan, np.inf, -np.inf]))
+        point = data.draw(st.lists(coord, min_size=system.phase_dim, max_size=system.phase_dim))
+        advance, _ = system._stepper(np.zeros(system.phase_dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = system.step(np.array(point))
+            except NonFiniteError as exc:
+                with pytest.raises(NonFiniteError, match=f"^{re.escape(str(exc))}$"):
+                    advance(point)
+                return
+            got = advance(point)
+        assert np.array(got).tobytes() == want.tobytes()
+
 
 class Doubling(DiscreteSystem):
     """m -> 2m on numpy points, its input checked as ``step``s check a point
@@ -447,6 +519,14 @@ def test_numpy_stepper_rejects_an_image_of_the_wrong_shape(system, m0, steps):
     # the last image too, which no later step checks
     with pytest.raises(DimensionMismatch, match=r"^step returned shape \("):
         system.trajectory(m0, steps)
+
+
+@pytest.mark.parametrize("inverse", [lambda m: np.append(m, 0.0), lambda m: m[:1],
+                                     lambda m: m[0]], ids=["long", "short", "scalar"])
+def test_custom_inverse_step_rejects_an_image_of_the_wrong_shape(inverse):
+    system = CustomSystem(lambda m: m, inverse, phase_dim=2)
+    with pytest.raises(DimensionMismatch, match=r"^inverse step returned shape \("):
+        delay_window(system, CoordinateProjection([0], 2), [0.1, 0.2], 2)
 
 
 class TestDelayAndEquivariance:

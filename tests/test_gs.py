@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ from gsync import (AxisBox, Ball, CatMap, CoordinateProjection, CustomObservatio
 from gsync.errors import (DimensionMismatch, DisjointRanges, DomainViolation, GsyncError,
                           NonFiniteError, RegionEscape)
 from gsync import gs as gs_module
-from gsync.gs import _drive_regions, _max_row_norm
+from gsync.gs import _drive_regions, _max_row_norm, _row_norms
 
 from conftest import LORENZ_M0, esn_reservoir, formula, record_steps
 
@@ -698,6 +699,85 @@ def test_max_row_norm_is_numpys_bit_for_bit(d):
         expected = np.max(np.linalg.norm(d, axis=-1))
         got = _max_row_norm(d.copy(), np.full(len(d), 7.0))
     assert np.float64(got).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("cols", [3, 16])
+def test_max_row_norm_allocates_no_array(cols):
+    # a psi sweep's change on cat_reservoir's 16 units, and on a 3-d state
+    d = np.random.default_rng(cols).normal(size=(7001, cols))
+    sums = np.empty(len(d))
+    _max_row_norm(d.copy(), sums)
+    diff = d.copy()
+    tracemalloc.start()
+    try:
+        _max_row_norm(diff, sums)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+
+
+# values whose rounding, sign or propagation a reduction can get wrong
+ROW_SPECIALS = [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 5e-324, -2.5e-310,
+                1e308, -1e308, np.finfo(float).max]
+
+
+@st.composite
+def short_rows(draw):
+    """Matrices (n, N) of 1 to 20 columns and 0, 1, 2 or 5000 rows, with
+    planted specials (``ROW_SPECIALS``) and rows made only of them."""
+    cols = draw(st.integers(1, 20))
+    rows = draw(st.sampled_from([0, 1, 2, 5000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-320, 1e-160, 1.0, 1e155, 1e307]))
+    d = rng.normal(size=(rows, cols)) * scale
+    if rows:
+        planted = draw(st.lists(st.sampled_from(ROW_SPECIALS), max_size=3 * cols))
+        d.ravel()[rng.integers(0, d.size, size=len(planted))] = planted
+        special = rng.integers(0, rows, size=draw(st.integers(0, 3)))
+        d[special] = rng.choice(ROW_SPECIALS, size=(len(special), cols))
+    return d
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(d=short_rows())
+@example(d=np.array([[np.nan, -np.nan]]))
+@example(d=np.array([[-np.nan, np.nan, 1.0], [1.0, -np.nan, np.nan]]))
+@example(d=np.array([[-0.0] * 8, [1e308] * 8, [np.inf, -np.nan] + [0.0] * 6]))
+def test_row_norms_are_numpys_bit_for_bit(d):
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.linalg.norm(d, axis=-1)
+        got = _row_norms(d.copy())
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def box_points(draw):
+    """An AxisBox of 1 to 20 dimensions and points (n, dim) as in
+    ``short_rows``, with coordinates planted on its faces, and faces at 0.0
+    or -0.0, where margins are zeros of either sign."""
+    d = draw(short_rows())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cols = d.shape[1]
+    bounds = np.array([(0.0, 1.0), (-0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (-1e308, 1e308),
+                       (0.5, 0.5 + 1e-16), (1e-310, 2e-310)])[rng.integers(0, 7, size=cols)]
+    if len(d):
+        at = rng.integers(0, d.size, size=draw(st.integers(0, 2 * cols)))
+        d.ravel()[at] = bounds[at % cols, rng.integers(0, 2, size=len(at))]
+    return AxisBox(*bounds.T), d
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=box_points())
+@example(case=(AxisBox([0.0, 0.0], [1.0, 1.0]), np.array([[-0.0, 0.0], [0.0, -0.0]] * 3)))
+@example(case=(AxisBox([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+               np.array([[np.nan, -np.nan, 0.5], [-np.nan, np.nan, 0.5], [0.5, -np.nan, np.nan]])))
+def test_box_margin_is_numpys_row_minimum_bit_for_bit(case):
+    box, x = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.minimum(x - box.lo, box.hi - x).min(axis=-1)
+        got = box.boundary_margin(x)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def lone_drives(F, sys, obs, traj, starts, regions, washout, record):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gsync import (AxisBox, CoordinateProjection, CustomStateMap, Esn, InputRange,
                    LinearDelay, PowerSine, StateMap, Trajectory, cos_range, lipschitz_bounds,
@@ -181,6 +182,23 @@ class TestPreparedKernels:
                    for k in kernels]
         assert not any(np.shares_memory(a, b) for a in scratch[0] for b in scratch[1])
         assert (len(scratch[0]) == 1) == (name == "power_sine")
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(alpha=st.sampled_from([0.5, 0.9]), batch=st.sampled_from([(), (1,), (2,), (7,), (5000,)]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           planted=st.lists(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, np.inf,
+                                             -np.inf, np.nan, -np.nan]), max_size=6))
+    def test_power_sine_kernel_is_the_signed_power(self, alpha, batch, seed, planted):
+        # |x| ** alpha is numpy's scalar power: sqrt at alpha = 0.5, np.power elsewhere
+        F = PowerSine(alpha, 0.009, 0.1)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=batch + (3,)) * 10.0 ** rng.integers(-300, 300, size=batch + (3,))
+        x.ravel()[rng.integers(0, x.size, size=len(planted))] = planted
+        u = F.input_terms(rng.uniform(-1.0, 1.0, size=batch + (1,)))
+        with np.errstate(invalid="ignore"):
+            got = F._kernel(x.shape)(x, u, np.empty_like(x))
+            want = F._signed_power(x) + u
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("batch", [(), (1,), (2,), (8,), (6000,)], ids=str)
     @pytest.mark.parametrize("n", [1, 3, 16, 33, 129])

@@ -36,7 +36,11 @@ own directory under OUT_DIR.  Prints, sorted by path:
   the regularity probes on the synchronization ``diagnose`` drives, at
   radius factors 10 and 3 with nothing subsampled (the pairs and their
   distances in lexicographic order and the radius, or the
-  ``InsufficientPairs`` text), which no search order changes.
+  ``InsufficientPairs`` text), which no search order changes;
+- one ``sha256  <config>/rows`` line per config for the bytes of each
+  region's ``boundary_margin`` and of the row norms (``gs._row_norms``)
+  on the values that the sweep records in it, followed by rows that hold
+  nan of both signs, zeros of both signs and infinities.
 
 Every orbit and input range comes from ``cli._orbit`` and psi's ``l_fx``
 from ``cli._closed_form_l_fx``, so the records follow the CLI's rules.
@@ -45,8 +49,8 @@ from ``cli._closed_form_l_fx``, so the records follow the CLI's rules.
 lines are what see a change to the grid derivative norms.  Run it on two
 checkouts and ``diff`` the listings to check that a change keeps the CLI
 output, the sweep, the grid suprema, the psi convergence records, the
-region grids, the tangent norms, the recursion states and the near pairs
-byte-identical.  The
+region grids, the tangent norms, the recursion states, the near pairs and
+the row reductions byte-identical.  The
 package is imported from this checkout's ``src``.
 """
 
@@ -71,6 +75,7 @@ from gsync.cli import (_closed_form_l_fx, _orbit, main as gsync_main,  # noqa: E
 from gsync.config import RunConfig, parse_config  # noqa: E402
 from gsync.diagnostics import _near_pairs  # noqa: E402
 from gsync.errors import GsyncError, InsufficientPairs  # noqa: E402
+from gsync.gs import _row_norms  # noqa: E402
 
 TAKENS = """
 system.kind = torus_rotation
@@ -225,8 +230,38 @@ def pairs_digest(cfg: RunConfig) -> str:
     return h.hexdigest()
 
 
+# rows whose reductions show which of equal values or of several nans a
+# reduction returns, and whether it rounds, overflows or propagates as numpy's
+ROW_PATTERNS = ([-0.0], [0.0], [np.nan, -np.nan], [-np.nan, np.nan], [np.inf, -np.inf, -0.0],
+                [1.0, -np.nan, np.inf], [1e308, 5e-324, -0.0])
+
+
+def rows_digest(cfg: RunConfig) -> str:
+    """SHA-256 of the bytes of ``boundary_margin`` and of the row norms on
+    each of a config's regions: on the values that ``multistability_sweep``
+    records in it (run as in ``sweep_digest``; none where it fails) and on
+    one row per ``ROW_PATTERNS`` entry, repeated to the state dimension.
+    ``_row_norms`` is ``np.linalg.norm(d, axis=-1)`` bit for bit: with that
+    norm in its place, the record reads the same."""
+    result = multistability_sweep(cfg.statemap, cfg.regions, cfg.system, cfg.observation,
+                                  cfg.initial, washout_steps=cfg.washout,
+                                  record_steps=cfg.record)
+    recorded = dict(zip(result.labels, result.synchronizations))
+    n = cfg.statemap.state_dim
+    special = np.array([np.resize(pattern, n) for pattern in ROW_PATTERNS])
+    h = hashlib.sha256()
+    for region in cfg.regions:
+        gs = recorded.get(region.label)
+        x = special if gs is None else np.vstack([gs.values, special])
+        with np.errstate(over="ignore", invalid="ignore"):
+            h.update(region.boundary_margin(x).tobytes())
+            h.update(_row_norms(x.copy()).tobytes())
+    return h.hexdigest()
+
+
 RECORDS = {"sweep": sweep_digest, "lipschitz": lipschitz_digest, "psi": psi_digest,
-           "grid": grid_digest, "recur": recur_digest, "pairs": pairs_digest}
+           "grid": grid_digest, "recur": recur_digest, "pairs": pairs_digest,
+           "rows": rows_digest}
 
 
 def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[str]]:
