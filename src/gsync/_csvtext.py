@@ -40,7 +40,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-BLOCK_VALUES = 8192  # matrix values formatted per numpy pass (whole rows)
+BLOCK_VALUES = 4096  # matrix values formatted per numpy pass (whole rows)
 
 _WIDTH = 25       # '-1.2345678901234567e-308' is the longest field: 24 bytes + separator
 _TIE_BAND = 1e-6  # fractions this close to 1/2 go to Python's %

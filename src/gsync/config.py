@@ -397,8 +397,11 @@ def _check_size(cfg: RunConfig) -> None:
                  else "run.washout, run.record")
     sizes = [(rows * (cfg.system.phase_dim + obs), span_keys),  # the orbit and its observations
              (rows * len(cfg.regions) * state, span_keys),  # the stacked drive, the psi iterate
+             # input_forgetting: its largest array is its inputs, drawn at once
+             # for 20 prefix steps and the suffix; its input terms and states
+             # take a chunk of steps at a time, so max(obs, state) has room
              ((max(cfg.forgetting_k) + 20) * cfg.forgetting_trials * max(obs, state),
-              "run.forgetting_k, run.forgetting_trials"),  # input_forgetting, 20 prefix steps
+              "run.forgetting_k, run.forgetting_trials"),
              (cfg.input_samples * obs, "run.input_samples")]
     sizes += [(max(cfg.grid_resolution, 8) * region.dim, "run.grid_resolution")
               for region in cfg.regions if isinstance(region, Ball)]  # Ball.grid's top-up

@@ -100,9 +100,27 @@ def input_forgetting(F: StateMap, region: InvariantRegion, input_range: InputRan
     # of xa, then of xb; then one shared input per suffix step
     prefix = g.uniform(input_range.lo, input_range.hi, size=(prefix_len, 2, trials, d))
     suffix = g.uniform(input_range.lo, input_range.hi, size=(suffix_len, trials, d))
-    xa = run_recursion(F, suffix, run_recursion(F, prefix[:, 0], xa)[-1])[-1]
-    xb = run_recursion(F, suffix, run_recursion(F, prefix[:, 1], xb)[-1])[-1]
+    xa = _final_state(F, suffix, _final_state(F, prefix[:, 0], xa))
+    xb = _final_state(F, suffix, _final_state(F, prefix[:, 1], xb))
     return float(np.max(_row_norms(xa - xb)))
+
+
+# input_forgetting's recursions take this many steps per run_recursion call:
+# their states then hold (33, trials, N) numbers whatever the horizon, and
+# each call's set-up (input terms, kernel, checks) is paid once per chunk
+_FORGET_CHUNK = 32
+
+
+def _final_state(F: StateMap, z: np.ndarray, x0) -> np.ndarray:
+    """``run_recursion(F, z, x0)[-1]``, bit for bit and with the same
+    errors, from ``run_recursion`` on ``_FORGET_CHUNK`` inputs at a time,
+    each chunk started from a copy of the last state of the one before: no
+    state history outlives its chunk, and F's non-finite rule judges every
+    chunk.  An empty z still makes one call, which checks x0 and z."""
+    x = x0
+    for t in range(0, max(len(z), 1), _FORGET_CHUNK):
+        x = run_recursion(F, z[t:t + _FORGET_CHUNK], x)[-1].copy()
+    return x
 
 
 # The near-pair search puts points into cubic cells on at most the first
@@ -252,20 +270,35 @@ def _near_pairs(points: np.ndarray, radius_factor: float, min_time_sep: int,
         raise InsufficientPairs("no near pairs within the search radius")
     if separated == 0:
         raise InsufficientPairs("all near pairs are temporal neighbors")
+    # each pass below writes into the array it reads, and each list goes
+    # once it is joined, so the pairs take at most three numbers each at once
     key = np.concatenate(keys)
+    del keys
     if len(key) > pair_budget:
-        dm = np.sqrt(np.concatenate(sqs))
-        shells = np.clip(np.floor(np.log10(dm / dm.min()) * 4.0), 0, 64).astype(np.int64)
-        counts = np.bincount(shells)
+        shell = np.concatenate(sqs)
+        del sqs
+        # the shell of each distance dm: floor(4 log10(dm / min dm)) in [0, 64]
+        np.sqrt(shell, out=shell)
+        np.divide(shell, shell.min(), out=shell)
+        np.log10(shell, out=shell)
+        np.multiply(shell, 4.0, out=shell)
+        np.floor(shell, out=shell)
+        np.clip(shell, 0, 64, out=shell)
+        shell_key = shell.astype(np.int64)
+        del shell
+        counts = np.bincount(shell_key)
         per_shell = max(pair_budget // len(counts), 50)
         # sorted shell by shell, each shell in lexicographic order (the shell
         # keys stay below 65 n**2, in int64 for any sample that fits in memory)
-        by_shell = np.split(np.sort(shells * (n * n) + key), np.cumsum(counts)[:-1])
-        key = np.concatenate([rng.choice(shell, per_shell, replace=False)
-                              if len(shell) > per_shell else shell
-                              for shell in by_shell]) % (n * n)
+        shell_key *= n * n
+        shell_key += key
+        del key
+        shell_key.sort()
+        key = np.concatenate([rng.choice(part, per_shell, replace=False)
+                              if len(part) > per_shell else part
+                              for part in np.split(shell_key, np.cumsum(counts)[:-1])]) % (n * n)
     else:
-        key = np.sort(key)
+        key.sort()
     first, second = np.divmod(key, n)
     dm = np.sqrt(_squared_distances(points, list(points.T), first, second))
     pairs = np.stack([first, second], axis=1)

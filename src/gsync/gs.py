@@ -166,9 +166,15 @@ def _write_csv(path, meta: dict, header: list[str], rows, prefix=None) -> None:
 
 
 def _residuals(values: np.ndarray, z: np.ndarray, F: StateMap) -> np.ndarray:
-    """Recursion defects ||f_t - F(f_{t-1}, z_t)|| over the recorded window."""
+    """Recursion defects ||f_t - F(f_{t-1}, z_t)|| over the recorded window.
+
+    The differences are taken in the prediction's own array when F returns
+    a fresh writable one of their shape, as every built-in map does; a
+    custom map's function may return a view of its arguments or a read-only
+    array, and then they go into a new one."""
     pred = F.eval(values[:-1], z[1:])
-    return _row_norms(values[1:] - pred)
+    own = pred.base is None and pred.flags.writeable and pred.shape == values[1:].shape
+    return _row_norms(np.subtract(values[1:], pred, out=pred if own else None))
 
 
 def _sampled(F: StateMap, z: np.ndarray, times: np.ndarray, points: np.ndarray,
@@ -307,10 +313,13 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
 
     Sweeps are simultaneous (Jacobi) updates from the previous iterate,
     written by F's kernel (``F._kernel``, prepared once) into the other of
-    two preallocated iterates, and stop when the sup-norm change, taken in
-    a preallocated change buffer, falls to ``tol``.  If ``l_fx`` is given,
-    the a-priori fixed-point error bound l_fx^n/(1-l_fx)*||f1-f0|| is
-    reported alongside the final sup-change.
+    two preallocated iterates, and stop when the sup-norm change falls to
+    ``tol``.  The change is taken in the outgoing iterate, which the next
+    sweep overwrites anyway.  If ``l_fx`` is given, the a-priori fixed-point
+    error bound l_fx^n/(1-l_fx)*||f1-f0|| is reported alongside the final
+    sup-change.  The recorded values are a view of the final iterate: the
+    other iterate, the input terms and the kernel go before the residuals
+    are taken, so at most three arrays of the iterate's size are live then.
     """
     if len(trajectory) < 2:
         raise ValueError("trajectory must have at least two points")
@@ -322,16 +331,16 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
         raise RegionEscape(f"f0 lies outside region {region.label!r}", index=None)
 
     n = len(trajectory)
-    f = np.broadcast_to(f0, (n, F.state_dim)).copy()
-    f_new, diff, sums = np.empty_like(f), np.empty_like(f), np.empty(n)
     boundary = F.eval(f0, z[0])  # constant: frozen predecessor value
-    u = F.input_terms(z[1:])
+    u = F.input_terms(z[1:])  # before the iterates exist: its temporaries never sit beside them
+    f = np.broadcast_to(f0, (n, F.state_dim)).copy()
+    f_new, sums = np.empty_like(f), np.empty(n)
     step = F._kernel(f[:-1].shape)
     change_history = []
     for _ in range(max_iters):
         f_new[0] = boundary
         step(f[:-1], u, f_new[1:])
-        change = _max_row_norm(np.subtract(f_new, f, out=diff), sums)
+        change = _max_row_norm(np.subtract(f_new, f, out=f), sums)
         # a finite change needs finite rows in f and f_new alike
         if not math.isfinite(change):
             F._check_finite(f_new[1:])
@@ -339,6 +348,7 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
         f, f_new = f_new, f
         if change <= tol:
             break
+    del f_new, u, step, sums
     n_iters = len(change_history)
     first_change, change = (change_history[0], change_history[-1]) if n_iters else (math.nan,) * 2
     converged = change <= tol  # the last sweep broke the loop (a nan change never does)
@@ -349,7 +359,7 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
 
     times = trajectory.t0 + np.arange(record_from, n)
     return _sampled(F, z[record_from:], times, trajectory.points[record_from:].copy(),
-                    f[record_from:].copy(),
+                    f[record_from:],
                     {"name": "psi", "n_iters": n_iters, "f0": f0.tolist(),
                      "tol": tol, "converged": converged,
                      "final_change": change, "first_change": first_change,

@@ -118,8 +118,11 @@ class Ball(InvariantRegion):
         self.radius = float(radius)
 
     def boundary_margin(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.radius - np.linalg.norm(x - self._center, axis=-1)
+        """The radius less each point's distance to the center: points (n,
+        dim) take the row norms of ``gs._row_norms``, numpy's bit for bit."""
+        from .gs import _row_norms  # gs imports this module
+        d = np.asarray(x, dtype=float) - self._center
+        return self.radius - (_row_norms(d) if d.ndim == 2 else np.linalg.norm(d, axis=-1))
 
     def center(self) -> np.ndarray:
         return self._center.copy()

@@ -117,10 +117,10 @@ class StateMap:
     result into ``out``, so a map that defines only a two-argument
     ``apply`` works unchanged; the built-in maps compute F in their kernel
     and ``apply`` fills a fresh array through it, so each keeps one
-    formula.  ``apply_into(x, u, out)`` runs a kernel once.  ``eval``,
-    ``jac_state``, ``jac_input`` and ``second_partials`` take x (..., N) and
-    z (..., d) with leading batch axes that broadcast.  The ``*_norms``
-    methods, one norm per row of X, Z, are ``lipschitz_bounds``' grid.
+    formula.  ``eval``, ``jac_state``, ``jac_input`` and ``second_partials``
+    take x (..., N) and z (..., d) with leading batch axes that broadcast.
+    The ``*_norms`` methods, one norm per row of X, Z, are
+    ``lipschitz_bounds``' grid.
     """
 
     derivative_order = 0
@@ -168,11 +168,6 @@ class StateMap:
     def apply(self, x, u) -> np.ndarray:
         """F(x, z) from u, the entry of ``input_terms`` for z; no checks."""
         raise NotImplementedError
-
-    def apply_into(self, x, u, out) -> np.ndarray:
-        """``apply(x, u)`` written into ``out`` (never x or u), which is
-        returned, by a kernel prepared for x's shape; no checks."""
-        return self._kernel(x.shape)(x, u, out)
 
     def _kernel(self, shape):
         """``step(x, u, out)``, F written into ``out`` for states x of
@@ -280,7 +275,9 @@ class Esn(StateMap):
 
     def input_terms(self, z) -> np.ndarray:
         """z C^T + zeta for every row of z, in one batch."""
-        return self._check_input(z) @ self.C.T + self.zeta
+        u = self._check_input(z) @ self.C.T
+        u += self.zeta
+        return u
 
     def apply(self, x, u) -> np.ndarray:
         """sigma(x A^T + u) for u from ``input_terms``; no checks."""

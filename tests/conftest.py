@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,16 @@ from gsync import (CoordinateProjection, CustomStateMap, Esn, LinearDelay, Power
                    TorusRotation, AxisBox, lorenz_system, observe_trajectory)
 
 LORENZ_M0 = np.array([0.0, 1.0, 1.05])
+
+
+def traced_peak(run):
+    """The tracemalloc peak, in bytes, of ``run()``, and what it returned."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 IV_ALPHA, IV_LAMBDA, IV_K = 0.9, 0.009, 0.1
 
 # the eight stable fixed points of the autonomous power map

@@ -124,7 +124,8 @@ def test_output_digest_records_repeat(monkeypatch):
     load_script(monkeypatch, "workloads", "perfbench", "workloads.py")
     tool = load_script(monkeypatch, "output_digests", "tools", "output_digests.py")
     cfg = parse_config_text(DIGEST_CONFIG)
-    assert list(tool.RECORDS) == ["sweep", "lipschitz", "psi", "grid", "recur", "pairs", "rows"]
+    assert list(tool.RECORDS) == ["sweep", "lipschitz", "psi", "grid", "recur", "pairs", "rows",
+                                 "forgetting"]
     for name, record in tool.RECORDS.items():
         digest = record(cfg)
         assert re.fullmatch("[0-9a-f]{64}", digest) and record(cfg) == digest, name

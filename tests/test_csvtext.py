@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from gsync import _csvtext
 from gsync._csvtext import matrix_text, prefix_fields
 
+from conftest import traced_peak
+
 MAX = np.finfo(float).max
 TINY = np.finfo(float).tiny
 
@@ -114,6 +116,15 @@ def test_prefix_blocks_split_rows_as_a_whole(monkeypatch):
     for cut in (1, 3, 4):
         got = "".join(matrix_text(matrix[:, cut:], prefix_fields(matrix[:, :cut])))
         assert got == reference(matrix)
+
+
+def test_matrix_text_of_a_synchronization_matrix_stays_under_3_mb():
+    # 6001 rows of 17 columns, cat_reservoir's synchronize files: a block's
+    # two byte-index arrays, 25 intp per value, are most of the peak
+    matrix = np.random.default_rng(2).normal(size=(6001, 17))
+    text(matrix[:1])  # the tables, built once per process
+    peak, _ = traced_peak(lambda: [None for _ in matrix_text(matrix)])
+    assert peak <= 3 * 2 ** 20
 
 
 def reference_tables() -> SimpleNamespace:

@@ -5,11 +5,12 @@ from gsync import (AxisBox, CatMap, CoordinateProjection, CustomObservation,
                    CustomStateMap, Esn, InputRange, LinearDelay, PowerSine,
                    WeightingSequence, derivative_profile, diagnostics, drive_gs,
                    esp_convergence, holder_exponent, input_forgetting,
-                   psi_iterate_gs, weighted_distance)
-from gsync.diagnostics import _median_spacing, _near_pairs
-from gsync.errors import InsufficientPairs, LengthMismatch
+                   psi_iterate_gs, run_recursion, weighted_distance)
+from gsync.diagnostics import (_FORGET_CHUNK, _final_state, _median_spacing, _near_pairs,
+                               _pairs_within)
+from gsync.errors import DimensionMismatch, InsufficientPairs, LengthMismatch, NonFiniteError
 
-from conftest import LORENZ_M0, esn_reservoir
+from conftest import LORENZ_M0, esn_reservoir, traced_peak
 
 IV_LFX = 0.9 * 0.9 ** (-0.1)
 
@@ -296,6 +297,48 @@ class TestStepLoopEquivalence:
             assert g_new.bit_generator.state == g_ref.bit_generator.state
 
 
+class TestForgettingInChunks:
+    """input_forgetting's recursions, run a chunk at a time."""
+
+    @pytest.mark.parametrize("which", ["power_sine", "esn16"])
+    @pytest.mark.parametrize("k", [0, 1, _FORGET_CHUNK - 1, _FORGET_CHUNK, _FORGET_CHUNK + 1,
+                                   2 * _FORGET_CHUNK, 2 * _FORGET_CHUNK + 1, 200])
+    def test_final_state_is_the_recursions_last_row(self, which, k, power_sine):
+        F = power_sine if which == "power_sine" else esn_reservoir()
+        rng = np.random.default_rng(k)
+        x0 = rng.uniform(0.9, 1.1, size=(30, F.state_dim))
+        z = rng.uniform(-15.0, 15.0, size=(k, 30, 1))
+        got = _final_state(F, z, x0)
+        assert got.tobytes() == run_recursion(F, z, x0)[-1].tobytes()
+        assert got.flags.owndata  # no chunk's states outlive it
+
+    @pytest.mark.parametrize("at", [5, _FORGET_CHUNK + 3, 3 * _FORGET_CHUNK])
+    def test_non_finite_step_in_any_chunk_raises_the_recursions_error(self, at, power_sine):
+        z = np.full((4 * _FORGET_CHUNK, 2, 1), 0.5)
+        z[at, 1] = np.nan  # sin(nan): a nan state from step at + 1 on
+        x0 = np.ones((2, 3))
+        with pytest.raises(NonFiniteError) as want:
+            run_recursion(power_sine, z, x0)
+        with pytest.raises(NonFiniteError) as got:
+            _final_state(power_sine, z, x0)
+        assert str(got.value) == str(want.value) == "power-sine evaluation is non-finite"
+
+    def test_no_input_still_checks_the_inputs(self, power_sine):
+        with pytest.raises(DimensionMismatch, match="input has trailing dimension 2"):
+            _final_state(power_sine, np.empty((0, 4, 2)), np.ones((4, 3)))
+
+    def test_peak_does_not_grow_with_the_horizon_beyond_the_inputs(self):
+        # 64 units, 100 trials: a state history would take 51 kB per step;
+        # the peak may grow only by the inputs drawn for the longer suffix
+        F = esn_reservoir(64)
+        region = AxisBox(np.full(64, -1.0), np.full(64, 1.0))
+        input_range = InputRange.of([-1.0], [1.0])
+        short, long = (traced_peak(lambda: input_forgetting(F, region, input_range, k,
+                                                            trials=100, rng=0))[0]
+                       for k in (100, 600))
+        assert long - short <= 500 * 100 * 8 + 16 * 1024
+
+
 def kd_near_pairs(points, radius_factor, min_time_sep, pair_budget, rng, lexicographic=False):
     """The KD-tree near-pair search (scipy's cKDTree), as the probes ran it
     before the grid search; ``lexicographic`` sorts its pairs before the
@@ -445,6 +488,16 @@ class TestNearPairs:
         monkeypatch.setattr(diagnostics, "_BATCH", 50)
         assert near_pairs_outcome(_near_pairs, points, 10.0, 0) == want
         assert _median_spacing(points) == _median_spacing(points[::-1])
+
+    def test_subsample_takes_at_most_32_bytes_per_pair_found(self):
+        # the cat map's phase points, as the cat_reservoir benchmark records
+        # them: about 200 000 pairs within ten median spacings
+        points = CatMap().trajectory([0.1, 0.3], 6000).points
+        radius = 10.0 * _median_spacing(points)
+        found = sum(len(sq) for *_, sq in _pairs_within(points, radius))
+        peak, _ = traced_peak(lambda: _near_pairs(points, 10.0, 10, 4000,
+                                                  np.random.default_rng(0)))
+        assert found > 100_000 and peak <= 32 * found
 
     def test_repeated_points_drop_their_zero_distance_pairs(self):
         points = edge_samples()["repeats"]

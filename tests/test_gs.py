@@ -15,7 +15,7 @@ from gsync.errors import (DimensionMismatch, DisjointRanges, DomainViolation, Gs
 from gsync import gs as gs_module
 from gsync.gs import _drive_regions, _max_row_norm, _row_norms
 
-from conftest import LORENZ_M0, esn_reservoir, formula, record_steps
+from conftest import LORENZ_M0, esn_reservoir, formula, record_steps, traced_peak
 
 IV_LFX = 0.9 * 0.9 ** (-0.1)
 EPS = np.finfo(float).eps
@@ -717,6 +717,21 @@ def test_max_row_norm_allocates_no_array(cols):
     assert peak < 4096
 
 
+def test_psi_holds_at_most_three_and_a_half_iterates():
+    # a wide reservoir on a long orbit, where the iterate-sized arrays are
+    # the working set: the sweeps hold two iterates and the input terms, the
+    # residuals the final iterate, the input terms and the prediction
+    # (seven iterates when the change had its own buffer and the residuals
+    # a copy of the values and of their differences)
+    F = esn_reservoir(64)
+    cat = CatMap()
+    traj = cat.trajectory([0.1, 0.3], 4000)
+    peak, gs = traced_peak(lambda: psi_iterate_gs(F, cat, CoordinateProjection([0], 2), traj,
+                                                  np.zeros(64), tol=1e-12, max_iters=100))
+    assert gs.method["converged"] and gs.values.shape == (4001, 64)
+    assert peak <= 3.5 * gs.values.nbytes
+
+
 # values whose rounding, sign or propagation a reduction can get wrong
 ROW_SPECIALS = [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 5e-324, -2.5e-310,
                 1e308, -1e308, np.finfo(float).max]
@@ -778,6 +793,18 @@ def test_box_margin_is_numpys_row_minimum_bit_for_bit(case):
         expected = np.minimum(x - box.lo, box.hi - x).min(axis=-1)
         got = box.boundary_margin(x)
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(d=short_rows(), center=st.sampled_from([0.0, -0.0, 0.25, -1e-310]))
+def test_ball_margin_is_numpys_bit_for_bit(d, center):
+    ball = Ball(np.full(d.shape[1], center), 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = 0.5 - np.linalg.norm(d - ball.center(), axis=-1)
+        got = ball.boundary_margin(d)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        if len(d):  # a lone point
+            assert np.float64(ball.boundary_margin(d[0])).tobytes() == expected[:1].tobytes()
 
 
 def lone_drives(F, sys, obs, traj, starts, regions, washout, record):
@@ -917,6 +944,11 @@ class TestStackedDrive:
                                    for b, err in zip(eight_boxes[:2], lone)}
 
 
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 class TestResiduals:
     def test_stored_per_row(self, power_sine, lorenz_obs, iv_drive):
         res = iv_drive.residuals
@@ -952,6 +984,21 @@ class TestResiduals:
         mx, mean = recursion_residual(iv_drive, power_sine, lorenz_obs)
         assert mx == pytest.approx(iv_drive.residual_max, abs=1e-16)
         assert mean == pytest.approx(iv_drive.residual_mean, abs=1e-16)
+
+    @pytest.mark.parametrize("func", [lambda x, z: x, lambda x, z: x[..., ::-1],
+                                      lambda x, z: np.broadcast_to(z[..., :1], x.shape),
+                                      lambda x, z: read_only(0.5 * x)])
+    def test_prediction_that_is_not_its_own_array_is_left_alone(self, func, iv_drive):
+        # a custom map may return a view of the values, a broadcast or a
+        # read-only array: the differences then go into a new array
+        F = CustomStateMap(func, state_dim=3, input_dim=1)
+        obs = CustomObservation(lambda m: m[..., :1], obs_dim=1, phase_dim=3)
+        values = iv_drive.values.copy()
+        gs = replace(iv_drive, values=values)
+        pred = func(values[:-1], iv_drive.points[1:, :1])
+        want = np.linalg.norm(values[1:] - pred, axis=-1)
+        assert recursion_residual(gs, F, obs) == (float(np.max(want)), float(np.mean(want)))
+        assert values.tobytes() == iv_drive.values.tobytes()
 
 
 class TestCompare:

@@ -127,16 +127,13 @@ class TestEvaluationContract:
                 out = np.full(expected.shape, 7.0)
                 assert step(x, u, out) is out
                 assert out.tobytes() == expected.tobytes()
-            out = np.full(expected.shape, 7.0)
-            assert F.apply_into(x, u, out) is out
-            assert out.tobytes() == expected.tobytes()
             assert F.apply(x, u).tobytes() == expected.tobytes()
 
-    def test_apply_into_defaults_to_a_copy_of_apply(self):
+    def test_kernel_defaults_to_a_copy_of_apply(self):
         F = Halving()
         x, u = np.array([[1.0, -0.0], [3.0, np.nan]]), np.array([[0.5], [-0.0]])
         out = np.empty((2, 2))
-        assert F.apply_into(x, u, out) is out
+        assert F._kernel(x.shape)(x, u, out) is out
         assert out.tobytes() == F.apply(x, u).tobytes()
 
     def test_custom_apply_is_the_function_unchecked(self):

@@ -40,7 +40,10 @@ own directory under OUT_DIR.  Prints, sorted by path:
 - one ``sha256  <config>/rows`` line per config for the bytes of each
   region's ``boundary_margin`` and of the row norms (``gs._row_norms``)
   on the values that the sweep records in it, followed by rows that hold
-  nan of both signs, zeros of both signs and infinities.
+  nan of both signs, zeros of both signs and infinities;
+- one ``sha256  <config>/forgetting`` line per config for the bytes of
+  ``input_forgetting`` at each of the config's horizons on each of its
+  regions, from one generator seeded with the config's seed.
 
 Every orbit and input range comes from ``cli._orbit`` and psi's ``l_fx``
 from ``cli._closed_form_l_fx``, so the records follow the CLI's rules.
@@ -49,8 +52,8 @@ from ``cli._closed_form_l_fx``, so the records follow the CLI's rules.
 lines are what see a change to the grid derivative norms.  Run it on two
 checkouts and ``diff`` the listings to check that a change keeps the CLI
 output, the sweep, the grid suprema, the psi convergence records, the
-region grids, the tangent norms, the recursion states, the near pairs and
-the row reductions byte-identical.  The
+region grids, the tangent norms, the recursion states, the near pairs,
+the row reductions and the forgetting probe byte-identical.  The
 package is imported from this checkout's ``src``.
 """
 
@@ -68,8 +71,9 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import workloads  # noqa: E402
 import numpy as np  # noqa: E402
 
-from gsync import (certify, drive_gs, lipschitz_bounds,  # noqa: E402
-                   multistability_sweep, psi_iterate_gs, run_recursion)
+from gsync import (certify, drive_gs, input_forgetting,  # noqa: E402
+                   lipschitz_bounds, multistability_sweep, psi_iterate_gs,
+                   run_recursion)
 from gsync.cli import (_closed_form_l_fx, _orbit, main as gsync_main,  # noqa: E402
                        section_iv_config)
 from gsync.config import RunConfig, parse_config  # noqa: E402
@@ -238,7 +242,8 @@ ROW_PATTERNS = ([-0.0], [0.0], [np.nan, -np.nan], [-np.nan, np.nan], [np.inf, -n
 
 def rows_digest(cfg: RunConfig) -> str:
     """SHA-256 of the bytes of ``boundary_margin`` and of the row norms on
-    each of a config's regions: on the values that ``multistability_sweep``
+    each of a config's regions (boxes and balls alike, whose margin takes
+    ``_row_norms`` too): on the values that ``multistability_sweep``
     records in it (run as in ``sweep_digest``; none where it fails) and on
     one row per ``ROW_PATTERNS`` entry, repeated to the state dimension.
     ``_row_norms`` is ``np.linalg.norm(d, axis=-1)`` bit for bit: with that
@@ -259,9 +264,30 @@ def rows_digest(cfg: RunConfig) -> str:
     return h.hexdigest()
 
 
+def forgetting_digest(cfg: RunConfig) -> str:
+    """SHA-256 of the bytes of ``input_forgetting`` at each
+    ``run.forgetting_k`` on each of a config's regions, with
+    ``run.forgetting_trials`` trials over the input range of ``diagnose``'s
+    orbit, all from one generator seeded with the config's seed (a package
+    error is hashed by its type and text)."""
+    _, _, input_range = _orbit(cfg, cfg.span)
+    rng = np.random.default_rng(cfg.seed)
+    h = hashlib.sha256()
+    for region in cfg.regions:
+        for k in cfg.forgetting_k:
+            try:
+                worst = input_forgetting(cfg.statemap, region, input_range, k,
+                                         trials=cfg.forgetting_trials, rng=rng)
+            except GsyncError as exc:
+                h.update(repr(f"{type(exc).__name__}: {exc}").encode())
+            else:
+                h.update(np.float64(worst).tobytes())
+    return h.hexdigest()
+
+
 RECORDS = {"sweep": sweep_digest, "lipschitz": lipschitz_digest, "psi": psi_digest,
            "grid": grid_digest, "recur": recur_digest, "pairs": pairs_digest,
-           "rows": rows_digest}
+           "rows": rows_digest, "forgetting": forgetting_digest}
 
 
 def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[str]]:
