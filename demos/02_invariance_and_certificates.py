@@ -17,8 +17,8 @@ Two settings:
 import numpy as np
 
 from gsync import (AxisBox, CatMap, CoordinateProjection, Esn, InputRange,
-                   PowerSine, certify, check_invariance, lipschitz_bounds,
-                   lorenz_system, observe_trajectory)
+                   OrbitConstants, PowerSine, certify, check_invariance,
+                   lipschitz_bounds, lorenz_system, observe_trajectory)
 
 lorenz = lorenz_system()
 obs = CoordinateProjection([0], phase_dim=3)
@@ -44,8 +44,8 @@ print(f"\ncontraction constant on V1: analytic {b.analytic['l_fx']:.6f}, "
 print(f"input sensitivity: {b.l_fz:.6f};  second partials: "
       f"{b.l_fxx:.4f} / {b.l_fxz:.4f}")
 
-cert = certify(F, boxes[0], lorenz, obs, traj.points[2000:],
-               max_tangent_samples=500)
+orbit = OrbitConstants.of(lorenz, obs, traj.points[2000:], max_tangent_samples=500)
+cert = certify(F, boxes[0], orbit)
 print("\nfull certificate on V1 (Lorenz driver):")
 print("  " + cert.report_text().replace("\n", "\n  "))
 print("  note: the sampled inverse tangent norm exceeds 1/l_fx here, so the")
@@ -55,10 +55,9 @@ print("  while the unique-response (contraction) verdict holds.")
 print("\nrecurrent network on the hyperbolic torus map:")
 cat = CatMap()
 cat_obs = CoordinateProjection([0], phase_dim=2)
-samples = cat.trajectory([0.1234, 0.5678], 400).points
+cat_orbit = OrbitConstants.of(cat, cat_obs, cat.trajectory([0.1234, 0.5678], 400).points)
 for scale in (0.3, 0.5):
     E = Esn(scale * np.eye(2), np.array([[0.1], [0.1]]), squashing="tanh")
-    c = certify(E, AxisBox([-1, -1], [1, 1], label=f"scale{scale}"),
-                cat, cat_obs, samples)
+    c = certify(E, AxisBox([-1, -1], [1, 1], label=f"scale{scale}"), cat_orbit)
     print(f"  connectivity norm {scale}: esp_ok={c.esp_ok}  diff_ok={c.diff_ok}"
           f"  (threshold 1/|T phi^-1| = {1.0 / c.tangent_inv_norm:.5f})")

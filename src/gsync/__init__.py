@@ -8,7 +8,7 @@ and provides empirical convergence, forgetting, and regularity diagnostics.
 
 __version__ = "0.1.0"
 
-from .contraction import (ContractionCertificate, InvarianceCheck,
+from .contraction import (ContractionCertificate, InvarianceCheck, OrbitConstants,
                           absorbing_set, certify, check_invariance)
 from .diagnostics import (DerivativeProfile, HolderFit, WeightingSequence,
                           derivative_profile, esp_convergence, holder_exponent,

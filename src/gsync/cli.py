@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, parse_config, parse_config_text
-from .contraction import _orbit_constants, certify
+from .contraction import OrbitConstants, certify
 from .diagnostics import (derivative_profile, esp_convergence, holder_exponent,
                           input_forgetting)
 from .dynsys import observe_trajectory
@@ -111,13 +111,9 @@ def _drives(cfg: RunConfig, traj) -> list:
 
 def cmd_certify(cfg: RunConfig, args) -> int:
     traj, _, input_range = _orbit(cfg, cfg.n_steps)
-    # the input range and the tangent and D omega norms, once for every region
-    constants = _orbit_constants(cfg.system, cfg.observation, traj.points,
-                                 input_range=input_range)
-    certs = [certify(cfg.statemap, region, cfg.system, cfg.observation, traj.points,
-                     resolution=cfg.grid_resolution, n_inputs=cfg.input_samples,
-                     rng=cfg.seed, _constants=constants)
-             for region in cfg.regions]
+    orbit = OrbitConstants.of(cfg.system, cfg.observation, traj.points, input_range=input_range)
+    certs = [certify(cfg.statemap, region, orbit, resolution=cfg.grid_resolution,
+                     n_inputs=cfg.input_samples, rng=cfg.seed) for region in cfg.regions]
     with open(os.path.join(args.out, "certificates.txt"), "w") as fh:
         for cert in certs:
             fh.write(cert.report_text() + "\n\n")

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .contraction import MAX_TANGENT_SAMPLES
 from .dynsys import (CatMap, CoordinateProjection, DiscreteSystem,
                      LinearObservation, ObservationMap, TorusRotation,
                      lorenz_system)
@@ -410,8 +411,8 @@ def _check_size(cfg: RunConfig) -> None:
         largest = max(n for n, _ in sizes)
         raise ConfigError(f"{', '.join(over)}: the run would hold an array of at least "
                           f"2**{largest.bit_length() - 1} numbers, above the cap of 2**50")
-    # the orbit, and certify's tangent kernel: 14 integrations per sample, <= 1000 samples
-    substeps = getattr(cfg.system, "substeps", 0) * (rows + 14 * 1000)
+    # the orbit, and certify's tangent kernel: 14 integrations per sample
+    substeps = getattr(cfg.system, "substeps", 0) * (rows + 14 * MAX_TANGENT_SAMPLES)
     if substeps > _SUBSTEP_CAP:
         raise ConfigError(f"system.substeps, {span_keys}: the run would integrate at least "
                           f"2**{substeps.bit_length() - 1} RK4 substeps, above the cap of 2**33")

@@ -9,7 +9,7 @@ also below the reciprocal of the driving system's inverse tangent norm).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .regions import AxisBox, Ball, InputRange, InvariantRegion, RegionIntersect
 from .statemaps import LipschitzBounds, StateMap, _cyclic_pair, lipschitz_bounds
 
 _PRODUCT_CAP = 400_000
+# the most samples ``OrbitConstants.of`` takes the tangent norms over by default
+MAX_TANGENT_SAMPLES = 1000
 # the certificate CSV columns, a fixed subset of the report's fields
 _CSV_FIELDS = ("region", "l_fx", "l_fz", "l_fxx", "l_fxz", "tangent_inv_norm", "domega_norm",
                "invariance_ok", "invariance_margin", "esp_ok", "diff_ok", "r_const",
@@ -161,57 +163,48 @@ class ContractionCertificate:
 
 
 @dataclass(frozen=True)
-class _OrbitConstants:
-    """The constants of a certificate that depend on the samples and not on
-    the region: the input range and the sampled tangent and ||D omega||
-    norms, with the number of samples they were taken over."""
+class OrbitConstants:
+    """The constants of a certificate that belong to the driving system and
+    not to the region: the input range (the hull of the samples'
+    observations), the suprema of ||T phi||, ||T phi^-1|| and ||D omega||,
+    the number of samples those were taken over, and whether the norms are
+    closed forms (``sys.exact_tangent`` and ``obs.exact_norm``)."""
 
     input_range: InputRange
     tangent_norm: float
     tangent_inv_norm: float
     domega_norm: float
     n_tangent_samples: int
-    # (sys, obs, attractor_samples, max_tangent_samples) they were taken from
-    source: tuple = field(repr=False, compare=False)
+    exact: bool
 
-    def taken_from(self, sys, obs, attractor_samples, max_tangent_samples) -> bool:
-        s, o, a, m = self.source
-        return s is sys and o is obs and a is attractor_samples and m == max_tangent_samples
-
-
-def _orbit_constants(sys: DiscreteSystem, obs: ObservationMap, attractor_samples,
-                     max_tangent_samples: int = 1000,
-                     input_range: InputRange | None = None) -> _OrbitConstants:
-    """``certify``'s region-independent constants on the samples: the hull
-    of their observations, and the suprema of ||T phi||, ||T phi^-1|| and
-    ||D omega|| over at most ``max_tangent_samples`` evenly spaced ones.
-    ``input_range``, if given, is that hull as the caller already took it."""
-    samples = np.atleast_2d(np.asarray(attractor_samples, dtype=float))
-    if input_range is None:
-        input_range = InputRange.from_observations(_observe(obs, samples, finite=True))
-    tangent_samples = samples
-    if len(samples) > max_tangent_samples:
-        idx = np.linspace(0, len(samples) - 1, max_tangent_samples).astype(int)
-        tangent_samples = samples[idx]
-    tnorm, tinv = tangent_norm_bounds(sys, tangent_samples)
-    return _OrbitConstants(input_range, tnorm, tinv, obs.norm_bound(tangent_samples),
-                           len(tangent_samples),
-                           (sys, obs, attractor_samples, max_tangent_samples))
+    @classmethod
+    def of(cls, sys: DiscreteSystem, obs: ObservationMap, samples,
+           max_tangent_samples: int = MAX_TANGENT_SAMPLES,
+           input_range: InputRange | None = None) -> OrbitConstants:
+        """The constants on the samples: the norms over at most
+        ``max_tangent_samples`` evenly spaced ones.  ``input_range``, if
+        given, is the hull of their observations as the caller took it."""
+        samples = np.atleast_2d(np.asarray(samples, dtype=float))
+        if input_range is None:
+            input_range = InputRange.from_observations(_observe(obs, samples, finite=True))
+        if len(samples) > max_tangent_samples:
+            samples = samples[np.linspace(0, len(samples) - 1, max_tangent_samples).astype(int)]
+        tnorm, tinv = tangent_norm_bounds(sys, samples)
+        return cls(input_range, tnorm, tinv, obs.norm_bound(samples), len(samples),
+                   sys.exact_tangent and obs.exact_norm)
 
 
-def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
-            obs: ObservationMap, attractor_samples, *, resolution: int = 20,
-            n_inputs: int = 200, rng=None, max_tangent_samples: int = 1000,
-            _constants: _OrbitConstants | None = None) -> ContractionCertificate:
-    """Assemble the full certificate for F restricted to region.
+def certify(F: StateMap, region: InvariantRegion, orbit: OrbitConstants, *,
+            resolution: int = 20, n_inputs: int = 200, rng=None) -> ContractionCertificate:
+    """Assemble the full certificate for F restricted to region, driven
+    through the orbit that ``orbit`` (``OrbitConstants.of``) was taken on.
 
     Failed conditions are reported as flags rather than errors.  The input
-    range is the componentwise hull of the observations of the supplied
+    range is the componentwise hull of the observations of the orbit's
     samples; the tangent norms and ||D omega|| are suprema over (a
     subsample of) the same points, so all verdicts carry a sampled caveat
     unless every constant came from a closed form: the derivative bounds of
-    F, an interval invariance image, ``sys.exact_tangent`` and
-    ``obs.exact_norm``.
+    F, an interval invariance image and ``orbit.exact``.
 
     When F has closed-form derivative bounds on region x input range, they
     are the constants (method "analytic") and no grid is evaluated: a grid
@@ -219,17 +212,7 @@ def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
     Otherwise the constants are ``lipschitz_bounds``' grid suprema (method
     "grid").  ``diff_ok`` also needs ``F.derivative_order >= 2``, since the
     constants l_fxx and l_fxz presume second derivatives.
-
-    ``_constants``, private, holds the region-independent constants when a
-    caller that certifies many regions took them once (``_orbit_constants``)
-    from these same sys, obs, attractor_samples and max_tangent_samples;
-    constants taken from any others raise ValueError.
     """
-    orbit = _constants
-    if orbit is None:
-        orbit = _orbit_constants(sys, obs, attractor_samples, max_tangent_samples)
-    elif not orbit.taken_from(sys, obs, attractor_samples, max_tangent_samples):
-        raise ValueError("_constants were taken from other samples or settings")
     input_range, tinv, domega = orbit.input_range, orbit.tangent_inv_norm, orbit.domega_norm
 
     analytic = F.analytic_lipschitz(region, input_range)
@@ -256,8 +239,7 @@ def certify(F: StateMap, region: InvariantRegion, sys: DiscreteSystem,
         delta0 = 0.5 * (1.0 - l_fx) / denom if denom > 0.0 else 1.0
         c0 = max(l_fx * tinv, l_fx + delta0 * denom)
 
-    sampled = not (bounds.analytic is not None and inv.method == "interval"
-                   and sys.exact_tangent and obs.exact_norm)
+    sampled = not (bounds.analytic is not None and inv.method == "interval" and orbit.exact)
     return ContractionCertificate(
         region_label=region.label,
         bounds=bounds,

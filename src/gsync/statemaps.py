@@ -364,10 +364,6 @@ class LinearDelay(Esn):
         z = self._check_input(z)
         return np.concatenate([z, np.full(z.shape[:-1] + (self.state_dim - 1,), -0.0)], axis=-1)
 
-    def apply(self, x, u) -> np.ndarray:
-        """(u_1, x_1, ..., x_{2q}) for u from ``input_terms``, by copying."""
-        return self._apply_fresh(x, u)
-
     def _kernel(self, shape):
         def step(x, u, out):
             out[..., :1] = u[..., :1]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gsync import (AxisBox, CatMap, CoordinateProjection, CustomObservation,
-                   Esn, InputRange, LinearDelay, certify, check_invariance,
+                   Esn, InputRange, LinearDelay, OrbitConstants, certify, check_invariance,
                    compare_gs, delay_window, derivative_profile, drive_gs,
                    esp_convergence, holder_exponent, input_forgetting,
                    lipschitz_bounds, multistability_sweep, psi_iterate_gs)
@@ -143,10 +143,11 @@ def test_criterion_07_certificate_logic_cat_map():
         def esn(scale):
             return Esn(scale * np.eye(2), np.array([[0.1], [0.1]]), squashing="tanh")
 
-        c03 = certify(esn(0.3), region, cat, obs, samples)
+        orbit = OrbitConstants.of(cat, obs, samples)
+        c03 = certify(esn(0.3), region, orbit)
         assert c03.esp_ok and c03.diff_ok
         assert abs(c03.tangent_inv_norm - golden) <= 1e-9
-        c05 = certify(esn(0.5), region, cat, obs, samples)
+        c05 = certify(esn(0.5), region, orbit)
         assert c05.esp_ok and not c05.diff_ok
         assert abs(c05.tangent_inv_norm - golden) <= 1e-9
 

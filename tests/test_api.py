@@ -4,6 +4,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import gsync
 from gsync.config import parse_config_text
 
@@ -17,8 +19,8 @@ def test_public_names():
         "CustomObservation", "CustomStateMap", "CustomSystem", "DerivativeProfile",
         "DiscreteSystem", "Esn", "HolderFit", "InputRange", "InvarianceCheck",
         "InvariantRegion", "LinearDelay", "LinearObservation", "LipschitzBounds",
-        "ObservationMap", "OdeFlow", "PowerSine", "RegionIntersection", "SampledGS",
-        "StateMap", "SweepResult", "TorusRotation", "Trajectory", "WeightingSequence",
+        "ObservationMap", "OdeFlow", "OrbitConstants", "PowerSine", "RegionIntersection",
+        "SampledGS", "StateMap", "SweepResult", "TorusRotation", "Trajectory", "WeightingSequence",
         "absorbing_set", "certify", "check_equivariance", "check_invariance",
         "compare_gs", "contraction", "cos_range", "delay_window", "derivative_profile",
         "diagnostics", "drive_gs", "dynsys", "errors", "esp_convergence", "gs",
@@ -129,3 +131,28 @@ def test_output_digest_records_repeat(monkeypatch):
     for name, record in tool.RECORDS.items():
         digest = record(cfg)
         assert re.fullmatch("[0-9a-f]{64}", digest) and record(cfg) == digest, name
+
+
+def test_output_digests_match_the_committed_baseline(monkeypatch, tmp_path):
+    # every file the CLI writes and every record, byte for byte as in
+    # tools/output_digests.txt; its digests hold on the numpy, SIMD and BLAS it records
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src and perfbench
+    load_script(monkeypatch, "workloads", "perfbench", "workloads.py")
+    tool = load_script(monkeypatch, "output_digests", "tools", "output_digests.py")
+    with open(os.path.join(ROOT, "tools", "output_digests.txt")) as fh:
+        committed = fh.read().splitlines()
+    recorded = committed[0].removeprefix("# machine: ")
+    if recorded != tool.machine_record():
+        pytest.skip(f"baseline taken on {recorded}; this machine has {tool.machine_record()}")
+    (tmp_path / "inputs").mkdir()
+    extra, failures = tool.run_all(str(tmp_path / "out"), str(tmp_path / "inputs"))
+    assert failures == []
+    listing = tool.digests(str(tmp_path / "out"), extra)
+
+    def by_path(lines):
+        return dict(line.split("  ", 1)[::-1] for line in lines)
+
+    expected, got = by_path(committed[1:]), by_path(listing)
+    moved = [path for path in sorted(expected.keys() | got.keys())
+             if expected.get(path) != got.get(path)]
+    assert moved == [], f"digests differ from tools/output_digests.txt at {moved}"

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gsync import (AxisBox, Ball, InputRange, LinearObservation, PowerSine, certify, cli,
-                   contraction, observe_trajectory, psi_iterate_gs)
+from gsync import (AxisBox, Ball, InputRange, LinearObservation, OrbitConstants, PowerSine,
+                   certify, cli, contraction, observe_trajectory, psi_iterate_gs)
 from gsync.cli import main, section_iv_config
 from gsync import config
 from gsync.config import _KEYS, parse_config_text
@@ -587,7 +587,8 @@ class TestCertify:
         cfg_path = write_cfg(tmp_path, text)
         cfg = parse_config_text(text)
         traj = cfg.system.trajectory(cfg.initial, cfg.n_steps)
-        alone = [certify(cfg.statemap, region, cfg.system, cfg.observation, traj.points,
+        alone = [certify(cfg.statemap, region,
+                         OrbitConstants.of(cfg.system, cfg.observation, traj.points),
                          resolution=cfg.grid_resolution, n_inputs=cfg.input_samples,
                          rng=cfg.seed) for region in cfg.regions]
         calls = []
@@ -605,15 +606,6 @@ class TestCertify:
             cert.report_text() + "\n\n" for cert in alone)
         assert [line for line in (out / "certificates.csv").read_text().splitlines()
                 if not line.startswith("#")][1:] == [cert.csv_row() for cert in alone]
-
-    def test_constants_of_other_samples_are_refused(self):
-        cfg = parse_config_text(TestOneOrbit.SHORT_IV)
-        points = cfg.system.trajectory(cfg.initial, 50).points
-        constants = contraction._orbit_constants(cfg.system, cfg.observation, points)
-        for samples, most in ((points.copy(), 1000), (points, 10)):
-            with pytest.raises(ValueError, match="^_constants were taken from other samples"):
-                certify(cfg.statemap, cfg.regions[0], cfg.system, cfg.observation, samples,
-                        max_tangent_samples=most, _constants=constants)
 
     def test_ball_holding_a_zero_coordinate_is_unbounded(self, tmp_path):
         # a PowerSine ball takes the grid path; its center is a grid point

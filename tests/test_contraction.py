@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gsync import (AxisBox, Ball, CatMap, CoordinateProjection, CustomObservation,
-                   CustomStateMap, Esn, InputRange, LinearDelay, PowerSine, RegionIntersection,
-                   absorbing_set, certify, check_invariance, lipschitz_bounds)
+                   CustomStateMap, Esn, InputRange, LinearDelay, OrbitConstants, PowerSine,
+                   RegionIntersection, absorbing_set, certify, check_invariance, contraction,
+                   lipschitz_bounds)
 from gsync.contraction import ContractionCertificate
 from gsync.errors import NonFiniteError, NotAContraction
 from gsync.statemaps import LipschitzBounds
@@ -202,12 +203,12 @@ class TestCertify:
         obs = CustomObservation(lambda m: np.where(m[..., 0] > 0.5, np.nan, m[..., 0]),
                                 obs_dim=1, phase_dim=2)
         with pytest.raises(NonFiniteError, match="observation produced non-finite values"):
-            certify(esn_on_cat(0.3), AxisBox([-1.0] * 2, [1.0] * 2), CatMap(), obs,
-                    cat_samples)
+            certify(esn_on_cat(0.3), AxisBox([-1.0] * 2, [1.0] * 2),
+                    OrbitConstants.of(CatMap(), obs, cat_samples))
 
     def test_esn_03_on_cat(self, cat_samples):
         cert = certify(esn_on_cat(0.3), AxisBox([-1.0] * 2, [1.0] * 2, label="B"),
-                       CatMap(), CoordinateProjection([0], 2), cat_samples)
+                       OrbitConstants.of(CatMap(), CoordinateProjection([0], 2), cat_samples))
         assert cert.esp_ok and cert.diff_ok
         assert cert.bounds.l_fx == pytest.approx(0.3, rel=1e-12)
         assert abs(cert.tangent_inv_norm - GOLDEN_CAT_NORM) <= 1e-9
@@ -219,7 +220,7 @@ class TestCertify:
 
     def test_esn_05_on_cat(self, cat_samples):
         cert = certify(esn_on_cat(0.5), AxisBox([-1.0] * 2, [1.0] * 2, label="B"),
-                       CatMap(), CoordinateProjection([0], 2), cat_samples)
+                       OrbitConstants.of(CatMap(), CoordinateProjection([0], 2), cat_samples))
         assert cert.esp_ok
         assert not cert.diff_ok
         assert 0.5 > 1.0 / cert.tangent_inv_norm
@@ -227,7 +228,7 @@ class TestCertify:
     def test_linear_delay_boundary_case(self, torus):
         traj = torus.trajectory([0.3, 0.4], 300)
         cert = certify(LinearDelay(q=3), AxisBox([-1.0] * 7, [1.0] * 7, label="D"),
-                       torus, CoordinateProjection([0], 2), traj.points)
+                       OrbitConstants.of(torus, CoordinateProjection([0], 2), traj.points))
         assert cert.bounds.l_fx == 1.0
         assert not cert.esp_ok
         assert not cert.diff_ok
@@ -241,14 +242,14 @@ class TestCertify:
         ]
         for F, sys, samples in configs:
             n = F.state_dim
-            cert = certify(F, AxisBox([-1.0] * n, [1.0] * n), sys,
-                           CoordinateProjection([0], 2), samples)
+            cert = certify(F, AxisBox([-1.0] * n, [1.0] * n),
+                           OrbitConstants.of(sys, CoordinateProjection([0], 2), samples))
             assert cert.diff_ok <= cert.esp_ok  # implication as booleans
 
     def test_certified_contraction_observed(self, cat_samples):
         F = esn_on_cat(0.3)
-        cert = certify(F, AxisBox([-1.0] * 2, [1.0] * 2), CatMap(),
-                       CoordinateProjection([0], 2), cat_samples)
+        cert = certify(F, AxisBox([-1.0] * 2, [1.0] * 2),
+                       OrbitConstants.of(CatMap(), CoordinateProjection([0], 2), cat_samples))
         assert cert.esp_ok
         rng = np.random.default_rng(21)
         x1 = rng.uniform(-1, 1, size=(1000, 2))
@@ -263,8 +264,9 @@ class TestCertify:
             x1, x2 = f1, f2
 
     def test_section_iv_certificates(self, power_sine, eight_boxes, lorenz, lorenz_obs, lorenz_traj):
-        cert = certify(power_sine, eight_boxes[0], lorenz, lorenz_obs,
-                       lorenz_traj.points[2000:], max_tangent_samples=200)
+        cert = certify(power_sine, eight_boxes[0],
+                       OrbitConstants.of(lorenz, lorenz_obs, lorenz_traj.points[2000:],
+                                         max_tangent_samples=200))
         assert cert.esp_ok
         assert cert.invariance_ok and cert.invariance_method == "interval"
         assert cert.bounds.l_fx == pytest.approx(0.9 * 0.9 ** (-0.1), abs=1e-9)
@@ -300,12 +302,73 @@ class TestCertify:
 
     def test_report_and_csv_row(self, cat_samples):
         cert = certify(esn_on_cat(0.3), AxisBox([-1.0] * 2, [1.0] * 2, label="B"),
-                       CatMap(), CoordinateProjection([0], 2), cat_samples)
+                       OrbitConstants.of(CatMap(), CoordinateProjection([0], 2), cat_samples))
         text = cert.report_text()
         assert "esp_ok: True" in text and "l_fx:" in text
         row = cert.csv_row()
         assert row.startswith("B,")
         assert len(row.split(",")) == len(cert.csv_header().split(","))
+
+
+def _bits(cert):
+    """A certificate's fields with every float as its exact hex text."""
+    def exact(v):
+        return float(v).hex() if isinstance(v, float) else v
+
+    b = cert.bounds
+    return ([(k, exact(v)) for k, v in cert._fields().items()],
+            [None if d is None else sorted((k, exact(v)) for k, v in d.items())
+             for d in (b.analytic, b.grid)])
+
+
+class TestOrbitConstants:
+    def test_tangent_samples_evenly_spaced(self, monkeypatch):
+        # column 0 of sample i is i / n, so each row the norms see names its index
+        n = 401
+        samples = np.column_stack([np.arange(n) / n, np.full(n, 0.25)])
+        seen = []
+        original = contraction.tangent_norm_bounds
+        monkeypatch.setattr(contraction, "tangent_norm_bounds",
+                            lambda sys, taken: seen.append(taken) or original(sys, taken))
+        for most in (2, 7, 100, 400, 401, 1000):
+            orbit = OrbitConstants.of(CatMap(), CoordinateProjection([0], 2), samples,
+                                      max_tangent_samples=most)
+            assert orbit.n_tangent_samples == min(n, most) == len(seen[-1])
+            idx = np.rint(seen[-1][:, 0] * n).astype(int)
+            # from the first sample to the last, gaps that differ by at most one
+            assert idx[0] == 0 and idx[-1] == n - 1
+            assert np.ptp(np.diff(idx)) <= 1
+
+    def test_exact_only_for_closed_form_tangents_and_observation(self, cat_samples, lorenz,
+                                                                 lorenz_obs, lorenz_traj):
+        custom = CustomObservation(lambda m: m[..., :1], obs_dim=1, phase_dim=2)
+        assert OrbitConstants.of(CatMap(), CoordinateProjection([0], 2), cat_samples).exact
+        assert not OrbitConstants.of(lorenz, lorenz_obs, lorenz_traj.points[:20]).exact
+        assert not OrbitConstants.of(CatMap(), custom, cat_samples).exact
+
+    def test_one_value_for_many_regions_gives_the_same_certificates(self, power_sine,
+                                                                   eight_boxes, torus):
+        # boxes take the closed forms, the ball the sampled grid
+        samples = torus.trajectory([0.3, 0.4], 300).points
+        obs = CoordinateProjection([0], 2)
+        regions = [*eight_boxes, Ball([1.0, 1.0, 1.0], 0.1, label="ball")]
+        shared = OrbitConstants.of(torus, obs, samples)
+        for region in regions:
+            fresh = certify(power_sine, region, OrbitConstants.of(torus, obs, samples),
+                            resolution=6, n_inputs=30, rng=5)
+            once = certify(power_sine, region, shared, resolution=6, n_inputs=30, rng=5)
+            assert _bits(once) == _bits(fresh), region.label
+
+    def test_non_finite_observation_raises_before_any_tangent_norm(self, cat_samples,
+                                                                   monkeypatch):
+        def tangent_norm_bounds(*args):
+            raise AssertionError("tangent norms taken on a non-finite observation")
+
+        monkeypatch.setattr(contraction, "tangent_norm_bounds", tangent_norm_bounds)
+        obs = CustomObservation(lambda m: np.where(m[..., 0] > 0.5, np.nan, m[..., 0]),
+                                obs_dim=1, phase_dim=2)
+        with pytest.raises(NonFiniteError, match="observation produced non-finite values"):
+            OrbitConstants.of(CatMap(), obs, cat_samples)
 
 
 HEADLINE = ("l_fx", "l_fz", "l_fxx", "l_fxz")
@@ -347,7 +410,8 @@ class TestCertifyClosedForms:
         for F, region, sys, obs, samples, resolution in cases:
             for name in GRID_NORMS:
                 monkeypatch.setattr(type(F), name, grid_norms)
-            cert = certify(F, region, sys, obs, samples, resolution=resolution)
+            cert = certify(F, region, OrbitConstants.of(sys, obs, samples),
+                           resolution=resolution)
             analytic = F.analytic_lipschitz(region, _input_range(obs, samples))
             assert cert.bounds.method == "analytic"
             assert cert.bounds.grid is None
@@ -357,7 +421,8 @@ class TestCertifyClosedForms:
     def test_constants_equal_lipschitz_bounds(self, closed_form_cases):
         # the grid is a sampled lower bound: skipping it keeps every headline bit
         for name, F, region, sys, obs, samples, resolution in closed_form_cases:
-            cert = certify(F, region, sys, obs, samples, resolution=resolution)
+            cert = certify(F, region, OrbitConstants.of(sys, obs, samples),
+                           resolution=resolution)
             full = lipschitz_bounds(F, region, _input_range(obs, samples), resolution=resolution)
             assert full.method == "analytic+grid", name
             for k in HEADLINE:
@@ -368,7 +433,7 @@ class TestCertifyClosedForms:
         region = AxisBox([-10.0], [10.0])
         obs = CoordinateProjection([0], 2)
         samples = torus.trajectory([0.3, 0.4], 200).points
-        cert = certify(F, region, torus, obs, samples)
+        cert = certify(F, region, OrbitConstants.of(torus, obs, samples))
         full = lipschitz_bounds(F, region, _input_range(obs, samples))
         assert cert.bounds.method == full.method == "grid"
         assert cert.bounds.analytic is None
@@ -380,8 +445,8 @@ class TestCertifyClosedForms:
 class TestSampledFlag:
     @staticmethod
     def _cert(obs, torus):
-        return certify(PowerSine(0.9, 0.009, 0.1), AxisBox([0.9] * 3, [1.1] * 3), torus, obs,
-                       torus.trajectory([0.3, 0.4], 500).points)
+        return certify(PowerSine(0.9, 0.009, 0.1), AxisBox([0.9] * 3, [1.1] * 3),
+                       OrbitConstants.of(torus, obs, torus.trajectory([0.3, 0.4], 500).points))
 
     def test_closed_forms_everywhere_are_not_sampled(self, torus):
         cert = self._cert(CoordinateProjection([0], 2), torus)
@@ -404,8 +469,9 @@ class TestDiffNeedsSecondDerivatives:
     # l_fxx and l_fxz presume second derivatives, so a C^1 map gets esp only
     @staticmethod
     def _cert(F, torus):
-        return certify(F, AxisBox([-10.0], [10.0]), torus, CoordinateProjection([0], 2),
-                       torus.trajectory([0.3, 0.4], 200).points)
+        return certify(F, AxisBox([-10.0], [10.0]),
+                       OrbitConstants.of(torus, CoordinateProjection([0], 2),
+                                         torus.trajectory([0.3, 0.4], 200).points))
 
     def test_c1_map_gets_esp_not_diff(self, torus):
         cert = self._cert(affine_half(derivative_order=1), torus)

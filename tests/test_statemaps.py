@@ -103,9 +103,13 @@ class TestEvaluationContract:
         assert PowerSine.nonfinite_error == "power-sine evaluation is non-finite"
         assert CustomStateMap.nonfinite_error == "custom state map returned non-finite values"
         assert Esn.nonfinite_error is None and LinearDelay.nonfinite_error is None
-        # eval is written once, on the base class
+        # eval is written once, on the base class; the delay line's apply is
+        # the Esn's, which runs the prepared kernel that each map states
         for cls in (Esn, LinearDelay, PowerSine, CustomStateMap):
-            assert "eval" not in vars(cls) and "apply" in vars(cls)
+            assert "eval" not in vars(cls)
+        for cls in (Esn, PowerSine, CustomStateMap):
+            assert "apply" in vars(cls)
+        assert LinearDelay.apply is Esn.apply and "_kernel" in vars(LinearDelay)
 
     @pytest.mark.parametrize("F", [make() for make in KERNEL_MAPS.values()], ids=list(KERNEL_MAPS))
     # broadcast batches as in eval; a lone stacked row, a psi sweep's rows,

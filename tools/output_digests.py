@@ -1,6 +1,6 @@
 """SHA-256 of every file the gsync CLI writes on a fixed set of inputs.
 
-Usage: python3 tools/output_digests.py OUT_DIR
+Usage: python3 tools/output_digests.py OUT_DIR > tools/output_digests.txt
 
 Runs ``simulate``, ``certify``, ``synchronize`` (``--method both`` into
 ``synchronize``, ``psi`` and ``drive`` into ``synchronize_psi`` and
@@ -24,7 +24,8 @@ own directory under OUT_DIR.  Prints, sorted by path:
   history, none of which the psi CSVs hold);
 - one ``sha256  <config>/grid`` line per config for the points of
   ``region.grid`` at the config's resolution and seed on each of its
-  regions, and for the tangent norms of ``certify``'s certificate;
+  regions, and for the tangent norms of ``certify``'s certificate on the
+  ``OrbitConstants`` of the ``certify`` command's orbit;
 - one ``sha256  <config>/recur`` line per config for the states of
   ``run_recursion`` on the config's map at every state shape the
   recursions step: region 0's center as a lone (N,) state and every
@@ -55,6 +56,16 @@ output, the sweep, the grid suprema, the psi convergence records, the
 region grids, the tangent norms, the recursion states, the near pairs,
 the row reductions and the forgetting probe byte-identical.  The
 package is imported from this checkout's ``src``.
+
+The listing starts with a ``# machine:`` line, the numpy version with the
+SIMD extensions it found and the BLAS name and version: the digests are one
+machine's bits, since ``np.dot``, the SVDs, the transcendental functions
+and the RK4 floats depend on numpy, its SIMD kernels and BLAS.
+``tools/output_digests.txt`` is the listing of this checkout; a tier-1 test
+(``tests/test_api.py``) runs the tool and names every path whose digest
+differs from it, or skips on a machine with another record.  A change that
+moves output on purpose regenerates the file, and its diff lists the moved
+outputs.
 """
 
 from __future__ import annotations
@@ -71,9 +82,9 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import workloads  # noqa: E402
 import numpy as np  # noqa: E402
 
-from gsync import (certify, drive_gs, input_forgetting,  # noqa: E402
-                   lipschitz_bounds, multistability_sweep, psi_iterate_gs,
-                   run_recursion)
+from gsync import (OrbitConstants, certify, drive_gs,  # noqa: E402
+                   input_forgetting, lipschitz_bounds, multistability_sweep,
+                   psi_iterate_gs, run_recursion)
 from gsync.cli import (_closed_form_l_fx, _orbit, main as gsync_main,  # noqa: E402
                        section_iv_config)
 from gsync.config import RunConfig, parse_config  # noqa: E402
@@ -147,13 +158,15 @@ def grid_digest(cfg: RunConfig) -> str:
     """SHA-256 of the points of ``region.grid`` on each of a config's regions,
     with the config's grid resolution and seed (the grid that a sampled
     ``check_invariance`` evaluates), and of the tangent norms of the
-    certificate that ``certify`` gives the first region."""
+    certificate that ``certify`` gives the first region from the
+    ``OrbitConstants`` of the ``certify`` command's orbit."""
     h = hashlib.sha256()
     for region in cfg.regions:
         h.update(region.grid(cfg.grid_resolution, rng=cfg.seed).tobytes())
-    traj, _, _ = _orbit(cfg, cfg.n_steps)
-    cert = certify(cfg.statemap, cfg.regions[0], cfg.system, cfg.observation, traj.points,
-                   resolution=cfg.grid_resolution, n_inputs=cfg.input_samples, rng=cfg.seed)
+    traj, _, input_range = _orbit(cfg, cfg.n_steps)
+    orbit = OrbitConstants.of(cfg.system, cfg.observation, traj.points, input_range=input_range)
+    cert = certify(cfg.statemap, cfg.regions[0], orbit, resolution=cfg.grid_resolution,
+                   n_inputs=cfg.input_samples, rng=cfg.seed)
     h.update(repr([float(b).hex() for b in (cert.tangent_norm, cert.tangent_inv_norm)]).encode())
     return h.hexdigest()
 
@@ -320,6 +333,20 @@ def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[
     return extra, failures
 
 
+def machine_record() -> str:
+    """numpy's version and the SIMD extensions it found on this CPU (its
+    float64 sin, cos and power kernels are chosen by them), and its BLAS
+    name and version, read as the benchmark's machine record reads them."""
+    try:
+        config = np.show_config(mode="dicts")
+        blas = config["Build Dependencies"]["blas"]
+        blas_version = f"{blas.get('name')} {blas.get('version')}"
+        simd = " ".join(config["SIMD Extensions"]["found"])
+    except (TypeError, KeyError):
+        blas_version = simd = "unknown"
+    return f"numpy {np.__version__} (simd {simd}), blas {blas_version}"
+
+
 def digests(out_dir: str, extra=()) -> list[str]:
     lines = list(extra)
     for base, _, files in os.walk(out_dir):
@@ -342,7 +369,7 @@ def main(argv=None) -> int:
         return 2
     with tempfile.TemporaryDirectory() as inputs_dir:
         extra, failures = run_all(out_dir, inputs_dir)
-    print("\n".join(digests(out_dir, extra)))
+    print("\n".join([f"# machine: {machine_record()}", *digests(out_dir, extra)]))
     for msg in failures:
         print(msg, file=sys.stderr)
     return 1 if failures else 0
