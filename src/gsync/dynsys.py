@@ -253,15 +253,16 @@ class OdeFlow(DiscreteSystem):
     backward with the same scheme and verifies the forward round trip
     against ``roundtrip_tol``.
 
-    A field that declares an RK4 kernel, ``field.rk4(point, hs, substeps,
-    isfinite, diverged)`` working on Python floats and on equal-shape arrays
-    (as ``lorenz_field`` does), is integrated by that kernel: on plain floats
-    by ``step``, ``inverse_step`` and ``trajectory`` and in one batch by the
-    tangent kernel ``_tangent_maps``, with results bit-identical to
-    ``_integrate``.  Such a kernel checks finiteness once per step, not
-    after every substep as ``_integrate`` does, and on a divergence raises
-    ``diverged(i)``, the error of ``_integrate``, for the same substep
-    ``i``.  Other fields are integrated on numpy points.
+    A field that declares an RK4 kernel, ``field.rk4(point, hs, substeps)``
+    working on Python floats and on equal-shape arrays (as ``lorenz_field``
+    does), is integrated by that kernel: on plain floats by ``step``,
+    ``inverse_step`` and ``trajectory`` and in one batch by the tangent
+    kernel ``_tangent_maps``, with results bit-identical to ``_integrate``.
+    The kernel only computes; the divergence rule is stated here, once per
+    step: when the components of its image have a non-finite sum, the step
+    is run again by ``_integrate`` from the same point, which raises at the
+    substep that diverged or, when only the sum overflowed, returns the same
+    bits.  Other fields are integrated on numpy points.
     """
 
     def __init__(self, field, phase_dim: int, h: float, substeps: int = 1,
@@ -297,26 +298,30 @@ class OdeFlow(DiscreteSystem):
         return y
 
     def _integrate_batch(self, points: np.ndarray, h: float) -> np.ndarray:
-        """The RK4 kernel on a batch of points (n, 3), as rows."""
+        """The RK4 kernel on a batch of points (n, phase_dim), as unchecked rows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            images = self._rk4(points.T, h / self.substeps, self.substeps, _all_finite,
-                               self._diverged)
+            images = self._rk4(points.T, h / self.substeps, self.substeps)
         return np.stack(images, axis=-1)
 
     def _flow(self, m: np.ndarray, h: float) -> np.ndarray:
-        if self._rk4 is None:
-            return self._integrate(m, h)
-        return np.array(self._rk4(m.tolist(), h / self.substeps, self.substeps, math.isfinite,
-                                  self._diverged))
+        if self._rk4 is not None:
+            image = self._rk4(m.tolist(), h / self.substeps, self.substeps)
+            # a non-finite component stays so under +, - and *: the sum sees it
+            if math.isfinite(sum(image)):
+                return np.array(image)
+        return self._integrate(m, h)
 
     def _stepper(self, m: np.ndarray):
         if self._rk4 is None:
             return super()._stepper(m)
         rk4, hs, substeps = self._rk4, self.h / self.substeps, self.substeps
-        isfinite, diverged = math.isfinite, self._diverged
+        integrate, h = self._integrate, self.h
 
-        def advance(point):  # positional: a partial's keywords cost a dict per step
-            return rk4(point, hs, substeps, isfinite, diverged)
+        def advance(point):  # as _flow, on the kernel's own tuples
+            image = rk4(point, hs, substeps)
+            if math.isfinite(sum(image)):
+                return image
+            return integrate(np.array(point), h).tolist()
 
         return advance, m.tolist()
 
@@ -350,12 +355,11 @@ class OdeFlow(DiscreteSystem):
         d = samples.shape[1]
         h = self.fd_step
         e = h * np.eye(d)
-        try:
-            prev = self._integrate_batch(samples, -self.h)
-            m, p = samples[:, None, :], prev[:, None, :]
-            starts = np.concatenate([p, m + e, m - e, p + e, p - e], axis=1)
-            images = self._integrate_batch(starts.reshape(-1, d), self.h).reshape(starts.shape)
-        except NonFiniteError:
+        prev = self._integrate_batch(samples, -self.h)
+        m, p = samples[:, None, :], prev[:, None, :]
+        starts = np.concatenate([p, m + e, m - e, p + e, p - e], axis=1)
+        images = self._integrate_batch(starts.reshape(-1, d), self.h).reshape(starts.shape)
+        if not (_all_finite(prev) and _all_finite(images)):
             return per_sample(samples)
         err = np.linalg.norm(images[:, 0] - samples, axis=-1)
         scale = np.maximum(1.0, np.linalg.norm(samples, axis=-1))
@@ -384,19 +388,12 @@ def lorenz_field(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0
 
     The returned field carries its component form as ``field.components``,
     ``(u, v, w) -> (du, dv, dw)``, and its integrator as ``field.rk4(point,
-    hs, substeps, isfinite, diverged)``: ``substeps`` classical Runge-Kutta
-    substeps of length ``hs`` from ``point = (u, v, w)``, with the four
-    stages written out.  Both work on Python floats and on equal-shape
-    arrays and perform the operations of ``OdeFlow._integrate`` in its
-    order, so the results are bit-identical.  The kernel checks finiteness
-    once per step, ``isfinite(u + v + w)`` (``math.isfinite`` on floats; a
-    reduction over arrays): under +, - and * a non-finite component stays
-    non-finite, so the end of the step sees every divergence.  When that
-    check fails, the step is run again from ``point`` with ``checked=True``,
-    a check after each substep, which raises ``diverged(i)`` at the first
-    substep ``i`` that left a component non-finite, the error
-    ``_integrate`` raises; a sum that merely overflowed finds none and
-    returns the step.
+    hs, substeps)``: ``substeps`` classical Runge-Kutta substeps of length
+    ``hs`` from ``point = (u, v, w)``, with the four stages written out.
+    Both work on Python floats and on equal-shape arrays and perform the
+    operations of ``OdeFlow._integrate`` in its order, so the results are
+    bit-identical.  The kernel only computes: it checks nothing, and
+    ``OdeFlow`` judges its image.
     """
 
     if not all(map(math.isfinite, (sigma, rho, beta))):
@@ -406,11 +403,11 @@ def lorenz_field(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0
     def components(u, v, w):
         return s * (v - u), u * (rho - w) - v, u * v - beta * w
 
-    def rk4(point, hs, substeps, isfinite, diverged, checked=False):
+    def rk4(point, hs, substeps):
         u, v, w = point
         half = 0.5 * hs
         sixth = hs / 6.0
-        for i in range(substeps):
+        for _ in range(substeps):
             a1, b1, c1 = s * (v - u), u * (rho - w) - v, u * v - beta * w
             p, q, r = u + half * a1, v + half * b1, w + half * c1
             a2, b2, c2 = s * (q - p), p * (rho - r) - q, p * q - beta * r
@@ -421,13 +418,7 @@ def lorenz_field(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0
             u = u + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
             v = v + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             w = w + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-            if checked and not (isfinite(u) and isfinite(v) and isfinite(w)):
-                raise diverged(i)
-        if checked or isfinite(u + v + w):
-            return u, v, w
-        # a non-finite component stays so under +, - and *, so the sum saw
-        # every divergence (or overflowed): the checked run finds its substep
-        return rk4(point, hs, substeps, isfinite, diverged, checked=True)
+        return u, v, w
 
     def field(m):
         # transposing puts the coordinate axis first for any batch shape

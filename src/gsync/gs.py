@@ -286,12 +286,18 @@ def _drive_regions(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0,
 
     times = trajectory.t0 + np.arange(washout_steps, total + 1)
     points = trajectory.points[washout_steps:total + 1].copy()  # shared by every region
+    recorded = {}
     for row, i in enumerate(live):
-        method = {"name": "drive", "washout_steps": washout_steps, "x0": xs[i].tolist()}
         try:
             F._check_finite(states[1:, row])
-            out[i] = _sampled(F, z[washout_steps:], times, points,
-                              states[washout_steps:, row].copy(), method, regions[i])
+            recorded[i] = states[washout_steps:, row].copy()
+        except GsyncError as exc:
+            out[i] = exc
+    del states  # the samples below need only the recorded rows
+    for i, values in recorded.items():
+        method = {"name": "drive", "washout_steps": washout_steps, "x0": xs[i].tolist()}
+        try:
+            out[i] = _sampled(F, z[washout_steps:], times, points, values, method, regions[i])
         except GsyncError as exc:
             out[i] = exc
     return out

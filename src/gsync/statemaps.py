@@ -107,17 +107,18 @@ SQUASHINGS = {
 class StateMap:
     """Base class for driven state maps.
 
-    A subclass defines ``apply`` and may override ``input_terms`` and
-    ``nonfinite_error``, the text of the ``NonFiniteError`` raised on a
-    non-finite state (None, the default, accepts such states).  The
-    recursions step F through ``_kernel(shape)``, prepared once per run for
-    states of one shape: ``step(x, u, out)`` writes F into the caller's
-    array, which is C-contiguous, has the batch shape of (x, u) and N
-    columns and never aliases x or u.  The default step copies ``apply``'s
-    result into ``out``, so a map that defines only a two-argument
-    ``apply`` works unchanged; the built-in maps compute F in their kernel
-    and ``apply`` fills a fresh array through it, so each keeps one
-    formula.  ``eval``, ``jac_state``, ``jac_input`` and ``second_partials``
+    A subclass defines ``apply`` or ``_kernel`` and may override
+    ``input_terms`` and ``nonfinite_error``, the text of the
+    ``NonFiniteError`` raised on a non-finite state (None, the default,
+    accepts such states).  The recursions step F through ``_kernel(shape)``,
+    prepared once per run for states of one shape: ``step(x, u, out)``
+    writes F into the caller's array, which is C-contiguous, has the batch
+    shape of (x, u) and N columns and never aliases x or u.  Each method
+    defaults to the other: the default step copies ``apply``'s result into
+    ``out``, so a map that defines only a two-argument ``apply`` works
+    unchanged, and the default ``apply`` fills a fresh array through the
+    kernel, so a built-in map states its formula once, in ``_kernel``.
+    ``eval``, ``jac_state``, ``jac_input`` and ``second_partials``
     take x (..., N) and z (..., d) with leading batch axes that broadcast.
     The ``*_norms`` methods, one norm per row of X, Z, are
     ``lipschitz_bounds``' grid.
@@ -166,15 +167,20 @@ class StateMap:
         return self._check_input(z)
 
     def apply(self, x, u) -> np.ndarray:
-        """F(x, z) from u, the entry of ``input_terms`` for z; no checks."""
-        raise NotImplementedError
+        """F(x, z) from u, the entry of ``input_terms`` for z; no checks.  By
+        default F written by a prepared ``_kernel`` into a new array."""
+        out = np.empty(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (self.state_dim,))
+        return self._kernel(x.shape)(x, u, out)
 
     def _kernel(self, shape):
         """``step(x, u, out)``, F written into ``out`` for states x of
         ``shape``, with the map's constants and any scratch array bound
         once: the recursions prepare one per run and call it at every step.
         Each call of ``_kernel`` gets its own scratch.  By default a copy of
-        ``apply``'s result, so a map that defines ``apply`` gets one."""
+        ``apply``'s result, so a map that defines ``apply`` gets one; a map
+        must define at least one of the two."""
+        if type(self).apply is StateMap.apply:
+            raise NotImplementedError("a state map defines apply or _kernel")
         apply = self.apply
 
         def step(x, u, out):
@@ -182,12 +188,6 @@ class StateMap:
             return out
 
         return step
-
-    def _apply_fresh(self, x, u) -> np.ndarray:
-        """F in a new array by a prepared kernel: the ``apply`` of a map
-        that computes F in ``_kernel``."""
-        out = np.empty(np.broadcast_shapes(x.shape[:-1], u.shape[:-1]) + (self.state_dim,))
-        return self._kernel(x.shape)(x, u, out)
 
     def __call__(self, x, z) -> np.ndarray:
         return self.eval(x, z)
@@ -278,10 +278,6 @@ class Esn(StateMap):
         u = self._check_input(z) @ self.C.T
         u += self.zeta
         return u
-
-    def apply(self, x, u) -> np.ndarray:
-        """sigma(x A^T + u) for u from ``input_terms``; no checks."""
-        return self._apply_fresh(x, u)
 
     def _kernel(self, shape):
         At, squash = self.A.T, self.squashing.func
@@ -406,10 +402,6 @@ class PowerSine(StateMap):
         s = np.sin(kz)
         # s * s, not s ** 2: numpy squares a batch but calls pow on a lone value
         return self.lam * np.stack([s, np.cos(kz), s * s], axis=-1)
-
-    def apply(self, x, u) -> np.ndarray:
-        """s(x) + u for u from ``input_terms``; no checks."""
-        return self._apply_fresh(x, u)
 
     def _kernel(self, shape):
         alpha, sign = self.alpha, np.empty(shape)

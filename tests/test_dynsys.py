@@ -325,8 +325,10 @@ class TestFastPaths:
         message = f"^{re.escape(str(want_step.value))}$"
         with pytest.raises(NonFiniteError, match=message):
             system.step(last)
-        with pytest.raises(NonFiniteError, match=message):
-            system._integrate_batch(last[None, :], h)
+        # the batch kernel only computes; the tangent kernel leaves its
+        # non-finite rows to the per-sample path and its error
+        assert not np.isfinite(system._integrate_batch(last[None, :], h)).all()
+        assert_same_tangent_error(system, last[None, :])
 
     def test_kernel_raises_at_the_substep_of_integrate(self):
         # one step of 8 substeps from this start leaves a component
@@ -339,8 +341,9 @@ class TestFastPaths:
         message = f"^{re.escape(str(want.value))}$"
         with pytest.raises(NonFiniteError, match=message):
             system.step(m0)
-        with pytest.raises(NonFiniteError, match=message):
-            system._integrate_batch(np.stack([m0, LORENZ_M0]), system.h)
+        rows = system._integrate_batch(np.stack([m0, LORENZ_M0]), system.h)
+        assert not np.isfinite(rows[0]).all() and np.isfinite(rows[1]).all()
+        assert_same_tangent_error(system, np.stack([m0, LORENZ_M0]))
         with pytest.raises(NonFiniteError, match=f"^trajectory failed at step 1: {message[1:]}"):
             system.trajectory(m0, 3)
 
@@ -362,20 +365,13 @@ class TestFastPaths:
 
     def test_overflowing_sum_of_finite_components_returns_the_step(self):
         # u stays 0 and w 1.7e308 while v stays near 1e307, so u + v + w
-        # overflows with every component finite: the checked re-run finds
-        # no substep
+        # overflows with every component finite: the re-run by _integrate
+        # finds no substep and returns the kernel's bits
         field = lorenz_field(sigma=0.0, rho=0.0, beta=0.0)
         system = OdeFlow(field, phase_dim=3, h=1e-300, substeps=4)
         m0 = np.array([0.0, 1e307, 1.7e308])
-        calls = []
-
-        def isfinite(x):
-            calls.append(x)
-            return np.isfinite(x)
-
-        image = field.rk4(m0.tolist(), system.h / 4, 4, isfinite, system._diverged)
-        assert calls[0] == np.inf and len(calls) == 1 + 3 * 4
-        assert np.isfinite(image).all()
+        image = field.rk4(m0.tolist(), system.h / 4, 4)
+        assert np.isfinite(image).all() and not np.isfinite(sum(image))
         with np.errstate(over="ignore"):
             assert np.array(image).tobytes() == system._integrate(m0, system.h).tobytes()
         assert system.step(m0).tobytes() == np.array(image).tobytes()
@@ -389,6 +385,69 @@ class TestFastPaths:
         want = tuple(max(0.0, float(np.max(np.linalg.svd(J, compute_uv=False)[..., 0])))
                      for J in stacked)
         assert tangent_norm_bounds(system, samples) == want
+
+
+def rotation_field():
+    """The plane rotation field (u, v) -> (v, -u), with a three-argument RK4
+    kernel written in ``OdeFlow._integrate``'s order: a field of another
+    dimension than Lorenz's that declares its own kernel."""
+
+    def field(m):
+        m = np.asarray(m, dtype=float)
+        return np.stack([m[..., 1], -m[..., 0]], axis=-1)
+
+    def rk4(point, hs, substeps):
+        u, v = point
+        half, sixth = 0.5 * hs, hs / 6.0
+        for _ in range(substeps):
+            a1, b1 = v, -u
+            a2, b2 = v + half * b1, -(u + half * a1)
+            a3, b3 = v + half * b2, -(u + half * a2)
+            a4, b4 = v + hs * b3, -(u + hs * a3)
+            u, v = (u + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                    v + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
+        return u, v
+
+    field.rk4 = rk4
+    return field
+
+
+@pytest.mark.parametrize("h, substeps", [(0.1, 4), (10.0, 2)])  # the second diverges
+def test_kernel_of_another_field_is_its_numpy_twin(h, substeps):
+    field = rotation_field()
+    system = OdeFlow(field, phase_dim=2, h=h, substeps=substeps)
+    twin = OdeFlow(lambda m: field(m), phase_dim=2, h=h, substeps=substeps)
+    m0 = [0.6, -0.8]
+    try:
+        want = twin.trajectory(m0, 500).points
+    except NonFiniteError as exc:
+        with pytest.raises(NonFiniteError, match=f"^{re.escape(str(exc))}$"):
+            system.trajectory(m0, 500)
+        failed_at = int(re.match(r"trajectory failed at step (\d+): ", str(exc))[1])
+        want = twin.trajectory(m0, failed_at - 1).points
+        for step in (twin.step, twin.inverse_step):
+            with pytest.raises(NonFiniteError) as err:
+                step(want[-1])
+            with pytest.raises(NonFiniteError, match=f"^{re.escape(str(err.value))}$"):
+                getattr(system, step.__name__)(want[-1])
+        assert_same_tangent_error(system, want[-1:])
+        with pytest.raises(NonFiniteError, match=f"^{re.escape(str(exc))}$"):
+            system.trajectory(m0, failed_at)
+    else:
+        for m in want[::50]:
+            assert system.step(m).tobytes() == twin.step(m).tobytes()
+            assert system.inverse_step(m).tobytes() == twin.inverse_step(m).tobytes()
+        for got, ref in zip(system._tangent_maps(want[::5]), twin._tangent_maps(want[::5])):
+            assert got.tobytes() == ref.tobytes()
+    assert system.trajectory(m0, len(want) - 1).points.tobytes() == want.tobytes()
+
+
+def assert_same_tangent_error(system, samples):
+    """``system._tangent_maps`` raises the per-sample path's NonFiniteError."""
+    with pytest.raises(NonFiniteError) as want, np.errstate(over="ignore", invalid="ignore"):
+        DiscreteSystem._tangent_maps(system, samples)
+    with pytest.raises(NonFiniteError, match=f"^{re.escape(str(want.value))}$"):
+        system._tangent_maps(samples)
 
 
 def step_loop(system, m0, n_steps):

@@ -732,6 +732,22 @@ def test_psi_holds_at_most_three_and_a_half_iterates():
     assert peak <= 3.5 * gs.values.nbytes
 
 
+def test_drive_samples_are_built_after_the_stacked_states_are_freed():
+    # two wide reservoirs on a short washout, where the stacked states
+    # (washout + record + 1, 2, N) are as large as the two recorded copies:
+    # the samples' residuals (input terms and prediction) come after the
+    # stack is freed (three recorded sizes when it lived until the end)
+    F = esn_reservoir(64)
+    cat = CatMap()
+    traj = cat.trajectory([0.1, 0.3], 4010)
+    starts = [np.full(64, 0.1), np.full(64, -0.1)]
+    peak, results = traced_peak(lambda: _drive_regions(
+        F, cat, CoordinateProjection([0], 2), None, starts, [None, None], 10, 4000, traj))
+    recorded = sum(gs.values.nbytes for gs in results)
+    assert [gs.values.shape for gs in results] == [(4001, 64)] * 2
+    assert peak <= 2.5 * recorded
+
+
 # values whose rounding, sign or propagation a reduction can get wrong
 ROW_SPECIALS = [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 5e-324, -2.5e-310,
                 1e308, -1e308, np.finfo(float).max]

@@ -55,6 +55,20 @@ class Halving(StateMap):
         return 0.5 * x + u[..., :1]
 
 
+class KernelOnly(StateMap):
+    """A map that defines only ``_kernel``: F(x, z) = x / 2 + z, in place."""
+
+    def __init__(self):
+        super().__init__(state_dim=2, input_dim=2)
+
+    def _kernel(self, shape):
+        def step(x, u, out):
+            np.multiply(x, 0.5, out)
+            return np.add(out, u, out)
+
+        return step
+
+
 KERNEL_MAPS = {
     "power_sine": lambda: PowerSine(0.9, 0.009, 10.0),
     "linear_delay": lambda: LinearDelay(2),
@@ -103,13 +117,14 @@ class TestEvaluationContract:
         assert PowerSine.nonfinite_error == "power-sine evaluation is non-finite"
         assert CustomStateMap.nonfinite_error == "custom state map returned non-finite values"
         assert Esn.nonfinite_error is None and LinearDelay.nonfinite_error is None
-        # eval is written once, on the base class; the delay line's apply is
-        # the Esn's, which runs the prepared kernel that each map states
+        # eval and apply are written once, on the base class; apply runs the
+        # prepared kernel that each built-in map states, and the custom map
+        # states apply, whose copy is its kernel
         for cls in (Esn, LinearDelay, PowerSine, CustomStateMap):
             assert "eval" not in vars(cls)
-        for cls in (Esn, PowerSine, CustomStateMap):
-            assert "apply" in vars(cls)
-        assert LinearDelay.apply is Esn.apply and "_kernel" in vars(LinearDelay)
+            assert ("apply" in vars(cls)) == (cls is CustomStateMap)
+        for cls in (Esn, LinearDelay, PowerSine):
+            assert "_kernel" in vars(cls)
 
     @pytest.mark.parametrize("F", [make() for make in KERNEL_MAPS.values()], ids=list(KERNEL_MAPS))
     # broadcast batches as in eval; a lone stacked row, a psi sweep's rows,
@@ -139,6 +154,20 @@ class TestEvaluationContract:
         out = np.empty((2, 2))
         assert F._kernel(x.shape)(x, u, out) is out
         assert out.tobytes() == F.apply(x, u).tobytes()
+
+    def test_a_map_with_only_a_kernel_evaluates_by_it(self):
+        F = KernelOnly()
+        rng = np.random.default_rng(23)
+        x, z = rng.uniform(-1.0, 1.0, size=(2, 5, 2))
+        x[0], z[1] = [-0.0, np.nan], [np.inf, -0.0]
+        want = F._kernel(x.shape)(x, z, np.empty((5, 2)))
+        assert F.apply(x, z).tobytes() == want.tobytes()
+        assert F.eval(x, z).tobytes() == want.tobytes()
+        x0, inputs = np.array([0.3, -0.7]), rng.uniform(-1.0, 1.0, size=(30, 2))
+        states, step = [x0], F._kernel(x0.shape)
+        for u in inputs:
+            states.append(step(states[-1], u, np.empty(2)))
+        assert run_recursion(F, inputs, x0).tobytes() == np.array(states).tobytes()
 
     def test_custom_apply_is_the_function_unchecked(self):
         F = CustomStateMap(lambda x, z: np.where(x > 10.0, np.nan, 0.5 * x + z),
