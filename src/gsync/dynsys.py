@@ -95,7 +95,11 @@ class DiscreteSystem:
 
     def inverse_jacobian(self, m) -> np.ndarray:
         """Tangent map T_m(phi^-1) = (T_{phi^-1(m)} phi)^-1."""
-        return np.linalg.inv(self.jacobian(self.inverse_step(m)))
+        J = self.jacobian(self.inverse_step(m))
+        try:
+            return np.linalg.inv(J)
+        except np.linalg.LinAlgError as exc:
+            raise NonFiniteError("tangent map is singular, so its inverse is unbounded") from exc
 
     def trajectory(self, m0, n_steps: int, t0: int = 0) -> Trajectory:
         """n_steps forward iterates of m0 (n_steps + 1 points in total)."""
@@ -258,11 +262,11 @@ class OdeFlow(DiscreteSystem):
     does), is integrated by that kernel: on plain floats by ``step``,
     ``inverse_step`` and ``trajectory`` and in one batch by the tangent
     kernel ``_tangent_maps``, with results bit-identical to ``_integrate``.
-    The kernel only computes; the divergence rule is stated here, once per
-    step: when the components of its image have a non-finite sum, the step
-    is run again by ``_integrate`` from the same point, which raises at the
-    substep that diverged or, when only the sum overflowed, returns the same
-    bits.  Other fields are integrated on numpy points.
+    The kernel only computes; the divergence rule is stated once, in
+    ``_advance``: when the components of its image have a non-finite sum,
+    the step is run again by ``_integrate`` from the same point, which
+    raises at the substep that diverged or, when only the sum overflowed,
+    returns the same bits.  Other fields are integrated on numpy points.
     """
 
     def __init__(self, field, phase_dim: int, h: float, substeps: int = 1,
@@ -279,9 +283,6 @@ class OdeFlow(DiscreteSystem):
         self.name = name
         self._rk4 = getattr(field, "rk4", None)
 
-    def _diverged(self, i: int) -> NonFiniteError:
-        return NonFiniteError(f"integration diverged at substep {i + 1} of {self.substeps}")
-
     def _integrate(self, m: np.ndarray, h: float) -> np.ndarray:
         hs = h / self.substeps
         y = m
@@ -294,7 +295,8 @@ class OdeFlow(DiscreteSystem):
                 k4 = f(y + hs * k3)
                 y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 if not np.all(np.isfinite(y)):
-                    raise self._diverged(i)
+                    raise NonFiniteError(f"integration diverged at substep {i + 1} "
+                                         f"of {self.substeps}")
         return y
 
     def _integrate_batch(self, points: np.ndarray, h: float) -> np.ndarray:
@@ -303,27 +305,28 @@ class OdeFlow(DiscreteSystem):
             images = self._rk4(points.T, h / self.substeps, self.substeps)
         return np.stack(images, axis=-1)
 
-    def _flow(self, m: np.ndarray, h: float) -> np.ndarray:
-        if self._rk4 is not None:
-            image = self._rk4(m.tolist(), h / self.substeps, self.substeps)
-            # a non-finite component stays so under +, - and *: the sum sees it
-            if math.isfinite(sum(image)):
-                return np.array(image)
-        return self._integrate(m, h)
+    def _advance(self, h: float):
+        """One RK4 kernel step of length h under the class's divergence rule."""
+        rk4, hs, substeps, integrate = self._rk4, h / self.substeps, self.substeps, self._integrate
 
-    def _stepper(self, m: np.ndarray):
-        if self._rk4 is None:
-            return super()._stepper(m)
-        rk4, hs, substeps = self._rk4, self.h / self.substeps, self.substeps
-        integrate, h = self._integrate, self.h
-
-        def advance(point):  # as _flow, on the kernel's own tuples
+        def advance(point):
             image = rk4(point, hs, substeps)
+            # a non-finite component stays so under +, - and *: the sum sees it
             if math.isfinite(sum(image)):
                 return image
             return integrate(np.array(point), h).tolist()
 
-        return advance, m.tolist()
+        return advance
+
+    def _flow(self, m: np.ndarray, h: float) -> np.ndarray:
+        if self._rk4 is None:
+            return self._integrate(m, h)
+        return np.array(self._advance(h)(m.tolist()))
+
+    def _stepper(self, m: np.ndarray):
+        if self._rk4 is None:
+            return super()._stepper(m)
+        return self._advance(self.h), m.tolist()
 
     def step(self, m) -> np.ndarray:
         m = _as_point(m, self.phase_dim)
@@ -371,7 +374,10 @@ class OdeFlow(DiscreteSystem):
         # so a round trip near the tolerance is left to that check
         if np.any(err > 0.5 * self.roundtrip_tol * scale) or not _all_finite(jac_prev):
             return per_sample(samples)
-        jac_inv = np.linalg.inv(jac_prev)
+        try:
+            jac_inv = np.linalg.inv(jac_prev)
+        except np.linalg.LinAlgError:
+            return per_sample(samples)
         if not (_all_finite(jac) and _all_finite(jac_inv)):
             return per_sample(samples)
         return jac, jac_inv

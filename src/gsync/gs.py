@@ -99,7 +99,7 @@ def _add_columns(columns, out=None) -> np.ndarray:
 
 
 def _row_sums_of_squares(d: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """The row sums of d * d of a matrix d (n, N) with n >= 2, added as
+    """The row sums of d * d of a matrix d (n, N), added as
     ``np.linalg.norm(d, axis=-1)`` adds them, into ``sums`` (n,), with no
     array allocated: d is squared in place (it is the caller's scratch).
 
@@ -114,27 +114,19 @@ def _row_sums_of_squares(d: np.ndarray, sums: np.ndarray) -> np.ndarray:
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(d, axis=-1)`` of a matrix d (n, N), bit for bit, with
-    d as scratch: the row norm of every hot path.  numpy's norm calls its
-    sum once per row; ``_row_sums_of_squares`` adds whole columns.  A lone
-    row takes numpy's scalar reduction, whose nan sign can differ, so it
-    keeps ``np.linalg.norm``."""
-    if len(d) < 2:
-        return np.linalg.norm(d, axis=-1)
+    """``np.linalg.norm(d, axis=-1)`` of a matrix d (n, N), with d as
+    scratch: the row norm of every hot path.  numpy's norm calls its sum
+    once per row; ``_row_sums_of_squares`` adds whole columns, with numpy's
+    bits but for the sign of a lone row's nan, which '%.17g' does not print."""
     sums = _row_sums_of_squares(d, np.empty(len(d)))
     return np.sqrt(sums, out=sums)
 
 
 def _max_row_norm(d: np.ndarray, sums: np.ndarray) -> float:
-    """``np.max(np.linalg.norm(d, axis=-1))`` of a matrix d (n, N), bit for
-    bit, with d and the (n,) array ``sums`` as scratch and no array
-    allocated.  sqrt is monotone, so the root of the largest sum is the
-    largest root; the maximum is taken over the contiguous ``sums``, as a
-    strided maximum can return another nan.  A lone row keeps
-    ``np.linalg.norm``, as in ``_row_norms``.
-    """
-    if len(d) < 2:
-        return float(np.max(np.linalg.norm(d, axis=-1)))
+    """``np.max(np.linalg.norm(d, axis=-1))`` of a matrix d (n, N), with d
+    and the (n,) array ``sums`` as scratch and no array allocated: sqrt is
+    monotone, so the root of the largest sum is the largest root.  numpy's
+    bits but for the sign of a lone row's nan, as in ``_row_norms``."""
     return float(np.sqrt(np.max(_row_sums_of_squares(d, sums))))
 
 

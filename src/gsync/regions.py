@@ -62,9 +62,9 @@ class AxisBox(InvariantRegion):
         """The smallest distance of each point to a face, negative outside.
 
         Points (n, dim) take their minimum column by column: numpy's row
-        minimum calls its loop once per row.  Where a minimum is a zero or
-        a nan, the bits tell which of equal values or of several nans
-        numpy's row minimum returns, so such a batch keeps that minimum.
+        minimum calls its loop once per row.  A batch with a zero minimum
+        keeps numpy's row minimum, whose zero sign prints (as -0); a nan's
+        sign may differ from numpy's, as '%.17g' prints none.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 2 and x.shape[1] == self.dim > 0:
@@ -72,7 +72,7 @@ class AxisBox(InvariantRegion):
             for col, lo, hi in zip(x.T, self.lo.tolist(), self.hi.tolist()):
                 m = np.minimum(col - lo, hi - col)
                 out = m if out is None else np.minimum(out, m, out=out)
-            if (np.abs(out) > 0.0).all():
+            if out.all():
                 return out
         return np.minimum(x - self.lo, self.hi - x).min(axis=-1)
 

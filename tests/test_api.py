@@ -156,3 +156,20 @@ def test_output_digests_match_the_committed_baseline(monkeypatch, tmp_path):
     moved = [path for path in sorted(expected.keys() | got.keys())
              if expected.get(path) != got.get(path)]
     assert moved == [], f"digests differ from tools/output_digests.txt at {moved}"
+
+
+def test_digest_drift_names_outputs_moved_without_a_new_baseline(monkeypatch, tmp_path, capsys):
+    # the CI check against the base commit: an output that moved fails it
+    # unless the head's committed baseline moved its line too
+    tool = load_script(monkeypatch, "digest_drift", "tools", "digest_drift.py")
+    files = {"base": "1 a/x\n2 b/y\n3 c/z\n4 old", "head": "1 a/x\n5 b/y\n6 c/z\n7 new",
+             "base_baseline": "0 b/y\n3 c/z", "head_baseline": "0 b/y\n6 c/z"}
+    for name, text in files.items():
+        (tmp_path / name).write_text("# machine: any\n" + text.replace(" ", "  ") + "\n")
+    args = [str(tmp_path / name) for name in files]
+    assert tool.main(args) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "output moved with no new line in tools/output_digests.txt: b/y"]
+    (tmp_path / "head_baseline").write_text("5  b/y\n6  c/z\n")
+    assert tool.main(args) == 0 and capsys.readouterr().out == ""
+    assert tool.main(args[:3]) == 2

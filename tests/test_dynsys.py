@@ -450,6 +450,15 @@ def assert_same_tangent_error(system, samples):
         system._tangent_maps(samples)
 
 
+def test_singular_tangent_map_raises_a_package_error():
+    # at 1e12, x + fd_step rounds to x: every difference quotient is zero
+    system = OdeFlow(rotation_field(), phase_dim=2, h=0.01, substeps=8)
+    point = np.array([[1e12, 1e12]])
+    with pytest.raises(NonFiniteError, match="^tangent map is singular, so its inverse is unbounded$"):
+        tangent_norm_bounds(system, point)
+    assert_same_tangent_error(system, point)
+
+
 def step_loop(system, m0, n_steps):
     """Points of ``n_steps`` checked numpy steps from m0, with the error that
     ``trajectory`` reports at the step that fails."""
