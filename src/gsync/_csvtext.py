@@ -21,9 +21,9 @@ and the constant bytes the ``%g`` rules need.  A layout table indexed by
 notation for -4 <= k < 17, exponent notation otherwise, trailing zeros
 stripped, at least two exponent digits.  One gather per block builds
 NUL-padded fields that end in their separator, and one pass drops the NULs.
-Leading columns that several matrices share can be rendered once
-(``prefix_fields``) and kept as those padded fields, which ``matrix_text``
-puts before each row of every such matrix.
+``column_fields`` keeps those padded fields per column instead, so that a
+column several files share is rendered once; ``fields_text`` joins any such
+columns into rows of text.
 
 The tables are built on first use, so importing the module costs nothing.
 Multi-byte table entries are byte strings viewed as wider integers and
@@ -230,15 +230,13 @@ def _block_fields(x: np.ndarray, sep: np.ndarray, base: np.ndarray,
     return out
 
 
-def _row_blocks(matrix: np.ndarray, end: str, rows: int) -> Iterator[tuple[int, np.ndarray]]:
+def _row_blocks(matrix: np.ndarray, seps: str, rows: int) -> Iterator[tuple[int, np.ndarray]]:
     """(first row, fields) for each block of ``rows`` rows of a float64
     matrix: the NUL-padded fields of the block's rows, (rows, cols * _WIDTH),
-    each ending in ',' except the last column's, which ends in ``end``."""
+    each ending in its column's separator in ``seps``."""
     tables = _tables()
     n_cols = matrix.shape[1]
-    sep = np.full(n_cols, ord(","), dtype=np.uint8)
-    sep[-1] = ord(end)
-    sep = np.tile(sep, rows)
+    sep = np.tile(np.frombuffer(seps.encode("ascii"), dtype=np.uint8), rows)
     base = np.repeat(np.arange(len(sep)) * 32, _WIDTH)
     for i in range(0, len(matrix), rows):
         block = matrix[i:i + rows].ravel()
@@ -246,31 +244,36 @@ def _row_blocks(matrix: np.ndarray, end: str, rows: int) -> Iterator[tuple[int, 
         yield i, fields.reshape(-1, n_cols * _WIDTH)
 
 
-def prefix_fields(matrix) -> np.ndarray:
-    """The fields of a float matrix (at least one column) as the leading
-    columns of CSV rows: (rows, cols * _WIDTH) NUL-padded bytes, every field
-    ending in ','.  Rendered once, they go before the rows of any number of
-    ``matrix_text(rest, prefix)`` calls."""
+def column_fields(matrix, seps: str) -> np.ndarray:
+    """The fields of each column of a float matrix (at least one column),
+    every field ending in its column's separator in ``seps``:
+    (cols, rows, _WIDTH) NUL-padded bytes, rendered in one pass over the
+    rows.  ``fields_text`` joins any columns with as many rows."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    out = np.empty((len(matrix), matrix.shape[1] * _WIDTH), dtype=np.uint8)
-    for i, fields in _row_blocks(matrix, ",", max(1, BLOCK_VALUES // matrix.shape[1])):
+    n_rows, n_cols = matrix.shape
+    out = np.empty((n_rows, n_cols * _WIDTH), dtype=np.uint8)
+    for i, fields in _row_blocks(matrix, seps, max(1, BLOCK_VALUES // n_cols)):
         out[i:i + len(fields)] = fields
-    return out
+    return out.reshape(n_rows, n_cols, _WIDTH).transpose(1, 0, 2)
 
 
-def matrix_text(matrix, prefix: np.ndarray | None = None) -> Iterator[str]:
-    """The CSV rows of a 2-D float matrix, '%.17g' fields, in blocks of text.
+def fields_text(columns) -> Iterator[str]:
+    """The CSV rows whose fields are ``columns`` (at least one), left to
+    right: each a (rows, _WIDTH) column of ``column_fields``, the last one's
+    fields ending in '\\n' and the others' in ','.  In blocks of text."""
+    rows = max(1, BLOCK_VALUES // len(columns))
+    for i in range(0, len(columns[0]), rows):
+        fields = np.concatenate([column[i:i + rows] for column in columns], axis=1)
+        yield fields.tobytes().translate(None, b"\0").decode("ascii")
 
-    ``prefix``, from ``prefix_fields`` of a matrix with as many rows, gives
-    each row its leading fields: the text is that of the two matrices side
-    by side, without rendering the prefix columns again."""
+
+def matrix_text(matrix) -> Iterator[str]:
+    """The CSV rows of a 2-D float matrix, '%.17g' fields, in blocks of text."""
     matrix = np.asarray(matrix, dtype=np.float64)
     n_rows, n_cols = matrix.shape
     if n_cols == 0:
         yield "\n" * n_rows
         return
-    width = n_cols if prefix is None else n_cols + prefix.shape[1] // _WIDTH
-    for i, fields in _row_blocks(matrix, "\n", max(1, BLOCK_VALUES // width)):
-        if prefix is not None:
-            fields = np.concatenate([prefix[i:i + len(fields)], fields], axis=1)
+    for _, fields in _row_blocks(matrix, "," * (n_cols - 1) + "\n",
+                                 max(1, BLOCK_VALUES // n_cols)):
         yield fields.tobytes().translate(None, b"\0").decode("ascii")

@@ -137,7 +137,7 @@ def cmd_synchronize(cfg: RunConfig, args) -> int:
 
     drives = _drives(cfg, traj) if method in ("drive", "both") else None
     agreements = []
-    shared = {}  # the text of the t, m... columns, rendered once per command
+    shared = {}  # the text of every column the files have in common, rendered once
     for i, region in enumerate(cfg.regions):
         produced = {}
         if drives is not None:
@@ -162,6 +162,8 @@ def cmd_synchronize(cfg: RunConfig, args) -> int:
             sup = compare_gs(produced["drive"], produced["psi"])
             agreements.append([region.label, sup])
             print(f"synchronize[{region.label}]: drive/psi sup distance {sup:.3e}")
+        if drives is not None:
+            drives[i] = None  # written: its columns' text lives on in shared
 
     if agreements:
         _write(cfg, args, "agreement.csv", {"method": "both"},

@@ -18,6 +18,7 @@ and the CLI drive all their regions at once through the kernel behind
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -136,25 +137,30 @@ def _field(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
-def _write_csv(path, meta: dict, header: list[str], rows, prefix=None) -> None:
+def _write_csv(path, meta: dict, header: list[str], rows) -> None:
     """CSV with one '# key: value' line per metadata entry, then the header
     and the rows: sequences of fields, or a float matrix.  Every field and
     metadata value is written by one rule, a float as %.17g and anything else
     as str; a matrix goes through ``_csvtext.matrix_text``, byte for byte the
-    text of f"{x:.17g}", after the already rendered leading fields
-    ``prefix`` of each row (``_csvtext.prefix_fields``), if given."""
+    text of f"{x:.17g}"."""
+    if isinstance(rows, np.ndarray):
+        # imported here so that importing gsync, which every CLI process
+        # does, leaves the formatter unloaded until a matrix is written
+        from ._csvtext import matrix_text
+        text = matrix_text(rows)
+    else:
+        text = (",".join(map(_field, row)) + "\n" for row in rows)
+    _write_text(path, meta, header, text)
+
+
+def _write_text(path, meta: dict, header: list[str], text) -> None:
+    """``_write_csv`` with the rows already rendered: ``text`` is an
+    iterable of blocks of whole CSV lines."""
     with open(path, "w") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}: {_field(v)}\n")
         fh.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray):
-            # imported here so that importing gsync, which every CLI process
-            # does, leaves the formatter unloaded until a matrix is written
-            from ._csvtext import matrix_text
-            fh.writelines(matrix_text(rows, prefix))
-        else:
-            for row in rows:
-                fh.write(",".join(map(_field, row)) + "\n")
+        fh.writelines(text)
 
 
 def _residuals(values: np.ndarray, z: np.ndarray, F: StateMap) -> np.ndarray:
@@ -455,10 +461,13 @@ def write_gs_csv(gs: SampledGS, path, F: StateMap | None = None,
     supplied).  ``time_scale`` converts step indices to continuous time in
     the t column.
 
-    ``shared`` lets the files of one command render the t, m... columns
-    that they have in common once: it maps the bytes of those columns to
-    their rendered text, added by the first file that has them.  The caller
-    owns it, so nothing outlives the command that made it.
+    ``shared`` lets the files of one command render each column that they
+    have in common once.  It maps a column's key (its separator, its row
+    count and a 16-byte blake2b digest of its float64 bytes) to its rendered
+    fields, added by the first file that has the column; each file renders
+    the columns new to it in one batch and joins its rows from the map.
+    Bytes, not values, pick the text: -0.0 == 0.0 and nan != nan.  The
+    caller owns the map, so nothing outlives the command that made it.
     """
     meta = {"method": gs.method.get("name", "?"), "region": gs.region_label,
             "residual_max": gs.residual_max, "residual_mean": gs.residual_mean}
@@ -473,12 +482,20 @@ def write_gs_csv(gs: SampledGS, path, F: StateMap | None = None,
         if F is not None and obs is not None and len(gs) >= 2:
             res[1:] = _residuals(gs.values, _observe(obs, gs.points), F)
     times = gs.times * time_scale if time_scale is not None else gs.times
+    columns = np.empty((len(header), len(gs)))  # one contiguous row per column
+    columns[0] = times
+    columns[1:1 + pd] = gs.points.T
+    columns[1 + pd:-1] = gs.values.T
+    columns[-1] = res
     if shared is None:
-        _write_csv(path, meta, header, np.column_stack([times, gs.points, gs.values, res]))
+        _write_csv(path, meta, header, columns.T)
         return
-    left = np.column_stack([times, gs.points])
-    key = (left.shape, left.tobytes())  # bytes, not ==: -0.0 == 0.0 and nan != nan
-    if key not in shared:
-        from ._csvtext import prefix_fields
-        shared[key] = prefix_fields(left)
-    _write_csv(path, meta, header, np.column_stack([gs.values, res]), shared[key])
+    from ._csvtext import column_fields, fields_text
+    seps = "," * (len(header) - 1) + "\n"
+    keys = [(sep, len(gs), hashlib.blake2b(column, digest_size=16).digest())
+            for sep, column in zip(seps, columns)]
+    new = {key: j for j, key in enumerate(keys) if key not in shared}  # a repeat once
+    if new:
+        fields = column_fields(columns[list(new.values())].T, "".join(key[0] for key in new))
+        shared.update(zip(new, fields))
+    _write_text(path, meta, header, fields_text([shared[key] for key in keys]))

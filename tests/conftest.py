@@ -17,6 +17,18 @@ def traced_peak(run):
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+def gs_columns(gs, time_scale=None) -> set:
+    """The columns ``write_gs_csv`` writes for gs, each as (last, rows,
+    float64 bytes): the bytes and the separator fix a column's text."""
+    res = gs.residuals if gs.residuals is not None else np.full(len(gs), np.nan)
+    times = gs.times * time_scale if time_scale is not None else gs.times
+    matrix = np.column_stack([times, gs.points, gs.values, res]).astype(float)
+    return {(j == matrix.shape[1] - 1, len(matrix), matrix[:, j].tobytes())
+            for j in range(matrix.shape[1])}
+
+
 IV_ALPHA, IV_LAMBDA, IV_K = 0.9, 0.009, 0.1
 
 # the eight stable fixed points of the autonomous power map

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gsync import (AxisBox, Ball, InputRange, LinearObservation, OrbitConstants, PowerSine,
-                   certify, cli, contraction, observe_trajectory, psi_iterate_gs)
+                   certify, cli, contraction, observe_trajectory, psi_iterate_gs, write_gs_csv)
 from gsync.cli import main, section_iv_config
 from gsync import config
 from gsync.config import _KEYS, parse_config_text
 from gsync.dynsys import DiscreteSystem
 from gsync.errors import ConfigError
+
+from conftest import gs_columns
 
 SMALL_LORENZ = """
 system.kind = lorenz
@@ -692,55 +694,75 @@ ESCAPING_BOX = "region.2.kind = box\nregion.2.lo = 0.5 0.5 0.5\nregion.2.hi = 0.
 
 
 class TestSharedColumns:
-    # config, exit code, renders of the t, m... columns: psi with its own rows
-    # (psi_record_from != washout) shares nothing with the drive
+    # config, exit code, files written: psi with its own rows
+    # (psi_record_from != washout) shares no column with the drive
     CASES = {
-        "eight_box_torus": (EIGHT_BOX_TORUS, 0, 1),
-        "psi_own_rows": (SMALL_IV + SECOND_BOX + "run.psi_record_from = 300\n", 0, 2),
-        "section_iv_time": (SMALL_IV + SECOND_BOX, 0, 1),
-        "failing_region": (SMALL_IV + ESCAPING_BOX, 3, 1),
+        "eight_box_torus": (EIGHT_BOX_TORUS, 0, 16),
+        "psi_own_rows": (SMALL_IV + SECOND_BOX + "run.psi_record_from = 300\n", 0, 4),
+        "section_iv_time": (SMALL_IV + SECOND_BOX, 0, 4),
+        "failing_region": (SMALL_IV + ESCAPING_BOX, 3, 2),
     }
 
     @pytest.fixture
-    def renders(self, monkeypatch):
+    def formatted(self, monkeypatch):
+        """The number of values handed to the formatter so far, in a list."""
         from gsync import _csvtext
-        renders, original = [], _csvtext.prefix_fields
-        monkeypatch.setattr(_csvtext, "prefix_fields",
-                            lambda matrix: renders.append(len(matrix)) or original(matrix))
-        return renders
+        count, original = [0], _csvtext._block_fields
+
+        def counting(x, *args):
+            count[0] += len(x)
+            return original(x, *args)
+
+        monkeypatch.setattr(_csvtext, "_block_fields", counting)
+        return count
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The arguments of every write_gs_csv call of the CLI."""
+        calls, original = [], cli.write_gs_csv
+        monkeypatch.setattr(cli, "write_gs_csv",
+                            lambda gs, path, **kwargs: calls.append((gs, path, kwargs))
+                            or original(gs, path, **kwargs))
+        return calls
+
+    @staticmethod
+    def distinct_values(calls) -> int:
+        """The rows times the distinct columns of the files written."""
+        columns = set().union(*(gs_columns(gs, kwargs["time_scale"]) for gs, _, kwargs in calls))
+        return sum(rows for _, rows, _ in columns)
 
     @pytest.mark.parametrize("case", CASES)
-    def test_each_file_is_one_standalone_write(self, tmp_path, monkeypatch, renders, case):
-        text, code, n_renders = self.CASES[case]
-        calls, original = [], cli.write_gs_csv
-
-        def recording(gs, path, **kwargs):
-            calls.append((gs, path, kwargs))
-            return original(gs, path, **kwargs)
-
-        monkeypatch.setattr(cli, "write_gs_csv", recording)
+    def test_each_file_is_one_standalone_write(self, tmp_path, formatted, calls, case):
+        text, code, n_files = self.CASES[case]
         out = tmp_path / "out"
         assert main(["synchronize", "--config", write_cfg(tmp_path, text), "--out", str(out),
                      "--method", "both"]) == code
         names = sorted(os.path.basename(path) for _, path, _ in calls)
         assert names == sorted(p.name for p in out.glob("gs_*.csv"))
-        assert len(names) == {"eight_box_torus": 16, "failing_region": 2}.get(case, 4)
-        assert len(renders) == n_renders
+        assert len(names) == n_files
+        assert formatted[0] == self.distinct_values(calls)
         for gs, path, kwargs in calls:
             assert kwargs.pop("shared") is not None
             alone = tmp_path / "alone.csv"
-            original(gs, str(alone), **kwargs)
+            write_gs_csv(gs, str(alone), **kwargs)
             assert Path(path).read_bytes() == alone.read_bytes(), path
         if case == "section_iv_time":  # t = step * h
             _, rows = read_data_rows(out / "gs_V1_drive.csv")
             assert rows[1][0] == "4.0099999999999998"
 
-    def test_each_command_renders_the_shared_columns_once(self, tmp_path, renders):
+    def test_each_command_renders_the_shared_columns_once(self, tmp_path, formatted, calls):
         cfg = write_cfg(tmp_path, EIGHT_BOX_TORUS)
         for n in (1, 2):
+            formatted[0] = 0
+            calls.clear()
             assert main(["synchronize", "--config", cfg, "--out", str(tmp_path / f"out{n}"),
                          "--method", "both"]) == 0
-            assert renders == [301] * n
+            # the 16 files' rows times their distinct columns: the sign boxes
+            # share t, m and each f_i of one sign (28 of the 112 columns here)
+            assert len(calls) == 16
+            every = sum(len(gs) * (2 + gs.points.shape[1] + gs.values.shape[1])
+                        for gs, _, _ in calls)
+            assert formatted[0] == self.distinct_values(calls) <= every // 2
         for path in (tmp_path / "out1").glob("gs_*.csv"):
             assert path.read_bytes() == (tmp_path / "out2" / path.name).read_bytes()
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsync import _csvtext
-from gsync._csvtext import matrix_text, prefix_fields
+from gsync._csvtext import column_fields, fields_text, matrix_text
 
 from conftest import traced_peak
 
@@ -94,28 +94,40 @@ def test_empty_matrices(shape):
     assert text(np.zeros(shape)) == reference(np.zeros(shape))
 
 
+def separators(n_cols: int) -> str:
+    return "," * (n_cols - 1) + "\n"
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(matrix=matrices(), data=st.data())
-def test_prefix_text_is_the_text_side_by_side(matrix, data):
-    # the leading columns rendered once, then joined row by row with the rest
-    cut = data.draw(st.integers(1, matrix.shape[1]))
-    if cut == matrix.shape[1]:
-        matrix = np.column_stack([matrix, np.ones(len(matrix))])
-    left, right = matrix[:, :cut], matrix[:, cut:]
-    prefix = prefix_fields(left)
-    assert prefix.shape == (len(matrix), cut * _csvtext._WIDTH)
-    assert "".join(matrix_text(right, prefix)) == reference(matrix)
-    # the same prefix serves any number of matrices with as many rows
-    assert "".join(matrix_text(-right, prefix)) == reference(np.column_stack([left, -right]))
+def test_column_fields_joined_are_the_matrix_text(matrix, data):
+    # any columns rendered in one batch, the rest in another, joined in order
+    n_cols = matrix.shape[1]
+    batch = sorted(data.draw(st.sets(st.integers(0, n_cols - 1), min_size=1)))
+    rest = [j for j in range(n_cols) if j not in batch]
+    seps = separators(n_cols)
+    rendered = {}
+    for group in (batch, rest):
+        if group:
+            got = column_fields(matrix[:, group], "".join(seps[j] for j in group))
+            assert got.shape == (len(group), len(matrix), _csvtext._WIDTH)
+            rendered.update(zip(group, got))
+    assert "".join(fields_text([rendered[j] for j in range(n_cols)])) == reference(matrix)
+    # a rendered column serves any number of matrices with as many rows
+    other = column_fields(-matrix[:, -1:], "\n")
+    columns = [rendered[j] for j in range(n_cols - 1)] + list(other)
+    assert "".join(fields_text(columns)) == reference(
+        np.column_stack([matrix[:, :-1], -matrix[:, -1]]))
 
 
-def test_prefix_blocks_split_rows_as_a_whole(monkeypatch):
+def test_column_blocks_split_rows_as_a_whole(monkeypatch):
     monkeypatch.setattr(_csvtext, "BLOCK_VALUES", 7)  # 1 or 2 rows per block
     rng = np.random.default_rng(4)
     matrix = bulk("bits", 40 * 5, rng).reshape(40, 5)
     for cut in (1, 3, 4):
-        got = "".join(matrix_text(matrix[:, cut:], prefix_fields(matrix[:, :cut])))
-        assert got == reference(matrix)
+        left = column_fields(matrix[:, :cut], "," * cut)
+        right = column_fields(matrix[:, cut:], separators(5 - cut))
+        assert "".join(fields_text([*left, *right])) == reference(matrix)
 
 
 def test_matrix_text_of_a_synchronization_matrix_stays_under_3_mb():

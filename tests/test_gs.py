@@ -9,13 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 from gsync import (AxisBox, Ball, CatMap, CoordinateProjection, CustomObservation, CustomStateMap,
                    Esn, LinearDelay, PowerSine, StateMap, Trajectory, compare_gs, delay_window,
                    drive_gs, multistability_sweep, observe_trajectory, psi_iterate_gs,
-                   recursion_residual, run_recursion, write_gs_csv)
+                   SampledGS, recursion_residual, run_recursion, write_gs_csv)
 from gsync.errors import (DimensionMismatch, DisjointRanges, DomainViolation, GsyncError,
                           NonFiniteError, RegionEscape)
 from gsync import gs as gs_module
 from gsync.gs import _drive_regions, _max_row_norm, _row_norms
 
-from conftest import LORENZ_M0, esn_reservoir, formula, record_steps, traced_peak
+from conftest import (LORENZ_M0, esn_reservoir, formula, gs_columns, record_steps,
+                      traced_peak)
 
 IV_LFX = 0.9 * 0.9 ** (-0.1)
 EPS = np.finfo(float).eps
@@ -1168,22 +1169,65 @@ class TestSerialization:
 
     def test_shared_columns_are_keyed_by_their_bytes(self, tmp_path, iv_drive):
         # same shapes throughout; -0.0 == 0.0 and nan != nan, but their text differs
-        # or matches by the bytes alone
-        points = iv_drive.points.copy()
-        points[0, 0] = 0.0
-        signed = points.copy()
-        signed[0, 0] = -0.0
-        with_nan = points.copy()
-        with_nan[1, 1] = np.nan
-        variants = [(points, None), (signed, None), (points, None), (with_nan, None),
-                    (with_nan.copy(), None), (points, 0.01), (signed, 0.01)]
-        shared = {}
-        for i, (p, scale) in enumerate(variants):
-            gs = replace(iv_drive, points=p, values=-iv_drive.values if i % 2 else iv_drive.values)
+        # or matches by the bytes alone: one shared key per distinct column
+        payload_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        points, values, res = (iv_drive.points.copy(), iv_drive.values.copy(),
+                               iv_drive.residuals.copy())
+        points[0, 0] = values[0, 0] = res[1] = 0.0
+        signed = [a.copy() for a in (points, values, res)]
+        signed[0][0, 0] = signed[1][0, 0] = signed[2][1] = -0.0
+        nans = [a.copy() for a in (points, values, res)]
+        nans[0][1, 1] = np.nan
+        nans[1][1, 1] = -np.nan
+        nans[2][2] = payload_nan
+        infs = [points, values.copy(), res.copy()]
+        infs[1][2, 2] = -np.inf
+        infs[2][3:5] = [np.inf, -np.inf]
+        # residuals with a value column's bytes: the same floats, as the last column
+        as_last = [points, values, values[:, 0].copy()]
+        variants = [(points, values, res, None), (*signed, None), (points, values, res, None),
+                    (*nans, None), (*(a.copy() for a in nans), None), (*infs, None),
+                    (*as_last, None), (points, values, res, 0.01), (*signed, 0.01)]
+        shared, columns = {}, set()
+        for p, v, r, scale in variants:
+            gs = replace(iv_drive, points=p, values=v, residuals=r)
             write_gs_csv(gs, tmp_path / "shared.csv", time_scale=scale, shared=shared)
             write_gs_csv(gs, tmp_path / "alone.csv", time_scale=scale)
             assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
-        assert len(shared) == 5
+            columns |= gs_columns(gs, scale)
+        # 8 columns, then new: 3 signed zeros, 3 nans, 2 infinities, 1 column
+        # as the last, 1 scaled t
+        assert len(shared) == len(columns) == 18
+        rows = (tmp_path / "shared.csv").read_text().splitlines()[-len(iv_drive):]
+        assert rows[0].startswith("20,-0,") and rows[0].endswith(",nan")
+        assert rows[1].endswith(",-0")
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(data=st.data())
+    def test_files_through_one_shared_map_are_their_lone_writes(self, tmp_path_factory, data):
+        tmp_path = tmp_path_factory.mktemp("writes")
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 1e300, 0.1]
+        bits = st.one_of(st.sampled_from(special).map(lambda x: np.float64(x).view(np.uint64)),
+                         st.integers(0, 2 ** 64 - 1))
+        pools = {n: data.draw(st.lists(st.lists(bits, min_size=n, max_size=n), min_size=1,
+                                       max_size=4)) for n in (2, 3)}
+        pools = {n: np.array(pool, dtype=np.uint64).view(np.float64) for n, pool in pools.items()}
+
+        def columns(n, k):  # k columns of n rows drawn from the pool: shared or not
+            pick = data.draw(st.lists(st.integers(0, len(pools[n]) - 1), min_size=k, max_size=k))
+            return pools[n][pick].T
+
+        shared = {}
+        for _ in range(data.draw(st.integers(1, 5))):
+            n, pd, nd = data.draw(st.sampled_from([2, 3])), *data.draw(st.tuples(
+                st.integers(1, 3), st.integers(1, 3)))
+            gs = SampledGS(times=data.draw(st.integers(0, 5)) + np.arange(n),
+                           points=columns(n, pd), values=columns(n, nd), method={"name": "x"},
+                           residuals=columns(n, 1)[:, 0])
+            scale = data.draw(st.sampled_from([None, 0.01]))
+            write_gs_csv(gs, tmp_path / "shared.csv", time_scale=scale, shared=shared)
+            write_gs_csv(gs, tmp_path / "alone.csv", time_scale=scale)
+            assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
     def test_gs_csv_roundtrip(self, tmp_path, power_sine, lorenz_obs, iv_drive):
         path = tmp_path / "gs.csv"
