@@ -1,8 +1,8 @@
 """Exact ``%.17g`` CSV text of float64 matrices, computed in bulk with numpy.
 
-``matrix_text`` yields the CSV rows of a float matrix: each field is byte for
-byte ``'%.17g' % x``, fields are joined by ',' and rows end in '\\n'.  It
-works on whole rows of about ``BLOCK_VALUES`` values at a time.
+``matrix_text`` yields the CSV rows of a float matrix as ASCII bytes: each
+field is byte for byte ``'%.17g' % x``, fields are joined by ',' and rows end
+in '\\n'.  It works on whole rows of about ``BLOCK_VALUES`` values at a time.
 
 Digits.  For finite ``1e-280 < |x| < 1e280`` let ``k = floor(log10 |x|)``,
 corrected by one where needed, so that ``V = |x| * 10**(16 - k)`` lies in
@@ -230,50 +230,48 @@ def _block_fields(x: np.ndarray, sep: np.ndarray, base: np.ndarray,
     return out
 
 
-def _row_blocks(matrix: np.ndarray, seps: str, rows: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(first row, fields) for each block of ``rows`` rows of a float64
-    matrix: the NUL-padded fields of the block's rows, (rows, cols * _WIDTH),
-    each ending in its column's separator in ``seps``."""
+def _row_blocks(parts, seps: str) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, fields) per block of whole rows, about ``BLOCK_VALUES``
+    values, of float64 ``parts`` put side by side by ``np.column_stack``: the
+    NUL-padded fields, (rows, cols * _WIDTH), ending in their column's ``seps``."""
     tables = _tables()
-    n_cols = matrix.shape[1]
+    rows = max(1, BLOCK_VALUES // len(seps))
     sep = np.tile(np.frombuffer(seps.encode("ascii"), dtype=np.uint8), rows)
     base = np.repeat(np.arange(len(sep)) * 32, _WIDTH)
-    for i in range(0, len(matrix), rows):
-        block = matrix[i:i + rows].ravel()
+    for i in range(0, len(parts[0]), rows):
+        block = np.column_stack([part[i:i + rows] for part in parts]).ravel()
         fields = _block_fields(block, sep[:len(block)], base[:_WIDTH * len(block)], tables)
-        yield i, fields.reshape(-1, n_cols * _WIDTH)
+        yield i, fields.reshape(-1, len(seps) * _WIDTH)
 
 
-def column_fields(matrix, seps: str) -> np.ndarray:
-    """The fields of each column of a float matrix (at least one column),
-    every field ending in its column's separator in ``seps``:
-    (cols, rows, _WIDTH) NUL-padded bytes, rendered in one pass over the
+def column_fields(columns, seps: str) -> np.ndarray:
+    """The fields of each of ``columns`` (float64 rows of one length, at least
+    one), every field ending in its column's separator in ``seps``: (cols,
+    rows, _WIDTH) NUL-padded bytes, rendered in one pass over blocks of their
     rows.  ``fields_text`` joins any columns with as many rows."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    n_rows, n_cols = matrix.shape
+    n_rows, n_cols = len(columns[0]), len(columns)
     out = np.empty((n_rows, n_cols * _WIDTH), dtype=np.uint8)
-    for i, fields in _row_blocks(matrix, seps, max(1, BLOCK_VALUES // n_cols)):
+    for i, fields in _row_blocks(columns, seps):
         out[i:i + len(fields)] = fields
     return out.reshape(n_rows, n_cols, _WIDTH).transpose(1, 0, 2)
 
 
-def fields_text(columns) -> Iterator[str]:
+def fields_text(columns) -> Iterator[bytes]:
     """The CSV rows whose fields are ``columns`` (at least one), left to
     right: each a (rows, _WIDTH) column of ``column_fields``, the last one's
-    fields ending in '\\n' and the others' in ','.  In blocks of text."""
+    fields ending in '\\n' and the others' in ','.  In blocks of bytes."""
     rows = max(1, BLOCK_VALUES // len(columns))
     for i in range(0, len(columns[0]), rows):
         fields = np.concatenate([column[i:i + rows] for column in columns], axis=1)
-        yield fields.tobytes().translate(None, b"\0").decode("ascii")
+        yield fields.tobytes().translate(None, b"\0")
 
 
-def matrix_text(matrix) -> Iterator[str]:
-    """The CSV rows of a 2-D float matrix, '%.17g' fields, in blocks of text."""
+def matrix_text(matrix) -> Iterator[bytes]:
+    """The CSV rows of a 2-D float matrix, '%.17g' fields, in blocks of bytes."""
     matrix = np.asarray(matrix, dtype=np.float64)
     n_rows, n_cols = matrix.shape
     if n_cols == 0:
-        yield "\n" * n_rows
+        yield b"\n" * n_rows
         return
-    for _, fields in _row_blocks(matrix, "," * (n_cols - 1) + "\n",
-                                 max(1, BLOCK_VALUES // n_cols)):
-        yield fields.tobytes().translate(None, b"\0").decode("ascii")
+    for _, fields in _row_blocks([matrix], "," * (n_cols - 1) + "\n"):
+        yield fields.tobytes().translate(None, b"\0")

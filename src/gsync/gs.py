@@ -18,10 +18,10 @@ and the CLI drive all their regions at once through the kernel behind
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field
-from functools import reduce
+import os
+from dataclasses import dataclass, field, replace
+from functools import partial, reduce
 from operator import iadd
 
 import numpy as np
@@ -142,25 +142,25 @@ def _write_csv(path, meta: dict, header: list[str], rows) -> None:
     and the rows: sequences of fields, or a float matrix.  Every field and
     metadata value is written by one rule, a float as %.17g and anything else
     as str; a matrix goes through ``_csvtext.matrix_text``, byte for byte the
-    text of f"{x:.17g}"."""
+    text of f"{x:.17g}".  Lines end in '\\n' on every platform."""
     if isinstance(rows, np.ndarray):
         # imported here so that importing gsync, which every CLI process
         # does, leaves the formatter unloaded until a matrix is written
         from ._csvtext import matrix_text
         text = matrix_text(rows)
     else:
-        text = (",".join(map(_field, row)) + "\n" for row in rows)
+        text = ((",".join(map(_field, row)) + "\n").encode() for row in rows)
     _write_text(path, meta, header, text)
 
 
-def _write_text(path, meta: dict, header: list[str], text) -> None:
+def _write_text(path, meta: dict, header: list[str], text) -> int:
     """``_write_csv`` with the rows already rendered: ``text`` is an
-    iterable of blocks of whole CSV lines."""
-    with open(path, "w") as fh:
-        for k, v in meta.items():
-            fh.write(f"# {k}: {_field(v)}\n")
-        fh.write(",".join(header) + "\n")
+    iterable of blocks of whole CSV lines in bytes.  Returns the rows' offset."""
+    head = "".join(f"# {k}: {_field(v)}\n" for k, v in meta.items()) + ",".join(header) + "\n"
+    with open(path, "wb") as fh:
+        offset = fh.write(head.encode())
         fh.writelines(text)
+    return offset
 
 
 def _residuals(values: np.ndarray, z: np.ndarray, F: StateMap) -> np.ndarray:
@@ -195,6 +195,11 @@ def recursion_residual(gs: SampledGS, F: StateMap, obs: ObservationMap) -> tuple
         raise ValueError("need at least two recorded points")
     r = _residuals(gs.values, _observe(obs, gs.points), F)
     return float(np.max(r)), float(np.mean(r))
+
+
+def _check_start(x, region: InvariantRegion | None, name: str = "f0"):
+    if region is not None and not region.contains(x, tol=1e-12):
+        raise RegionEscape(f"{name} lies outside region {region.label!r}", index=None)
 
 
 def _check_region(values: np.ndarray, times: np.ndarray, region: InvariantRegion | None):
@@ -263,9 +268,7 @@ def _drive_regions(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0,
     out, live = [None] * len(xs), []
     for i, (x, region) in enumerate(zip(xs, regions)):
         try:
-            if region is not None and not region.contains(x, tol=1e-12):
-                raise RegionEscape(f"initial state lies outside region {region.label!r}",
-                                   index=None)
+            _check_start(x, region, "initial state")
             F._check_state(x)
         except GsyncError as exc:
             out[i] = exc
@@ -331,8 +334,7 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
         raise ValueError("record_from must leave at least two recorded points")
     z = observe_trajectory(obs, trajectory)
     f0 = np.asarray(f0_const, dtype=float)
-    if region is not None and not region.contains(f0, tol=1e-12):
-        raise RegionEscape(f"f0 lies outside region {region.label!r}", index=None)
+    _check_start(f0, region)
 
     n = len(trajectory)
     boundary = F.eval(f0, z[0])  # constant: frozen predecessor value
@@ -357,19 +359,24 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
     first_change, change = (change_history[0], change_history[-1]) if n_iters else (math.nan,) * 2
     converged = change <= tol  # the last sweep broke the loop (a nan change never does)
 
-    apriori = float("nan")
-    if l_fx is not None and 0.0 < l_fx < 1.0:
-        apriori = l_fx ** n_iters / (1.0 - l_fx) * first_change
-
     times = trajectory.t0 + np.arange(record_from, n)
-    return _sampled(F, z[record_from:], times, trajectory.points[record_from:].copy(),
-                    f[record_from:],
-                    {"name": "psi", "n_iters": n_iters, "f0": f0.tolist(),
-                     "tol": tol, "converged": converged,
-                     "final_change": change, "first_change": first_change,
-                     "change_history": change_history,
-                     "apriori_bound": apriori, "record_from": record_from},
-                    region)
+    return _psi_in_region(_sampled(
+        F, z[record_from:], times, trajectory.points[record_from:].copy(), f[record_from:],
+        {"name": "psi", "n_iters": n_iters, "f0": f0.tolist(), "tol": tol,
+         "converged": converged, "final_change": change, "first_change": first_change,
+         "change_history": change_history, "apriori_bound": math.nan,
+         "record_from": record_from}, None), region, l_fx)
+
+
+def _psi_in_region(run: SampledGS, region, l_fx) -> SampledGS:
+    """The psi ``run`` as ``region``'s: its f0 and value checks (None: none),
+    label and a-priori bound from ``l_fx``, the one region rule of every psi result."""
+    _check_start(np.asarray(run.method["f0"]), region)
+    _check_region(run.values, run.times, region)
+    apriori = (l_fx ** run.method["n_iters"] / (1.0 - l_fx) * run.method["first_change"]
+               if l_fx is not None and 0.0 < l_fx < 1.0 else math.nan)
+    return replace(run, method={**run.method, "apriori_bound": apriori},
+                   region_label=region.label if region is not None else "")
 
 
 def compare_gs(a: SampledGS, b: SampledGS) -> float:
@@ -463,18 +470,19 @@ def write_gs_csv(gs: SampledGS, path, F: StateMap | None = None,
 
     ``shared`` lets the files of one command render each column that they
     have in common once.  It maps a column's key (its separator, its row
-    count and a 16-byte blake2b digest of its float64 bytes) to its rendered
-    fields, added by the first file that has the column; each file renders
-    the columns new to it in one batch and joins its rows from the map.
-    Bytes, not values, pick the text: -0.0 == 0.0 and nan != nan.  The
-    caller owns the map, so nothing outlives the command that made it.
+    count and a 16-byte sha256 prefix of its float64 bytes) to its rendered
+    fields, and a file's tuple of keys to where its rows went (real path,
+    offset).  A file copies its rows from there, or renders the columns new
+    to it in one batch and joins its rows from the map, once the entries of
+    the file it replaces are dropped.  Bytes, not values, pick the text:
+    -0.0 == 0.0 and nan != nan.  The caller owns the map, so nothing
+    outlives the command that made it.
     """
     meta = {"method": gs.method.get("name", "?"), "region": gs.region_label,
             "residual_max": gs.residual_max, "residual_mean": gs.residual_mean}
     if metadata:
         meta.update(metadata)
-    pd = gs.points.shape[1]
-    nd = gs.values.shape[1]
+    pd, nd = gs.points.shape[1], gs.values.shape[1]
     header = ["t"] + [f"m{i+1}" for i in range(pd)] + [f"f{i+1}" for i in range(nd)] + ["residual"]
     res = gs.residuals
     if res is None:
@@ -490,12 +498,22 @@ def write_gs_csv(gs: SampledGS, path, F: StateMap | None = None,
     if shared is None:
         _write_csv(path, meta, header, columns.T)
         return
+    import hashlib  # here, like the formatter: only a shared write takes digests
     from ._csvtext import column_fields, fields_text
     seps = "," * (len(header) - 1) + "\n"
-    keys = [(sep, len(gs), hashlib.blake2b(column, digest_size=16).digest())
-            for sep, column in zip(seps, columns)]
+    keys = tuple((sep, len(gs), hashlib.sha256(column).digest()[:16])
+                 for sep, column in zip(seps, columns))
+    target = os.path.realpath(path)  # never read while it is written
+    for key in [k for k, at in shared.items() if isinstance(at, tuple) and at[0] == target]:
+        del shared[key]
+    if keys in shared:  # another file holds these rows: copy them
+        with open(shared[keys][0], "rb") as rows:
+            rows.seek(shared[keys][1])
+            text = iter(partial(rows.read, 1 << 16), b"")
+            shared[keys] = (target, _write_text(path, meta, header, text))
+        return
     new = {key: j for j, key in enumerate(keys) if key not in shared}  # a repeat once
     if new:
-        fields = column_fields(columns[list(new.values())].T, "".join(key[0] for key in new))
+        fields = column_fields([columns[j] for j in new.values()], "".join(key[0] for key in new))
         shared.update(zip(new, fields))
-    _write_text(path, meta, header, fields_text([shared[key] for key in keys]))
+    shared[keys] = (target, _write_text(path, meta, header, fields_text([shared[k] for k in keys])))

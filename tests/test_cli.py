@@ -767,6 +767,95 @@ class TestSharedColumns:
             assert path.read_bytes() == (tmp_path / "out2" / path.name).read_bytes()
 
 
+# SMALL_IV without its box V1, and the Esn of CAT_ESN without its box
+IV_NO_REGION = SMALL_IV.replace("region.1.kind = box\nregion.1.lo = 0.9 0.9 0.9\n"
+                                "region.1.hi = 1.1 1.1 1.1\nregion.1.label = V1\n", "")
+ESN_NO_REGION = CAT_ESN.format(a="0.3").replace(
+    "region.1.kind = box\nregion.1.lo = -1 -1\nregion.1.hi = 1 1\n", "")
+
+
+def box(n, label, lo, hi):
+    return (f"region.{n}.kind = box\nregion.{n}.lo = {lo}\nregion.{n}.hi = {hi}\n"
+            f"region.{n}.label = {label}\n")
+
+
+def ball(n, label, center, radius):
+    return (f"region.{n}.kind = ball\nregion.{n}.center = {center}\n"
+            f"region.{n}.radius = {radius}\nregion.{n}.label = {label}\n")
+
+
+class TestSharedPsiRun:
+    # regions with one start state share one psi run; each keeps its own
+    # checks, label and a-priori bound
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The start state of every psi_iterate_gs call of the CLI."""
+        starts, original = [], cli.psi_iterate_gs
+
+        def counting(F, sys, obs, traj, f0, **kwargs):
+            starts.append(np.array(f0))
+            return original(F, sys, obs, traj, f0, **kwargs)
+
+        monkeypatch.setattr(cli, "psi_iterate_gs", counting)
+        return starts
+
+    @staticmethod
+    def synchronize(tmp_path, name, text, method="psi"):
+        out = tmp_path / name
+        code = main(["synchronize", "--config", write_cfg(tmp_path, text, f"{name}.cfg"),
+                     "--out", str(out), "--method", method])
+        return code, out
+
+    @pytest.mark.parametrize("method", ["psi", "both"])
+    def test_box_and_ball_around_one_esn_center_run_once(self, tmp_path, runs, method):
+        regions = {"box": lambda n: box(n, "box", "-1 -1", "1 1"),
+                   "ball": lambda n: ball(n, "ball", "0 0", 1)}
+        code, out = self.synchronize(tmp_path, "out", ESN_NO_REGION + regions["box"](1)
+                                     + regions["ball"](2), method)
+        assert code == 0 and len(runs) == 1
+        for label, region in regions.items():  # each file is the one of its region alone
+            code, alone = self.synchronize(tmp_path, label, ESN_NO_REGION + region(1), method)
+            assert code == 0
+            for path in alone.glob("gs_*.csv"):
+                assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_power_sine_box_and_ball_keep_their_own_apriori_bound(self, tmp_path, runs,
+                                                                  monkeypatch):
+        written, original = {}, cli.write_gs_csv
+
+        def recording(gs, path, **kwargs):
+            written[os.path.basename(path)] = gs
+            return original(gs, path, **kwargs)
+
+        monkeypatch.setattr(cli, "write_gs_csv", recording)
+        text = SMALL_IV + ball(2, "B", "1 1 1", 0.2)
+        assert self.synchronize(tmp_path, "out", text)[0] == 0 and len(runs) == 1
+        box_gs, ball_gs = written["gs_V1_psi.csv"], written["gs_B_psi.csv"]
+        assert (box_gs.region_label, ball_gs.region_label) == ("V1", "B")
+        assert 0 < box_gs.method["apriori_bound"] < np.inf  # closed-form l_fx on the box
+        assert np.isnan(ball_gs.method["apriori_bound"])  # none on a ball
+        assert ball_gs.values is box_gs.values and ball_gs.residuals is box_gs.residuals
+
+    def test_region_the_shared_run_leaves_exits_3_with_its_own_escape(self, tmp_path, runs,
+                                                                      capsys):
+        tiny = "1 1 1", 0.01  # the run from (1, 1, 1) leaves this ball
+        text = SMALL_IV + ball(2, "tiny", *tiny)
+        code, out = self.synchronize(tmp_path, "out", text)
+        err = capsys.readouterr().err
+        assert code == 3 and len(runs) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["gs_V1_psi.csv", "resolved_config.cfg"]
+        assert "numerical failure: RegionEscape: recorded state left region 'tiny'" in err
+        # the message of the ball alone, from its own run
+        assert self.synchronize(tmp_path, "alone", IV_NO_REGION + ball(1, "tiny", *tiny))[0] == 3
+        assert capsys.readouterr().err == err
+
+    def test_zero_and_negative_zero_starts_run_twice(self, tmp_path, runs):
+        text = ESN_NO_REGION + box(1, "box", "-1 -1", "1 1") + ball(2, "ball", "-0 -0", 1)
+        assert self.synchronize(tmp_path, "out", text)[0] == 0
+        assert [start.tobytes() for start in runs] == [np.zeros(2).tobytes(),
+                                                       (-np.zeros(2)).tobytes()]
+
+
 class TestDiagnose:
     def test_outputs_exist_and_bounds_hold(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_IV + "run.forgetting_k = 1 5 20\nrun.forgetting_trials = 30\n")

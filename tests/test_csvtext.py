@@ -20,8 +20,13 @@ def reference(matrix) -> str:
                    for row in np.asarray(matrix, dtype=float).tolist())
 
 
+def joined(blocks) -> str:
+    """Blocks of CSV bytes as one text; every byte must be ASCII."""
+    return b"".join(blocks).decode("ascii")
+
+
 def text(matrix) -> str:
-    return "".join(matrix_text(matrix))
+    return joined(matrix_text(matrix))
 
 
 def fields(values) -> list[str]:
@@ -109,14 +114,14 @@ def test_column_fields_joined_are_the_matrix_text(matrix, data):
     rendered = {}
     for group in (batch, rest):
         if group:
-            got = column_fields(matrix[:, group], "".join(seps[j] for j in group))
+            got = column_fields(matrix[:, group].T, "".join(seps[j] for j in group))
             assert got.shape == (len(group), len(matrix), _csvtext._WIDTH)
             rendered.update(zip(group, got))
-    assert "".join(fields_text([rendered[j] for j in range(n_cols)])) == reference(matrix)
+    assert joined(fields_text([rendered[j] for j in range(n_cols)])) == reference(matrix)
     # a rendered column serves any number of matrices with as many rows
-    other = column_fields(-matrix[:, -1:], "\n")
+    other = column_fields(-matrix[:, -1:].T, "\n")
     columns = [rendered[j] for j in range(n_cols - 1)] + list(other)
-    assert "".join(fields_text(columns)) == reference(
+    assert joined(fields_text(columns)) == reference(
         np.column_stack([matrix[:, :-1], -matrix[:, -1]]))
 
 
@@ -125,9 +130,9 @@ def test_column_blocks_split_rows_as_a_whole(monkeypatch):
     rng = np.random.default_rng(4)
     matrix = bulk("bits", 40 * 5, rng).reshape(40, 5)
     for cut in (1, 3, 4):
-        left = column_fields(matrix[:, :cut], "," * cut)
-        right = column_fields(matrix[:, cut:], separators(5 - cut))
-        assert "".join(fields_text([*left, *right])) == reference(matrix)
+        left = column_fields(matrix[:, :cut].T, "," * cut)
+        right = column_fields(matrix[:, cut:].T, separators(5 - cut))
+        assert joined(fields_text([*left, *right])) == reference(matrix)
 
 
 def test_matrix_text_of_a_synchronization_matrix_stays_under_3_mb():

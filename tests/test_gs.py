@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -1196,11 +1197,43 @@ class TestSerialization:
             assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
             columns |= gs_columns(gs, scale)
         # 8 columns, then new: 3 signed zeros, 3 nans, 2 infinities, 1 column
-        # as the last, 1 scaled t
-        assert len(shared) == len(columns) == 18
+        # as the last, 1 scaled t.  A column key starts with its separator; the
+        # other entries are files', and each write dropped its file's last one
+        column_keys = [key for key in shared if isinstance(key[0], str)]
+        assert len(column_keys) == len(columns) == 18
+        assert [at[0] for key, at in shared.items() if key not in column_keys] == \
+            [os.path.realpath(tmp_path / "shared.csv")]
         rows = (tmp_path / "shared.csv").read_text().splitlines()[-len(iv_drive):]
         assert rows[0].startswith("20,-0,") and rows[0].endswith(",nan")
         assert rows[1].endswith(",-0")
+
+    def test_a_repeated_body_is_copied_from_the_earlier_file(self, tmp_path, iv_drive,
+                                                             monkeypatch):
+        from gsync import _csvtext
+        shared = {}
+        write_gs_csv(iv_drive, tmp_path / "a.csv", metadata={"note": "a"}, shared=shared)
+
+        def unused(*args):
+            raise AssertionError("a repeated body is not rendered or joined again")
+
+        monkeypatch.setattr(_csvtext, "column_fields", unused)
+        monkeypatch.setattr(_csvtext, "fields_text", unused)
+        other = replace(iv_drive, region_label="other")
+        write_gs_csv(other, tmp_path / "b.csv", metadata={"note": "longer b"}, shared=shared)
+        monkeypatch.undo()
+        for gs, name, note in [(iv_drive, "a", "a"), (other, "b", "longer b")]:
+            write_gs_csv(gs, tmp_path / "alone.csv", metadata={"note": note})
+            assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+    def test_a_rewritten_file_is_never_a_copy_source(self, tmp_path, iv_drive):
+        # the same body to the same path renders again; so does the body of a
+        # file that a later write replaced
+        other = replace(iv_drive, values=-iv_drive.values)
+        shared = {}
+        for gs, name in [(iv_drive, "a"), (iv_drive, "a"), (other, "a"), (iv_drive, "b")]:
+            write_gs_csv(gs, tmp_path / f"{name}.csv", shared=shared)
+            write_gs_csv(gs, tmp_path / "alone.csv")
+            assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
     @settings(deadline=None, max_examples=60, derandomize=True)
     @given(data=st.data())
