@@ -1,8 +1,9 @@
-"""Exact ``%.17g`` CSV text of float64 matrices, computed in bulk with numpy.
+"""Exact ``%.17g`` CSV text of float64 columns, computed in bulk with numpy.
 
-``matrix_text`` yields the CSV rows of a float matrix as ASCII bytes: each
+``csv_text`` yields the CSV rows of float64 columns as ASCII bytes: each
 field is byte for byte ``'%.17g' % x``, fields are joined by ',' and rows end
-in '\\n'.  It works on whole rows of about ``BLOCK_VALUES`` values at a time.
+in '\\n'.  It works on whole rows of about ``BLOCK_VALUES`` values at a time
+and can keep each column's fields, so that a column files share renders once.
 
 Digits.  For finite ``1e-280 < |x| < 1e280`` let ``k = floor(log10 |x|)``,
 corrected by one where needed, so that ``V = |x| * 10**(16 - k)`` lies in
@@ -20,10 +21,8 @@ and the constant bytes the ``%g`` rules need.  A layout table indexed by
 (sign, notation, digits kept) lists which source bytes make the field: fixed
 notation for -4 <= k < 17, exponent notation otherwise, trailing zeros
 stripped, at least two exponent digits.  One gather per block builds
-NUL-padded fields that end in their separator, and one pass drops the NULs.
-``column_fields`` keeps those padded fields per column instead, so that a
-column several files share is rendered once; ``fields_text`` joins any such
-columns into rows of text.
+NUL-padded fields that end in their separator, which a memo keeps, and one
+pass over each block of joined rows drops the NULs.
 
 The tables are built on first use, so importing the module costs nothing.
 Multi-byte table entries are byte strings viewed as wider integers and
@@ -40,7 +39,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-BLOCK_VALUES = 4096  # matrix values formatted per numpy pass (whole rows)
+BLOCK_VALUES = 4096  # values per block of rows (whole rows)
 
 _WIDTH = 25       # '-1.2345678901234567e-308' is the longest field: 24 bytes + separator
 _TIE_BAND = 1e-6  # fractions this close to 1/2 go to Python's %
@@ -230,48 +229,38 @@ def _block_fields(x: np.ndarray, sep: np.ndarray, base: np.ndarray,
     return out
 
 
-def _row_blocks(parts, seps: str) -> Iterator[tuple[int, np.ndarray]]:
-    """(first row, fields) per block of whole rows, about ``BLOCK_VALUES``
-    values, of float64 ``parts`` put side by side by ``np.column_stack``: the
-    NUL-padded fields, (rows, cols * _WIDTH), ending in their column's ``seps``."""
-    tables = _tables()
-    rows = max(1, BLOCK_VALUES // len(seps))
-    sep = np.tile(np.frombuffer(seps.encode("ascii"), dtype=np.uint8), rows)
-    base = np.repeat(np.arange(len(sep)) * 32, _WIDTH)
-    for i in range(0, len(parts[0]), rows):
-        block = np.column_stack([part[i:i + rows] for part in parts]).ravel()
-        fields = _block_fields(block, sep[:len(block)], base[:_WIDTH * len(block)], tables)
-        yield i, fields.reshape(-1, len(seps) * _WIDTH)
+def csv_text(columns, keys=None, memo=None) -> Iterator[bytes]:
+    """The CSV rows of ``columns`` (1-D float64 of one length, at least one;
+    views will do), in blocks of bytes of whole rows, about ``BLOCK_VALUES``
+    values each.
 
-
-def column_fields(columns, seps: str) -> np.ndarray:
-    """The fields of each of ``columns`` (float64 rows of one length, at least
-    one), every field ending in its column's separator in ``seps``: (cols,
-    rows, _WIDTH) NUL-padded bytes, rendered in one pass over blocks of their
-    rows.  ``fields_text`` joins any columns with as many rows."""
+    A key in ``keys`` must fix its column's float64 bytes and separator: a
+    repeated key is rendered once, and one in ``memo`` is joined from the
+    fields kept there.  The fresh fields enter ``memo`` only after the last
+    row, so a write that stops midway leaves none of them."""
     n_rows, n_cols = len(columns[0]), len(columns)
-    out = np.empty((n_rows, n_cols * _WIDTH), dtype=np.uint8)
-    for i, fields in _row_blocks(columns, seps):
-        out[i:i + len(fields)] = fields
-    return out.reshape(n_rows, n_cols, _WIDTH).transpose(1, 0, 2)
-
-
-def fields_text(columns) -> Iterator[bytes]:
-    """The CSV rows whose fields are ``columns`` (at least one), left to
-    right: each a (rows, _WIDTH) column of ``column_fields``, the last one's
-    fields ending in '\\n' and the others' in ','.  In blocks of bytes."""
-    rows = max(1, BLOCK_VALUES // len(columns))
-    for i in range(0, len(columns[0]), rows):
-        fields = np.concatenate([column[i:i + rows] for column in columns], axis=1)
-        yield fields.tobytes().translate(None, b"\0")
-
-
-def matrix_text(matrix) -> Iterator[bytes]:
-    """The CSV rows of a 2-D float matrix, '%.17g' fields, in blocks of bytes."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    n_rows, n_cols = matrix.shape
-    if n_cols == 0:
-        yield b"\n" * n_rows
-        return
-    for _, fields in _row_blocks([matrix], "," * (n_cols - 1) + "\n"):
-        yield fields.tobytes().translate(None, b"\0")
+    keys = range(n_cols) if keys is None else keys
+    new, at = [], {}  # the first column of each key the memo lacks; its place in new
+    for j, key in enumerate(keys):
+        if key not in at and (memo is None or key not in memo):
+            at[key] = len(new)
+            new.append(j)
+    seps = np.frombuffer(("," * (n_cols - 1) + "\n").encode("ascii"), dtype=np.uint8)
+    rows = max(1, BLOCK_VALUES // n_cols)
+    sep = np.tile(seps[new], rows)
+    base = np.repeat(np.arange(len(sep)) * 32, _WIDTH)
+    kept = np.empty((n_rows, len(new), _WIDTH), dtype=np.uint8) if memo is not None else None
+    tables = _tables()
+    for i in range(0, n_rows, rows):
+        if new:
+            block = np.column_stack([columns[j][i:i + rows] for j in new]).ravel()
+            fields = _block_fields(block, sep[:len(block)], base[:_WIDTH * len(block)], tables)
+            text = fields = fields.reshape(-1, len(new), _WIDTH)
+            if kept is not None:
+                kept[i:i + rows] = fields
+        if len(new) < n_cols:  # some columns come from the memo or repeat
+            text = np.concatenate([fields[:, at[key]] if key in at else memo[key][i:i + rows]
+                                   for key in keys], axis=1)
+        yield text.tobytes().translate(None, b"\0")
+    if memo is not None:
+        memo.update(zip(at, kept.transpose(1, 0, 2)))

@@ -114,9 +114,8 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     orbit = OrbitConstants.of(cfg.system, cfg.observation, traj.points, input_range=input_range)
     certs = [certify(cfg.statemap, region, orbit, resolution=cfg.grid_resolution,
                      n_inputs=cfg.input_samples, rng=cfg.seed) for region in cfg.regions]
-    with open(os.path.join(args.out, "certificates.txt"), "w") as fh:
-        for cert in certs:
-            fh.write(cert.report_text() + "\n\n")
+    with open(os.path.join(args.out, "certificates.txt"), "wb") as fh:
+        fh.write("".join(cert.report_text() + "\n\n" for cert in certs).encode())
     # the header and each row are one already joined CSV line
     _write(cfg, args, "certificates.csv", {"require": args.require or "none"},
            [certs[0].csv_header()], ([cert.csv_row()] for cert in certs))
@@ -308,8 +307,8 @@ def main(argv=None) -> int:
         if args.needs_regions and not cfg.regions:
             raise ConfigError("this command requires at least one region.N.* section")
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "resolved_config.cfg"), "w") as fh:
-            fh.write(cfg.resolved_text())
+        with open(os.path.join(args.out, "resolved_config.cfg"), "wb") as fh:
+            fh.write(cfg.resolved_text().encode())
         return args.run(cfg, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=_sys.stderr)

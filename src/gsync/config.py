@@ -368,8 +368,10 @@ def _build(raw: dict, base_dir: str) -> RunConfig:
         **{name: keys.get(f"run.{name}") for name in (
             "max_iters", "grid_resolution", "input_samples", "forgetting_k",
             "forgetting_trials", "pair_budget", "seed", "psi_record_from")})
-    if cfg.psi_record_from is not None and cfg.psi_record_from >= cfg.span:
-        raise ConfigError(f"run.psi_record_from must lie in [0, {cfg.span})")
+    # within the orbit, and meeting the drive's window: --method both overrides run.method
+    last = min(cfg.span - 1, washout + record)
+    if cfg.psi_record_from is not None and cfg.psi_record_from > last:
+        raise ConfigError(f"run.psi_record_from must lie in [0, {last}]")
 
     unused = set(raw) - keys.used
     if unused:

@@ -141,13 +141,13 @@ def _write_csv(path, meta: dict, header: list[str], rows) -> None:
     """CSV with one '# key: value' line per metadata entry, then the header
     and the rows: sequences of fields, or a float matrix.  Every field and
     metadata value is written by one rule, a float as %.17g and anything else
-    as str; a matrix goes through ``_csvtext.matrix_text``, byte for byte the
+    as str; a matrix goes through ``_csvtext.csv_text``, byte for byte the
     text of f"{x:.17g}".  Lines end in '\\n' on every platform."""
     if isinstance(rows, np.ndarray):
         # imported here so that importing gsync, which every CLI process
         # does, leaves the formatter unloaded until a matrix is written
-        from ._csvtext import matrix_text
-        text = matrix_text(rows)
+        from ._csvtext import csv_text
+        text = csv_text(list(np.asarray(rows, dtype=np.float64).T))
     else:
         text = ((",".join(map(_field, row)) + "\n").encode() for row in rows)
     _write_text(path, meta, header, text)
@@ -472,12 +472,13 @@ def write_gs_csv(gs: SampledGS, path, F: StateMap | None = None,
     have in common once.  It maps a column's key (its separator, its row
     count and a 16-byte sha256 prefix of its float64 bytes) to its rendered
     fields, and a file's tuple of keys to where its rows went (real path,
-    offset).  A file copies its rows from there, or renders the columns new
-    to it in one batch and joins its rows from the map, once the entries of
-    the file it replaces are dropped.  Bytes, not values, pick the text:
-    -0.0 == 0.0 and nan != nan.  The caller owns the map, so nothing
-    outlives the command that made it.
+    offset).  A file copies its rows from there, or else its rows are joined
+    from the map and the columns new to it, which ``_csvtext.csv_text``
+    renders in the same pass from views of ``gs`` and then keeps.  Bytes,
+    not values, pick the text: -0.0 == 0.0 and nan != nan.  The caller owns
+    the map, so nothing outlives the command that made it.
     """
+    from ._csvtext import csv_text  # loaded by the first write, as in _write_csv
     meta = {"method": gs.method.get("name", "?"), "region": gs.region_label,
             "residual_max": gs.residual_max, "residual_mean": gs.residual_mean}
     if metadata:
@@ -490,18 +491,14 @@ def write_gs_csv(gs: SampledGS, path, F: StateMap | None = None,
         if F is not None and obs is not None and len(gs) >= 2:
             res[1:] = _residuals(gs.values, _observe(obs, gs.points), F)
     times = gs.times * time_scale if time_scale is not None else gs.times
-    columns = np.empty((len(header), len(gs)))  # one contiguous row per column
-    columns[0] = times
-    columns[1:1 + pd] = gs.points.T
-    columns[1 + pd:-1] = gs.values.T
-    columns[-1] = res
+    columns = [np.asarray(column, dtype=np.float64)
+               for column in (times, *gs.points.T, *gs.values.T, res)]
     if shared is None:
-        _write_csv(path, meta, header, columns.T)
+        _write_text(path, meta, header, csv_text(columns))
         return
-    import hashlib  # here, like the formatter: only a shared write takes digests
-    from ._csvtext import column_fields, fields_text
+    import hashlib  # here: only a shared write takes digests
     seps = "," * (len(header) - 1) + "\n"
-    keys = tuple((sep, len(gs), hashlib.sha256(column).digest()[:16])
+    keys = tuple((sep, len(gs), hashlib.sha256(np.ascontiguousarray(column)).digest()[:16])
                  for sep, column in zip(seps, columns))
     target = os.path.realpath(path)  # never read while it is written
     for key in [k for k, at in shared.items() if isinstance(at, tuple) and at[0] == target]:
@@ -512,8 +509,4 @@ def write_gs_csv(gs: SampledGS, path, F: StateMap | None = None,
             text = iter(partial(rows.read, 1 << 16), b"")
             shared[keys] = (target, _write_text(path, meta, header, text))
         return
-    new = {key: j for j, key in enumerate(keys) if key not in shared}  # a repeat once
-    if new:
-        fields = column_fields([columns[j] for j in new.values()], "".join(key[0] for key in new))
-        shared.update(zip(new, fields))
-    shared[keys] = (target, _write_text(path, meta, header, fields_text([shared[k] for k in keys])))
+    shared[keys] = (target, _write_text(path, meta, header, csv_text(columns, keys, shared)))

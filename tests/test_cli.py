@@ -354,6 +354,44 @@ class TestConfigErrors:
         assert line.split(" = ")[0] in capsys.readouterr().err
         assert not out.exists()
 
+    # the drive records steps 50..150 of a 400-step orbit, psi from 300 on
+    DISJOINT_WINDOWS = """
+system.kind = torus_rotation
+system.angles = 0.41421356237309503 0.16227766016837952
+system.initial = 0.3 0.6
+system.n_steps = 400
+observation.indices = 0
+statemap.kind = power_sine
+statemap.alpha = 0.9
+statemap.lambda = 0.009
+statemap.k = 0.1
+region.1.kind = box
+region.1.lo = 0.9 0.9 0.9
+region.1.hi = 1.1 1.1 1.1
+run.washout = 50
+run.record = 100
+run.psi_record_from = 300
+"""
+
+    @pytest.mark.parametrize("method", ["drive", "psi", "both", None])
+    def test_psi_window_past_the_drive_window_exit_2(self, tmp_path, capsys, method):
+        # any method: --method both could compare the two windows
+        out = tmp_path / "o"
+        argv = ["synchronize", "--config", write_cfg(tmp_path, self.DISJOINT_WINDOWS),
+                "--out", str(out)] + (["--method", method] if method else [])
+        assert main(argv) == 2
+        assert "run.psi_record_from must lie in [0, 150]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_psi_window_meeting_the_drive_window_at_its_last_step(self, tmp_path):
+        text = self.DISJOINT_WINDOWS.replace("run.psi_record_from = 300", "run.psi_record_from = 150")
+        out = tmp_path / "o"
+        assert main(["synchronize", "--config", write_cfg(tmp_path, text), "--out", str(out),
+                     "--method", "both"]) == 0
+        _, rows = read_data_rows(out / "gs_V1_psi.csv")
+        assert rows[0][0] == "150"  # the drive's last recorded step
+        assert (out / "agreement.csv").exists()
+
     @pytest.mark.parametrize("system, line", [
         ("lorenz", "system.initial = 0 nan 1.05"),
         ("lorenz", "system.initial = 0 1 inf"),

@@ -1,12 +1,13 @@
 from decimal import Decimal
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsync import _csvtext
-from gsync._csvtext import column_fields, fields_text, matrix_text
+from gsync._csvtext import csv_text
 
 from conftest import traced_peak
 
@@ -15,7 +16,7 @@ TINY = np.finfo(float).tiny
 
 
 def reference(matrix) -> str:
-    """The text of Python's % on every value: what matrix_text must match."""
+    """The text of Python's % on every value: what csv_text must match."""
     return "".join(",".join("%.17g" % v for v in row) + "\n"
                    for row in np.asarray(matrix, dtype=float).tolist())
 
@@ -26,7 +27,7 @@ def joined(blocks) -> str:
 
 
 def text(matrix) -> str:
-    return joined(matrix_text(matrix))
+    return joined(csv_text(list(np.asarray(matrix, dtype=float).T)))
 
 
 def fields(values) -> list[str]:
@@ -94,7 +95,7 @@ def test_subnormals_extremes_zeros_and_non_finite():
     assert fields([-0.0, -np.nan, -np.inf]) == ["-0", "nan", "-inf"]
 
 
-@pytest.mark.parametrize("shape", [(0, 5), (0, 1), (3, 0)])
+@pytest.mark.parametrize("shape", [(0, 5), (0, 1)])
 def test_empty_matrices(shape):
     assert text(np.zeros(shape)) == reference(np.zeros(shape))
 
@@ -103,44 +104,108 @@ def separators(n_cols: int) -> str:
     return "," * (n_cols - 1) + "\n"
 
 
+def keyed(matrix, names) -> list:
+    """csv_text keys of the matrix's columns: each name with its separator."""
+    return [(sep, name) for sep, name in zip(separators(matrix.shape[1]), names)]
+
+
+class Counting:
+    """Counts the values handed to ``_block_fields`` inside ``with``."""
+
+    def __enter__(self):
+        self.values, original = 0, _csvtext._block_fields
+
+        def counting(x, *args):
+            self.values += len(x)
+            return original(x, *args)
+
+        self.patch = mock.patch.object(_csvtext, "_block_fields", counting)
+        self.patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.patch.stop()
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(matrix=matrices(), data=st.data())
-def test_column_fields_joined_are_the_matrix_text(matrix, data):
-    # any columns rendered in one batch, the rest in another, joined in order
+def test_memo_and_fresh_columns_join_to_the_reference(matrix, data):
+    # any columns rendered by one call, then the matrix joined from those
+    # the memo holds (a key fixes the separator) and the rest, rendered fresh
     n_cols = matrix.shape[1]
     batch = sorted(data.draw(st.sets(st.integers(0, n_cols - 1), min_size=1)))
-    rest = [j for j in range(n_cols) if j not in batch]
-    seps = separators(n_cols)
-    rendered = {}
-    for group in (batch, rest):
-        if group:
-            got = column_fields(matrix[:, group].T, "".join(seps[j] for j in group))
-            assert got.shape == (len(group), len(matrix), _csvtext._WIDTH)
-            rendered.update(zip(group, got))
-    assert joined(fields_text([rendered[j] for j in range(n_cols)])) == reference(matrix)
-    # a rendered column serves any number of matrices with as many rows
-    other = column_fields(-matrix[:, -1:].T, "\n")
-    columns = [rendered[j] for j in range(n_cols - 1)] + list(other)
-    assert joined(fields_text(columns)) == reference(
-        np.column_stack([matrix[:, :-1], -matrix[:, -1]]))
+    memo = {}
+    first = keyed(matrix[:, batch], batch)
+    assert joined(csv_text(list(matrix[:, batch].T), first, memo)) == reference(matrix[:, batch])
+    keys = keyed(matrix, range(n_cols))
+    with Counting() as count:
+        assert joined(csv_text(list(matrix.T), keys, memo)) == reference(matrix)
+    assert count.values == len(matrix) * len(set(keys) - set(first))
+    assert set(memo) == set(first) | set(keys)
+    # a kept column serves any number of matrices with as many rows
+    other = np.column_stack([matrix[:, :-1], -matrix[:, -1]])
+    with Counting() as count:
+        got = joined(csv_text(list(other.T), keys[:-1] + [("\n", "negated")], memo))
+    assert got == reference(other)
+    assert count.values == len(matrix)
 
 
 def test_column_blocks_split_rows_as_a_whole(monkeypatch):
-    monkeypatch.setattr(_csvtext, "BLOCK_VALUES", 7)  # 1 or 2 rows per block
-    rng = np.random.default_rng(4)
-    matrix = bulk("bits", 40 * 5, rng).reshape(40, 5)
+    monkeypatch.setattr(_csvtext, "BLOCK_VALUES", 7)  # one row of 5 per block
+    matrix = bulk("bits", 40 * 5, np.random.default_rng(4)).reshape(40, 5)
+    keys = keyed(matrix, range(5))
     for cut in (1, 3, 4):
-        left = column_fields(matrix[:, :cut].T, "," * cut)
-        right = column_fields(matrix[:, cut:].T, separators(5 - cut))
-        assert joined(fields_text([*left, *right])) == reference(matrix)
+        memo = {}
+        left = [*matrix[:, :cut].T, np.zeros(40)]
+        assert joined(csv_text(left, keys[:cut] + [("\n", "zeros")], memo)) == reference(
+            np.column_stack(left))
+        blocks = list(csv_text(list(matrix.T), keys, memo))
+        assert [block.count(b"\n") for block in blocks] == [1] * 40
+        assert all(block.endswith(b"\n") for block in blocks)
+        assert joined(blocks) == reference(matrix)
 
 
-def test_matrix_text_of_a_synchronization_matrix_stays_under_3_mb():
+@pytest.mark.parametrize("memo", [None, {}])
+def test_a_key_repeated_within_one_call_is_rendered_once(memo):
+    a, b, c = np.random.default_rng(5).normal(size=(3, 50))
+    keys = [(",", "a"), (",", "b"), (",", "a"), ("\n", "c")]
+    with Counting() as count:
+        got = joined(csv_text([a, b, a, c], keys, memo))
+    assert got == reference(np.column_stack([a, b, a, c]))
+    assert count.values == 3 * 50
+    assert memo is None or set(memo) == set(keys)
+
+
+def test_a_stopped_write_leaves_nothing_in_the_memo(monkeypatch):
+    # every row's fields or none: a consumer that fails after the first
+    # blocks keeps only what the memo held before
+    monkeypatch.setattr(_csvtext, "BLOCK_VALUES", 20)  # 5 rows of 4 per block
+    matrix = np.random.default_rng(6).normal(size=(30, 4))
+    memo = {}
+    blocks = csv_text([matrix[:, 0], matrix[:, 1]], [(",", 0), ("\n", 1)], memo)
+    next(blocks)
+    blocks.close()
+    assert memo == {}
+    assert joined(csv_text([matrix[:, 0], matrix[:, 3]], [(",", 0), ("\n", 3)], memo))
+    before = list(memo)
+    for stop in (1, 5):
+        blocks = csv_text(list(matrix.T), keyed(matrix, range(4)), memo)
+        with pytest.raises(OSError):
+            for n, _ in enumerate(blocks, start=1):
+                if n == stop:
+                    raise OSError("disk full")
+        blocks.close()
+        assert list(memo) == before
+    assert joined(csv_text(list(matrix.T), keyed(matrix, range(4)), memo)) == reference(matrix)
+    assert len(memo) == 4
+
+
+def test_a_synchronization_matrix_renders_under_3_mb():
     # 6001 rows of 17 columns, cat_reservoir's synchronize files: a block's
     # two byte-index arrays, 25 intp per value, are most of the peak
     matrix = np.random.default_rng(2).normal(size=(6001, 17))
     text(matrix[:1])  # the tables, built once per process
-    peak, _ = traced_peak(lambda: [None for _ in matrix_text(matrix)])
+    peak, _ = traced_peak(lambda: [None for _ in csv_text(list(matrix.T))])
     assert peak <= 3 * 2 ** 20
 
 

@@ -1216,8 +1216,7 @@ class TestSerialization:
         def unused(*args):
             raise AssertionError("a repeated body is not rendered or joined again")
 
-        monkeypatch.setattr(_csvtext, "column_fields", unused)
-        monkeypatch.setattr(_csvtext, "fields_text", unused)
+        monkeypatch.setattr(_csvtext, "csv_text", unused)
         other = replace(iv_drive, region_label="other")
         write_gs_csv(other, tmp_path / "b.csv", metadata={"note": "longer b"}, shared=shared)
         monkeypatch.undo()
@@ -1261,6 +1260,18 @@ class TestSerialization:
             write_gs_csv(gs, tmp_path / "shared.csv", time_scale=scale, shared=shared)
             write_gs_csv(gs, tmp_path / "alone.csv", time_scale=scale)
             assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+    def test_a_lone_write_renders_from_views_under_3_mb(self, tmp_path):
+        # cat_reservoir's box file: 6001 rows, 2 point and 16 value columns;
+        # no (columns, rows) copy of the floats is staged beside the text blocks
+        rng = np.random.default_rng(8)
+        gs = SampledGS(times=1000 + np.arange(6001), points=rng.random((6001, 2)),
+                       values=rng.normal(size=(6001, 16)), method={"name": "drive"},
+                       residuals=rng.random(6001))
+        write_gs_csv(gs, tmp_path / "warm.csv")  # the tables, built once per process
+        peak, _ = traced_peak(lambda: write_gs_csv(gs, tmp_path / "gs.csv"))
+        assert peak <= 3 * 2 ** 20
+        assert (tmp_path / "gs.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
     def test_gs_csv_roundtrip(self, tmp_path, power_sine, lorenz_obs, iv_drive):
         path = tmp_path / "gs.csv"
