@@ -101,8 +101,9 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def _drives(cfg: RunConfig, traj) -> list:
-    """``drive_gs`` of every region in one stacked recursion: per region, in
-    order, its synchronization or the error to raise at its turn."""
+    """``drive_gs`` of every region in one recursion, one row per distinct
+    center: per region, in order, its synchronization (regions with one
+    center share its values) or the error to raise at its turn."""
     return _drive_regions(cfg.statemap, cfg.system, cfg.observation, cfg.initial,
                           [region.center() for region in cfg.regions], cfg.regions,
                           washout_steps=cfg.washout, record_steps=cfg.record,

@@ -62,7 +62,7 @@ def _parse_matrix(s: str, key: str, base_dir: str) -> np.ndarray:
         if not os.path.exists(path):
             raise ConfigError(f"{key}: matrix file not found: {path}")
         try:
-            m = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+            m = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2, encoding="utf-8")
         except Exception as exc:
             raise ConfigError(f"{key}: failed to read matrix CSV {path}: {exc}") from exc
     else:
@@ -399,7 +399,9 @@ def _check_size(cfg: RunConfig) -> None:
     span_keys = ("system.n_steps" if cfg.n_steps > cfg.washout + cfg.record
                  else "run.washout, run.record")
     sizes = [(rows * (cfg.system.phase_dim + obs), span_keys),  # the orbit and its observations
-             (rows * len(cfg.regions) * state, span_keys),  # the stacked drive, the psi iterate
+             # the stacked drive (an upper bound: one row per distinct
+             # region center), the psi iterate
+             (rows * len(cfg.regions) * state, span_keys),
              # input_forgetting: its largest array is its inputs, drawn at once
              # for 20 prefix steps and the suffix; its input terms and states
              # take a chunk of steps at a time, so max(obs, state) has room

@@ -13,7 +13,8 @@ to the states of the driven system.  Two constructions are provided:
 Both return a ``SampledGS`` holding the recorded points, values, per-row
 residuals with their statistics, and provenance.  ``multistability_sweep``
 and the CLI drive all their regions at once through the kernel behind
-``drive_gs``: one stacked recursion for every start state.
+``drive_gs``: one recursion with one row per distinct start state, whose
+sample every region that starts there shares.
 """
 
 from __future__ import annotations
@@ -56,9 +57,12 @@ def run_recursion(F: StateMap, z, x0) -> np.ndarray:
     sequence of scalar inputs and a 0-d z one scalar input.  x0 is checked
     once, ``F.input_terms`` (which checks z) is called once on all of z, and
     then F's kernel, prepared once for x0's shape (``F._kernel``), once per
-    step on an array of exactly that shape, writing into the next row, so a
-    state (N,) and a batch of states (B, N) each evaluate as they would
-    alone.  F's non-finite rule then judges the finished states.
+    step on an array of exactly that shape, writing into the next row.  A
+    row of a batch (B, N) is not always the bits of that state stepped
+    alone as (N,): an elementwise map's are, but ``Esn``'s product goes to
+    BLAS's matrix-vector kernel for (N,) and its matrix-matrix kernel for
+    (B, N), which may round differently.  F's non-finite rule then judges
+    the finished states.
     """
     states = _recur(F, z, x0)
     F._check_finite(states[1:])
@@ -176,15 +180,13 @@ def _residuals(values: np.ndarray, z: np.ndarray, F: StateMap) -> np.ndarray:
 
 
 def _sampled(F: StateMap, z: np.ndarray, times: np.ndarray, points: np.ndarray,
-             values: np.ndarray, method: dict, region: InvariantRegion | None) -> SampledGS:
-    """A SampledGS of recorded values after their region check, with the
-    residuals against the recorded inputs z (one row per value).  ``points``
-    is stored as given, not copied."""
-    _check_region(values, times, region)
+             values: np.ndarray, method: dict) -> SampledGS:
+    """An unlabelled SampledGS of recorded values, with the residuals
+    against the recorded inputs z (one row per value).  ``points`` and
+    ``values`` are stored as given, not copied."""
     res = _residuals(values, z, F)
     return SampledGS(
         times=times, points=points, values=values, method=method,
-        region_label=region.label if region is not None else "",
         residual_max=float(np.max(res)), residual_mean=float(np.mean(res)),
         residuals=np.concatenate([[np.nan], res]))
 
@@ -195,6 +197,10 @@ def recursion_residual(gs: SampledGS, F: StateMap, obs: ObservationMap) -> tuple
         raise ValueError("need at least two recorded points")
     r = _residuals(gs.values, _observe(obs, gs.points), F)
     return float(np.max(r)), float(np.mean(r))
+
+
+def _label(region: InvariantRegion | None) -> str:
+    return region.label if region is not None else ""
 
 
 def _check_start(x, region: InvariantRegion | None, name: str = "f0"):
@@ -245,9 +251,13 @@ def _drive_regions(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0,
 
     Returns one entry per start, in order: its SampledGS, or the package
     error that ``drive_gs`` from that start alone would raise.  The starts
-    that lie in their regions are driven together as one (B, N) batch by a
-    single recursion (a lone one as its own (N,) state), and F's non-finite
-    rule judges each row.  A package error of that loop itself (say from
+    that lie in their regions are keyed by their bytes (-0.0 is not 0.0),
+    and each distinct one is one row of a single recursion: a lone row
+    steps as its own (N,) state, two or more as a (B', N) batch.  Each row
+    gets one non-finite judgement, one recorded copy and one sample (one
+    residual pass), shared by every region that starts there, values array
+    included; each region still gets its own start and value checks and its
+    own label.  A package error of the loop itself (say from
     ``input_terms``) is every driven start's error, as it is each lone one's.
     """
     if washout_steps < 0:
@@ -265,7 +275,7 @@ def _drive_regions(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0,
         return [exc] * len(starts)
 
     xs = [np.asarray(x0, dtype=float) for x0 in starts]
-    out, live = [None] * len(xs), []
+    out, groups = [None] * len(xs), {}  # a distinct start's bytes -> the starts with them
     for i, (x, region) in enumerate(zip(xs, regions)):
         try:
             _check_start(x, region, "initial state")
@@ -273,34 +283,47 @@ def _drive_regions(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0,
         except GsyncError as exc:
             out[i] = exc
             continue
-        live.append(i)
-    if not live:
+        groups.setdefault(x.tobytes(), []).append(i)
+    if not groups:
         return out
-    # a lone start keeps its own shape: (N,) steps are cheaper than (1, N) steps
-    x0 = xs[live[0]] if len(live) == 1 else np.stack([xs[i] for i in live])
+    groups = list(groups.values())
+    # a lone row keeps its own shape: (N,) steps are cheaper than (1, N) steps
+    x0 = xs[groups[0][0]] if len(groups) == 1 else np.stack([xs[g[0]] for g in groups])
     try:
-        states = _recur(F, z[1:], x0).reshape(total + 1, len(live), -1)
-    except GsyncError as exc:
-        for i in live:
-            out[i] = exc
-        return out
+        states = _recur(F, z[1:], x0).reshape(total + 1, len(groups), -1)
+    except GsyncError as exc:  # every start not failed yet was driven
+        return [exc if result is None else result for result in out]
 
     times = trajectory.t0 + np.arange(washout_steps, total + 1)
     points = trajectory.points[washout_steps:total + 1].copy()  # shared by every region
-    recorded = {}
-    for row, i in enumerate(live):
+    recorded = []
+    for row, group in enumerate(groups):
         try:
             F._check_finite(states[1:, row])
-            recorded[i] = states[washout_steps:, row].copy()
+            recorded.append((group, states[washout_steps:, row].copy()))
         except GsyncError as exc:
-            out[i] = exc
+            for i in group:
+                out[i] = exc
     del states  # the samples below need only the recorded rows
-    for i, values in recorded.items():
-        method = {"name": "drive", "washout_steps": washout_steps, "x0": xs[i].tolist()}
+    for group, values in recorded:
+        inside = []
+        for i in group:  # each region's own check, before the shared residuals
+            try:
+                _check_region(values, times, regions[i])
+                inside.append(i)
+            except GsyncError as exc:
+                out[i] = exc
+        if not inside:
+            continue
+        method = {"name": "drive", "washout_steps": washout_steps, "x0": xs[inside[0]].tolist()}
         try:
-            out[i] = _sampled(F, z[washout_steps:], times, points, values, method, regions[i])
+            run = _sampled(F, z[washout_steps:], times, points, values, method)
         except GsyncError as exc:
-            out[i] = exc
+            for i in inside:
+                out[i] = exc
+            continue
+        for i in inside:
+            out[i] = replace(run, method=dict(method), region_label=_label(regions[i]))
     return out
 
 
@@ -365,7 +388,7 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
         {"name": "psi", "n_iters": n_iters, "f0": f0.tolist(), "tol": tol,
          "converged": converged, "final_change": change, "first_change": first_change,
          "change_history": change_history, "apriori_bound": math.nan,
-         "record_from": record_from}, None), region, l_fx)
+         "record_from": record_from}), region, l_fx)
 
 
 def _psi_in_region(run: SampledGS, region, l_fx) -> SampledGS:
@@ -376,7 +399,7 @@ def _psi_in_region(run: SampledGS, region, l_fx) -> SampledGS:
     apriori = (l_fx ** run.method["n_iters"] / (1.0 - l_fx) * run.method["first_change"]
                if l_fx is not None and 0.0 < l_fx < 1.0 else math.nan)
     return replace(run, method={**run.method, "apriori_bound": apriori},
-                   region_label=region.label if region is not None else "")
+                   region_label=_label(region))
 
 
 def compare_gs(a: SampledGS, b: SampledGS) -> float:
@@ -410,10 +433,11 @@ def multistability_sweep(F: StateMap, regions, sys: DiscreteSystem,
                          trajectory: Trajectory | None = None) -> SweepResult:
     """One drive-constructed synchronization per region, plus separations.
 
-    All regions are driven from their centers in one stacked recursion.
-    Regions where the drive fails with a package error (for instance a
-    region escape, or a non-finite row under F's non-finite rule) are
-    reported in ``failures`` and the others are kept; any other exception
+    All regions are driven from their centers in one recursion, one row per
+    distinct center: regions that share a center share its synchronization's
+    values, each with its own region check and label.  Regions where the
+    drive fails with a package error (for instance a region escape, or a
+    non-finite row under F's non-finite rule) are reported in ``failures`` and the others are kept; any other exception
     propagates.  Region labels must be distinct: ``separations`` and
     ``failures`` are keyed by them.  The echo index is a lower bound: the
     number of connected components of the recorded synchronizations, two

@@ -1,6 +1,7 @@
 import os
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,18 @@ class TestMatrixLoading:
         # the resolved copy inlines the matrices and still reproduces the run
         resolved = Path(out, "resolved_config.cfg").read_text()
         assert "csv:" not in resolved
+
+    def test_matrix_csv_is_read_as_utf8(self, tmp_path):
+        # under -X warn_default_encoding, as CI runs the suite, a text-mode
+        # read of the matrix file with the locale's encoding warns
+        np.savetxt(tmp_path / "A.csv", 0.3 * np.eye(2), delimiter=",")
+        text = CAT_ESN.format(a="0.3").replace(
+            "statemap.A = 0.3 0; 0 0.3", "statemap.A = csv:A.csv")
+        path = write_cfg(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", EncodingWarning)
+            cfg = config.parse_config(path)
+        assert np.array_equal(cfg.statemap.A, 0.3 * np.eye(2))
 
     def test_missing_matrix_file_exit_2(self, tmp_path):
         text = CAT_ESN.format(a="0.3").replace(

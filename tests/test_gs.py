@@ -954,9 +954,10 @@ class TestStackedDrive:
         record_steps(F, monkeypatch, lambda x: calls.append(np.shape(x)))
         result = multistability_sweep(F, regions, torus, obs, None, washout_steps=50,
                                       record_steps=200, trajectory=traj)
-        # one stacked run of all 250 steps, its rows judged alone: no (2,) re-drive
+        # one stacked run of all 250 steps, one row per distinct start (A and C
+        # both start at the origin), its rows judged alone: no (2,) re-drive
         # (the residual evals of the two kept regions call apply, not the kernel)
-        assert [s for s in calls if s != (200, 2)] == [(3, 2)] * 250
+        assert [s for s in calls if s != (200, 2)] == [(2, 2)] * 250
         assert isinstance(lone[1], NonFiniteError)
         assert result.failures == {"bad": f"NonFiniteError: {lone[1]}"}
         assert result.labels == ["A", "C"]
@@ -973,6 +974,94 @@ class TestStackedDrive:
                            eight_boxes[:2], 50, 200)
         assert result.failures == {b.label: f"NonFiniteError: {err}"
                                    for b, err in zip(eight_boxes[:2], lone)}
+
+
+# a map, two distinct starts for it, and the half width of a box around the
+# first that holds its drive
+DUPLICATE_CASES = {
+    "power_sine": (lambda: PowerSine(0.9, 0.009, 0.1), [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0], 5.0),
+    # a (1, 16) or (16,) product may round differently from a row of (2, 16)
+    "esn": (esn_reservoir, np.zeros(16), np.full(16, 0.1), 2.0),
+    "custom": (lambda: CustomStateMap(lambda x, z: 0.5 * np.sin(x) + z, state_dim=2,
+                                      input_dim=1), [0.0, 0.0], [0.5, -0.5], 5.0),
+}
+
+
+def assert_same_bits(a, b):
+    for name in ("times", "points", "values", "residuals"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.residual_max, a.residual_mean) == (b.residual_max, b.residual_mean)
+    assert (a.method, a.region_label) == (b.method, b.region_label)
+
+
+class TestDuplicateStarts:
+    """Starts with the same bytes are one row of the stacked drive and one
+    sample, shared by their regions; each region keeps its own checks."""
+
+    @pytest.fixture(params=sorted(DUPLICATE_CASES))
+    def case(self, request):
+        make, a, b, half = DUPLICATE_CASES[request.param]
+        return make(), np.asarray(a, dtype=float), np.asarray(b, dtype=float), half
+
+    @staticmethod
+    def drive(F, torus, traj, starts, regions=None):
+        return _drive_regions(F, torus, CoordinateProjection([0], 2), None, starts,
+                              regions or [None] * len(starts), 50, 200, traj)
+
+    def test_duplicates_are_the_drive_of_the_distinct_starts(self, case, torus, torus_traj):
+        F, a, b, _ = case
+        distinct = self.drive(F, torus, torus_traj, [a, b])
+        results = self.drive(F, torus, torus_traj, [a, b, a.copy(), b.copy(), a])
+        for gs, row in zip(results, [0, 1, 0, 1, 0]):
+            assert_same_bits(gs, distinct[row])
+        assert results[0].values is results[2].values is results[4].values
+        assert results[1].values is results[3].values
+        assert not np.shares_memory(results[0].values, results[1].values)
+        assert results[0].method is not results[2].method
+
+    def test_one_distinct_start_is_the_lone_drive(self, case, torus, torus_traj):
+        F, a, _, _ = case
+        lone = drive_gs(F, torus, CoordinateProjection([0], 2), None, a, washout_steps=50,
+                        record_steps=200, trajectory=torus_traj)
+        for gs in self.drive(F, torus, torus_traj, [a, a.copy(), a]):
+            assert_same_bits(gs, lone)
+
+    def test_the_kernel_steps_once_per_distinct_start(self, case, torus, torus_traj,
+                                                     monkeypatch):
+        F, a, b, _ = case
+        shapes, passes = [], []
+        record_steps(F, monkeypatch, lambda x: shapes.append(np.shape(x)))
+        residuals = gs_module._residuals
+        monkeypatch.setattr(gs_module, "_residuals",
+                            lambda *args: passes.append(1) or residuals(*args))
+        for starts, shape in (([a, b, a, b, a], (2, len(a))), ([a, a, a], a.shape)):
+            shapes.clear()
+            passes.clear()
+            self.drive(F, torus, torus_traj, starts)
+            # the residual evals of a map with a kernel step (200, N) states
+            assert [s for s in shapes if s != (200, len(a))] == [shape] * 250
+            assert len(passes) == len(shape)
+
+    def test_a_duplicate_fails_alone(self, case, torus, torus_traj):
+        F, a, b, half = case
+        regions = [AxisBox(a - half, a + half, label="holds"),
+                   AxisBox(a - 1e-9, a + 1e-9, label="tight"),  # holds a, not its drive
+                   AxisBox(b - 1e-9, b + 1e-9, label="apart"),  # does not hold a
+                   None]
+        starts = [a] * len(regions)
+        results = self.drive(F, torus, torus_traj, starts, regions)
+        lone = lone_drives(F, torus, CoordinateProjection([0], 2), torus_traj, starts,
+                           regions, 50, 200)
+        assert [type(r).__name__ for r in results] == \
+            ["SampledGS", "RegionEscape", "RegionEscape", "SampledGS"]
+        assert "'tight' first at step index" in str(results[1])
+        assert "initial state lies outside region 'apart'" in str(results[2])
+        for gs, alone in zip(results, lone):
+            assert_same_drive(gs, alone)
+        assert_same_bits(results[0], lone[0])
+        assert_same_bits(results[3], lone[3])
+        assert results[0].values is results[3].values
+        assert (results[0].region_label, results[3].region_label) == ("holds", "")
 
 
 def read_only(a):
