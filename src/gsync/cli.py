@@ -22,8 +22,8 @@ from .diagnostics import (derivative_profile, esp_convergence, holder_exponent,
                           input_forgetting)
 from .dynsys import observe_trajectory
 from .errors import ConfigError, GsyncError, InsufficientPairs, NotConverged
-from .gs import (_drive_regions, _field, _psi_in_region, _unwrap, _write_csv, compare_gs,
-                 drive_gs, psi_iterate_gs, write_gs_csv)
+from .gs import (_drive_regions, _field, _unwrap, _write_csv, compare_gs, drive_gs,
+                 psi_iterate_gs, write_gs_csv)
 from .regions import InputRange
 from .statemaps import _pow
 
@@ -136,8 +136,10 @@ def cmd_synchronize(cfg: RunConfig, args) -> int:
     traj, _, input_range = _orbit(cfg, cfg.span)
 
     drives = _drives(cfg, traj) if method in ("drive", "both") else None
-    # one psi run per start state's bytes (-0.0 is not 0.0), kept to its last region
-    runs, last = {}, {region.center().tobytes(): i for i, region in enumerate(cfg.regions)}
+    # every region's start state by its bytes (-0.0 is not 0.0), waiting for its psi run,
+    # which goes once the last region that starts there is written
+    last = {region.center().tobytes(): i for i, region in enumerate(cfg.regions)}
+    psi_runs = dict.fromkeys(last)
     agreements = []
     shared = {}  # the text of every column and file body the files have in common
     for i, region in enumerate(cfg.regions):
@@ -145,12 +147,10 @@ def cmd_synchronize(cfg: RunConfig, args) -> int:
         if drives is not None:
             produced["drive"] = _unwrap(drives[i])
         if method in ("psi", "both"):
-            key, l_fx = region.center().tobytes(), _closed_form_l_fx(cfg, region, input_range)
-            gs = _psi_in_region(runs.pop(key), region, l_fx) if key in runs else psi_iterate_gs(
-                cfg.statemap, cfg.system, cfg.observation, traj, region.center(), tol=cfg.tol,
-                max_iters=cfg.max_iters, record_from=cfg.psi_from, region=region, l_fx=l_fx)
-            if i < last[key]:
-                runs[key] = gs
+            gs = psi_iterate_gs(cfg.statemap, cfg.system, cfg.observation, traj, region.center(),
+                                tol=cfg.tol, max_iters=cfg.max_iters, record_from=cfg.psi_from,
+                                region=region, l_fx=_closed_form_l_fx(cfg, region, input_range),
+                                shared=psi_runs)
             if not gs.method["converged"]:
                 raise NotConverged(
                     f"psi iteration on region {region.label!r} stopped after "
@@ -168,6 +168,9 @@ def cmd_synchronize(cfg: RunConfig, args) -> int:
             print(f"synchronize[{region.label}]: drive/psi sup distance {sup:.3e}")
         if drives is not None:
             drives[i] = None  # written: its columns' text lives on in shared
+        key = region.center().tobytes()
+        if last[key] == i:
+            del psi_runs[key]
 
     if agreements:
         _write(cfg, args, "agreement.csv", {"method": "both"},

@@ -14,7 +14,9 @@ Both return a ``SampledGS`` holding the recorded points, values, per-row
 residuals with their statistics, and provenance.  ``multistability_sweep``
 and the CLI drive all their regions at once through the kernel behind
 ``drive_gs``: one recursion with one row per distinct start state, whose
-sample every region that starts there shares.
+sample every region that starts there shares.  The CLI's psi calls share
+their runs through one map (``psi_iterate_gs(..., shared=)``), and on an
+elementwise map they sweep each distinct coordinate column once.
 """
 
 from __future__ import annotations
@@ -112,10 +114,18 @@ def _row_sums_of_squares(d: np.ndarray, sums: np.ndarray) -> np.ndarray:
     ``_add_columns`` does; from there it sums each row pairwise, which its
     own ``add.reduce`` does into ``sums``.
     """
-    np.multiply(d, d, out=d)
-    if 0 < d.shape[1] < _PAIRWISE_COLUMNS:
-        return _add_columns(d.T, out=sums)
-    return np.add.reduce(d, axis=-1, out=sums)
+    return _squares_summed(np.multiply(d, d, out=d), range(d.shape[1]), sums)
+
+
+def _squares_summed(sq: np.ndarray, cols, sums: np.ndarray) -> np.ndarray:
+    """The row sums of the columns ``cols`` (indices, in order) of a squared
+    matrix sq (n, K) into ``sums`` (n,), added as ``_row_sums_of_squares``
+    adds the squares of the matrix those columns make: left to right on
+    views below ``_PAIRWISE_COLUMNS``, by numpy's ``add.reduce`` over
+    ``_own_columns`` from there."""
+    if 0 < len(cols) < _PAIRWISE_COLUMNS:
+        return _add_columns((sq[:, c] for c in cols), out=sums)
+    return np.add.reduce(_own_columns(sq, cols), axis=-1, out=sums)
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
@@ -127,12 +137,14 @@ def _row_norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt(sums, out=sums)
 
 
-def _max_row_norm(d: np.ndarray, sums: np.ndarray) -> float:
-    """``np.max(np.linalg.norm(d, axis=-1))`` of a matrix d (n, N), with d
-    and the (n,) array ``sums`` as scratch and no array allocated: sqrt is
-    monotone, so the root of the largest sum is the largest root.  numpy's
-    bits but for the sign of a lone row's nan, as in ``_row_norms``."""
-    return float(np.sqrt(np.max(_row_sums_of_squares(d, sums))))
+def _max_row_norm(sq: np.ndarray, cols, sums: np.ndarray) -> float:
+    """``np.max(np.linalg.norm(d[:, cols], axis=-1))`` from sq = d * d (n,
+    K), with the (n,) array ``sums`` as scratch: sqrt is monotone, so the
+    root of the largest row sum (``_squares_summed``) is the largest root.
+    No array is allocated below ``_PAIRWISE_COLUMNS`` columns or when
+    ``cols`` is every column in order.  numpy's bits but for the sign of a
+    lone row's nan, as in ``_row_norms``."""
+    return float(np.sqrt(np.max(_squares_summed(sq, cols, sums))))
 
 
 def _field(value) -> str:
@@ -331,7 +343,7 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
                    trajectory: Trajectory, f0_const, tol: float = 1e-12,
                    max_iters: int = 500, record_from: int = 0,
                    region: InvariantRegion | None = None,
-                   l_fx: float | None = None) -> SampledGS:
+                   l_fx: float | None = None, *, shared: dict | None = None) -> SampledGS:
     """Fixed-point iteration of f -> F(f o phi^-1, omega) on trajectory points.
 
     The function is stored only at the trajectory's points, where the
@@ -350,45 +362,149 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
     sup-change.  The recorded values are a view of the final iterate: the
     other iterate, the input terms and the kernel go before the residuals
     are taken, so at most three arrays of the iterate's size are live then.
+
+    ``shared`` lets the psi calls of one command share their sweeps.  It
+    maps the bytes of an (N,) start state to None, a start still to run, or
+    to the arguments and the run it was made with: the run before any
+    region rule, an unlabelled SampledGS or the package error that a lone
+    call from there raises.  A call whose start has no run yet runs it,
+    together with every start still waiting in the map when F is
+    elementwise (``StateMap.elementwise``), and keeps each run there; a
+    call whose start has one takes it, and raises ValueError if it was made
+    with another F, obs, trajectory, tol, max_iters or record_from.  Bytes,
+    not values, pick the run: -0.0 is not 0.0.  Every call applies its own
+    region rule, and its result is that of a lone call (``shared`` None)
+    bit for bit.  The caller owns the map and may delete a start's entry
+    once no call will ask for it again.
     """
     if len(trajectory) < 2:
         raise ValueError("trajectory must have at least two points")
     if not 0 <= record_from < len(trajectory) - 1:
         raise ValueError("record_from must leave at least two recorded points")
-    z = observe_trajectory(obs, trajectory)
     f0 = np.asarray(f0_const, dtype=float)
     _check_start(f0, region)
+    if shared is None or f0.shape != (F.state_dim,):
+        run, = _psi_runs(F, obs, trajectory, [f0], tol, max_iters, record_from)
+    else:
+        key, args = f0.tobytes(), (F, obs, trajectory, tol, max_iters, record_from)
+        if shared.get(key) is None:
+            waiting = [k for k, run in shared.items() if run is None and k != key]
+            keys = [key] + waiting if F.elementwise else [key]
+            starts = [f0] + [np.frombuffer(k) for k in keys[1:]]
+            runs = _psi_runs(F, obs, trajectory, starts, tol, max_iters, record_from)
+            shared.update((k, (args, run)) for k, run in zip(keys, runs))
+        made, run = shared[key]
+        if any(a is not b for a, b in zip(made[:3], args)) or made[3:] != args[3:]:
+            raise ValueError("shared holds a psi run made with other arguments")
+    return _psi_in_region(_unwrap(run), region, l_fx)
+
+
+def _psi_runs(F: StateMap, obs: ObservationMap, trajectory: Trajectory, starts, tol: float,
+              max_iters: int, record_from: int) -> list:
+    """psi from each start in ``starts`` in one set of sweeps: per start, in
+    order, its unlabelled SampledGS or the package error that its lone
+    ``psi_iterate_gs`` raises.  The iterate (n, K) holds the starts'
+    distinct columns, a coordinate i and the bytes of a start's value
+    there: a lone start's state is its N columns in order, and two or more
+    (an elementwise F, (N,) starts) give each column its coordinate's input
+    terms.  A start reads its own N columns and takes their
+    ``_max_row_norm`` from the change squared once.  It stops at its own
+    first sweep within tol, or at max_iters, with its values copied out
+    there, or fails alone under F's non-finite rule.  Once a start is out,
+    the loop sweeps only the columns that a running start reads, and it
+    ends when every start has stopped.
+    """
+    try:
+        z = observe_trajectory(obs, trajectory)
+    except GsyncError as exc:
+        return [exc] * len(starts)
+    out, live = [None] * len(starts), []
+    for s, f0 in enumerate(starts):
+        try:
+            live.append((s, F.eval(f0, z[0])))  # constant: frozen predecessor value
+        except GsyncError as exc:
+            out[s] = exc
+    if not live:
+        return out
+    # (coordinate, start value bytes) -> (column, coordinate, start value, boundary value)
+    columns = {}
+    running = [(s, [columns.setdefault((i, x.tobytes()), (len(columns), i, x, b))[0]
+                    for i, (x, b) in enumerate(zip(np.reshape(starts[s], F.state_dim),
+                                                   np.reshape(bound, F.state_dim)))], [])
+               for s, bound in live]
+    _, coords, row, boundary = map(np.array, zip(*columns.values()))
+    try:
+        u = F.input_terms(z[1:])  # before the iterates exist: its temporaries never sit beside them
+    except GsyncError as exc:
+        for s, _ in live:
+            out[s] = exc
+        return out
+    if len(columns) > F.state_dim:  # two or more starts
+        u = u.take(coords, axis=1)
 
     n = len(trajectory)
-    boundary = F.eval(f0, z[0])  # constant: frozen predecessor value
-    u = F.input_terms(z[1:])  # before the iterates exist: its temporaries never sit beside them
-    f = np.broadcast_to(f0, (n, F.state_dim)).copy()
+    f = np.broadcast_to(row, (n, len(columns))).copy()
     f_new, sums = np.empty_like(f), np.empty(n)
     step = F._kernel(f[:-1].shape)
-    change_history = []
+    stopped = []  # (start index, recorded values, change history)
     for _ in range(max_iters):
         f_new[0] = boundary
         step(f[:-1], u, f_new[1:])
-        change = _max_row_norm(np.subtract(f_new, f, out=f), sums)
-        # a finite change needs finite rows in f and f_new alike
-        if not math.isfinite(change):
-            F._check_finite(f_new[1:])
-        change_history.append(change)
+        # the change in the outgoing iterate, squared once for every start
+        np.subtract(f_new, f, out=f)
+        np.multiply(f, f, out=f)
+        still = []
+        for s, cols, history in running:
+            change = _max_row_norm(f, cols, sums)
+            # a finite change needs finite rows in f and f_new alike
+            if not math.isfinite(change):
+                try:
+                    F._check_finite(_own_columns(f_new[1:], cols))
+                except GsyncError as exc:
+                    out[s] = exc
+                    continue
+            history.append(change)
+            if change <= tol:
+                stopped.append((s, _own_columns(f_new[record_from:], cols), history))
+            else:
+                still.append((s, cols, history))
         f, f_new = f_new, f
-        if change <= tol:
+        if len(still) < len(running):  # a start is out: keep only the columns still read
+            kept = sorted({c for _, cols, _ in still for c in cols})
+            if still and len(kept) < f.shape[1]:
+                new = {c: j for j, c in enumerate(kept)}
+                still = [(s, [new[c] for c in cols], history) for s, cols, history in still]
+                f, u, boundary = f.take(kept, axis=1), u.take(kept, axis=1), boundary[kept]
+                f_new, step = np.empty_like(f), F._kernel(f[:-1].shape)
+        running = still
+        if not running:
             break
-    del f_new, u, step, sums
-    n_iters = len(change_history)
-    first_change, change = (change_history[0], change_history[-1]) if n_iters else (math.nan,) * 2
-    converged = change <= tol  # the last sweep broke the loop (a nan change never does)
+    stopped += [(s, _own_columns(f[record_from:], cols), history)
+                for s, cols, history in running]
+    del f, f_new, u, step, sums
 
     times = trajectory.t0 + np.arange(record_from, n)
-    return _psi_in_region(_sampled(
-        F, z[record_from:], times, trajectory.points[record_from:].copy(), f[record_from:],
-        {"name": "psi", "n_iters": n_iters, "f0": f0.tolist(), "tol": tol,
-         "converged": converged, "final_change": change, "first_change": first_change,
-         "change_history": change_history, "apriori_bound": math.nan,
-         "record_from": record_from}), region, l_fx)
+    points = trajectory.points[record_from:].copy()  # shared by every start
+    for s, values, history in stopped:
+        n_iters = len(history)
+        first_change, change = (history[0], history[-1]) if n_iters else (math.nan,) * 2
+        method = {"name": "psi", "n_iters": n_iters, "f0": starts[s].tolist(), "tol": tol,
+                  # the last sweep stopped the start (a nan change never does)
+                  "converged": change <= tol, "final_change": change,
+                  "first_change": first_change, "change_history": history,
+                  "apriori_bound": math.nan, "record_from": record_from}
+        try:
+            out[s] = _sampled(F, z[record_from:], times, points, values, method)
+        except GsyncError as exc:
+            out[s] = exc
+    return out
+
+
+def _own_columns(a: np.ndarray, cols) -> np.ndarray:
+    """The columns ``cols`` of a matrix a, in order: a itself when they are
+    all of it in order (a lone start's state is the whole psi iterate),
+    else a C-contiguous copy."""
+    return a if list(cols) == list(range(a.shape[1])) else a.take(cols, axis=1)
 
 
 def _psi_in_region(run: SampledGS, region, l_fx) -> SampledGS:

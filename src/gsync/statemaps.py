@@ -122,10 +122,18 @@ class StateMap:
     take x (..., N) and z (..., d) with leading batch axes that broadcast.
     The ``*_norms`` methods, one norm per row of X, Z, are
     ``lipschitz_bounds``' grid.
+
+    ``elementwise`` is a capability flag: True says that the state part is
+    one scalar function applied to each coordinate, so that column i of
+    ``input_terms`` (which then has N columns) and of x alone give column i
+    of F.  The kernel may then step any number of columns, one coordinate's
+    input terms each: psi sweeps the distinct columns of many start states
+    in one iterate.
     """
 
     derivative_order = 0
     nonfinite_error: str | None = None
+    elementwise = False
 
     def __init__(self, state_dim: int, input_dim: int):
         self.state_dim = int(state_dim)
@@ -382,6 +390,7 @@ class PowerSine(StateMap):
 
     derivative_order = 2
     nonfinite_error = "power-sine evaluation is non-finite"
+    elementwise = True
 
     def __init__(self, alpha: float, lam: float, k: float):
         if not 0.0 < alpha < 1.0:

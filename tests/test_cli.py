@@ -2,6 +2,7 @@ import os
 import re
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from gsync import (AxisBox, Ball, InputRange, LinearObservation, OrbitConstants,
                    certify, cli, contraction, observe_trajectory, psi_iterate_gs, write_gs_csv)
 from gsync.cli import main, section_iv_config
 from gsync import config
+from gsync import gs as gs_module
 from gsync.config import _KEYS, parse_config_text
 from gsync.dynsys import DiscreteSystem
 from gsync.errors import ConfigError
@@ -835,20 +837,31 @@ def ball(n, label, center, radius):
             f"region.{n}.radius = {radius}\nregion.{n}.label = {label}\n")
 
 
+SIGNS = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+
+
+def sign_box(n, signs):
+    """Box n, labelled B<n>, of side 0.2 around the vertex ``signs`` of the cube."""
+    return box(n, f"B{n}", " ".join(f"{c - 0.1:g}" for c in signs),
+               " ".join(f"{c + 0.1:g}" for c in signs))
+
+
 class TestSharedPsiRun:
-    # regions with one start state share one psi run; each keeps its own
-    # checks, label and a-priori bound
+    # regions with one start state share one psi run, and on an elementwise
+    # map every start shares one set of sweeps over its distinct columns;
+    # each region keeps its own checks, label and a-priori bound
     @pytest.fixture
     def runs(self, monkeypatch):
-        """The start state of every psi_iterate_gs call of the CLI."""
-        starts, original = [], cli.psi_iterate_gs
+        """The start states of every run of the psi sweep loop in the CLI,
+        one list per run."""
+        runs, original = [], gs_module._psi_runs
 
-        def counting(F, sys, obs, traj, f0, **kwargs):
-            starts.append(np.array(f0))
-            return original(F, sys, obs, traj, f0, **kwargs)
+        def counting(F, obs, traj, starts, *args):
+            runs.append([np.array(f0) for f0 in starts])
+            return original(F, obs, traj, starts, *args)
 
-        monkeypatch.setattr(cli, "psi_iterate_gs", counting)
-        return starts
+        monkeypatch.setattr(gs_module, "_psi_runs", counting)
+        return runs
 
     @staticmethod
     def synchronize(tmp_path, name, text, method="psi"):
@@ -903,8 +916,54 @@ class TestSharedPsiRun:
     def test_zero_and_negative_zero_starts_run_twice(self, tmp_path, runs):
         text = ESN_NO_REGION + box(1, "box", "-1 -1", "1 1") + ball(2, "ball", "-0 -0", 1)
         assert self.synchronize(tmp_path, "out", text)[0] == 0
-        assert [start.tobytes() for start in runs] == [np.zeros(2).tobytes(),
-                                                       (-np.zeros(2)).tobytes()]
+        assert [[start.tobytes() for start in run] for run in runs] == [
+            [np.zeros(2).tobytes()], [(-np.zeros(2)).tobytes()]]
+
+    def test_a_run_goes_once_its_last_region_is_written(self, tmp_path, monkeypatch):
+        # Esn runs each distinct start when its first region asks, so at
+        # every write only the runs of regions still to come may be alive
+        alive, refs = [], []
+        run_psi, write = gs_module._psi_runs, cli.write_gs_csv
+
+        def keeping(*args):
+            made = run_psi(*args)
+            refs.extend(weakref.ref(gs.values) for gs in made)
+            return made
+
+        def counting(gs, path, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return write(gs, path, **kwargs)
+
+        monkeypatch.setattr(gs_module, "_psi_runs", keeping)
+        monkeypatch.setattr(cli, "write_gs_csv", counting)
+        text = ESN_NO_REGION + "".join(ball(n, f"b{n}", center, 1) for n, center in
+                                       enumerate(["0 0", "0.1 0", "0 0.1", "0 0"], 1))
+        assert self.synchronize(tmp_path, "out", text)[0] == 0
+        # the run from (0, 0) stays for region 4, the others go once written
+        assert len(refs) == 3 and alive == [1, 2, 2, 1]
+
+    def test_eight_boxes_sweep_six_columns_once(self, tmp_path, runs, monkeypatch):
+        shapes, prepare = [], PowerSine._kernel
+
+        def recording(F, shape):
+            shapes.append(shape)
+            return prepare(F, shape)
+
+        monkeypatch.setattr(PowerSine, "_kernel", recording)
+        text = IV_NO_REGION + "".join(sign_box(n, signs) for n, signs in enumerate(SIGNS, 1))
+        code, out = self.synchronize(tmp_path, "out", text)
+        assert code == 0 and len(runs) == 1 and len(runs[0]) == 8
+        # one iterate of the columns x_i = 1 and x_i = -1 of each axis, on
+        # the 601 points of the orbit, narrowed to the columns still read
+        # as boxes stop (213 to 235 sweeps): 5 with boxes 2, 3 and 4 left
+        # after 233 sweeps, then box 4's own 3 after 234
+        assert [shape for shape in shapes if len(shape) == 2][:3] == [(600, 6), (600, 5),
+                                                                      (600, 3)]
+        for n in (1, 4, 8):  # each file is the one of its box alone
+            text = IV_NO_REGION + sign_box(n, SIGNS[n - 1])
+            alone = self.synchronize(tmp_path, f"B{n}", text)[1]
+            assert (out / f"gs_B{n}_psi.csv").read_bytes() == \
+                (alone / f"gs_B{n}_psi.csv").read_bytes()
 
 
 class TestDiagnose:

@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -697,22 +698,25 @@ def change_matrices(draw):
 @example(d=np.array([[1.0, np.nan, -np.nan], [-np.nan, 2.0, np.nan]]))
 @example(d=np.array([[1e200, np.inf, 3.0]] * 3))
 def test_max_row_norm_is_numpys_bit_for_bit(d):
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = np.max(np.linalg.norm(d, axis=-1))
-        got = _max_row_norm(d.copy(), np.full(len(d), 7.0))
-    assert_numpys(got, expected, bits=len(d) >= 2 or not np.isnan(d).any())
+    # every column in order, as a lone start's psi change, and every other
+    # column from the last, as one start's columns of a shared iterate
+    k = d.shape[1]
+    for cols in (range(k), list(range(k))[::-2]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.max(np.linalg.norm(d[:, cols], axis=-1))
+            got = _max_row_norm(d * d, cols, np.full(len(d), 7.0))
+        assert_numpys(got, expected, bits=len(d) >= 2 or not np.isnan(d).any())
 
 
 @pytest.mark.parametrize("cols", [3, 16])
 def test_max_row_norm_allocates_no_array(cols):
     # a psi sweep's change on cat_reservoir's 16 units, and on a 3-d state
     d = np.random.default_rng(cols).normal(size=(7001, cols))
-    sums = np.empty(len(d))
-    _max_row_norm(d.copy(), sums)
-    diff = d.copy()
+    sums, sq = np.empty(len(d)), d * d
+    _max_row_norm(sq, range(cols), sums)
     tracemalloc.start()
     try:
-        _max_row_norm(diff, sums)
+        _max_row_norm(sq, range(cols), sums)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1062,6 +1066,149 @@ class TestDuplicateStarts:
         assert_same_bits(results[3], lone[3])
         assert results[0].values is results[3].values
         assert (results[0].region_label, results[3].region_label) == ("holds", "")
+
+
+class HalfSquare(StateMap):
+    """x -> x * x / 2 + u on each coordinate, an elementwise map whose psi
+    converges from small starts and overflows from large ones."""
+
+    elementwise = True
+    nonfinite_error = "half square is non-finite"
+
+    def __init__(self):
+        super().__init__(state_dim=3, input_dim=1)
+
+    def input_terms(self, z):
+        z = self._check_input(z)
+        return 0.01 * np.concatenate([z, -z, z * z], axis=-1)
+
+    def _kernel(self, shape):
+        def step(x, u, out):
+            np.multiply(x, x, out)
+            out *= 0.5
+            return np.add(out, u, out)
+
+        return step
+
+
+class TestSharedPsi:
+    """Runs through one primed ``shared`` map sweep each distinct column of
+    an elementwise map once, and each is its lone run bit for bit."""
+
+    @staticmethod
+    def runs(F, sys, traj, regions, shared=None, **kwargs):
+        """psi from every region's center, through ``shared`` when given
+        (primed with every center); a package error in place of a run."""
+        if shared is not None:
+            shared.update(dict.fromkeys(r.center().tobytes() for r in regions))
+        out, obs = [], CoordinateProjection([0], sys.phase_dim)
+        for region in regions:
+            try:
+                out.append(psi_iterate_gs(F, sys, obs, traj, region.center(), region=region,
+                                          shared=shared, **kwargs))
+            except GsyncError as exc:
+                out.append(exc)
+        return out
+
+    @pytest.fixture
+    def loops(self, monkeypatch):
+        """The starts of every run of the sweep loop, one list per run."""
+        loops, original = [], gs_module._psi_runs
+        monkeypatch.setattr(gs_module, "_psi_runs", lambda F, obs, traj, starts, *args: (
+            loops.append(starts) or original(F, obs, traj, starts, *args)))
+        return loops
+
+    @pytest.mark.parametrize("orbit", ["torus", "section_iv"])
+    def test_shared_runs_are_the_lone_runs(self, orbit, power_sine, eight_boxes, torus,
+                                           lorenz, lorenz_traj, loops):
+        if orbit == "torus":  # the eight boxes: sweep counts 205 and 240 on shared columns
+            sys, traj, regions, record_from = torus, torus.trajectory([0.13, 0.41], 2000), \
+                eight_boxes, 500
+        else:  # the Section IV boxes V1 and V2, which differ on one axis
+            sys, traj, regions, record_from = lorenz, lorenz_traj, eight_boxes[:2], 2000
+        lone = self.runs(power_sine, sys, traj, regions, record_from=record_from)
+        shared = {}
+        joint = self.runs(power_sine, sys, traj, regions, shared, record_from=record_from)
+        assert len(loops) == len(regions) + 1  # one loop per lone run, one for all
+        for a, b in zip(joint, lone):
+            assert_same_bits(a, b)
+        counts = {gs.method["n_iters"] for gs in lone}
+        if orbit == "torus":
+            # boxes (1, 1, 1) and (1, -1, 1) share two columns and stop apart
+            assert counts == {205, 240}
+            assert (lone[0].method["n_iters"], lone[2].method["n_iters"]) == (205, 240)
+        assert all(isinstance(run, SampledGS) for _, run in shared.values())
+
+    def test_a_non_finite_start_fails_alone_at_its_call(self, torus, torus_traj, loops,
+                                                        monkeypatch):
+        F = HalfSquare()
+        # sharing two columns; the bad start overflows at its second sweep,
+        # and the good one sweeps on to its eighth
+        regions = [Ball([0.5, 0.5, 0.5], 1.0, label="good"),
+                   AxisBox([0.0, 0.0, 1e99], [1.0, 1.0, 1e101], label="bad")]
+        shapes, prepare = [], HalfSquare._kernel
+        monkeypatch.setattr(HalfSquare, "_kernel",
+                            lambda F, shape: shapes.append(shape) or prepare(F, shape))
+        # the overflow is where the bad start fails, in its lone run too; a
+        # failed column swept on would give inf - inf, an invalid value
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lone = self.runs(F, torus, torus_traj, regions)
+            shapes.clear()
+            joint = self.runs(F, torus, torus_traj, regions, {})
+        assert len(loops) == 3 and len(loops[-1]) == 2
+        # the four columns, then the good start's own three once the bad one
+        # fails, then the good start's residuals
+        n = len(torus_traj) - 1
+        assert [shape for shape in shapes if len(shape) == 2] == [(n, 4), (n, 3), (n, 3)]
+        assert_same_bits(joint[0], lone[0])
+        assert lone[0].method["converged"] and lone[0].method["n_iters"] == 8
+        for exc in (joint[1], lone[1]):
+            assert isinstance(exc, NonFiniteError) and str(exc) == "half square is non-finite"
+
+    def test_a_run_is_taken_only_with_its_own_arguments(self, power_sine, torus,
+                                                        torus_traj):
+        regions = [Ball([1.0, 1.0, 1.0], 0.5, label="a"), Ball([1.0, -1.0, 1.0], 0.5, label="b")]
+        shared = dict.fromkeys(r.center().tobytes() for r in regions)
+        first, = self.runs(power_sine, torus, torus_traj, regions[:1], shared)
+        assert isinstance(first, SampledGS) and shared[regions[1].center().tobytes()] is not None
+        obs = CoordinateProjection([0], torus.phase_dim)
+        b = regions[1].center()
+        for kwargs, obs_b in [({"tol": 1e-10}, obs), ({"max_iters": 400}, obs),
+                              ({"record_from": 1}, obs),
+                              ({}, CoordinateProjection([0], torus.phase_dim))]:
+            with pytest.raises(ValueError, match="made with other arguments"):
+                psi_iterate_gs(power_sine, torus, obs_b, torus_traj, b, shared=shared, **kwargs)
+        # the run's own arguments take it, with the obs object it was made with
+        made, _ = shared[b.tobytes()]
+        assert_same_bits(psi_iterate_gs(power_sine, torus, made[1], torus_traj, b, shared=shared),
+                         psi_iterate_gs(power_sine, torus, obs, torus_traj, b))
+
+    def test_zero_and_negative_zero_are_different_columns(self, power_sine, torus,
+                                                          torus_traj, monkeypatch):
+        starts = [np.array([1.0, 1.0, 0.0]), np.array([1.0, 1.0, -0.0])]
+        regions = [Ball(x, 5.0, label=str(i)) for i, x in enumerate(starts)]
+        lone = self.runs(power_sine, torus, torus_traj, regions)
+        shapes = []
+        record_steps(power_sine, monkeypatch, lambda x: shapes.append(np.shape(x)))
+        joint = self.runs(power_sine, torus, torus_traj, regions, {})
+        assert (len(torus_traj) - 1, 4) in shapes  # the columns 1, 1, 0 and -0
+        for a, b in zip(joint, lone):
+            assert_same_bits(a, b)
+        assert [gs.method["f0"][2] for gs in joint] == [0.0, -0.0]
+        assert np.copysign(1.0, joint[1].method["f0"][2]) == -1.0
+
+    def test_a_map_that_is_not_elementwise_runs_each_start_alone(self, torus, torus_traj,
+                                                                 loops):
+        F = esn_reservoir(units=3)
+        regions = [Ball(np.full(3, c), 1.0, label=str(c)) for c in (0.1, -0.1, 0.1)]
+        shared = {}
+        joint = self.runs(F, torus, torus_traj, regions, shared)
+        assert [len(starts) for starts in loops] == [1, 1]
+        lone = self.runs(F, torus, torus_traj, regions)
+        for a, b in zip(joint, lone):
+            assert_same_bits(a, b)
+        assert joint[0].values is joint[2].values
 
 
 def read_only(a):

@@ -28,8 +28,9 @@ own directory under OUT_DIR.  Prints, sorted by path:
   ``OrbitConstants`` of the ``certify`` command's orbit;
 - one ``sha256  <config>/recur`` line per config for the states of
   ``run_recursion`` on the config's map at every state shape the
-  recursions step: region 0's center as a lone (N,) state and every
-  region's center stacked as (B, N), both under the observed inputs, and
+  recursions step: region 0's center as a lone (N,) state and the
+  distinct centers as the drive steps them (a lone one as (N,), two or
+  more stacked as (B', N)), both under the observed inputs, and
   ``run.forgetting_trials`` points of region 0 as (trials, N) under
   (T, trials, d) inputs drawn from the input range, as
   ``input_forgetting`` runs them;
@@ -175,15 +176,18 @@ def psi_digest(cfg: RunConfig) -> str:
     """SHA-256 of the ``method`` record of ``psi_iterate_gs`` on each of a
     config's regions, with the trajectory, record start, tolerance, sweep
     cap and closed-form l_fx that ``synchronize`` passes (a package error is
-    hashed by its type and text)."""
+    hashed by its type and text), all through one ``shared`` map primed with
+    every region's start, as ``synchronize`` shares its runs."""
     traj, _, input_range = _orbit(cfg, cfg.span)
+    shared = dict.fromkeys(region.center().tobytes() for region in cfg.regions)
     h = hashlib.sha256()
     for region in cfg.regions:
         try:
             m = psi_iterate_gs(cfg.statemap, cfg.system, cfg.observation, traj,
                                region.center(), tol=cfg.tol, max_iters=cfg.max_iters,
                                record_from=cfg.psi_from, region=region,
-                               l_fx=_closed_form_l_fx(cfg, region, input_range)).method
+                               l_fx=_closed_form_l_fx(cfg, region, input_range),
+                               shared=shared).method
         except GsyncError as exc:
             record = f"{type(exc).__name__}: {exc}"
         else:
@@ -197,8 +201,10 @@ def psi_digest(cfg: RunConfig) -> str:
 
 def recur_digest(cfg: RunConfig) -> str:
     """SHA-256 of ``run_recursion``'s states on a config's map at each state
-    shape: region 0's center alone (N,) and every region's center stacked
-    (B, N) under the observed inputs of ``synchronize``'s orbit, then
+    shape: region 0's center alone (N,) and the distinct centers (by their
+    bytes) as the drive of every region steps them, a lone one as (N,) and
+    two or more stacked as (B', N), under the observed inputs of
+    ``synchronize``'s orbit, then
     ``run.forgetting_trials`` points of region 0 (trials, N) under 200 steps
     of (T, trials, d) inputs drawn uniformly from the orbit's input range,
     both from the config's seed (a package error is hashed by its type and
@@ -206,8 +212,8 @@ def recur_digest(cfg: RunConfig) -> str:
     _, z, input_range = _orbit(cfg, cfg.span)
     rng = np.random.default_rng(cfg.seed)
     trials = cfg.forgetting_trials
-    centers = [region.center() for region in cfg.regions]
-    runs = [(z[1:], centers[0]), (z[1:], np.stack(centers)),
+    centers = list({region.center().tobytes(): region.center() for region in cfg.regions}.values())
+    runs = [(z[1:], centers[0]), (z[1:], centers[0] if len(centers) == 1 else np.stack(centers)),
             (rng.uniform(input_range.lo, input_range.hi, size=(200, trials, input_range.dim)),
              cfg.regions[0].sample(trials, rng))]
     h = hashlib.sha256()
