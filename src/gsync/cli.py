@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
 Subcommands: simulate | certify | synchronize | diagnose | reproduce.
-All output is CSV with '#'-prefixed metadata lines; every run writes a
-resolved configuration copy that reproduces it.  Exit codes: 0 success (or
-required condition holds), 2 configuration error, 3 numerical failure,
-4 required condition fails.
+Results are CSV with '#'-prefixed metadata lines, but for certify's text
+report ``certificates.txt``; every run also writes ``resolved_config.cfg``,
+a configuration that reproduces it.  Exit codes: 0 success (or required
+condition holds), 2 configuration error, 3 numerical failure, 4 required
+condition fails.
 """
 
 from __future__ import annotations

@@ -312,19 +312,22 @@ def _build_regions(keys: _Keys, F: StateMap | None) -> list[InvariantRegion]:
                 raise ConfigError(f"{k}: region index {index!r} must be digits with no leading zero")
             indices.add(int(index))
     regions = []
-    labels: dict[str, str] = {}
+    labels: dict[str, tuple[str, str]] = {}  # casefolded label -> (key prefix, label)
     for n in sorted(indices):
         pre = f"region.{n}"
         _, region = _read_kind(keys, pre, f"V{n}")
         # a label names output files (gs_<label>_<method>.csv) and CSV fields:
-        # a plain file-name part that no other region uses
+        # a plain file-name part that no other region uses, in any case, since
+        # a case-insensitive file system takes 'A' and 'a' for one file
         label = region.label
         if label in ("", ".", "..") or any(c in label for c in "/\\,"):
             raise ConfigError(f"{pre}.label: label {label!r} must be a file-name part "
                               "other than '.' and '..', without '/', '\\' or ','")
-        if label in labels:
-            raise ConfigError(f"{pre}.label: label {label!r} repeats the label of {labels[label]}")
-        labels[label] = pre
+        if label.casefold() in labels:
+            other, first = labels[label.casefold()]
+            case = "" if first == label else f" ({first!r}) up to case"
+            raise ConfigError(f"{pre}.label: label {label!r} repeats the label of {other}{case}")
+        labels[label.casefold()] = pre, label
         if F is not None and region.dim != F.state_dim:
             raise ConfigError(f"{pre}: dimension {region.dim} does not match "
                               f"state dimension {F.state_dim}")

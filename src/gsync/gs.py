@@ -16,7 +16,8 @@ and the CLI drive all their regions at once through the kernel behind
 ``drive_gs``: one recursion with one row per distinct start state, whose
 sample every region that starts there shares.  The CLI's psi calls share
 their runs through one map (``psi_iterate_gs(..., shared=)``), and on an
-elementwise map they sweep each distinct coordinate column once.
+elementwise map they sweep each distinct coordinate column once.  Each
+region then takes its run's sample through one rule (``_in_region``).
 """
 
 from __future__ import annotations
@@ -211,10 +212,6 @@ def recursion_residual(gs: SampledGS, F: StateMap, obs: ObservationMap) -> tuple
     return float(np.max(r)), float(np.mean(r))
 
 
-def _label(region: InvariantRegion | None) -> str:
-    return region.label if region is not None else ""
-
-
 def _check_start(x, region: InvariantRegion | None, name: str = "f0"):
     if region is not None and not region.contains(x, tol=1e-12):
         raise RegionEscape(f"{name} lies outside region {region.label!r}", index=None)
@@ -229,6 +226,15 @@ def _check_region(values: np.ndarray, times: np.ndarray, region: InvariantRegion
         raise RegionEscape(
             f"recorded state left region {region.label!r} first at step index "
             f"{int(times[first])}", index=int(times[first]))
+
+
+def _in_region(run: SampledGS, region: InvariantRegion | None, **method) -> SampledGS:
+    """The unlabelled ``run`` as ``region``'s result, the one region rule of
+    every drive and psi result: its value check (None: unchecked), its
+    label and its own copy of ``run.method``, updated by ``method``."""
+    _check_region(run.values, run.times, region)
+    return replace(run, method={**run.method, **method},
+                   region_label=region.label if region is not None else "")
 
 
 def drive_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0, x0,
@@ -249,7 +255,7 @@ def drive_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0, x0,
 
 
 def _unwrap(result):
-    """A SampledGS from ``_drive_regions``, or raise the error in its place."""
+    """A SampledGS, or raise the package error kept in its place."""
     if isinstance(result, GsyncError):
         raise result
     return result
@@ -268,8 +274,8 @@ def _drive_regions(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0,
     steps as its own (N,) state, two or more as a (B', N) batch.  Each row
     gets one non-finite judgement, one recorded copy and one sample (one
     residual pass), shared by every region that starts there, values array
-    included; each region still gets its own start and value checks and its
-    own label.  A package error of the loop itself (say from
+    included; then each region gets ``_in_region`` of it, or the sample's
+    package error.  A package error of the loop itself (say from
     ``input_terms``) is every driven start's error, as it is each lone one's.
     """
     if washout_steps < 0:
@@ -318,24 +324,16 @@ def _drive_regions(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0,
                 out[i] = exc
     del states  # the samples below need only the recorded rows
     for group, values in recorded:
-        inside = []
-        for i in group:  # each region's own check, before the shared residuals
-            try:
-                _check_region(values, times, regions[i])
-                inside.append(i)
-            except GsyncError as exc:
-                out[i] = exc
-        if not inside:
-            continue
-        method = {"name": "drive", "washout_steps": washout_steps, "x0": xs[inside[0]].tolist()}
+        method = {"name": "drive", "washout_steps": washout_steps, "x0": xs[group[0]].tolist()}
         try:
             run = _sampled(F, z[washout_steps:], times, points, values, method)
         except GsyncError as exc:
-            for i in inside:
+            run = exc
+        for i in group:
+            try:
+                out[i] = _in_region(_unwrap(run), regions[i])
+            except GsyncError as exc:
                 out[i] = exc
-            continue
-        for i in inside:
-            out[i] = replace(run, method=dict(method), region_label=_label(regions[i]))
     return out
 
 
@@ -372,10 +370,13 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
     elementwise (``StateMap.elementwise``), and keeps each run there; a
     call whose start has one takes it, and raises ValueError if it was made
     with another F, obs, trajectory, tol, max_iters or record_from.  Bytes,
-    not values, pick the run: -0.0 is not 0.0.  Every call applies its own
-    region rule, and its result is that of a lone call (``shared`` None)
-    bit for bit.  The caller owns the map and may delete a start's entry
-    once no call will ask for it again.
+    not values, pick the run: -0.0 is not 0.0.  A lone call (``shared``
+    None, or f0 not of shape (N,)) takes the same path with a map of its
+    own.  Each call checks f0 before the run and applies the region rule
+    (``_in_region``), with its own a-priori bound, after it: the kept run
+    stays unlabelled and each result is its lone call's bit for bit.  The
+    caller owns the map and may delete a start's entry once no call will
+    ask for it again.
     """
     if len(trajectory) < 2:
         raise ValueError("trajectory must have at least two points")
@@ -384,19 +385,21 @@ def psi_iterate_gs(F: StateMap, sys: DiscreteSystem, obs: ObservationMap,
     f0 = np.asarray(f0_const, dtype=float)
     _check_start(f0, region)
     if shared is None or f0.shape != (F.state_dim,):
-        run, = _psi_runs(F, obs, trajectory, [f0], tol, max_iters, record_from)
-    else:
-        key, args = f0.tobytes(), (F, obs, trajectory, tol, max_iters, record_from)
-        if shared.get(key) is None:
-            waiting = [k for k, run in shared.items() if run is None and k != key]
-            keys = [key] + waiting if F.elementwise else [key]
-            starts = [f0] + [np.frombuffer(k) for k in keys[1:]]
-            runs = _psi_runs(F, obs, trajectory, starts, tol, max_iters, record_from)
-            shared.update((k, (args, run)) for k, run in zip(keys, runs))
-        made, run = shared[key]
-        if any(a is not b for a, b in zip(made[:3], args)) or made[3:] != args[3:]:
-            raise ValueError("shared holds a psi run made with other arguments")
-    return _psi_in_region(_unwrap(run), region, l_fx)
+        shared = {}  # a lone call
+    key, args = f0.tobytes(), (F, obs, trajectory, tol, max_iters, record_from)
+    if shared.get(key) is None:
+        waiting = [k for k, run in shared.items() if run is None and k != key]
+        keys = [key] + waiting if F.elementwise else [key]
+        starts = [f0] + [np.frombuffer(k) for k in keys[1:]]
+        runs = _psi_runs(F, obs, trajectory, starts, tol, max_iters, record_from)
+        shared.update((k, (args, run)) for k, run in zip(keys, runs))
+    made, run = shared[key]
+    if any(a is not b for a, b in zip(made[:3], args)) or made[3:] != args[3:]:
+        raise ValueError("shared holds a psi run made with other arguments")
+    run = _unwrap(run)
+    apriori = (l_fx ** run.method["n_iters"] / (1.0 - l_fx) * run.method["first_change"]
+               if l_fx is not None and 0.0 < l_fx < 1.0 else math.nan)
+    return _in_region(run, region, apriori_bound=apriori)
 
 
 def _psi_runs(F: StateMap, obs: ObservationMap, trajectory: Trajectory, starts, tol: float,
@@ -505,17 +508,6 @@ def _own_columns(a: np.ndarray, cols) -> np.ndarray:
     all of it in order (a lone start's state is the whole psi iterate),
     else a C-contiguous copy."""
     return a if list(cols) == list(range(a.shape[1])) else a.take(cols, axis=1)
-
-
-def _psi_in_region(run: SampledGS, region, l_fx) -> SampledGS:
-    """The psi ``run`` as ``region``'s: its f0 and value checks (None: none),
-    label and a-priori bound from ``l_fx``, the one region rule of every psi result."""
-    _check_start(np.asarray(run.method["f0"]), region)
-    _check_region(run.values, run.times, region)
-    apriori = (l_fx ** run.method["n_iters"] / (1.0 - l_fx) * run.method["first_change"]
-               if l_fx is not None and 0.0 < l_fx < 1.0 else math.nan)
-    return replace(run, method={**run.method, "apriori_bound": apriori},
-                   region_label=_label(region))
 
 
 def compare_gs(a: SampledGS, b: SampledGS) -> float:

@@ -54,7 +54,8 @@ def test_diagnose_leaves_scipy_unloaded(tmp_path):
     # the regularity probes find their near pairs with numpy alone
     cfg, out = tmp_path / "iv.cfg", tmp_path / "out"
     statements = ("from gsync.cli import main, section_iv_config\n"
-                  f"open({str(cfg)!r}, 'w').write(section_iv_config().resolved_text())\n"
+                  f"open({str(cfg)!r}, 'w', encoding='utf-8')"
+                  ".write(section_iv_config().resolved_text())\n"
                   f"argv = ['diagnose', '--config', {str(cfg)!r}, '--out', {str(out)!r}]\n"
                   "assert main(argv) == 0")
     assert not loaded_after(statements, "scipy")
@@ -139,7 +140,7 @@ def test_output_digests_match_the_committed_baseline(monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src and perfbench
     load_script(monkeypatch, "workloads", "perfbench", "workloads.py")
     tool = load_script(monkeypatch, "output_digests", "tools", "output_digests.py")
-    with open(os.path.join(ROOT, "tools", "output_digests.txt")) as fh:
+    with open(os.path.join(ROOT, "tools", "output_digests.txt"), encoding="utf-8") as fh:
         committed = fh.read().splitlines()
     recorded = committed[0].removeprefix("# machine: ")
     if recorded != tool.machine_record():

@@ -577,17 +577,21 @@ run.psi_record_from = 300
         assert f"region.1.label: label {label!r}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("first, second, key", [
-        ("V1", "region.2.label = V1", "region.2.label"),
-        ("V2", "", "region.2.label"),  # the default label of region 2 is V2
-    ], ids=["explicit", "default"])
-    def test_repeated_label_exit_2(self, tmp_path, capsys, first, second, key):
-        text = SMALL_IV.replace("region.1.label = V1", f"region.1.label = {first}")
-        text += ("region.2.kind = box\nregion.2.lo = -1.1 0.9 0.9\n"
-                 f"region.2.hi = -0.9 1.1 1.1\n{second}\n")
+    @pytest.mark.parametrize("first, second, said", [
+        ("V1", "V1", "label 'V1' repeats the label of region.1"),
+        ("V2", None, "label 'V2' repeats the label of region.1"),  # region 2's default label
+        # one file name on a case-insensitive file system
+        ("A", "a", "label 'a' repeats the label of region.1 ('A') up to case"),
+        (None, "v1", "label 'v1' repeats the label of region.1 ('V1') up to case"),
+    ], ids=["explicit", "default", "case", "case_of_default"])
+    def test_repeated_label_exit_2(self, tmp_path, capsys, first, second, said):
+        text = SMALL_IV.replace("region.1.label = V1",
+                                "" if first is None else f"region.1.label = {first}")
+        text += ("region.2.kind = box\nregion.2.lo = -1.1 0.9 0.9\nregion.2.hi = -0.9 1.1 1.1\n"
+                 + ("" if second is None else f"region.2.label = {second}\n"))
         out = tmp_path / "o"
         assert main(["synchronize", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
-        assert f"{key}: label {first!r} repeats the label of region.1" in capsys.readouterr().err
+        assert f"region.2.label: {said}" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import tracemalloc
 import warnings
@@ -943,6 +944,23 @@ class TestStackedDrive:
         for a, b in zip(stacked, lone):
             assert_same_drive(a, b)
 
+    def test_a_row_every_region_leaves_fails_each_region_alone(self, torus_case, monkeypatch):
+        F, sys, obs, traj, _, _, _ = torus_case
+        a = np.array([1.0, 1.0, 1.0])
+        # both hold the start, not its drive: one row, one sample, two escapes
+        regions = [AxisBox(a - 1e-9, a + 1e-9, label=label) for label in ("t1", "t2")]
+        lone = lone_drives(F, sys, obs, traj, [a, a], regions, 100, 400)
+        passes, residuals = [], gs_module._residuals
+        monkeypatch.setattr(gs_module, "_residuals",
+                            lambda *args: passes.append(1) or residuals(*args))
+        stacked = _drive_regions(F, sys, obs, None, [a, a.copy()], regions, 100, 400, traj)
+        assert len(passes) == 1  # the residuals come before the region checks
+        assert [type(r).__name__ for r in stacked] == ["RegionEscape"] * 2
+        assert stacked[0] is not stacked[1]
+        for result, alone, label in zip(stacked, lone, ("t1", "t2")):
+            assert f"region {label!r} first at step index" in str(result)
+            assert_same_drive(result, alone)
+
     def test_non_finite_row_is_driven_alone(self, torus, monkeypatch):
         # finite from every start except those with a first coordinate above 10
         F = CustomStateMap(lambda x, z: np.where(x[..., :1] > 10.0, np.nan, 0.5 * x + z),
@@ -1197,6 +1215,28 @@ class TestSharedPsi:
             assert_same_bits(a, b)
         assert [gs.method["f0"][2] for gs in joint] == [0.0, -0.0]
         assert np.copysign(1.0, joint[1].method["f0"][2]) == -1.0
+
+    def test_regions_of_one_start_get_their_own_bound_and_record(self, power_sine, torus,
+                                                                 torus_traj):
+        a = np.array([1.0, 1.0, 1.0])
+        regions = [Ball(a, 0.5, label="wide"), AxisBox(a - 0.5, a + 0.5, label="box")]
+        obs = CoordinateProjection([0], torus.phase_dim)
+        shared = {a.tobytes(): None}
+        joint = [psi_iterate_gs(power_sine, torus, obs, torus_traj, a, region=region, l_fx=l_fx,
+                                shared=shared) for region, l_fx in zip(regions, (0.5, 0.25))]
+        lone = [psi_iterate_gs(power_sine, torus, obs, torus_traj, a, region=region, l_fx=l_fx)
+                for region, l_fx in zip(regions, (0.5, 0.25))]
+        for gs, alone in zip(joint, lone):
+            assert_same_bits(gs, alone)
+        n, first = joint[0].method["n_iters"], joint[0].method["first_change"]
+        assert [gs.method["apriori_bound"] for gs in joint] == \
+            [0.5 ** n / 0.5 * first, 0.25 ** n / 0.75 * first]
+        assert joint[0].method is not joint[1].method
+        assert [gs.region_label for gs in joint] == ["wide", "box"]
+        # the kept run is the one both took, with no region's label or bound
+        _, run = shared[a.tobytes()]
+        assert joint[0].values is run.values is joint[1].values
+        assert run.region_label == "" and math.isnan(run.method["apriori_bound"])
 
     def test_a_map_that_is_not_elementwise_runs_each_start_alone(self, torus, torus_traj,
                                                                  loops):

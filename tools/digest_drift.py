@@ -19,7 +19,7 @@ import sys
 
 def by_path(path: str) -> dict[str, str]:
     """The digest of each path of a listing; the ``#`` lines are skipped."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return dict(line.rstrip("\n").split("  ", 1)[::-1]
                     for line in fh if line.strip() and not line.startswith("#"))
 

@@ -315,9 +315,9 @@ def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[
     message for each non-zero exit code."""
     configs = {"section_iv": os.path.join(inputs_dir, "section_iv.cfg"),
                "takens": os.path.join(inputs_dir, "takens.cfg")}
-    with open(configs["section_iv"], "w") as fh:
+    with open(configs["section_iv"], "w", encoding="utf-8") as fh:
         fh.write(section_iv_config().resolved_text())
-    with open(configs["takens"], "w") as fh:
+    with open(configs["takens"], "w", encoding="utf-8") as fh:
         fh.write(TAKENS)
     for name in workloads.NAMES:
         configs[name] = workloads.build(name, 1, os.path.join(inputs_dir, name)).config_path
