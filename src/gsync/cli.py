@@ -102,9 +102,10 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def _drives(cfg: RunConfig, traj) -> list:
-    """``drive_gs`` of every region in one recursion, one row per distinct
-    center: per region, in order, its synchronization (regions with one
-    center share its values) or the error to raise at its turn."""
+    """``drive_gs`` of every region in one recursion that steps each
+    distinct center once: per region, in order, its synchronization
+    (regions with one center share its values) or the error to raise at
+    its turn."""
     return _drive_regions(cfg.statemap, cfg.system, cfg.observation, cfg.initial,
                           [region.center() for region in cfg.regions], cfg.regions,
                           washout_steps=cfg.washout, record_steps=cfg.record,

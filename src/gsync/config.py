@@ -402,8 +402,8 @@ def _check_size(cfg: RunConfig) -> None:
     span_keys = ("system.n_steps" if cfg.n_steps > cfg.washout + cfg.record
                  else "run.washout, run.record")
     sizes = [(rows * (cfg.system.phase_dim + obs), span_keys),  # the orbit and its observations
-             # the stacked drive (an upper bound: one row per distinct
-             # region center), the psi iterate
+             # the drive's states (an upper bound: K <= regions * N columns,
+             # one per distinct center and coordinate), the psi iterate
              (rows * len(cfg.regions) * state, span_keys),
              # input_forgetting: its largest array is its inputs, drawn at once
              # for 20 prefix steps and the suffix; its input terms and states

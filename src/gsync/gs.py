@@ -13,11 +13,12 @@ to the states of the driven system.  Two constructions are provided:
 Both return a ``SampledGS`` holding the recorded points, values, per-row
 residuals with their statistics, and provenance.  ``multistability_sweep``
 and the CLI drive all their regions at once through the kernel behind
-``drive_gs``: one recursion with one row per distinct start state, whose
-sample every region that starts there shares.  The CLI's psi calls share
-their runs through one map (``psi_iterate_gs(..., shared=)``), and on an
-elementwise map they sweep each distinct coordinate column once.  Each
-region then takes its run's sample through one rule (``_in_region``).
+``drive_gs``: one recursion of the distinct start states, whose sample
+every region that starts there shares.  The CLI's psi calls share their
+runs through one map (``psi_iterate_gs(..., shared=)``).  On an
+elementwise map both recursions step each distinct coordinate column once
+(``_column_plan``).  Each region then takes its run's sample through one
+rule (``_in_region``).
 """
 
 from __future__ import annotations
@@ -62,29 +63,74 @@ def run_recursion(F: StateMap, z, x0) -> np.ndarray:
     then F's kernel, prepared once for x0's shape (``F._kernel``), once per
     step on an array of exactly that shape, writing into the next row.  A
     row of a batch (B, N) is not always the bits of that state stepped
-    alone as (N,): an elementwise map's are, but ``Esn``'s product goes to
-    BLAS's matrix-vector kernel for (N,) and its matrix-matrix kernel for
-    (B, N), which may round differently.  F's non-finite rule then judges
-    the finished states.
+    alone as (N,): an elementwise map's are, every lane alone, which lets
+    the drive step the distinct columns of many starts as one flat vector
+    (``_column_plan``); but ``Esn``'s product goes to BLAS's matrix-vector
+    kernel for (N,) and its matrix-matrix kernel for (B, N), which may
+    round differently.  F's non-finite rule then judges the finished states.
     """
     states = _recur(F, z, x0)
     F._check_finite(states[1:])
     return states
 
 
-def _recur(F: StateMap, z, x0) -> np.ndarray:
-    """The loop of ``run_recursion``, without the non-finite rule."""
+def _recur(F: StateMap, z, x0, coords=None) -> np.ndarray:
+    """The loop of ``run_recursion``, without the non-finite rule.  Given
+    ``coords`` (an elementwise F), x0 is a flat (K,) vector of columns,
+    column j fed the input terms of coordinate coords[j]."""
     z = np.asarray(z, dtype=float)
     if z.ndim < 2:
         z = z.reshape(-1, 1)
-    x = F._check_state(x0)
+    x = F._check_state(x0) if coords is None else x0
     u = F.input_terms(z)
+    if coords is not None:
+        u = _columns(u, coords)
     states = np.empty((len(z) + 1,) + x.shape)
     states[0] = x
     step = F._kernel(x.shape)
     for prev, u_t, out in zip(states, u, states[1:]):
         step(prev, u_t, out)
     return states
+
+
+def _column_plan(F: StateMap, starts) -> tuple[list, np.ndarray, np.ndarray | None]:
+    """The columns that the start states ``starts`` step in one iterate, the
+    one rule of the drive and of psi.  A column is a coordinate i and the
+    bytes of a start's value there (-0.0 is not 0.0): on an elementwise F
+    (``StateMap.elementwise``) starts that share one share its column, and
+    on any other map each start has columns of its own.  Returns each
+    start's column indices, one per entry of its flattened state; for each
+    column, the index of the entry that starts it among the flattened
+    starts laid end to end; and each column's coordinate, or None when the
+    columns are the starts' own states in order (one start, or a map that
+    is not elementwise)."""
+    n, columns, plan, at = F.state_dim, {}, [], 0
+    for s, start in enumerate(starts):
+        flat = np.ravel(start)
+        plan.append([columns.setdefault((j % n, x.tobytes()) if F.elementwise else (s, j),
+                                        (len(columns), at + j))[0]
+                     for j, x in enumerate(flat)])
+        at += flat.size
+    origin = np.array([first for _, first in columns.values()], dtype=np.intp)
+    return plan, origin, origin % n if F.elementwise and len(origin) > n else None
+
+
+def _recur_starts(F: StateMap, z, starts) -> tuple[np.ndarray, list]:
+    """``_recur`` from the distinct start states ``starts`` at once, as the
+    drive steps them: the states (len(z) + 1, K), one per column of
+    ``_column_plan``, and each start's column indices.  An elementwise F
+    steps the K distinct columns as one flat vector, a lone start's being
+    its own (N,) state.  Any other map steps a lone start as its own state
+    and two or more as a (B', N) stack, whose row r is the columns r*N to
+    r*N + N - 1: a batch's product may round otherwise than a lone state's
+    (``run_recursion``)."""
+    plan, origin, coords = _column_plan(F, starts)
+    if coords is not None:
+        x0 = np.concatenate(starts, axis=None)[origin]
+    else:  # (N,) steps are cheaper than (1, N) steps
+        x0 = starts[0] if len(starts) == 1 else np.stack(starts)
+    states = _recur(F, z, x0, coords)
+    return states.reshape(len(states), -1), plan
 
 
 # numpy's norm of a many-row x adds the squared columns left to right below
@@ -270,13 +316,16 @@ def _drive_regions(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0,
     Returns one entry per start, in order: its SampledGS, or the package
     error that ``drive_gs`` from that start alone would raise.  The starts
     that lie in their regions are keyed by their bytes (-0.0 is not 0.0),
-    and each distinct one is one row of a single recursion: a lone row
-    steps as its own (N,) state, two or more as a (B', N) batch.  Each row
-    gets one non-finite judgement, one recorded copy and one sample (one
-    residual pass), shared by every region that starts there, values array
-    included; then each region gets ``_in_region`` of it, or the sample's
-    package error.  A package error of the loop itself (say from
-    ``input_terms``) is every driven start's error, as it is each lone one's.
+    and the distinct ones step in a single recursion (``_recur_starts``):
+    on an elementwise F one flat vector of their distinct columns, psi's
+    column plan (``_column_plan``); on any other map one row each, a lone
+    row as its own (N,) state and two or more as a (B', N) batch.  Each
+    distinct start reads its own N columns for one non-finite judgement,
+    one recorded copy and one sample (one residual pass), shared by every
+    region that starts there, values array included; then each region gets
+    ``_in_region`` of it, or the sample's package error.  A package error
+    of the loop itself (say from ``input_terms``) is every driven start's
+    error, as it is each lone one's.
     """
     if washout_steps < 0:
         raise ValueError("washout_steps must be >= 0")
@@ -305,24 +354,22 @@ def _drive_regions(F: StateMap, sys: DiscreteSystem, obs: ObservationMap, m0,
     if not groups:
         return out
     groups = list(groups.values())
-    # a lone row keeps its own shape: (N,) steps are cheaper than (1, N) steps
-    x0 = xs[groups[0][0]] if len(groups) == 1 else np.stack([xs[g[0]] for g in groups])
     try:
-        states = _recur(F, z[1:], x0).reshape(total + 1, len(groups), -1)
+        states, plan = _recur_starts(F, z[1:], [xs[g[0]] for g in groups])
     except GsyncError as exc:  # every start not failed yet was driven
         return [exc if result is None else result for result in out]
 
     times = trajectory.t0 + np.arange(washout_steps, total + 1)
     points = trajectory.points[washout_steps:total + 1].copy()  # shared by every region
     recorded = []
-    for row, group in enumerate(groups):
+    for group, cols in zip(groups, plan):
         try:
-            F._check_finite(states[1:, row])
-            recorded.append((group, states[washout_steps:, row].copy()))
+            F._check_finite(_own_columns(states[1:], cols))
+            recorded.append((group, _columns(states[washout_steps:], cols)))
         except GsyncError as exc:
             for i in group:
                 out[i] = exc
-    del states  # the samples below need only the recorded rows
+    del states  # the samples below need only the recorded columns
     for group, values in recorded:
         method = {"name": "drive", "washout_steps": washout_steps, "x0": xs[group[0]].tolist()}
         try:
@@ -407,9 +454,9 @@ def _psi_runs(F: StateMap, obs: ObservationMap, trajectory: Trajectory, starts, 
     """psi from each start in ``starts`` in one set of sweeps: per start, in
     order, its unlabelled SampledGS or the package error that its lone
     ``psi_iterate_gs`` raises.  The iterate (n, K) holds the starts'
-    distinct columns, a coordinate i and the bytes of a start's value
-    there: a lone start's state is its N columns in order, and two or more
-    (an elementwise F, (N,) starts) give each column its coordinate's input
+    distinct columns, the drive's column plan (``_column_plan``): a lone
+    start's state is its N columns in order, and two or more (an
+    elementwise F, (N,) starts) give each column its coordinate's input
     terms.  A start reads its own N columns and takes their
     ``_max_row_norm`` from the change squared once.  It stops at its own
     first sweep within tol, or at max_iters, with its values copied out
@@ -429,24 +476,22 @@ def _psi_runs(F: StateMap, obs: ObservationMap, trajectory: Trajectory, starts, 
             out[s] = exc
     if not live:
         return out
-    # (coordinate, start value bytes) -> (column, coordinate, start value, boundary value)
-    columns = {}
-    running = [(s, [columns.setdefault((i, x.tobytes()), (len(columns), i, x, b))[0]
-                    for i, (x, b) in enumerate(zip(np.reshape(starts[s], F.state_dim),
-                                                   np.reshape(bound, F.state_dim)))], [])
-               for s, bound in live]
-    _, coords, row, boundary = map(np.array, zip(*columns.values()))
+    firsts = [starts[s] for s, _ in live]
+    plan, origin, coords = _column_plan(F, firsts)
+    row = np.concatenate(firsts, axis=None)[origin]
+    boundary = np.concatenate([bound for _, bound in live], axis=None)[origin]
+    running = [(s, cols, []) for (s, _), cols in zip(live, plan)]
     try:
         u = F.input_terms(z[1:])  # before the iterates exist: its temporaries never sit beside them
     except GsyncError as exc:
         for s, _ in live:
             out[s] = exc
         return out
-    if len(columns) > F.state_dim:  # two or more starts
-        u = u.take(coords, axis=1)
+    if coords is not None:  # two or more starts
+        u = _columns(u, coords)
 
     n = len(trajectory)
-    f = np.broadcast_to(row, (n, len(columns))).copy()
+    f = np.broadcast_to(row, (n, len(origin))).copy()
     f_new, sums = np.empty_like(f), np.empty(n)
     step = F._kernel(f[:-1].shape)
     stopped = []  # (start index, recorded values, change history)
@@ -477,7 +522,7 @@ def _psi_runs(F: StateMap, obs: ObservationMap, trajectory: Trajectory, starts, 
             if still and len(kept) < f.shape[1]:
                 new = {c: j for j, c in enumerate(kept)}
                 still = [(s, [new[c] for c in cols], history) for s, cols, history in still]
-                f, u, boundary = f.take(kept, axis=1), u.take(kept, axis=1), boundary[kept]
+                f, u, boundary = _columns(f, kept), _columns(u, kept), boundary[kept]
                 f_new, step = np.empty_like(f), F._kernel(f[:-1].shape)
         running = still
         if not running:
@@ -505,9 +550,23 @@ def _psi_runs(F: StateMap, obs: ObservationMap, trajectory: Trajectory, starts, 
 
 def _own_columns(a: np.ndarray, cols) -> np.ndarray:
     """The columns ``cols`` of a matrix a, in order: a itself when they are
-    all of it in order (a lone start's state is the whole psi iterate),
-    else a C-contiguous copy."""
-    return a if list(cols) == list(range(a.shape[1])) else a.take(cols, axis=1)
+    all of it in order (a lone start's state is the whole iterate), else
+    their ``_columns`` copy."""
+    return a if list(cols) == list(range(a.shape[1])) else _columns(a, cols)
+
+
+def _columns(a: np.ndarray, cols) -> np.ndarray:
+    """A C-contiguous copy of the columns ``cols`` of a matrix a, in order:
+    one slice when they are adjacent (a stacked drive row's), else a column
+    at a time, since ``take`` along axis 1 copies one element at a time,
+    about four times slower on a few columns."""
+    first = cols[0]
+    if list(cols) == list(range(first, first + len(cols))):
+        return a[:, first:first + len(cols)].copy()
+    out = np.empty((len(a), len(cols)))
+    for j, c in enumerate(cols):
+        out[:, j] = a[:, c]
+    return out
 
 
 def compare_gs(a: SampledGS, b: SampledGS) -> float:

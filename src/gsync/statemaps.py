@@ -127,8 +127,8 @@ class StateMap:
     one scalar function applied to each coordinate, so that column i of
     ``input_terms`` (which then has N columns) and of x alone give column i
     of F.  The kernel may then step any number of columns, one coordinate's
-    input terms each: psi sweeps the distinct columns of many start states
-    in one iterate.
+    input terms each: the drive steps, and psi sweeps, the distinct columns
+    of many start states in one iterate (``gs._column_plan``).
     """
 
     derivative_order = 0

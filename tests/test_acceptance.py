@@ -194,7 +194,7 @@ def test_criterion_10_reproduction(tmp_path):
             assert cli_main(["reproduce", "--figure", fig, "--out", out]) == 0
             assert os.path.exists(os.path.join(out, f"{fig}.csv"))
 
-        lines = [l for l in Path(out, "fig2.csv").read_text().splitlines()
+        lines = [l for l in Path(out, "fig2.csv").read_text(encoding="utf-8").splitlines()
                  if l and not l.startswith("#")]
         rows = [l.split(",") for l in lines[1:]]
         assert len(rows) == 2000
@@ -202,7 +202,7 @@ def test_criterion_10_reproduction(tmp_path):
         assert ts[0] > 20.0 and ts[-1] <= 40.0 + 1e-12
         assert np.allclose(np.diff(ts), 0.01, atol=1e-9)
 
-        lines = [l for l in Path(out, "fig4.csv").read_text().splitlines()
+        lines = [l for l in Path(out, "fig4.csv").read_text(encoding="utf-8").splitlines()
                  if l and not l.startswith("#")]
         header = lines[0].split(",")
         rows = [l.split(",") for l in lines[1:]]

@@ -36,7 +36,7 @@ def loaded_after(statements: str, module: str) -> bool:
     code = f"import sys\n{statements}\nprint({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
+                         text=True, encoding="utf-8", check=True)
     return out.stdout.strip().splitlines()[-1] == "True"
 
 
@@ -166,11 +166,12 @@ def test_digest_drift_names_outputs_moved_without_a_new_baseline(monkeypatch, tm
     files = {"base": "1 a/x\n2 b/y\n3 c/z\n4 old", "head": "1 a/x\n5 b/y\n6 c/z\n7 new",
              "base_baseline": "0 b/y\n3 c/z", "head_baseline": "0 b/y\n6 c/z"}
     for name, text in files.items():
-        (tmp_path / name).write_text("# machine: any\n" + text.replace(" ", "  ") + "\n")
+        (tmp_path / name).write_text("# machine: any\n" + text.replace(" ", "  ") + "\n",
+                                  encoding="utf-8")
     args = [str(tmp_path / name) for name in files]
     assert tool.main(args) == 1
     assert capsys.readouterr().out.splitlines() == [
         "output moved with no new line in tools/output_digests.txt: b/y"]
-    (tmp_path / "head_baseline").write_text("5  b/y\n6  c/z\n")
+    (tmp_path / "head_baseline").write_text("5  b/y\n6  c/z\n", encoding="utf-8")
     assert tool.main(args) == 0 and capsys.readouterr().out == ""
     assert tool.main(args[:3]) == 2

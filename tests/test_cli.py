@@ -87,12 +87,20 @@ run.input_samples = 20
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
+def save_csv(path, matrix):
+    """``np.savetxt`` of a matrix as comma-separated UTF-8 text; through a
+    file of our own, since numpy opens a named file with no encoding."""
+    with open(path, "w", encoding="utf-8") as fh:
+        np.savetxt(fh, matrix, delimiter=",")
+
+
 def read_data_rows(path):
-    lines = [l for l in Path(path).read_text().splitlines() if l and not l.startswith("#")]
+    lines = [l for l in Path(path).read_text(encoding="utf-8").splitlines()
+             if l and not l.startswith("#")]
     return lines[0].split(","), [l.split(",") for l in lines[1:]]
 
 
@@ -210,7 +218,7 @@ class TestResolvedText:
 
     def test_every_accessor_pinned(self, tmp_path):
         A = np.array([[0.2, 0.1, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, 0.25]])
-        np.savetxt(tmp_path / "A.csv", A, delimiter=",")
+        save_csv(tmp_path / "A.csv", A)
         text = parse_config_text(EVERY_ACCESSOR, base_dir=str(tmp_path)).resolved_text()
         assert text == RESOLVED_EVERY_ACCESSOR
         assert parse_config_text(text).resolved_text() == text
@@ -269,8 +277,8 @@ class TestSimulate:
 
 class TestMatrixLoading:
     def test_statemap_matrix_from_csv(self, tmp_path):
-        np.savetxt(tmp_path / "A.csv", 0.3 * np.eye(2), delimiter=",")
-        np.savetxt(tmp_path / "C.csv", np.array([[0.1], [0.1]]), delimiter=",")
+        save_csv(tmp_path / "A.csv", 0.3 * np.eye(2))
+        save_csv(tmp_path / "C.csv", np.array([[0.1], [0.1]]))
         text = CAT_ESN.format(a="0.3").replace(
             "statemap.A = 0.3 0; 0 0.3", "statemap.A = csv:A.csv").replace(
             "statemap.C = 0.1; 0.1", "statemap.C = csv:C.csv")
@@ -278,13 +286,13 @@ class TestMatrixLoading:
         out = str(tmp_path / "out")
         assert main(["certify", "--config", cfg, "--out", out, "--require", "diff"]) == 0
         # the resolved copy inlines the matrices and still reproduces the run
-        resolved = Path(out, "resolved_config.cfg").read_text()
+        resolved = Path(out, "resolved_config.cfg").read_text(encoding="utf-8")
         assert "csv:" not in resolved
 
     def test_matrix_csv_is_read_as_utf8(self, tmp_path):
         # under -X warn_default_encoding, as CI runs the suite, a text-mode
         # read of the matrix file with the locale's encoding warns
-        np.savetxt(tmp_path / "A.csv", 0.3 * np.eye(2), delimiter=",")
+        save_csv(tmp_path / "A.csv", 0.3 * np.eye(2))
         text = CAT_ESN.format(a="0.3").replace(
             "statemap.A = 0.3 0; 0 0.3", "statemap.A = csv:A.csv")
         path = write_cfg(tmp_path, text)
@@ -535,13 +543,13 @@ run.psi_record_from = 300
     @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under_file"])
     def test_out_names_a_file_exit_2(self, tmp_path, capsys, below):
         taken = tmp_path / "taken"
-        taken.write_text("keep\n")
+        taken.write_text("keep\n", encoding="utf-8")
         out = str(taken / below) if below else str(taken)
         assert main(["simulate", "--config", write_cfg(tmp_path, SMALL_LORENZ),
                      "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: cannot write output {out!r}")
-        assert taken.read_text() == "keep\n"
+        assert taken.read_text(encoding="utf-8") == "keep\n"
 
     def test_unwritable_resolved_config_exit_2(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -635,7 +643,8 @@ class TestCertify:
         cert = dict(zip(header, rows[1]))
         assert (cert["region"], cert["l_fx"], cert["l_fxx"]) == ("Z", "inf", "inf")
         assert (cert["esp_ok"], cert["diff_ok"]) == ("False", "False")
-        assert "method: analytic" in (tmp_path / "out20" / "certificates.txt").read_text()
+        report = (tmp_path / "out20" / "certificates.txt").read_text(encoding="utf-8")
+        assert "method: analytic" in report
 
     def test_region_independent_constants_once_per_command(self, tmp_path, monkeypatch):
         # three regions on one orbit: one input range, one set of tangent and
@@ -661,10 +670,11 @@ class TestCertify:
         assert main(["certify", "--config", cfg_path, "--out", str(out)]) == 0
         # the hull cli._orbit takes is the one the certificates use
         assert sorted(calls) == ["from_observations", "norm_bound", "tangent_norm_bounds"]
-        assert (out / "certificates.txt").read_text() == "".join(
+        assert (out / "certificates.txt").read_text(encoding="utf-8") == "".join(
             cert.report_text() + "\n\n" for cert in alone)
-        assert [line for line in (out / "certificates.csv").read_text().splitlines()
-                if not line.startswith("#")][1:] == [cert.csv_row() for cert in alone]
+        lines = (out / "certificates.csv").read_text(encoding="utf-8").splitlines()
+        assert [line for line in lines if not line.startswith("#")][1:] == \
+            [cert.csv_row() for cert in alone]
 
     def test_ball_holding_a_zero_coordinate_is_unbounded(self, tmp_path):
         # a PowerSine ball takes the grid path; its center is a grid point
@@ -998,7 +1008,7 @@ class TestReproduce:
     def test_fig3_grid_and_fixed_points(self, tmp_path):
         out = str(tmp_path / "out")
         assert main(["reproduce", "--figure", "fig3", "--out", out]) == 0
-        text = Path(out, "fig3.csv").read_text()
+        text = Path(out, "fig3.csv").read_text(encoding="utf-8")
         assert "stable_fixed_points" in text
         header, rows = read_data_rows(os.path.join(out, "fig3.csv"))
         assert header == ["x1", "x2", "dx1", "dx2"]
@@ -1022,7 +1032,7 @@ class TestReproduce:
 
 
 def metadata_keys(path):
-    return [l[2:].partition(":")[0] for l in Path(path).read_text().splitlines()
+    return [l[2:].partition(":")[0] for l in Path(path).read_text(encoding="utf-8").splitlines()
             if l.startswith("# ")]
 
 
@@ -1058,7 +1068,7 @@ class TestOutputFiles:
             expected = keys if name.startswith("gs_") else COMMON_KEYS + keys
             assert metadata_keys(out / name) == expected, name
             if not name.startswith("gs_"):
-                assert f"# command: {args[0]}\n" in (out / name).read_text()
+                assert f"# command: {args[0]}\n" in (out / name).read_text(encoding="utf-8")
 
 
 class TestOneOrbit:
@@ -1229,7 +1239,7 @@ class TestSubstepCap:
         assert parse_config_text(with_key(TORUS, "system.n_steps", 10 ** 12))
 
     def test_readme_states_the_cap(self):
-        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         base, power = re.search(r"(\d+)\*\*(\d+) RK4 substeps", text).groups()
         assert int(base) ** int(power) == config._SUBSTEP_CAP
 
@@ -1336,7 +1346,7 @@ def mutate(name, key, j, token):
 
 
 def assert_resolved_text_parses_again(out_dir):
-    text = Path(out_dir, "resolved_config.cfg").read_text()
+    text = Path(out_dir, "resolved_config.cfg").read_text(encoding="utf-8")
     assert parse_config_text(text).resolved_text() == text
 
 
@@ -1359,7 +1369,7 @@ class TestExitCodeContract:
     def test_one_mutated_number_exits_0_2_3_or_4(self, site, token, command):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = os.path.join(tmp, "run.cfg")
-            with open(cfg, "w") as fh:
+            with open(cfg, "w", encoding="utf-8") as fh:
                 fh.write(mutate(*site, token))
             code = main([*command, "--config", cfg, "--out", os.path.join(tmp, "out")])
         assert code in (0, 2, 3, 4)
@@ -1371,7 +1381,7 @@ class TestExitCodeContract:
     def test_accepted_config_resolves_to_text_that_parses_again(self, site, token, command):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = os.path.join(tmp, "run.cfg")
-            with open(cfg, "w") as fh:
+            with open(cfg, "w", encoding="utf-8") as fh:
                 fh.write(mutate(*site, token))
             out = os.path.join(tmp, "out")
             if main([*command, "--config", cfg, "--out", out]) != 2:
@@ -1406,7 +1416,7 @@ REJECTED = ([(key, "one") for key, row in _KEYS.items() if row[:3] in NUMBERS]
 
 def readme_key_rows():
     """{key: (default, admits)} of README's key table, backticks dropped."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = text.split("| key | default | admits | what it sets |\n|---|---|---|---|\n")[1]
     rows = {}
     for line in table.split("\n\n")[0].splitlines():
@@ -1450,7 +1460,7 @@ class TestKeyTable:
 
 def readme_kind_lists():
     """{section: its kinds} as the comments of README's config block list them."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return {section: kinds.split(" | ")
             for section, kinds in re.findall(r"^(\w+)(?:\.\d+)?\.kind = \w+ +# (.+)$", text, re.M)}
 

@@ -878,14 +878,18 @@ class TestStackedDrive:
     @pytest.mark.parametrize("case", ["torus_case", "lorenz_case"])
     def test_power_sine_bit_identical_to_lone_drives(self, case, request, monkeypatch):
         F, sys, obs, traj, regions, washout, record = request.getfixturevalue(case)
+        # the distinct columns x_i = 1 and x_i = -1 of the eight boxes'
+        # centers, and of V1 and V2, which differ on one axis
+        columns = {"torus_case": 6, "lorenz_case": 4}[case]
         starts = [r.center() for r in regions]
         lone = lone_drives(F, sys, obs, traj, starts, regions, washout, record)
         shapes = []
         record_steps(F, monkeypatch, lambda x: shapes.append(np.shape(x)))
         stacked = _drive_regions(F, sys, obs, None, starts, regions, washout, record, traj)
-        # one recursion over all regions, one step at a time, then a residual per region
+        # one recursion of the regions' distinct columns as one flat vector,
+        # one step at a time, then a residual per region
         steps = washout + record
-        assert shapes == [(len(regions), 3)] * steps + [(record, 3)] * len(regions)
+        assert shapes == [(columns,)] * steps + [(record, 3)] * len(regions)
         z = observe_trajectory(obs, traj)
         for a, b, x0 in zip(stacked, lone, starts):
             assert_same_drive(a, b)
@@ -1056,13 +1060,16 @@ class TestDuplicateStarts:
         residuals = gs_module._residuals
         monkeypatch.setattr(gs_module, "_residuals",
                             lambda *args: passes.append(1) or residuals(*args))
-        for starts, shape in (([a, b, a, b, a], (2, len(a))), ([a, a, a], a.shape)):
+        # an elementwise map steps the distinct columns as one flat vector:
+        # a and b differ on one axis, so 4 columns
+        stacked = (len(a) + 1,) if F.elementwise else (2, len(a))
+        for starts, shape, distinct in (([a, b, a, b, a], stacked, 2), ([a, a, a], a.shape, 1)):
             shapes.clear()
             passes.clear()
             self.drive(F, torus, torus_traj, starts)
             # the residual evals of a map with a kernel step (200, N) states
             assert [s for s in shapes if s != (200, len(a))] == [shape] * 250
-            assert len(passes) == len(shape)
+            assert len(passes) == distinct
 
     def test_a_duplicate_fails_alone(self, case, torus, torus_traj):
         F, a, b, half = case
@@ -1249,6 +1256,93 @@ class TestSharedPsi:
         for a, b in zip(joint, lone):
             assert_same_bits(a, b)
         assert joint[0].values is joint[2].values
+
+
+class TestFlatDrive:
+    """An elementwise map drives the distinct columns of its distinct starts
+    as one flat vector, psi's column plan, and each start keeps its lone
+    drive's bits; any other map keeps a row per start."""
+
+    @staticmethod
+    def prepared(F, monkeypatch):
+        """The shape of every kernel that F prepares, in order."""
+        shapes, prepare = [], F._kernel
+        monkeypatch.setattr(F, "_kernel", lambda shape: shapes.append(shape) or prepare(shape))
+        return shapes
+
+    @pytest.mark.parametrize("orbit, columns", [("torus", 6), ("section_iv", 4)])
+    def test_regions_and_sweep_are_the_lone_drives(self, orbit, columns, power_sine,
+                                                   eight_boxes, torus, lorenz, lorenz_obs,
+                                                   lorenz_traj, monkeypatch):
+        if orbit == "torus":  # the eight boxes: each axis at 1 and at -1
+            sys, obs, traj, regions, washout, record = (
+                torus, CoordinateProjection([0], 2), torus.trajectory([0.3, 0.6], 2000),
+                eight_boxes, 500, 1500)
+        else:  # the Section IV boxes V1 and V2, which differ on one axis
+            sys, obs, traj, regions, washout, record = (
+                lorenz, lorenz_obs, lorenz_traj, eight_boxes[:2], 2000, 2000)
+        starts = [r.center() for r in regions]
+        lone = lone_drives(power_sine, sys, obs, traj, starts, regions, washout, record)
+        shapes = self.prepared(power_sine, monkeypatch)
+        joint = _drive_regions(power_sine, sys, obs, None, starts, regions, washout, record,
+                               traj)
+        # one kernel for the flat vector, then one residual pass per region
+        assert shapes == [(columns,)] + [(record, 3)] * len(regions)
+        shapes.clear()
+        sweep = multistability_sweep(power_sine, regions, sys, obs, None,
+                                     washout_steps=washout, record_steps=record,
+                                     trajectory=traj)
+        assert shapes == [(columns,)] + [(record, 3)] * len(regions)
+        assert sweep.labels == [r.label for r in regions] and not sweep.failures
+        for drive, swept, alone in zip(joint, sweep.synchronizations, lone):
+            assert_same_bits(drive, alone)
+            assert_same_bits(swept, alone)
+
+    def test_a_map_that_is_not_elementwise_steps_a_row_per_start(self, torus, torus_traj,
+                                                                  monkeypatch):
+        F, obs = esn_reservoir(), CoordinateProjection([0], 2)
+        starts = [np.zeros(16), np.full(16, 0.1)]
+        shapes = self.prepared(F, monkeypatch)
+        joint = _drive_regions(F, torus, obs, None, starts, [None] * 2, 50, 200, torus_traj)
+        assert shapes == [(2, 16)] + [(200, 16)] * 2
+        z = observe_trajectory(obs, torus_traj)
+        stacked = run_recursion(F, z[1:251], np.stack(starts))[50:]
+        for row, gs in enumerate(joint):
+            assert gs.values.tobytes() == stacked[:, row].tobytes()
+
+    def test_zero_and_negative_zero_are_different_columns(self, power_sine, torus,
+                                                          torus_traj, monkeypatch):
+        starts = [np.array([1.0, 1.0, 0.0]), np.array([1.0, 1.0, -0.0])]
+        obs = CoordinateProjection([0], 2)
+        lone = lone_drives(power_sine, torus, obs, torus_traj, starts, [None] * 2, 50, 200)
+        shapes = self.prepared(power_sine, monkeypatch)
+        joint = _drive_regions(power_sine, torus, obs, None, starts, [None] * 2, 50, 200,
+                               torus_traj)
+        assert [shape for shape in shapes if len(shape) == 1] == [(4,)]  # 1, 1, 0 and -0
+        for gs, alone in zip(joint, lone):
+            assert_same_bits(gs, alone)
+        assert joint[0].values is not joint[1].values
+        assert np.copysign(1.0, joint[1].method["x0"][2]) == -1.0
+
+    def test_a_non_finite_start_fails_alone(self, torus, torus_traj, monkeypatch):
+        F, obs = HalfSquare(), CoordinateProjection([0], 2)
+        # sharing two columns; the bad start's third overflows to inf and
+        # stays there, while the good start's settle
+        starts = [np.array([0.5, 0.5, 0.5]), np.array([0.5, 0.5, 1e100]),
+                  np.array([0.5, 0.25, 0.5])]
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lone = lone_drives(F, torus, obs, torus_traj, starts, [None] * 3, 50, 200)
+            shapes, passes, residuals = self.prepared(F, monkeypatch), [], gs_module._residuals
+            monkeypatch.setattr(gs_module, "_residuals",
+                                lambda *args: passes.append(1) or residuals(*args))
+            joint = _drive_regions(F, torus, obs, None, starts, [None] * 3, 50, 200, torus_traj)
+        assert [shape for shape in shapes if len(shape) == 1] == [(5,)]
+        assert len(passes) == 2  # the bad start fails at its judgement, as alone
+        for exc in (joint[1], lone[1]):
+            assert isinstance(exc, NonFiniteError) and str(exc) == "half square is non-finite"
+        for row in (0, 2):
+            assert_same_bits(joint[row], lone[row])
 
 
 def read_only(a):
@@ -1479,7 +1573,7 @@ class TestSerialization:
         assert len(column_keys) == len(columns) == 18
         assert [at[0] for key, at in shared.items() if key not in column_keys] == \
             [os.path.realpath(tmp_path / "shared.csv")]
-        rows = (tmp_path / "shared.csv").read_text().splitlines()[-len(iv_drive):]
+        rows = (tmp_path / "shared.csv").read_text(encoding="utf-8").splitlines()[-len(iv_drive):]
         assert rows[0].startswith("20,-0,") and rows[0].endswith(",nan")
         assert rows[1].endswith(",-0")
 
@@ -1553,7 +1647,7 @@ class TestSerialization:
         path = tmp_path / "gs.csv"
         write_gs_csv(iv_drive, path, F=power_sine, obs=lorenz_obs,
                      metadata={"note": "test"}, time_scale=0.01)
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         meta = [l for l in lines if l.startswith("#")]
         assert any("method: drive" in l for l in meta)
         header = next(l for l in lines if not l.startswith("#"))

@@ -29,8 +29,9 @@ own directory under OUT_DIR.  Prints, sorted by path:
 - one ``sha256  <config>/recur`` line per config for the states of
   ``run_recursion`` on the config's map at every state shape the
   recursions step: region 0's center as a lone (N,) state and the
-  distinct centers as the drive steps them (a lone one as (N,), two or
-  more stacked as (B', N)), both under the observed inputs, and
+  distinct centers as the drive steps them (on an elementwise map one
+  flat vector of their distinct columns, restacked to a lone (N,) or a
+  (B', N) stack before hashing), both under the observed inputs, and
   ``run.forgetting_trials`` points of region 0 as (trials, N) under
   (T, trials, d) inputs drawn from the input range, as
   ``input_forgetting`` runs them;
@@ -76,6 +77,7 @@ import hashlib
 import os
 import sys
 import tempfile
+from functools import partial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -91,7 +93,7 @@ from gsync.cli import (_closed_form_l_fx, _orbit, main as gsync_main,  # noqa: E
 from gsync.config import RunConfig, parse_config  # noqa: E402
 from gsync.diagnostics import _near_pairs  # noqa: E402
 from gsync.errors import GsyncError, InsufficientPairs  # noqa: E402
-from gsync.gs import _row_norms  # noqa: E402
+from gsync.gs import _recur_starts, _row_norms  # noqa: E402
 
 TAKENS = """
 system.kind = torus_rotation
@@ -199,27 +201,41 @@ def psi_digest(cfg: RunConfig) -> str:
     return h.hexdigest()
 
 
+def drive_states(F, z, centers) -> np.ndarray:
+    """The states of the drive from the distinct ``centers`` at once, as
+    ``gs._drive_regions`` steps them (``gs._recur_starts``: on an elementwise
+    map one flat vector of their distinct columns), restacked to (T+1, N) for
+    a lone center and (T+1, B', N) for two or more, then judged by F's
+    non-finite rule as ``run_recursion`` judges its states."""
+    states, plan = _recur_starts(F, z, centers)
+    shape = np.shape(centers[0] if len(centers) == 1 else np.stack(centers))
+    states = states[:, np.concatenate(plan)].reshape((len(states),) + shape)
+    F._check_finite(states[1:])
+    return states
+
+
 def recur_digest(cfg: RunConfig) -> str:
-    """SHA-256 of ``run_recursion``'s states on a config's map at each state
-    shape: region 0's center alone (N,) and the distinct centers (by their
-    bytes) as the drive of every region steps them, a lone one as (N,) and
-    two or more stacked as (B', N), under the observed inputs of
-    ``synchronize``'s orbit, then
-    ``run.forgetting_trials`` points of region 0 (trials, N) under 200 steps
-    of (T, trials, d) inputs drawn uniformly from the orbit's input range,
-    both from the config's seed (a package error is hashed by its type and
-    text)."""
+    """SHA-256 of the recursion's states on a config's map at each state
+    shape: ``run_recursion`` from region 0's center alone (N,), the
+    distinct centers (by their bytes) as the drive of every region steps
+    them (``drive_states``, hashed as a lone (N,) or a (B', N) stack), under
+    the observed inputs of ``synchronize``'s orbit, then ``run_recursion``
+    from ``run.forgetting_trials`` points of region 0 (trials, N) under 200
+    steps of (T, trials, d) inputs drawn uniformly from the orbit's input
+    range, both from the config's seed (a package error is hashed by its
+    type and text)."""
+    F = cfg.statemap
     _, z, input_range = _orbit(cfg, cfg.span)
     rng = np.random.default_rng(cfg.seed)
     trials = cfg.forgetting_trials
     centers = list({region.center().tobytes(): region.center() for region in cfg.regions}.values())
-    runs = [(z[1:], centers[0]), (z[1:], centers[0] if len(centers) == 1 else np.stack(centers)),
-            (rng.uniform(input_range.lo, input_range.hi, size=(200, trials, input_range.dim)),
-             cfg.regions[0].sample(trials, rng))]
+    inputs = rng.uniform(input_range.lo, input_range.hi, size=(200, trials, input_range.dim))
+    runs = [partial(run_recursion, F, z[1:], centers[0]), partial(drive_states, F, z[1:], centers),
+            partial(run_recursion, F, inputs, cfg.regions[0].sample(trials, rng))]
     h = hashlib.sha256()
-    for inputs, x0 in runs:
+    for run in runs:
         try:
-            states = run_recursion(cfg.statemap, inputs, x0)
+            states = run()
         except GsyncError as exc:
             h.update(repr(f"{type(exc).__name__}: {exc}").encode())
         else:
