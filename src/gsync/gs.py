@@ -68,6 +68,10 @@ def run_recursion(F: StateMap, z, x0) -> np.ndarray:
     (``_column_plan``); but ``Esn``'s product goes to BLAS's matrix-vector
     kernel for (N,) and its matrix-matrix kernel for (B, N), which may
     round differently.  F's non-finite rule then judges the finished states.
+    A map with a positive kernel steps a start with no zero or nan
+    coordinate as y = sign(x0) x (``_signs``), kept only if every state it
+    made is finite and > 0, and else dropped for the exact loop, with its
+    states, warnings and errors: a fallback costs one y-space run more.
     """
     states = _recur(F, z, x0)
     F._check_finite(states[1:])
@@ -87,10 +91,45 @@ def _recur(F: StateMap, z, x0, coords=None) -> np.ndarray:
         u = _columns(u, coords)
     states = np.empty((len(z) + 1,) + x.shape)
     states[0] = x
-    step = F._kernel(x.shape)
+    sigma = _signs(F, x, u)
+    if sigma is not None:
+        _flip(sigma, u, states[0])
+        with np.errstate(all="ignore"):
+            _steps(F._positive_kernel(x.shape), states, u)
+        if _positive(states[1:]):
+            _flip(sigma, states)
+            return states
+        _flip(sigma, u, states[0])
+    return _steps(F._kernel(x.shape), states, u)
+
+
+def _steps(step, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The recursion's one loop: each row of states stepped into the next."""
     for prev, u_t, out in zip(states, u, states[1:]):
         step(prev, u_t, out)
     return states
+
+
+def _signs(F: StateMap, x: np.ndarray, u: np.ndarray) -> np.ndarray | None:
+    """sign(x), which takes states x and input terms u (a row per step) to
+    y-space for F's positive kernel, or None: F has none, x has a zero or
+    nan, or sign(x) does not fit u's rows (a (B, N) batch under (T, N))."""
+    if F._positive_kernel is None:
+        return None
+    sigma = np.sign(x)
+    fits = np.broadcast_shapes(sigma.shape, u.shape[1:]) == u.shape[1:]
+    return sigma if fits and (np.abs(sigma) == 1.0).all() else None
+
+
+def _flip(sigma, *arrays) -> None:
+    """Each array times sigma (+-1: exact) in place, to y-space and back."""
+    for a in arrays if sigma is not None else ():
+        a *= sigma
+
+
+def _positive(a: np.ndarray) -> bool:
+    """Every entry of a finite and > 0 (true of none); nan fails both tests."""
+    return a.size == 0 or bool(a.min() > 0.0 and a.max() < math.inf)
 
 
 def _column_plan(F: StateMap, starts) -> tuple[list, np.ndarray, np.ndarray | None]:
@@ -462,7 +501,11 @@ def _psi_runs(F: StateMap, obs: ObservationMap, trajectory: Trajectory, starts, 
     first sweep within tol, or at max_iters, with its values copied out
     there, or fails alone under F's non-finite rule.  Once a start is out,
     the loop sweeps only the columns that a running start reads, and it
-    ends when every start has stopped.
+    ends when every start has stopped.  On a map with a positive kernel the
+    iterate, input terms and boundary start in y-space, each column scaled
+    by its start value's sign (``run_recursion``); (sigma d)^2 = d^2.  A
+    sweep's new iterate that is not finite and > 0 sends the old one back
+    and that sweep, and every later one, through ``_kernel``: one sweep more.
     """
     try:
         z = observe_trajectory(obs, trajectory)
@@ -493,11 +536,28 @@ def _psi_runs(F: StateMap, obs: ObservationMap, trajectory: Trajectory, starts, 
     n = len(trajectory)
     f = np.broadcast_to(row, (n, len(origin))).copy()
     f_new, sums = np.empty_like(f), np.empty(n)
-    step = F._kernel(f[:-1].shape)
+    sigma = _signs(F, row, u)
+    prepare = F._kernel if sigma is None else F._positive_kernel
+    _flip(sigma, f, u, boundary)
+
+    def recorded(a, cols):  # a start's values in the iterate a, in x-space
+        values = _own_columns(a[record_from:], cols)
+        _flip(None if sigma is None else sigma[cols], values)
+        return values
+
+    step = prepare(f[:-1].shape)
     stopped = []  # (start index, recorded values, change history)
     for _ in range(max_iters):
         f_new[0] = boundary
-        step(f[:-1], u, f_new[1:])
+        if sigma is not None:
+            with np.errstate(all="ignore"):
+                step(f[:-1], u, f_new[1:])
+            if not _positive(f_new):  # back to x-space, and this sweep again
+                _flip(sigma, f, u, boundary)
+                sigma, prepare = None, F._kernel
+                step, f_new[0] = prepare(f[:-1].shape), boundary
+        if sigma is None:
+            step(f[:-1], u, f_new[1:])
         # the change in the outgoing iterate, squared once for every start
         np.subtract(f_new, f, out=f)
         np.multiply(f, f, out=f)
@@ -513,7 +573,7 @@ def _psi_runs(F: StateMap, obs: ObservationMap, trajectory: Trajectory, starts, 
                     continue
             history.append(change)
             if change <= tol:
-                stopped.append((s, _own_columns(f_new[record_from:], cols), history))
+                stopped.append((s, recorded(f_new, cols), history))
             else:
                 still.append((s, cols, history))
         f, f_new = f_new, f
@@ -523,12 +583,12 @@ def _psi_runs(F: StateMap, obs: ObservationMap, trajectory: Trajectory, starts, 
                 new = {c: j for j, c in enumerate(kept)}
                 still = [(s, [new[c] for c in cols], history) for s, cols, history in still]
                 f, u, boundary = _columns(f, kept), _columns(u, kept), boundary[kept]
-                f_new, step = np.empty_like(f), F._kernel(f[:-1].shape)
+                sigma = None if sigma is None else sigma[kept]
+                f_new, step = np.empty_like(f), prepare(f[:-1].shape)
         running = still
         if not running:
             break
-    stopped += [(s, _own_columns(f[record_from:], cols), history)
-                for s, cols, history in running]
+    stopped += [(s, recorded(f, cols), history) for s, cols, history in running]
     del f, f_new, u, step, sums
 
     times = trajectory.t0 + np.arange(record_from, n)

@@ -129,11 +129,18 @@ class StateMap:
     of F.  The kernel may then step any number of columns, one coordinate's
     input terms each: the drive steps, and psi sweeps, the distinct columns
     of many start states in one iterate (``gs._column_plan``).
+
+    ``_positive_kernel(shape)``, None by default, may be defined by a map
+    whose state part is odd and elementwise, with input terms that add to
+    it and that ``input_terms`` returns as a fresh array (the recursions
+    scale it in place): a kernel equal to ``_kernel`` bit for bit on states
+    finite and > 0.  The recursions step x as y = sign(x) x through it.
     """
 
     derivative_order = 0
     nonfinite_error: str | None = None
     elementwise = False
+    _positive_kernel = None
 
     def __init__(self, state_dim: int, input_dim: int):
         self.state_dim = int(state_dim)
@@ -423,6 +430,16 @@ class PowerSine(StateMap):
             np.multiply(np.sign(x, sign), out, out)
             np.add(out, u, out)
             return out
+
+        return step
+
+    def _positive_kernel(self, shape):
+        """``_kernel`` on states y > 0, where |y| = y and sign(y) = 1:
+        ``np.power(y, alpha, out)`` is ``out **= alpha`` bit for bit."""
+        alpha = self.alpha
+
+        def step(y, v, out):
+            return np.add(np.power(y, alpha, out), v, out)
 
         return step
 

@@ -64,22 +64,28 @@ def formula(F):
     return F.apply
 
 
-def record_steps(F, monkeypatch, record):
-    """Patch F so that every step of each kernel it prepares (``F._kernel``),
-    the entry point the recursions and psi sweeps call, first calls
-    ``record(x)`` on the step's state."""
-    prepare = F._kernel
+def record_steps(F, monkeypatch, record, kernels=("_kernel", "_positive_kernel")):
+    """Patch F so that every step of each kernel it prepares, through the
+    entry points the recursions and psi sweeps call (``F._kernel``, and
+    ``F._positive_kernel`` where F has one), first calls ``record(x)`` on
+    the step's state; ``kernels`` names the entry points to patch.  The
+    patches go into F's own attributes, which ``monkeypatch.undo()``
+    deletes, so a later patch of F's class is seen again."""
+    def recording(prepare):
+        def recording_kernel(shape):
+            step = prepare(shape)
 
-    def recording_kernel(shape):
-        step = prepare(shape)
+            def recording_step(x, u, out):
+                record(x)
+                return step(x, u, out)
 
-        def recording_step(x, u, out):
-            record(x)
-            return step(x, u, out)
+            return recording_step
 
-        return recording_step
+        return recording_kernel
 
-    monkeypatch.setattr(F, "_kernel", recording_kernel)
+    for name in kernels:
+        if getattr(F, name) is not None:
+            monkeypatch.setitem(vars(F), name, recording(getattr(F, name)))
 
 
 def affine_half(dim=1, derivative_order=2):

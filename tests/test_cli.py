@@ -957,13 +957,13 @@ class TestSharedPsiRun:
         assert len(refs) == 3 and alive == [1, 2, 2, 1]
 
     def test_eight_boxes_sweep_six_columns_once(self, tmp_path, runs, monkeypatch):
-        shapes, prepare = [], PowerSine._kernel
+        shapes = []
 
-        def recording(F, shape):
-            shapes.append(shape)
-            return prepare(F, shape)
+        def recording(prepare):
+            return lambda F, shape: shapes.append(shape) or prepare(F, shape)
 
-        monkeypatch.setattr(PowerSine, "_kernel", recording)
+        for name in ("_kernel", "_positive_kernel"):  # the sweeps prepare one or the other
+            monkeypatch.setattr(PowerSine, name, recording(getattr(PowerSine, name)))
         text = IV_NO_REGION + "".join(sign_box(n, signs) for n, signs in enumerate(SIGNS, 1))
         code, out = self.synchronize(tmp_path, "out", text)
         assert code == 0 and len(runs) == 1 and len(runs[0]) == 8

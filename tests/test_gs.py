@@ -3,6 +3,7 @@ import os
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -54,6 +55,18 @@ def reference_states(F, z, x0):
         x = apply(x, F.input_terms(zt))
         states.append(x)
     return np.stack(states)
+
+
+def test_record_steps_is_undone(power_sine, monkeypatch):
+    # the patches live in the map's own attributes, which undo deletes, so
+    # a later patch of the class reaches the session's map
+    record_steps(power_sine, monkeypatch, lambda x: None)
+    monkeypatch.undo()
+    assert "_kernel" not in vars(power_sine) and "_positive_kernel" not in vars(power_sine)
+    prepared, prepare = [], PowerSine._kernel
+    monkeypatch.setattr(PowerSine, "_kernel", lambda F, shape: prepared.append(shape) or prepare(F, shape))
+    power_sine.apply(np.ones(3), np.zeros(3))
+    assert prepared == [(3,)]
 
 
 class TestRunRecursion:
@@ -337,12 +350,16 @@ class TestNonFinite:
 
     def test_psi_stops_at_the_first_non_finite_sweep(self, run, monkeypatch):
         F = PowerSine(0.9, 0.009, 10.0)
-        sweeps = []
+        exact, positive = [], []
         # a sweep applies F to all points at once; eval applies it to one
-        record_steps(F, monkeypatch, lambda x: sweeps.append(np.ndim(x) == 2))
+        for sweeps, kernel in ((exact, "_kernel"), (positive, "_positive_kernel")):
+            record_steps(F, monkeypatch, lambda x, sweeps=sweeps: sweeps.append(np.ndim(x) == 2),
+                         kernels=(kernel,))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
             run("psi", F, spiked_observation(1e308))
-        assert sum(sweeps) == 1
+        # the first sweep, in y-space, makes nan and runs again through
+        # _kernel, whose states raise: one sweep of each
+        assert sum(exact) == 1 and sum(positive) == 1
 
     @pytest.mark.parametrize("method", ["drive", "psi"])
     def test_nan_start(self, run, power_sine, method):
@@ -1265,9 +1282,13 @@ class TestFlatDrive:
 
     @staticmethod
     def prepared(F, monkeypatch):
-        """The shape of every kernel that F prepares, in order."""
-        shapes, prepare = [], F._kernel
-        monkeypatch.setattr(F, "_kernel", lambda shape: shapes.append(shape) or prepare(shape))
+        """The shape of every kernel that F prepares, exact or positive, in order."""
+        shapes = []
+        for name in ("_kernel", "_positive_kernel"):
+            prepare = getattr(F, name)
+            if prepare is not None:
+                monkeypatch.setitem(vars(F), name, lambda shape, prepare=prepare:
+                                    shapes.append(shape) or prepare(shape))
         return shapes
 
     @pytest.mark.parametrize("orbit, columns", [("torus", 6), ("section_iv", 4)])
@@ -1343,6 +1364,164 @@ class TestFlatDrive:
             assert isinstance(exc, NonFiniteError) and str(exc) == "half square is non-finite"
         for row in (0, 2):
             assert_same_bits(joint[row], lone[row])
+
+
+def outcome(run):
+    """run()'s result, or the package error it raised, and the warnings it
+    gave, each as (category, text)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = run()
+        except GsyncError as exc:
+            result = exc
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_same_outcome(got, want):
+    (a, warned), (b, expected) = got, want
+    assert warned == expected and type(a) is type(b)
+    if isinstance(a, GsyncError):
+        assert str(a) == str(b)
+    elif isinstance(a, np.ndarray):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    elif isinstance(a, SampledGS):
+        assert_same_bits(a, b)
+    else:  # a SweepResult
+        assert (a.labels, a.failures, repr(a.separations), a.echo_index) == \
+            (b.labels, b.failures, repr(b.separations), b.echo_index)
+        for x, y in zip(a.synchronizations, b.synchronizations):
+            assert_same_bits(x, y)
+
+
+# map, observation and starts whose states are not all sign-definite: lanes
+# that cross zero mid-run (lam = 0.5), zero coordinates of both signs among
+# sign-definite starts, and a spiked observation that makes nan input terms
+POSITIVE_CASES = {
+    "crossing": (lambda: PowerSine(0.9, 0.5, 3.0), CoordinateProjection([0], 2),
+                 [(-1.0, -1.0, -1.0), (1.0, -50.0, 1.0), (1.0, 1.0, 1.0)]),
+    "zeros": (lambda: PowerSine(0.9, 0.009, 0.1), CoordinateProjection([0], 2),
+              [(0.0, 1.0, 1.0), (-0.0, 1.0, 1.0), (1.0, -0.0, -1.0), (1.0, 1.0, 1.0)]),
+    "spike": (lambda: PowerSine(0.9, 0.009, 10.0), spiked_observation(1e308),
+              [(1.0, 1.0, 1.0), (-1.0, 1.0, -1.0)]),
+}
+
+
+class TestPositiveKernel:
+    """``PowerSine`` steps sign-definite states as y = sign(x) x through its
+    positive kernel; every other state, and every run whose y-space states
+    leave (0, inf), is the exact loop's: its states, values, change
+    histories, errors and warnings."""
+
+    @pytest.fixture(params=sorted(POSITIVE_CASES))
+    def case(self, request):
+        make, obs, starts = POSITIVE_CASES[request.param]
+        return request.param, make(), obs, [np.array(x0) for x0 in starts]
+
+    @staticmethod
+    def runs(F, obs, torus, traj, starts):
+        """Each entry point from each start: the recursion, the drive and
+        psi alone, then the sweep and psi through one shared map."""
+        z = observe_trajectory(obs, traj)
+        regions = [Ball(x0, 0.5, label=f"b{i}") for i, x0 in enumerate(starts)]
+        shared = dict.fromkeys(x0.tobytes() for x0 in starts)
+        for x0 in starts:
+            yield partial(run_recursion, F, z[1:], x0)
+            yield partial(drive_gs, F, torus, obs, None, x0, washout_steps=50, record_steps=200,
+                          trajectory=traj)
+            yield partial(psi_iterate_gs, F, torus, obs, traj, x0, tol=1e-12, max_iters=60)
+        yield partial(multistability_sweep, F, regions, torus, obs, None, washout_steps=50,
+                      record_steps=200, trajectory=traj)
+        for x0 in starts:
+            yield partial(psi_iterate_gs, F, torus, obs, traj, x0, tol=1e-12, max_iters=60,
+                          shared=shared)
+
+    def test_every_entry_point_is_the_exact_loops(self, case, torus, torus_traj, monkeypatch):
+        name, F, obs, starts = case
+        with monkeypatch.context() as m:  # the exact loop alone
+            m.setitem(vars(F), "_positive_kernel", None)
+            want = [outcome(run) for run in self.runs(F, obs, torus, torus_traj, starts)]
+        positive = []
+        record_steps(F, monkeypatch, lambda x: positive.append(1), kernels=("_positive_kernel",))
+        got = [outcome(run) for run in self.runs(F, obs, torus, torus_traj, starts)]
+        for a, b in zip(got, want, strict=True):
+            assert_same_outcome(a, b)
+        assert positive  # the sign-definite starts did step in y-space
+        # only the spiked input terms warn, in input_terms, as the exact loop does
+        assert any(warned for _, warned in want) == (name == "spike")
+
+    def test_recursion_is_the_step_loop(self, case, torus_traj):
+        name, F, obs, starts = case
+        z = observe_trajectory(obs, torus_traj)[1:]
+        for x0 in starts:
+            if name == "spike":
+                with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+                    run_recursion(F, z, x0)
+            else:
+                assert run_recursion(F, z, x0).tobytes() == reference_states(F, z, x0).tobytes()
+
+    def test_an_exact_cancellation_is_positive_zero(self):
+        # sign(x) |x|^0.5 + sin(1) is -s + s = +0.0 for x = -s^2; in y-space
+        # s - s is +0.0 too, which sigma = -1 would turn into -0.0 (the
+        # last state, so that no later step leaves y-space anyway)
+        F, s = PowerSine(0.5, 1.0, 1.0), np.sin(1.0)
+        x0, z = np.array([-(s * s), 1.0, -1.0]), np.ones(1)
+        states = run_recursion(F, z, x0)
+        assert states[1, 0] == 0.0 and not np.signbit(states[1, 0])
+        assert states.tobytes() == reference_states(F, z, x0).tobytes()
+
+    def test_psi_leaves_y_space_mid_run(self, torus, torus_traj, monkeypatch):
+        # column 2 starts at -50 and its iterates come to cross zero: sweeps
+        # in y-space, then through _kernel from the first that would cross
+        F, obs, starts = POSITIVE_CASES["crossing"]
+        F, sweep = F(), (len(torus_traj) - 1, 3)
+        sweeps = {"_kernel": [], "_positive_kernel": []}
+        for kernel, seen in sweeps.items():  # a sweep's shape is no eval's at record_from 1
+            record_steps(F, monkeypatch, lambda x, seen=seen: seen.append(np.shape(x) == sweep),
+                         kernels=(kernel,))
+        got = psi_iterate_gs(F, torus, obs, torus_traj, starts[1], tol=1e-12, max_iters=60,
+                             record_from=1)
+        exact, positive = sum(sweeps["_kernel"]), sum(sweeps["_positive_kernel"])
+        assert positive > 1 and exact > 0
+        # the failed y-space sweep ran again: one sweep more than the record
+        assert exact + positive == got.method["n_iters"] + 1
+        monkeypatch.undo()
+        values, _, method = reference_psi(F, obs, torus_traj, starts[1], 1e-12, 60, record_from=1)
+        assert got.values.tobytes() == values.tobytes()
+        assert got.method["change_history"] == method["change_history"]
+
+    @pytest.mark.parametrize("orbit, columns", [("torus", 6), ("section_iv", 4)])
+    def test_boxes_step_only_through_the_positive_kernel(self, orbit, columns, power_sine,
+                                                         eight_boxes, torus, lorenz, lorenz_obs,
+                                                         lorenz_traj, monkeypatch):
+        if orbit == "torus":  # the eight boxes
+            sys, obs, traj, regions, washout, record = (
+                torus, CoordinateProjection([0], 2), torus.trajectory([0.3, 0.6], 2000),
+                eight_boxes, 500, 1500)
+        else:  # the Section IV boxes V1 and V2
+            sys, obs, traj, regions, washout, record = (
+                lorenz, lorenz_obs, lorenz_traj, eight_boxes[:2], 2000, 2000)
+        exact, positive = [], []
+        for seen, kernel in ((exact, "_kernel"), (positive, "_positive_kernel")):
+            record_steps(power_sine, monkeypatch, lambda x, seen=seen: seen.append(np.shape(x)),
+                         kernels=(kernel,))
+        sweep = multistability_sweep(power_sine, regions, sys, obs, None, washout_steps=washout,
+                                     record_steps=record, trajectory=traj)
+        assert not sweep.failures
+        # every drive step in y-space; _kernel only evaluates each residual pass
+        assert positive == [(columns,)] * (washout + record)
+        assert exact == [(record, 3)] * len(regions)
+        exact.clear(), positive.clear()
+        shared, n, record_from = dict.fromkeys(r.center().tobytes() for r in regions), len(traj), 100
+        runs = [psi_iterate_gs(power_sine, sys, obs, traj, r.center(), max_iters=400,
+                               record_from=record_from, region=r, shared=shared)
+                for r in regions]
+        assert all(run.method["converged"] for run in runs)
+        # every sweep in y-space, narrowed as boxes stop; _kernel only
+        # evaluates the boundaries and the residual passes
+        assert len(positive) == max(run.method["n_iters"] for run in runs)
+        assert positive[0] == (n - 1, columns) and all(s[0] == n - 1 for s in positive)
+        assert exact == [(3,)] * len(regions) + [(n - record_from - 1, 3)] * len(regions)
 
 
 def read_only(a):
@@ -1531,7 +1710,7 @@ class TestSerialization:
         def no_eval(x, z):
             raise AssertionError("stored residuals are not recomputed")
 
-        monkeypatch.setattr(power_sine, "eval", no_eval)
+        monkeypatch.setitem(vars(power_sine), "eval", no_eval)
         stored = tmp_path / "stored.csv"
         write_gs_csv(iv_drive, stored, F=power_sine, obs=lorenz_obs)
         assert stored.read_bytes() == recomputed.read_bytes()

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gsync import (AxisBox, CoordinateProjection, CustomStateMap, Esn, InputRange,
                    LinearDelay, PowerSine, StateMap, Trajectory, cos_range, lipschitz_bounds,
@@ -229,6 +229,48 @@ class TestPreparedKernels:
             got = F._kernel(x.shape)(x, u, np.empty_like(x))
             want = F._signed_power(x) + u
         assert got.tobytes() == want.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(alpha=st.one_of(st.sampled_from([0.5, 0.9]), st.floats(0.01, 0.99)),
+           shape=st.sampled_from([(), (3,), (6,), (40, 6), (5, 3)]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           planted=st.lists(st.sampled_from([5e-324, 2.5e-310, 1e-300, 1.0, 1e308,
+                                             1.7976931348623157e308]), max_size=6))
+    def test_power_sine_positive_kernel_is_its_kernel(self, alpha, shape, seed, planted):
+        # on states y > 0, sign(y) = 1 and |y| = y: y ** alpha + v in two
+        # calls is _kernel's five, np.power(y, alpha, out) being **= alpha
+        F = PowerSine(alpha, 0.009, 0.1)
+        rng = np.random.default_rng(seed)
+        y = np.asarray(rng.uniform(0.5, 2.0, size=shape) * 10.0 ** rng.integers(-300, 300, size=shape))
+        y.reshape(-1)[rng.integers(0, y.size, size=len(planted))] = planted
+        v = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 309, size=shape)
+        with np.errstate(over="ignore"):  # a sum may overflow, in both alike
+            got = F._positive_kernel(shape)(y, v, np.empty(shape))
+            want = F._kernel(shape)(y, v, np.empty(shape))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.25])
+    def test_power_sine_positive_kernel_on_many_lanes(self, alpha):
+        F = PowerSine(alpha, 0.009, 0.1)
+        rng = np.random.default_rng(39)
+        y = 10.0 ** rng.uniform(-320, 308, size=(1000, 300))
+        v = np.zeros_like(y)
+        assert F._positive_kernel(y.shape)(y, v, np.empty_like(y)).tobytes() == \
+            F._kernel(y.shape)(y, v, np.empty_like(y)).tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(p=st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+           u=st.floats(allow_nan=False, allow_infinity=False))
+    @example(p=1.0, u=-1.1102230246251565e-16)  # a tie: 1 + 2**-53
+    @example(p=1.7976931348623157e308, u=-1.7976931348623157e308)
+    def test_negation_commutes_with_a_rounded_sum(self, p, u):
+        # sigma = -1: rounding to nearest is symmetric, so the y-space step
+        # -(p + (-u)) is the exact step (-p) + u bit for bit; an exact
+        # cancellation is +0.0 in both, which -(+0.0) would not be
+        p, u = np.array([p]), np.array([u])
+        with np.errstate(over="ignore"):
+            assume((p + -u)[0] != 0.0)
+            assert (-(p + -u)).tobytes() == (-p + u).tobytes()
 
     @pytest.mark.parametrize("batch", [(), (1,), (2,), (8,), (6000,)], ids=str)
     @pytest.mark.parametrize("n", [1, 3, 16, 33, 129])

@@ -46,7 +46,15 @@ own directory under OUT_DIR.  Prints, sorted by path:
   nan of both signs, zeros of both signs and infinities;
 - one ``sha256  <config>/forgetting`` line per config for the bytes of
   ``input_forgetting`` at each of the config's horizons on each of its
-  regions, from one generator seeded with the config's seed.
+  regions, from one generator seeded with the config's seed;
+- one ``sha256  <config>/signs`` line per config for the states of
+  ``run_recursion`` on the config's map from starts that are not
+  sign-definite: region 0's center with its first coordinate 0.0, the
+  same with -0.0, and small starts of alternating signs that cross zero
+  under the observed inputs, plus ``psi_iterate_gs`` from the last of them
+  (its change history and values, or its package error as text).  These
+  are the states that ``PowerSine``'s positive kernel does not step, so
+  the line pins the exact loop that they fall back to.
 
 Every orbit and input range comes from ``cli._orbit`` and psi's ``l_fx``
 from ``cli._closed_form_l_fx``, so the records follow the CLI's rules.
@@ -56,7 +64,8 @@ lines are what see a change to the grid derivative norms.  Run it on two
 checkouts and ``diff`` the listings to check that a change keeps the CLI
 output, the sweep, the grid suprema, the psi convergence records, the
 region grids, the tangent norms, the recursion states, the near pairs,
-the row reductions and the forgetting probe byte-identical.  The
+the row reductions, the forgetting probe and the sign-crossing runs
+byte-identical.  The
 package is imported from this checkout's ``src``.
 
 The listing starts with a ``# machine:`` line, the numpy version with the
@@ -320,9 +329,53 @@ def forgetting_digest(cfg: RunConfig) -> str:
     return h.hexdigest()
 
 
+def sign_starts(cfg: RunConfig) -> list:
+    """Starts whose coordinates are not all of one sign away from zero:
+    region 0's center with its first coordinate 0.0, the same with -0.0,
+    and a small start of alternating signs and its negation, whose
+    coordinates cross zero under the inputs."""
+    center = cfg.regions[0].center()
+    zero, negative_zero = center.copy(), center.copy()
+    zero[0], negative_zero[0] = 0.0, -0.0
+    small = 1e-9 * (-1.0) ** np.arange(cfg.statemap.state_dim)
+    return [zero, negative_zero, small, -small]
+
+
+def signs_digest(cfg: RunConfig) -> str:
+    """SHA-256 of the states of ``run_recursion`` on a config's map from each
+    of ``sign_starts`` under the observed inputs of ``synchronize``'s orbit,
+    then of ``psi_iterate_gs`` from the last of them on that orbit with the
+    config's tolerance, sweep cap and record start (its sweep count,
+    convergence flag, first and final change, change history and values; a
+    package error is hashed by its type and text)."""
+    F = cfg.statemap
+    traj, z, _ = _orbit(cfg, cfg.span)
+    starts = sign_starts(cfg)
+    h = hashlib.sha256()
+    for x0 in starts:
+        try:
+            states = run_recursion(F, z[1:], x0)
+        except GsyncError as exc:
+            h.update(repr(f"{type(exc).__name__}: {exc}").encode())
+        else:
+            h.update(states.tobytes())
+    try:
+        gs = psi_iterate_gs(F, cfg.system, cfg.observation, traj, starts[-1], tol=cfg.tol,
+                            max_iters=cfg.max_iters, record_from=cfg.psi_from)
+    except GsyncError as exc:
+        h.update(repr(f"{type(exc).__name__}: {exc}").encode())
+    else:
+        m = gs.method
+        h.update(repr((m["n_iters"], m["converged"],
+                       *(float(m[k]).hex() for k in ("first_change", "final_change")))).encode())
+        h.update(np.asarray(m["change_history"], dtype=float).tobytes())
+        h.update(gs.values.tobytes())
+    return h.hexdigest()
+
+
 RECORDS = {"sweep": sweep_digest, "lipschitz": lipschitz_digest, "psi": psi_digest,
            "grid": grid_digest, "recur": recur_digest, "pairs": pairs_digest,
-           "rows": rows_digest, "forgetting": forgetting_digest}
+           "rows": rows_digest, "forgetting": forgetting_digest, "signs": signs_digest}
 
 
 def run_all(out_dir: str, inputs_dir: str) -> tuple[list[tuple[str, str]], list[str]]:
